@@ -9,6 +9,8 @@ entry so a crashed writer never loses committed records.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import threading
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -77,22 +79,49 @@ class DataProperty:
         _check_property_value(self.property_type, self.value)
 
 
+def _shared(build: Callable[..., DataProperty]) -> Callable[..., DataProperty]:
+    """Build each property once per argument and hand out the same instance.
+
+    Sync records repeat the same few origin, timeliness and processing
+    properties; sharing them saves building and validating four per record.
+    Shared values are never mutated: ``DataRecord.to_dict`` copies them.
+    """
+    cache: dict[tuple, DataProperty] = {}
+
+    @functools.wraps(build)
+    def get(*args):
+        try:
+            return cache[args]
+        except KeyError:
+            prop = cache[args] = build(*args)
+            return prop
+        except TypeError:  # unhashable argument: validation rejects it
+            return build(*args)
+
+    return get
+
+
+@_shared
 def origin_actual_system(gateway_id: str) -> DataProperty:
     return DataProperty(PropertyType.ORIGIN, {"source": "actual-system", "id": gateway_id})
 
 
+@_shared
 def origin_service(service_id: str) -> DataProperty:
     return DataProperty(PropertyType.ORIGIN, {"source": "service", "id": service_id})
 
 
+@_shared
 def origin_operator() -> DataProperty:
     return DataProperty(PropertyType.ORIGIN, {"source": "operator"})
 
 
+@_shared
 def timeliness(value: str) -> DataProperty:
     return DataProperty(PropertyType.TIMELINESS, value)
 
 
+@_shared
 def processing(value: str) -> DataProperty:
     return DataProperty(PropertyType.PROCESSING, value)
 
@@ -133,7 +162,9 @@ class DataRecord:
         return None
 
     def to_dict(self) -> dict:
-        props = {p.property_type.value: p.value for p in self.properties}
+        # origin values may be shared constants: hand out copies
+        props = {p.property_type.value: dict(p.value) if isinstance(p.value, dict) else p.value
+                 for p in self.properties}
         return {"id": self.record_id, "value": self.value, "properties": props,
                 "link": self.model_link.to_list() if self.model_link else None}
 
@@ -222,6 +253,9 @@ class DataManager:
                  resolver: RefResolver | None = None,
                  enforce_mandatory: bool = True, allow_linkage: bool = True):
         self._records: list[DataRecord] = []
+        # record ids ordered by last-update tick, for tick-window queries
+        self._ticks: list[int] = []
+        self._tick_ids: list[int] = []
         self._next_id = 1
         self._lock = threading.Lock()
         self.resolver = resolver
@@ -260,12 +294,23 @@ class DataManager:
                                   "props": {p.property_type.value: p.value for p in ordered},
                                   "link": model_link.to_list() if model_link else None})
             self._records.append(record)
+            self._index_tick(record)
             self._next_id += 1
             return record.record_id
 
     def query(self, selector: Selector | None = None) -> list[DataRecord]:
         selector = selector or Selector()
-        snapshot = self._records[: len(self._records)]
+        start, end = selector.tick_from, selector.tick_to
+        if (start is None and end is None) or not all(
+                bound is None or isinstance(bound, (int, float)) for bound in (start, end)):
+            snapshot = self._records[: len(self._records)]
+        else:
+            # a tick window reads only the records whose last-update falls in it
+            with self._lock:
+                lo = 0 if start is None else bisect.bisect_left(self._ticks, start)
+                hi = len(self._ticks) if end is None else bisect.bisect_right(self._ticks, end)
+                ids = sorted(self._tick_ids[lo:hi])
+                snapshot = [self._records[rid - 1] for rid in ids]
         return [r for r in snapshot if selector.matches(r)]
 
     def get(self, record_id: int) -> DataRecord:
@@ -296,6 +341,19 @@ class DataManager:
             self._journal = None
 
     # --- internals ---
+
+    def _index_tick(self, record: DataRecord) -> None:
+        tick = record.prop(PropertyType.LAST_UPDATE)
+        if tick is None:
+            return
+        if self._ticks and tick < self._ticks[-1]:
+            # last-update usually grows with the record id; a direct ingest may not
+            at = bisect.bisect_right(self._ticks, tick)
+            self._ticks.insert(at, tick)
+            self._tick_ids.insert(at, record.record_id)
+        else:
+            self._ticks.append(tick)
+            self._tick_ids.append(record.record_id)
 
     def _check_link(self, ref: ModelElementRef) -> None:
         if not self.allow_linkage:
@@ -378,6 +436,7 @@ class DataManager:
                 raise CorruptJournal(
                     f"record id {record.record_id} out of order (expected {self._next_id})")
             self._records.append(record)
+            self._index_tick(record)
             self._next_id += 1
         elif op == "link":
             try:

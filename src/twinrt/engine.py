@@ -20,27 +20,33 @@ model edit that caused them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import bisect
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable
 
 from . import data as data_mod
 from .data import DataManager, ModelElementRef
 from .errors import (
+    AssetFault,
     Disconnected,
     DuplicateMapping,
     DuplicateService,
     DanglingGrantTarget,
     IntegrityViolation,
     MissingLastUpdateSupport,
+    NoSuchElement,
     PermissionDenied,
+    ProtocolError,
     ReadOnlyTarget,
+    ReadOnlyViolation,
     SchemaViolation,
     TickSequenceError,
     TransformFailure,
     TwinError,
     UnresolvedGatewaySide,
     UnresolvedModelSide,
+    WrongKind,
 )
 from .gateway import ElementKind, GatewayHandle, PropertyAccess, Stream
 from .models import ModelMode, ModelRegistry
@@ -165,9 +171,15 @@ class Mapping:
     schedule: Schedule
     transform: Transform = Transform()
     enabled: bool = True
+    _model_ref: ModelElementRef = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # every sync links its record to this ref: build it once
+        object.__setattr__(self, "_model_ref",
+                           ModelElementRef(self.model_id, self.element_id, self.property_name))
 
     def model_ref(self) -> ModelElementRef:
-        return ModelElementRef(self.model_id, self.element_id, self.property_name)
+        return self._model_ref
 
 
 @dataclass(frozen=True)
@@ -209,6 +221,11 @@ class _ServiceState:
     disabled_reason: str = ""
 
 
+# what a failed gateway request raises besides Disconnected; it suspends the sync
+_GATEWAY_FAULTS = (ProtocolError, AssetFault, SchemaViolation, NoSuchElement, WrongKind,
+                   ReadOnlyViolation)
+
+
 def _fit_value(value: Value, target_type: str | None) -> Value:
     """Lossless numeric fit to a declared schema type (int<->float)."""
     if target_type == "real" and isinstance(value, int) and not isinstance(value, bool):
@@ -235,6 +252,8 @@ class Engine:
         self._in_tick = False
         self._gateways: dict[str, GatewayHandle] = {}
         self._mappings: dict[str, Mapping] = {}
+        self._by_trigger: dict[tuple, list[str]] = {}  # trigger key -> sorted mapping ids
+        self._scheduled: list[str] = []  # sorted ids of every-n-ticks mappings
         self._sample_streams: dict[tuple[str, str], Stream] = {}
         self._event_streams: dict[tuple[str, str], Stream] = {}
         self._asset_ledger: dict[tuple[str, str], _Observation] = {}
@@ -260,9 +279,6 @@ class Engine:
     def effective_tick(self) -> int:
         """Tick at which a mutation happening right now becomes visible."""
         return self._tick if self._in_tick else self._tick + 1
-
-    def set_sink(self, sink: Callable[[dict], None] | None) -> None:
-        self._sink = sink
 
     def _emit(self, line: dict) -> None:
         if self._sink is not None:
@@ -322,7 +338,11 @@ class Engine:
             self._check_trigger(mapping.mapping_id, trigger)
         self._mappings[mapping.mapping_id] = mapping
         self._sync_memory[mapping.mapping_id] = (0, 0)
-        self._ensure_subscriptions()
+        if trigger is None:
+            bisect.insort(self._scheduled, mapping.mapping_id)
+        else:
+            bisect.insort(self._by_trigger.setdefault(trigger.key(), []), mapping.mapping_id)
+        self._subscribe_mapping(mapping)
 
     def _check_trigger(self, mapping_id: str, trigger: Trigger) -> None:
         if trigger.kind is TriggerKind.MODEL_CHANGE:
@@ -349,22 +369,17 @@ class Engine:
             raise KeyError(f"no mapping {mapping_id!r}")
         self._mappings[mapping_id] = replace(mapping, enabled=enabled)
 
-    def _ensure_subscriptions(self) -> None:
-        """Observe/subscribe every gateway element the engine must hear about."""
-        for mapping in self._mappings.values():
-            if mapping.direction is Direction.BIDIRECTIONAL:
-                self._observe(mapping.gateway_id, mapping.gateway_property)
-            trigger = mapping.schedule.trigger
-            if trigger is None:
-                continue
-            if trigger.kind is TriggerKind.GATEWAY_CHANGE:
-                self._observe(trigger.gateway_id, trigger.element)
-            elif trigger.kind is TriggerKind.GATEWAY_EVENT:
-                self._subscribe(trigger.gateway_id, trigger.element)
-        for svc in self._services.values():
-            for hook in svc.descriptor.hooks:
-                if hook.kind == "on-event":
-                    self._subscribe(hook.gateway_id, hook.event)
+    def _subscribe_mapping(self, mapping: Mapping) -> None:
+        """Observe/subscribe the gateway elements one mapping must hear about."""
+        if mapping.direction is Direction.BIDIRECTIONAL:
+            self._observe(mapping.gateway_id, mapping.gateway_property)
+        trigger = mapping.schedule.trigger
+        if trigger is None:
+            return
+        if trigger.kind is TriggerKind.GATEWAY_CHANGE:
+            self._observe(trigger.gateway_id, trigger.element)
+        elif trigger.kind is TriggerKind.GATEWAY_EVENT:
+            self._subscribe(trigger.gateway_id, trigger.element)
 
     def _observe(self, gateway_id: str, prop: str) -> None:
         key = (gateway_id, prop)
@@ -426,7 +441,9 @@ class Engine:
             service=descriptor.service_id, event="error", detail=message)
         self._services[descriptor.service_id] = _ServiceState(
             descriptor=descriptor, impl=impl, client=client)
-        self._ensure_subscriptions()
+        for hook in descriptor.hooks:
+            if hook.kind == "on-event":
+                self._subscribe(hook.gateway_id, hook.event)
 
     def set_service_enabled(self, service_id: str, enabled: bool) -> None:
         svc = self._services.get(service_id)
@@ -550,11 +567,8 @@ class Engine:
             if occurrence in seen:
                 continue
             seen.add(occurrence)
-            for mapping_id in sorted(self._mappings):
-                mapping = self._mappings[mapping_id]
-                trigger = mapping.schedule.trigger
-                if (mapping.enabled and trigger is not None
-                        and trigger.key() == occurrence):
+            for mapping_id in self._by_trigger.get(occurrence, ()):
+                if self._mappings[mapping_id].enabled:
                     fired.append((mapping_id, SyncReason.TRIGGERED))
         # reconciliation after a model came back online
         reconcile, self._needs_reconcile = self._needs_reconcile, set()
@@ -563,10 +577,9 @@ class Engine:
             if mapping is not None and mapping.enabled:
                 fired.append((mapping_id, SyncReason.TRIGGERED))
         # scheduled work
-        for mapping_id in sorted(self._mappings):
+        for mapping_id in self._scheduled:
             mapping = self._mappings[mapping_id]
-            every = mapping.schedule.every
-            if mapping.enabled and every is not None and now_tick % every == 0:
+            if mapping.enabled and now_tick % mapping.schedule.every == 0:
                 fired.append((mapping_id, SyncReason.SCHEDULED))
         return fired
 
@@ -590,6 +603,9 @@ class Engine:
         except Disconnected:
             return self._decision(mapping, SyncAction.NO_OP, SyncReason.SUSPENDED,
                                   "gateway disconnected")
+        except _GATEWAY_FAULTS as exc:
+            return self._decision(mapping, SyncAction.NO_OP, SyncReason.SUSPENDED,
+                                  f"gateway error: {exc}")
         except TransformFailure as exc:
             return self._decision(mapping, SyncAction.NO_OP, SyncReason.SUSPENDED,
                                   f"transform failure: {exc}")
@@ -713,11 +729,6 @@ class Engine:
         except TwinError as exc:
             self._notice(service=svc.descriptor.service_id, event="error",
                          detail=str(exc))
-
-    # --- introspection for audits and tests ---
-
-    def asset_observation(self, gateway_id: str, prop: str) -> _Observation | None:
-        return self._asset_ledger.get((gateway_id, prop))
 
     def close(self) -> None:
         for handle in self._gateways.values():

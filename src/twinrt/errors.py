@@ -154,14 +154,6 @@ class DuplicateMapping(TwinError):
     """mapping_id already registered."""
 
 
-class GatewayUnavailable(TwinError):
-    """Gateway for a mapping is not connected."""
-
-
-class ModelOffline(TwinError):
-    """Sync attempted while the model is Offline."""
-
-
 class TransformFailure(TwinError):
     """Value transform could not be applied to the value."""
 

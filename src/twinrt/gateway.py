@@ -268,8 +268,13 @@ class GatewayHandle:
         return self._dead is None
 
     def close(self) -> None:
-        self._fail(Disconnected("handle closed"), cause="closed")
+        self._kill(Disconnected("handle closed"), cause="closed")
+
+    def _kill(self, error: TwinError, cause: str) -> TwinError:
+        """Mark the handle dead and drop the connection; returns ``error``."""
+        self._fail(error, cause)
         self._channel.close()
+        return error
 
     def _fail(self, error: TwinError, cause: str) -> None:
         with self._pending_lock:
@@ -292,8 +297,7 @@ class GatewayHandle:
                 return
             except ProtocolError as exc:
                 # cannot attribute or trust anything further on this connection
-                self._fail(exc, cause="protocol-error")
-                self._channel.close()
+                self._kill(exc, cause="protocol-error")
                 return
             self._route(msg)
 
@@ -319,8 +323,7 @@ class GatewayHandle:
                 raise ProtocolError(f"unexpected push op {op!r}")
         except (KeyError, ProtocolError) as exc:
             err = exc if isinstance(exc, ProtocolError) else ProtocolError(f"malformed push: {exc}")
-            self._fail(err, cause="protocol-error")
-            self._channel.close()
+            self._kill(err, cause="protocol-error")
 
     def _request(self, msg: dict[str, Any], timeout: float = 10.0) -> dict[str, Any]:
         with self._request_lock:
@@ -336,14 +339,18 @@ class GatewayHandle:
                 try:
                     reply = slot.get(timeout=timeout)
                 except queue.Empty:
-                    raise Disconnected("request timed out") from None
+                    # a late reply would land in the next request's slot
+                    raise self._kill(Disconnected("request timed out"),
+                                     cause="timeout") from None
             finally:
                 with self._pending_lock:
                     self._pending = None
             if isinstance(reply, TwinError):
                 raise reply
             if reply.get("id") != rid:
-                raise ProtocolError(f"response id {reply.get('id')} does not match request {rid}")
+                raise self._kill(ProtocolError(
+                    f"response id {reply.get('id')} does not match request {rid}"),
+                    cause="protocol-error")
             if reply.get("op") == "error":
                 exc_type = _ERROR_MAP.get(reply.get("code", ""), ProtocolError)
                 raise exc_type(reply.get("message", "asset error"))

@@ -6,15 +6,18 @@ manager. The only ways a model changes are operator application (built-in
 create/delete/set plus registered custom operators), mode switching, and
 snapshot restore. Operator application is transactional: either the
 transformed model satisfies every integrity rule and is committed, or the
-model is left untouched. Managers may delegate operator applications to
-peers along declared per-operator rules; a request never visits the same
-manager twice.
+model is left untouched. A transaction copies only the elements its operator
+touches and re-checks only those, so its cost follows what changed, not the
+size of the model. Managers may delegate operator applications to peers
+along declared per-operator rules; a request never visits the same manager
+twice.
 """
 
 from __future__ import annotations
 
 import copy
 import fnmatch
+from collections.abc import Iterable, Iterator, MutableMapping
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -154,24 +157,25 @@ class PropertyRule:
                 f"rule {self.rule_id}: exactly one of bound/other_property required")
 
     def check(self, model: Model, context: RuleContext) -> list[str]:
-        violations = []
-        compare = self._OPS[self.op]
-        for element in model.elements.values():
-            if element.kind != self.kind:
-                continue
-            left = element.value(self.property_name)
-            right = self.bound if self.other_property is None else element.value(self.other_property)
-            if left is None or right is None:
-                continue
-            try:
-                ok = compare(left, right)
-            except TypeError:
-                ok = False
-            if not ok:
-                violations.append(
-                    f"{self.rule_id}: {model.model_id}/{element.element_id}."
-                    f"{self.property_name}={left!r} violates {self.op} {right!r}")
-        return violations
+        return [violation for element in model.elements.values()
+                for violation in self.check_element(model.model_id, element)]
+
+    def check_element(self, model_id: str, element: ModelElement) -> list[str]:
+        """Violations of this rule by one element; the rule reads nothing else."""
+        if element.kind != self.kind:
+            return []
+        left = element.value(self.property_name)
+        right = self.bound if self.other_property is None else element.value(self.other_property)
+        if left is None or right is None:
+            return []
+        try:
+            ok = self._OPS[self.op](left, right)
+        except TypeError:
+            ok = False
+        if ok:
+            return []
+        return [f"{self.rule_id}: {model_id}/{element.element_id}."
+                f"{self.property_name}={left!r} violates {self.op} {right!r}"]
 
     def to_dict(self) -> dict:
         out = {"id": self.rule_id, "kind": self.kind, "property": self.property_name,
@@ -301,6 +305,86 @@ BUILTIN_OPERATORS = (
 _OPTIONAL_ARGS = {"create_element": {"properties"}}
 
 
+class _CopyOnAccess(MutableMapping):
+    """One transaction's view of a committed model's elements.
+
+    An element is copied the first time the effect reads or writes it
+    through ``[]`` or ``get``, so the effect may mutate what it gets; ``in``,
+    ``len`` and iterating over keys copy nothing, while ``values()`` and
+    ``items()`` copy every element they yield. Creates and deletes are
+    recorded; the committed dict is never written to. Keys iterate in
+    committed order followed by creations, as they would in a copied dict.
+    """
+
+    def __init__(self, committed: dict[str, ModelElement]):
+        self._committed = committed
+        self._copies: dict[str, ModelElement] = {}  # committed ids read or replaced
+        self._created: dict[str, ModelElement] = {}  # ids new to the model, in order
+        self._deleted: set[str] = set()  # committed ids removed
+
+    def _live(self, element_id: str) -> bool:
+        return element_id in self._committed and element_id not in self._deleted
+
+    def __contains__(self, element_id) -> bool:
+        return element_id in self._created or self._live(element_id)
+
+    def __getitem__(self, element_id: str) -> ModelElement:
+        if element_id in self._created:
+            return self._created[element_id]
+        if not self._live(element_id):
+            raise KeyError(element_id)
+        element = self._copies.get(element_id)
+        if element is None:
+            old = self._committed[element_id]
+            element = self._copies[element_id] = ModelElement(
+                old.element_id, old.kind, dict(sorted(old.properties.items())))
+        return element
+
+    def __setitem__(self, element_id: str, element: ModelElement) -> None:
+        if self._live(element_id):
+            self._copies[element_id] = element
+        else:
+            self._created[element_id] = element
+
+    def __delitem__(self, element_id: str) -> None:
+        if element_id in self._created:
+            del self._created[element_id]
+        elif self._live(element_id):
+            self._deleted.add(element_id)
+            self._copies.pop(element_id, None)
+        else:
+            raise KeyError(element_id)
+
+    def __iter__(self) -> Iterator[str]:
+        for element_id in self._committed:
+            if element_id not in self._deleted:
+                yield element_id
+        yield from self._created
+
+    def __len__(self) -> int:
+        return len(self._committed) - len(self._deleted) + len(self._created)
+
+    def touched(self) -> set[str]:
+        """Every id read, written, created or deleted."""
+        return self._copies.keys() | self._created.keys() | self._deleted
+
+    def surviving(self) -> list[str]:
+        """Touched ids still present, in the order a copy of the whole model
+        would list them: committed ids sorted, then creations."""
+        return sorted(self._copies) + list(self._created)
+
+    def merged(self) -> dict[str, ModelElement]:
+        """The committed elements with this transaction applied, in id order."""
+        elements = dict(self._committed)
+        elements.update(self._copies)
+        for element_id in self._deleted:
+            del elements[element_id]
+        if self._created:
+            elements.update(self._created)
+            elements = dict(sorted(elements.items()))
+        return elements
+
+
 class ModelRegistry:
     """Owner of all languages, managers, and models.
 
@@ -394,11 +478,14 @@ class ModelRegistry:
         language = self.language(language_id)
         if model_id in self._models:
             raise DuplicateModel(f"model {model_id!r} already exists")
-        model = Model(model_id=model_id, language_id=language_id)
+        elements: dict[str, ModelElement] = {}
         for element in initial_elements or []:
-            if element.element_id in model.elements:
+            if element.element_id in elements:
                 raise IntegrityViolation(f"duplicate element {element.element_id!r}")
-            model.elements[element.element_id] = element
+            elements[element.element_id] = element
+        # committed element dicts are kept in id order, so effects see elements in id order
+        model = Model(model_id=model_id, language_id=language_id,
+                      elements=dict(sorted(elements.items())))
         model.model_properties[MODE_PROPERTY] = ModelProperty(
             MODE_PROPERTY, ModelMode.OFFLINE.value)
         if track_last_update:
@@ -460,11 +547,14 @@ class ModelRegistry:
                 f"operator {operator_id!r} does not apply to language {model.language_id!r}")
         self._check_args(operator, args)
 
-        candidate = Model.from_dict(model.to_dict())
-        operator.effect(candidate, args)
+        elements = _CopyOnAccess(model.elements)
+        view = Model(model_id, model.language_id, elements, dict(model.model_properties))
+        operator.effect(view, args)
+        candidate = Model(model_id, model.language_id, elements.merged(), view.model_properties)
         language = self.language(model.language_id)
-        self._validate(candidate, language, owner=self._owner.get(model_id))
-        changed = _diff_elements(model, candidate)
+        self._validate(candidate, language, owner=self._owner.get(model_id),
+                       element_ids=elements.surviving())
+        changed = _diff_elements(model.elements, candidate.elements, elements.touched())
         tick = self.tick_supplier()
         if candidate.supports_last_update:
             candidate.model_properties[LAST_UPDATE_PROPERTY] = ModelProperty(
@@ -568,9 +658,17 @@ class ModelRegistry:
             except SchemaViolation as exc:
                 raise ArgumentMismatch(f"argument {name!r}: {exc}") from exc
 
-    def _validate(self, model: Model, language: ModelingLanguage,
-                  owner: str | None = None) -> None:
-        for element in model.elements.values():
+    def _validate(self, model: Model, language: ModelingLanguage, owner: str | None = None,
+                  element_ids: Iterable[str] | None = None) -> None:
+        """Check ``model`` against ``language``, raising IntegrityViolation.
+
+        ``element_ids`` limits the kind, schema and PropertyRule checks to
+        those elements, in that order; the rest are unchanged since they last
+        passed. CallableRules always see the whole model and its peers.
+        """
+        elements = (list(model.elements.values()) if element_ids is None
+                    else [model.elements[eid] for eid in element_ids])
+        for element in elements:
             if element.kind not in language.element_kinds:
                 raise IntegrityViolation(
                     f"element {element.element_id!r} has undeclared kind {element.kind!r}",
@@ -591,7 +689,11 @@ class ModelRegistry:
         failed: list[str] = []
         messages: list[str] = []
         for rule in language.rules:
-            violations = rule.check(model, context)
+            if isinstance(rule, PropertyRule):
+                violations = [violation for element in elements
+                              for violation in rule.check_element(model.model_id, element)]
+            else:
+                violations = rule.check(model, context)
             if violations:
                 failed.append(rule.rule_id)
                 messages.extend(violations)
@@ -610,11 +712,17 @@ class ModelRegistry:
         return peers
 
 
-def _diff_elements(old: Model, new: Model) -> tuple[tuple[str, str], ...]:
+def _diff_elements(old: dict[str, ModelElement], new: dict[str, ModelElement],
+                   element_ids: Iterable[str]) -> tuple[tuple[str, str], ...]:
+    """(element, property) pairs that differ between ``old`` and ``new``.
+
+    Only ``element_ids`` are compared, in id order; a created or deleted
+    element contributes all of its properties.
+    """
     changed: list[tuple[str, str]] = []
-    for eid in sorted(set(old.elements) | set(new.elements)):
-        old_el = old.elements.get(eid)
-        new_el = new.elements.get(eid)
+    for eid in sorted(element_ids):
+        old_el = old.get(eid)
+        new_el = new.get(eid)
         if old_el is None:
             changed.extend((eid, name) for name in sorted(new_el.properties))
             continue

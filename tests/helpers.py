@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from typing import Callable
 
 from twinrt.asset import AssetServer, EchoModel, TankModel
 from twinrt.data import DataManager
@@ -24,6 +26,7 @@ from twinrt.models import (
     ModelRegistry,
     PropertyRule,
 )
+from twinrt.wire import LineChannel, LineServer
 
 TANK_ELEMENTS = (
     property_decl("level", "real", PropertyAccess.READ_ONLY),
@@ -58,6 +61,38 @@ def start_tank(step_ms: int = 100, **params) -> AssetServer:
 
 def start_echo(step_ms: int = 100) -> AssetServer:
     return AssetServer(EchoModel(), step_ms=step_ms)
+
+
+def plain_reply(msg: dict) -> dict:
+    """What a quiet tank answers: level 0.0 to reads, pong to pings, ack otherwise."""
+    if msg["op"] == "read":
+        return {"op": "value", "id": msg["id"], "element": msg["element"], "value": 0.0,
+                "ts": 0, "seq": msg["id"]}
+    return {"op": "pong" if msg["op"] == "ping" else "ack", "id": msg["id"]}
+
+
+def late_first_reply(msg: dict) -> dict:
+    """Answers request 1 only after a requester with a short timeout gave up."""
+    if msg["id"] == 1:
+        time.sleep(0.5)
+    return plain_reply(msg)
+
+
+def start_scripted_tank(respond: Callable[[dict], dict] = plain_reply) -> LineServer:
+    """A fake tank asset that answers each request with ``respond(request)``.
+
+    It advertises the tank catalog in the handshake and never pushes, so a
+    test can make single replies late, wrong or failing.
+    """
+    catalog = [decl.to_wire() for decl in TANK_ELEMENTS]
+
+    def serve(channel: LineChannel) -> None:
+        hello = channel.recv()
+        channel.send({"op": "hello-ack", "id": hello["id"], "catalog": catalog})
+        while True:
+            channel.send(respond(channel.recv()))
+
+    return LineServer("tcp://127.0.0.1:0", serve)
 
 
 def tank_language() -> ModelingLanguage:

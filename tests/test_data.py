@@ -376,6 +376,38 @@ def test_durability_round_trip_under_query(tmp_path_factory, specs):
     assert [r.to_dict() for r in reloaded.query()] == [r.to_dict() for r in dm.query()]
 
 
+@settings(max_examples=40, deadline=None)
+@given(record_specs, selectors)
+def test_reloaded_and_linked_store_answers_tick_windows_like_the_oracle(tmp_path_factory,
+                                                                       specs, selector):
+    path = tmp_path_factory.mktemp("journal") / "j.ndjson"
+    dm = DataManager(journal_path=path)
+    for value, origin, timely, proc, tick, link in specs:
+        props = [origin, timeliness(timely)]
+        if proc is not None:
+            props.append(processing(proc))
+        if tick is not None:
+            props.append(last_update(tick))
+        rid = dm.ingest(value, props)
+        if link is not None and rid % 2:
+            dm.link_to_model(rid, link)
+    dm.close()
+    for store in (dm, DataManager.reload(path)):
+        got = [r.record_id for r in store.query(selector)]
+        assert got == oracle_filter(store.query(), selector)
+
+
+def test_tick_window_keeps_id_order_when_ticks_run_backwards():
+    dm = DataManager()
+    for tick in (5, 3, 7, 3, 0, 6):
+        dm.ingest(float(tick), base_props(extra=last_update(tick)))
+    dm.ingest(9.0, base_props())  # no last-update: outside every tick window
+    assert [r.record_id for r in dm.query(Selector(tick_from=3, tick_to=6))] == [1, 2, 4, 6]
+    assert [r.record_id for r in dm.query(Selector(tick_to=3))] == [2, 4, 5]
+    assert [r.record_id for r in dm.query(Selector(tick_from=6))] == [3, 6]
+    assert dm.query(Selector(tick_from=6, tick_to=5)) == []
+
+
 def test_mandatory_metadata_totality():
     dm = DataManager()
     for i in range(50):

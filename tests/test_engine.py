@@ -1,6 +1,16 @@
 import pytest
 
-from helpers import Rig, build_rig, level_mapping, valve_mapping
+from helpers import (
+    Rig,
+    build_registry,
+    build_rig,
+    late_first_reply,
+    level_mapping,
+    plain_reply,
+    start_scripted_tank,
+    tank_descriptor,
+    valve_mapping,
+)
 
 from twinrt.data import DataManager, PropertyType, Selector
 from twinrt.engine import (
@@ -15,6 +25,7 @@ from twinrt.engine import (
     TriggerKind,
 )
 from twinrt.errors import (
+    Disconnected,
     DuplicateMapping,
     MissingLastUpdateSupport,
     ReadOnlyTarget,
@@ -34,11 +45,13 @@ def overflow_trigger_mapping():
                                             gateway_id="tank01", element="overflow")))
 
 
-def change_trigger_mapping():
-    return Mapping("m-change", "tank", "main", "level", "tank01", "level",
+def change_trigger_mapping(mapping_id: str = "m-change",
+                           transform: Transform = Transform()):
+    return Mapping(mapping_id, "tank", "main", "level", "tank01", "level",
                    Direction.AS_TO_DT,
                    Schedule(trigger=Trigger(TriggerKind.GATEWAY_CHANGE,
-                                            gateway_id="tank01", element="level")))
+                                            gateway_id="tank01", element="level")),
+                   transform)
 
 
 class TestAddMapping:
@@ -192,6 +205,62 @@ class TestTick:
             assert [d.action for d in decisions] == [SyncAction.PUSH_DT_TO_AS]
             assert rig.server.state()["valve"] == 0.75
             assert rig.tick(step_asset=False) == []  # edit consumed
+        finally:
+            rig.close()
+
+
+class TestTriggerIndex:
+    def test_mappings_on_one_trigger_fire_in_id_order(self):
+        mappings = [change_trigger_mapping(m) for m in ("m-c", "m-a", "m-b")]
+        rig = build_rig(mappings=mappings + [level_mapping()])
+        try:
+            rig.server.force_set("level", 1.0)
+            decisions = rig.tick(step_asset=False)
+            # triggered work first, in mapping-id order, then the scheduled mapping
+            assert [d.mapping_id for d in decisions] == ["m-a", "m-b", "m-c", "m-level"]
+        finally:
+            rig.close()
+
+    def test_mapping_disabled_by_the_operator_does_not_fire(self):
+        mappings = [change_trigger_mapping(m) for m in ("m-c", "m-a", "m-b")]
+        rig = build_rig(mappings=mappings + [level_mapping()])
+        try:
+            rig.engine.set_mapping_enabled("m-b", False)
+            rig.engine.set_mapping_enabled("m-level", False)
+            rig.server.force_set("level", 1.0)
+            assert [d.mapping_id for d in rig.tick(step_asset=False)] == ["m-a", "m-c"]
+            rig.engine.set_mapping_enabled("m-b", True)
+            rig.server.force_set("level", 2.0)
+            assert [d.mapping_id for d in rig.tick(step_asset=False)] == ["m-a", "m-b", "m-c"]
+        finally:
+            rig.close()
+
+    def test_mapping_disabled_by_an_integrity_violation_does_not_fire(self):
+        # m-big pulls ten times the level: 2.0 becomes 20.0, above the capacity of 10
+        rig = build_rig(mappings=[change_trigger_mapping("m-big", Transform(scale=10.0)),
+                                  change_trigger_mapping("m-a")])
+        try:
+            rig.server.force_set("level", 2.0)
+            decisions = rig.tick(step_asset=False)
+            assert [(d.mapping_id, d.reason) for d in decisions] == [
+                ("m-a", SyncReason.TRIGGERED), ("m-big", SyncReason.SUSPENDED)]
+            rig.server.force_set("level", 3.0)
+            assert [d.mapping_id for d in rig.tick(step_asset=False)] == ["m-a"]
+        finally:
+            rig.close()
+
+    def test_add_mapping_observes_a_trigger_element_once(self):
+        rig = build_rig()
+        observed = []
+        observe = rig.handle.observe_property
+        rig.handle.observe_property = lambda name: observed.append(name) or observe(name)
+        try:
+            rig.engine.add_mapping(change_trigger_mapping("m-a"))
+            assert observed == ["level"]
+            rig.engine.add_mapping(change_trigger_mapping("m-b"))
+            assert observed == ["level"]
+            rig.engine.add_mapping(valve_mapping())  # bidirectional: observes its property
+            assert observed == ["level", "valve"]
         finally:
             rig.close()
 
@@ -510,6 +579,48 @@ class TestSuspension:
             assert rig.tick(step_asset=False)[0].reason is SyncReason.SUSPENDED
         finally:
             rig.close()
+
+
+class TestGatewayFaults:
+    """A fault on the gateway side ends in a suspended decision, never in an exception."""
+
+    def scripted_engine(self, respond):
+        server = start_scripted_tank(respond)
+        registry = build_registry()
+        engine = Engine(registry, DataManager(resolver=registry.resolve))
+        handle = connect(tank_descriptor(server.endpoint))
+        engine.add_gateway(handle)
+        engine.add_mapping(level_mapping())
+        return server, handle, engine
+
+    def test_late_reply_suspends_the_sync(self):
+        server, handle, engine = self.scripted_engine(late_first_reply)
+        try:
+            with pytest.raises(Disconnected):
+                handle._request({"op": "ping"}, timeout=0.1)
+            decisions = engine.tick(1)
+            assert [d.reason for d in decisions] == [SyncReason.SUSPENDED]
+            assert engine.tick(2)[0].reason is SyncReason.SUSPENDED
+        finally:
+            engine.close()
+            server.close()
+
+    def test_asset_error_reply_suspends_the_sync(self):
+        def failing_reads(msg):
+            if msg["op"] == "read":
+                return {"op": "error", "id": msg["id"], "code": "ASSET_FAULT",
+                        "message": "sensor offline"}
+            return plain_reply(msg)
+
+        server, handle, engine = self.scripted_engine(failing_reads)
+        try:
+            decisions = engine.tick(1)
+            assert [d.reason for d in decisions] == [SyncReason.SUSPENDED]
+            assert "sensor offline" in decisions[0].detail
+            assert handle.is_alive  # a refused request does not end the connection
+        finally:
+            engine.close()
+            server.close()
 
 
 class TestInvariants:

@@ -2,7 +2,14 @@ import time
 
 import pytest
 
-from helpers import echo_descriptor, start_tank, tank_descriptor
+from helpers import (
+    echo_descriptor,
+    late_first_reply,
+    plain_reply,
+    start_scripted_tank,
+    start_tank,
+    tank_descriptor,
+)
 
 from twinrt.errors import (
     CatalogMismatch,
@@ -324,6 +331,38 @@ class TestNoNanBoundary:
                 time.sleep(0.01)
             assert stream.end_cause == "protocol-error"
             assert all(s.value == s.value for s in stream.drain())  # no NaN delivered
+            handle.close()
+        finally:
+            server.close()
+
+
+class TestRequestTimeout:
+    def test_timeout_kills_the_handle_so_a_late_reply_answers_nothing(self):
+        server = start_scripted_tank(late_first_reply)
+        try:
+            handle = connect(tank_descriptor(server.endpoint))
+            with pytest.raises(Disconnected, match="timed out"):
+                handle._request({"op": "ping"}, timeout=0.1)
+            assert not handle.is_alive
+            # before the fix this read got the late pong of request 1: ProtocolError
+            with pytest.raises(Disconnected):
+                handle.read_property("level")
+            time.sleep(0.6)  # the late reply has been sent by now
+            with pytest.raises(Disconnected):
+                handle.ping()
+            handle.close()
+        finally:
+            server.close()
+
+    def test_reply_id_mismatch_kills_the_handle(self):
+        server = start_scripted_tank(lambda msg: dict(plain_reply(msg), id=msg["id"] + 1))
+        try:
+            handle = connect(tank_descriptor(server.endpoint))
+            with pytest.raises(ProtocolError, match="does not match"):
+                handle.ping()
+            assert not handle.is_alive
+            with pytest.raises(Disconnected):
+                handle.ping()
             handle.close()
         finally:
             server.close()
