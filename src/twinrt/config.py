@@ -9,6 +9,7 @@ configuration can still be loaded and reported on.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -156,6 +157,25 @@ def _as_dict(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise _fail(path, f"expected a mapping, got {type(value).__name__}")
     return value
+
+
+def _as_int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _fail(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _as_number(value, path: str) -> float:
+    # YAML 1.1 reads an exponent without a dot (`1e-3`) as a string, so a
+    # string is taken when it reads as a number
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise _fail(path, f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except ValueError:
+        raise _fail(path, f"expected a number, got {value!r}") from None
+    except OverflowError:
+        raise _fail(path, "number out of range") from None
 
 
 def _value_type(value, path: str) -> str:
@@ -315,7 +335,7 @@ def _parse_mapping(obj: dict, path: str) -> Mapping:
     sched = _as_dict(_need(obj, "schedule", path), f"{path}.schedule")
     try:
         if "every" in sched:
-            schedule = Schedule(every=int(sched["every"]))
+            schedule = Schedule(every=_as_int(sched["every"], f"{path}.schedule.every"))
         elif "trigger" in sched:
             schedule = Schedule(trigger=_parse_trigger(
                 _as_dict(sched["trigger"], f"{path}.schedule.trigger"),
@@ -325,9 +345,10 @@ def _parse_mapping(obj: dict, path: str) -> Mapping:
         transform = Transform()
         if obj.get("transform") is not None:
             t = _as_dict(obj["transform"], f"{path}.transform")
-            transform = Transform(scale=float(t.get("scale", 1.0)),
-                                  offset=float(t.get("offset", 0.0)),
-                                  unit=t.get("unit"))
+            transform = Transform(
+                scale=_as_number(t.get("scale", 1.0), f"{path}.transform.scale"),
+                offset=_as_number(t.get("offset", 0.0), f"{path}.transform.offset"),
+                unit=t.get("unit"))
         return Mapping(
             mapping_id=_as_str(_need(obj, "id", path), f"{path}.id"),
             model_id=_as_str(_need(model_side, "model", f"{path}.model"), f"{path}.model.model"),
@@ -378,9 +399,26 @@ def _parse_service(obj: dict, path: str) -> ServiceConfig:
         grant=grant, hooks=hooks)
 
 
+# libyaml composes the document when PyYAML was built with it; the Python
+# SafeConstructor and resolver still build the values, so both loaders give
+# the same safe YAML 1.1 types. Never a loader that constructs Python objects.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _load_yaml(text: str) -> Any:
+    """Parse one YAML document with safe construction; raises yaml.YAMLError."""
+    try:
+        return yaml.load(text, Loader=_LOADER)
+    except UnicodeEncodeError as exc:
+        # libyaml reads UTF-8, so a lone surrogate fails to encode before
+        # parsing; the pure-Python reader rejects it as unprintable
+        raise yaml.YAMLError(f"unacceptable character #x{ord(exc.object[exc.start]):04x} "
+                             f"at position {exc.start}: {exc.reason}") from exc
+
+
 def loads(text: str) -> TwinConfiguration:
     try:
-        doc = yaml.safe_load(text)
+        doc = _load_yaml(text)
     except yaml.YAMLError as exc:
         raise ConfigParseError(f"invalid YAML: {exc}") from exc
     if doc is None:
@@ -418,7 +456,7 @@ def loads(text: str) -> TwinConfiguration:
         "service": [s.service_id for s in services],
     }
     for name, ids in id_lists.items():
-        dupes = {i for i in ids if ids.count(i) > 1}
+        dupes = [i for i, n in Counter(ids).items() if n > 1]
         if dupes:
             raise ConfigParseError(f"duplicate {name} id(s): {sorted(dupes)}")
 

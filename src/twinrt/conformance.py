@@ -233,14 +233,17 @@ def _closure_findings(config: TwinConfiguration) -> list[str]:
     models = {m.model_id: m for m in config.models}
     languages = {l.language_id for l in config.languages}
 
-    def model_ref_ok(model_id: str, element_id: str, property_name: str | None) -> bool:
-        model = models.get(model_id)
-        if model is None:
-            return False
+    # (model id, element id) -> element; the first element with an id wins
+    elements = {}
+    for model in models.values():
         for element in model.elements:
-            if element.element_id == element_id:
-                return property_name is None or property_name in element.properties
-        return False
+            elements.setdefault((model.model_id, element.element_id), element)
+
+    def model_ref_ok(model_id: str, element_id: str, property_name: str | None) -> bool:
+        element = elements.get((model_id, element_id))
+        if element is None:
+            return False
+        return property_name is None or property_name in element.properties
 
     for model in config.models:
         if model.language_id not in languages:
@@ -300,19 +303,16 @@ def _closure_findings(config: TwinConfiguration) -> list[str]:
                 findings.append(f"service {service.service_id!r} names unknown builtin "
                                 f"{service.builtin!r}")
             else:
-                findings.extend(_builtin_param_findings(service, models, gateways))
+                findings.extend(_builtin_param_findings(service, elements, gateways))
     return sorted(findings)
 
 
-def _builtin_param_findings(service, models, gateways) -> list[str]:
+def _builtin_param_findings(service, elements, gateways) -> list[str]:
     findings = []
     params = service.params
     ref = (params.get("model"), params.get("element"), params.get("property"))
     if all(isinstance(part, str) for part in ref):
-        model = models.get(ref[0])
-        element = None
-        if model is not None:
-            element = next((e for e in model.elements if e.element_id == ref[1]), None)
+        element = elements.get((ref[0], ref[1]))
         if element is None or ref[2] not in element.properties:
             findings.append(f"service {service.service_id!r} watches unresolved model "
                             f"property {ref[0]}/{ref[1]}.{ref[2]}")

@@ -16,6 +16,7 @@ from typing import Any
 
 import yaml
 
+from .config import _load_yaml
 from .engine import SyncDecision
 from .errors import ConfigParseError, ScenarioAssertionFailed
 from .data import selector_from_dict
@@ -38,7 +39,7 @@ class ScenarioScript:
 
 def loads(text: str) -> ScenarioScript:
     try:
-        doc = yaml.safe_load(text)
+        doc = _load_yaml(text)
     except yaml.YAMLError as exc:
         raise ConfigParseError(f"invalid scenario YAML: {exc}") from exc
     if isinstance(doc, dict) and "steps" in doc:

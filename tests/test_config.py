@@ -54,6 +54,11 @@ class TestParseDemo:
         assert once == twice
 
 
+# an otherwise valid mapping, open for its schedule and transform
+MAPPING = ("mappings:\n  - {id: m, model: {model: a, element: b, property: c}, "
+           "gateway: {gateway: g, property: p}, direction: as-to-dt, ")
+
+
 class TestParseForms:
     def test_int_valued_reals_are_fitted_to_the_schema(self):
         cfg = config_mod.loads("""
@@ -134,6 +139,17 @@ mappings:
         t = cfg.mappings[0].transform
         assert (t.scale, t.offset, t.unit) == (0.001, -1.5, "km")
 
+    @pytest.mark.parametrize("transform,expected", [
+        ("{scale: 1e-3}", (0.001, 0.0)),
+        ("{scale: 2E-4, offset: 1.5e3}", (0.0002, 1500.0)),
+        ("{scale: '2', offset: -3}", (2.0, -3.0)),
+    ])
+    def test_transform_numbers_written_as_strings(self, transform, expected):
+        # YAML 1.1 resolves `1e-3` (no dot) to a string; it still reads as a number
+        cfg = config_mod.loads(MAPPING + "schedule: {every: 1}, transform: " + transform + "}")
+        t = cfg.mappings[0].transform
+        assert (t.scale, t.offset) == expected
+
 
 class TestParseErrors:
     @pytest.mark.parametrize("text,fragment", [
@@ -149,6 +165,22 @@ class TestParseErrors:
          "unknown comparison"),
         ("services:\n  - {id: s, grant: [fly]}", "unknown capability"),
         ("services:\n  - {id: s, hooks: [on-fire]}", "unknown hook"),
+        pytest.param(MAPPING + "schedule: {every: [1]}}", "mappings[0].schedule.every",
+                     id="every-list"),
+        pytest.param(MAPPING + "schedule: {every: true}}", "mappings[0].schedule.every",
+                     id="every-bool"),
+        pytest.param(MAPPING + "schedule: {every: 1.7}}", "mappings[0].schedule.every",
+                     id="every-real"),
+        pytest.param(MAPPING + "schedule: {every: '2'}}", "mappings[0].schedule.every",
+                     id="every-text"),
+        pytest.param(MAPPING + "schedule: {every: 1}, transform: {scale: [2]}}",
+                     "mappings[0].transform.scale", id="scale-list"),
+        pytest.param(MAPPING + "schedule: {every: 1}, transform: {scale: true}}",
+                     "mappings[0].transform.scale", id="scale-bool"),
+        pytest.param(MAPPING + "schedule: {every: 1}, transform: {offset: fast}}",
+                     "mappings[0].transform.offset", id="offset-text"),
+        pytest.param(MAPPING + "schedule: {every: 1}, transform: {offset: 1" + "0" * 400 + "}}",
+                     "mappings[0].transform.offset", id="offset-out-of-range"),
     ])
     def test_bad_configs(self, text, fragment):
         with pytest.raises(ConfigParseError) as excinfo:
