@@ -108,10 +108,14 @@ def cmd_run(args) -> int:
         period = args.timer / 1000.0
         max_ticks = args.max_ticks
         print(f"running {cfg.twin_id} every {args.timer} ms", flush=True)
+        # each tick is due one period after the last one was due, so the time
+        # a tick takes does not add up into drift
+        due = time.monotonic() + period
         while max_ticks is None or runtime.engine.tick_count < max_ticks:
-            time.sleep(period)
+            time.sleep(max(0.0, due - time.monotonic()))
             runtime.step_assets(1)
             runtime.tick()
+            due += period
         return EXIT_OK
     except KeyboardInterrupt:
         return EXIT_OK

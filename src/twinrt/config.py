@@ -223,8 +223,8 @@ def _parse_gateway(obj: dict, path: str) -> GatewayConfig:
         sim = _as_dict(obj["simulate"], f"{path}.simulate")
         simulate = SimulatedAsset(
             model=_as_str(_need(sim, "model", f"{path}.simulate"), f"{path}.simulate.model"),
-            step_ms=int(sim.get("step_ms", 100)),
-            seed=int(sim.get("seed", 0)),
+            step_ms=_as_int(sim.get("step_ms", 100), f"{path}.simulate.step_ms"),
+            seed=_as_int(sim.get("seed", 0), f"{path}.simulate.seed"),
             params=_as_dict(sim.get("params"), f"{path}.simulate.params"))
     return GatewayConfig(descriptor=descriptor, simulate=simulate)
 
@@ -470,6 +470,8 @@ def load(path: str | Path) -> TwinConfiguration:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"{path} is not UTF-8: {exc}") from exc
     return loads(text)
 
 

@@ -195,6 +195,11 @@ class Stream:
     def ended(self) -> bool:
         return self._end_cause is not None and self._q.empty()
 
+    @property
+    def empty(self) -> bool:
+        """Nothing is queued right now."""
+        return self._q.empty()
+
     def get(self, timeout: float | None = None):
         """Next item, or None if the stream ended or the timeout elapsed."""
         try:

@@ -57,6 +57,8 @@ def load(path: str | Path) -> ScenarioScript:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigParseError(f"cannot read scenario {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"scenario {path} is not UTF-8: {exc}") from exc
     return loads(text)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,18 +72,28 @@ def plain_reply(msg: dict) -> dict:
     return {"op": "pong" if msg["op"] == "ping" else "ack", "id": msg["id"]}
 
 
-def late_first_reply(msg: dict) -> dict:
-    """Answers request 1 only after a requester with a short timeout gave up."""
-    if msg["id"] == 1:
-        time.sleep(0.5)
-    return plain_reply(msg)
+def late_first_reply() -> Callable[[dict], dict]:
+    """A responder that answers the first ping only after a requester with a
+    short timeout gave up, and every other request at once."""
+    pinged = False
+
+    def respond(msg: dict) -> dict:
+        nonlocal pinged
+        if msg["op"] == "ping" and not pinged:
+            pinged = True
+            time.sleep(0.5)
+        return plain_reply(msg)
+
+    return respond
 
 
-def start_scripted_tank(respond: Callable[[dict], dict] = plain_reply) -> LineServer:
+def start_scripted_tank(respond: Callable[[dict], dict] = plain_reply,
+                        requests: Counter | None = None) -> LineServer:
     """A fake tank asset that answers each request with ``respond(request)``.
 
     It advertises the tank catalog in the handshake and never pushes, so a
-    test can make single replies late, wrong or failing.
+    test can make single replies late, wrong or failing. If ``requests`` is
+    given, it counts the requests after the handshake by op.
     """
     catalog = [decl.to_wire() for decl in TANK_ELEMENTS]
 
@@ -90,7 +101,10 @@ def start_scripted_tank(respond: Callable[[dict], dict] = plain_reply) -> LineSe
         hello = channel.recv()
         channel.send({"op": "hello-ack", "id": hello["id"], "catalog": catalog})
         while True:
-            channel.send(respond(channel.recv()))
+            msg = channel.recv()
+            if requests is not None:
+                requests[msg["op"]] += 1
+            channel.send(respond(msg))
 
     return LineServer("tcp://127.0.0.1:0", serve)
 
@@ -173,3 +187,16 @@ def build_rig(mappings=(), journal_path=None, step_ms: int = 100,
     for mapping in mappings:
         engine.add_mapping(mapping)
     return Rig(server=server, handle=handle, registry=registry, data=data, engine=engine)
+
+
+def scripted_engine(respond: Callable[[dict], dict] = plain_reply,
+                    requests: Counter | None = None, mappings=None):
+    """An engine on the scripted tank with ``mappings`` (default: m-level)."""
+    server = start_scripted_tank(respond, requests)
+    registry = build_registry()
+    engine = Engine(registry, DataManager(resolver=registry.resolve))
+    handle = connect(tank_descriptor(server.endpoint))
+    engine.add_gateway(handle)
+    for mapping in mappings if mappings is not None else [level_mapping()]:
+        engine.add_mapping(mapping)
+    return server, handle, engine

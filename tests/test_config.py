@@ -57,6 +57,7 @@ class TestParseDemo:
 # an otherwise valid mapping, open for its schedule and transform
 MAPPING = ("mappings:\n  - {id: m, model: {model: a, element: b, property: c}, "
            "gateway: {gateway: g, property: p}, direction: as-to-dt, ")
+SIMULATE = "gateways:\n  - {id: g, endpoint: 'tcp://x:1', simulate: {model: tank, "
 
 
 class TestParseForms:
@@ -181,10 +182,22 @@ class TestParseErrors:
                      "mappings[0].transform.offset", id="offset-text"),
         pytest.param(MAPPING + "schedule: {every: 1}, transform: {offset: 1" + "0" * 400 + "}}",
                      "mappings[0].transform.offset", id="offset-out-of-range"),
+        pytest.param(SIMULATE + "step_ms: [1]}}", "gateways[0].simulate.step_ms",
+                     id="step-ms-list"),
+        pytest.param(SIMULATE + "step_ms: true}}", "gateways[0].simulate.step_ms",
+                     id="step-ms-bool"),
+        pytest.param(SIMULATE + "step_ms: 2.9}}", "gateways[0].simulate.step_ms",
+                     id="step-ms-real"),
+        pytest.param(SIMULATE + "seed: [1]}}", "gateways[0].simulate.seed", id="seed-list"),
+        pytest.param(SIMULATE + "seed: true}}", "gateways[0].simulate.seed", id="seed-bool"),
+        pytest.param(SIMULATE + "seed: 2.9}}", "gateways[0].simulate.seed", id="seed-real"),
+        pytest.param(b"twin: caf\xe9\n", "not UTF-8", id="latin-1"),
     ])
-    def test_bad_configs(self, text, fragment):
+    def test_bad_configs(self, text, fragment, tmp_path):
+        path = tmp_path / "twin.yaml"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         with pytest.raises(ConfigParseError) as excinfo:
-            config_mod.loads(text)
+            config_mod.load(path)
         assert fragment in str(excinfo.value)
 
     def test_bad_yaml(self):

@@ -2,13 +2,11 @@ import pytest
 
 from helpers import (
     Rig,
-    build_registry,
     build_rig,
     late_first_reply,
     level_mapping,
     plain_reply,
-    start_scripted_tank,
-    tank_descriptor,
+    scripted_engine,
     valve_mapping,
 )
 
@@ -584,17 +582,8 @@ class TestSuspension:
 class TestGatewayFaults:
     """A fault on the gateway side ends in a suspended decision, never in an exception."""
 
-    def scripted_engine(self, respond):
-        server = start_scripted_tank(respond)
-        registry = build_registry()
-        engine = Engine(registry, DataManager(resolver=registry.resolve))
-        handle = connect(tank_descriptor(server.endpoint))
-        engine.add_gateway(handle)
-        engine.add_mapping(level_mapping())
-        return server, handle, engine
-
     def test_late_reply_suspends_the_sync(self):
-        server, handle, engine = self.scripted_engine(late_first_reply)
+        server, handle, engine = scripted_engine(late_first_reply())
         try:
             with pytest.raises(Disconnected):
                 handle._request({"op": "ping"}, timeout=0.1)
@@ -612,7 +601,7 @@ class TestGatewayFaults:
                         "message": "sensor offline"}
             return plain_reply(msg)
 
-        server, handle, engine = self.scripted_engine(failing_reads)
+        server, handle, engine = scripted_engine(failing_reads)
         try:
             decisions = engine.tick(1)
             assert [d.reason for d in decisions] == [SyncReason.SUSPENDED]

@@ -338,7 +338,7 @@ class TestNoNanBoundary:
 
 class TestRequestTimeout:
     def test_timeout_kills_the_handle_so_a_late_reply_answers_nothing(self):
-        server = start_scripted_tank(late_first_reply)
+        server = start_scripted_tank(late_first_reply())
         try:
             handle = connect(tank_descriptor(server.endpoint))
             with pytest.raises(Disconnected, match="timed out"):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import DEMO_CONFIG, DEMO_SCENARIO
 
+import twinrt.cli as cli_mod
 import twinrt.config as config_mod
 import twinrt.scenario as scenario_mod
 from twinrt.cli import main
@@ -40,10 +41,14 @@ steps:
         "steps:\n  - {tick: 1, asset-set: {}}",
         "steps: {not: a list}",
         "steps:\n  - service-on: {}",
+        pytest.param(b"steps:\n  - asset-set: {gateway: tank01, property: caf\xe9, value: 1}\n",
+                     id="latin-1"),
     ])
-    def test_bad_scripts(self, text):
+    def test_bad_scripts(self, text, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         with pytest.raises(ConfigParseError):
-            scenario_mod.loads(text)
+            scenario_mod.load(path)
 
 
 class TestScenarioExecution:
@@ -348,6 +353,21 @@ steps:
             proc.wait(timeout=5)
 
 
+class _FakeClock:
+    """Stands in for the ``time`` module in the CLI: sleeping advances ``now``."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.sleeps = []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
 class TestRunTimerMode:
     def test_timer_mode_with_max_ticks(self, capsys, tmp_path):
         code = main(["run", "--config", str(DEMO_CONFIG), "--timer", "5",
@@ -355,6 +375,25 @@ class TestRunTimerMode:
         assert code == 0
         journal = (tmp_path / "j.ndjson").read_text().splitlines()
         assert len(journal) >= 3  # one pull per tick at least
+
+    @pytest.mark.parametrize("tick_s,sleeps", [
+        (0.03125, [0.125, 0.09375, 0.09375, 0.09375]),  # each tick sleeps off the rest
+        (0.25, [0.125, 0.0, 0.0, 0.0]),  # overrunning ticks never sleep a negative time
+    ])
+    def test_timer_ticks_on_a_fixed_schedule(self, monkeypatch, capsys, tick_s, sleeps):
+        clock = _FakeClock()
+        real_tick = TwinRuntime.tick
+
+        def timed_tick(runtime):
+            decisions = real_tick(runtime)
+            clock.now += tick_s
+            return decisions
+
+        monkeypatch.setattr(cli_mod, "time", clock)
+        monkeypatch.setattr(TwinRuntime, "tick", timed_tick)
+        assert main(["run", "--config", str(DEMO_CONFIG), "--timer", "125",
+                     "--max-ticks", "4"]) == 0
+        assert clock.sleeps == sleeps
 
     def test_mapping_free_config_runs_as_a_plain_digital_model(self, capsys, tmp_path):
         config = tmp_path / "bare.yaml"
