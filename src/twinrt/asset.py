@@ -249,7 +249,6 @@ class _Session:
         self.subscribed: set[str] = set()
         self._seqs: dict[str, int] = {}
         self._send_lock = threading.Lock()
-        self.dead = False
 
     def next_seq(self, element: str) -> int:
         seq = self._seqs.get(element, 0) + 1
@@ -272,6 +271,8 @@ class AssetServer:
 
     def __init__(self, model: AssetModel, listen: str = "tcp://127.0.0.1:0",
                  step_ms: int = 100):
+        if step_ms <= 0:
+            raise ValueError(f"step_ms must be positive, got {step_ms}")
         self._model = model
         self._step_ms = int(step_ms)
         self._steps = 0
@@ -340,8 +341,10 @@ class AssetServer:
     def _push(self, session: _Session, msg: dict[str, Any]) -> None:
         try:
             session.send(msg)
-        except OSError:
-            session.dead = True
+        except Disconnected:
+            # the observer is gone; the other sessions still get every push
+            if session in self._sessions:
+                self._sessions.remove(session)
 
     # --- request handling ---
 
@@ -366,10 +369,7 @@ class AssetServer:
             except TwinError as exc:
                 reply = {"op": "error", "code": _error_code(exc), "message": str(exc)}
             reply["id"] = rid
-            try:
-                session.send(reply)
-            except OSError as exc:
-                raise Disconnected(str(exc)) from exc
+            session.send(reply)
 
     def _dispatch(self, session: _Session, msg: dict[str, Any]) -> dict[str, Any]:
         op = msg.get("op")
@@ -475,15 +475,12 @@ class AssetControl:
 
     def __init__(self, endpoint: str, timeout: float = 5.0):
         self._channel = connect_channel(endpoint, timeout=timeout)
+        self._timeout = timeout
         self._ids = itertools.count(1)
 
     def _request(self, msg: dict[str, Any]) -> dict[str, Any]:
-        msg = dict(msg, id=next(self._ids))
-        self._channel.send(msg)
-        while True:
-            reply = self._channel.recv()
-            if "id" in reply:  # this client never subscribes, pushes are impossible
-                break
+        # this client never observes or subscribes, so no push can arrive
+        reply = self._channel.request(dict(msg, id=next(self._ids)), self._timeout)
         if reply.get("op") == "error":
             raise ProtocolError(reply.get("message", "asset error"))
         return reply
@@ -542,9 +539,9 @@ def main(argv: list[str] | None = None) -> int:
     params = dict(parse_param(p) for p in args.param)
     try:
         model = build_model(args.model, args.seed, params)
+        server = AssetServer(model, listen=args.listen, step_ms=args.step_ms)
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
-    server = AssetServer(model, listen=args.listen, step_ms=args.step_ms)
     print(f"listening {server.endpoint}", flush=True)
     try:
         while True:

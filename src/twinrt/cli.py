@@ -187,8 +187,7 @@ def _control_request(args, msg: dict) -> dict:
     except ConnectionError as exc:
         raise NotRunning(f"no twin reachable at {addr}: {exc}") from exc
     try:
-        channel.send(dict(msg, id=1))  # one request per connection
-        reply = channel.recv()
+        reply = channel.request(dict(msg, id=1), timeout=5.0)  # one request per connection
         if reply.get("op") == "error":
             raise TwinError(f"{reply.get('code', 'Error')}: {reply.get('message', '')}")
         return reply

@@ -221,9 +221,12 @@ def _parse_gateway(obj: dict, path: str) -> GatewayConfig:
     simulate = None
     if obj.get("simulate") is not None:
         sim = _as_dict(obj["simulate"], f"{path}.simulate")
+        step_ms = _as_int(sim.get("step_ms", 100), f"{path}.simulate.step_ms")
+        if step_ms <= 0:
+            raise _fail(f"{path}.simulate.step_ms", f"expected a positive integer, got {step_ms}")
         simulate = SimulatedAsset(
             model=_as_str(_need(sim, "model", f"{path}.simulate"), f"{path}.simulate.model"),
-            step_ms=_as_int(sim.get("step_ms", 100), f"{path}.simulate.step_ms"),
+            step_ms=step_ms,
             seed=_as_int(sim.get("seed", 0), f"{path}.simulate.seed"),
             params=_as_dict(sim.get("params"), f"{path}.simulate.params"))
     return GatewayConfig(descriptor=descriptor, simulate=simulate)

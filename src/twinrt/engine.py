@@ -1,9 +1,13 @@
 """The twin engine: mappings, the synchronizer, and all mediation.
 
-One orchestration loop owns every mutation. Gateway I/O arrives on
-concurrent reader threads but is only consumed at tick start, after a
-per-gateway ping barrier, so two runs over the same scripted asset trace
-produce identical decision lists, model states, and data journals.
+One orchestration loop owns every mutation. Pushes are read from a gateway
+only inside its calls: each request routes the pushes that arrive before its
+reply, and the rest wait in the kernel's socket buffers. At tick start the
+engine pings every gateway, which reads everything pushed before the pong,
+and only then drains the streams, so two runs over the same scripted asset
+trace produce identical decision lists, model states, and data journals.
+Every caller steps its assets once per tick, so a tick's pushes stay far
+below what the socket buffers hold.
 
 For an observed property the newest update drained after the barrier is
 the asset's current value, so a pull takes it from the ledger. It reads the

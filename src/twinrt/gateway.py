@@ -4,15 +4,17 @@ A gateway exposes the asset's features of interest as named elements of
 three kinds: properties (state that can be read, written, observed),
 events (asset-raised notifications), and functions (invocable commands).
 Connecting performs a handshake that must confirm the declared element
-catalog exactly; afterwards the handle serializes requests and routes
-asset-pushed samples and events into per-element streams.
+catalog exactly; afterwards the handle serializes requests and, while each
+request reads its reply, routes asset-pushed samples and events into
+per-element streams.
 """
 
 from __future__ import annotations
 
 import itertools
-import queue
 import threading
+import time
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -167,70 +169,47 @@ class Acknowledgement:
 class Stream:
     """Ordered stream of samples or event occurrences pushed by the asset.
 
-    ``get`` blocks up to a timeout; ``drain`` returns whatever is queued right
-    now. When the connection dies the stream terminates and ``end_cause``
-    distinguishes why (e.g. "disconnected", "protocol-error", "closed").
+    The handle appends pushes while it reads its connection, which it does
+    only inside its own calls: a request routes every push that arrives
+    before its reply. ``drain`` and ``empty`` look only at what has been
+    routed so far; ``get`` waits for the next push by reading through the
+    handle. When the connection dies the stream terminates and ``end_cause``
+    distinguishes why ("disconnected", "protocol-error" or "closed").
     """
 
-    def __init__(self, element: str):
+    def __init__(self, element: str, handle: "GatewayHandle"):
         self.element = element
-        self._q: queue.Queue = queue.Queue()
+        self._handle = handle
+        self._items: deque = deque()
         self._end_cause: str | None = None
-        self._lock = threading.Lock()
-
-    def _put(self, item) -> None:
-        self._q.put(item)
 
     def _end(self, cause: str) -> None:
-        with self._lock:
-            if self._end_cause is None:
-                self._end_cause = cause
-                self._q.put(None)  # wake blocked consumers
+        if self._end_cause is None:
+            self._end_cause = cause
 
     @property
     def end_cause(self) -> str | None:
         return self._end_cause
 
     @property
-    def ended(self) -> bool:
-        return self._end_cause is not None and self._q.empty()
-
-    @property
     def empty(self) -> bool:
-        """Nothing is queued right now."""
-        return self._q.empty()
+        """Nothing has been routed here since the last ``drain``."""
+        return not self._items
 
     def get(self, timeout: float | None = None):
         """Next item, or None if the stream ended or the timeout elapsed."""
-        try:
-            item = self._q.get(timeout=timeout)
-        except queue.Empty:
-            return None
-        if item is None:
-            self._q.put(None)  # keep the sentinel for other consumers
-            return None
-        return item
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self._items:
+            if self._end_cause is not None or not self._handle._read_push(deadline):
+                return None
+        return self._items.popleft()
 
     def drain(self) -> list:
-        """All currently queued items, non-blocking."""
+        """All items routed so far; reads nothing from the connection."""
         items = []
-        while True:
-            try:
-                item = self._q.get_nowait()
-            except queue.Empty:
-                return items
-            if item is None:
-                self._q.put(None)
-                return items
-            items.append(item)
-
-    def __iter__(self):
-        while True:
-            item = self.get()
-            if item is None and self._end_cause is not None:
-                return
-            if item is not None:
-                yield item
+        while self._items:
+            items.append(self._items.popleft())
+        return items
 
 
 _ERROR_MAP: dict[str, type[TwinError]] = {
@@ -246,25 +225,23 @@ _ERROR_MAP: dict[str, type[TwinError]] = {
 class GatewayHandle:
     """Live connection to one asset. One outstanding request at a time.
 
-    Streams may be consumed from other threads; per-element delivery order is
-    preserved. Once disconnected the handle is dead and must be re-created.
+    No thread reads the connection on the handle's behalf: each request
+    reads its own reply and routes the pushes that arrive before it into
+    the streams, and ``Stream.get`` reads when it waits. Pushes sent while
+    nothing reads wait in the kernel's socket buffers, so a dead
+    connection is seen by the next call that reads. Once disconnected the
+    handle is dead and must be re-created.
     """
 
-    def __init__(self, descriptor: GatewayDescriptor, channel: LineChannel,
-                 catalog: list[GatewayElementDecl]):
+    def __init__(self, descriptor: GatewayDescriptor, channel: LineChannel):
         self.descriptor = descriptor
         self.gateway_id = descriptor.gateway_id
         self._channel = channel
-        self._catalog = catalog
         self._ids = itertools.count(1)
-        self._request_lock = threading.Lock()
-        self._pending: queue.Queue | None = None
-        self._pending_lock = threading.Lock()
+        self._lock = threading.Lock()  # one reader of the connection at a time
         self._sample_streams: dict[str, Stream] = {}
         self._event_streams: dict[str, Stream] = {}
         self._dead: TwinError | None = None
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
 
     # --- connection lifecycle ---
 
@@ -275,91 +252,72 @@ class GatewayHandle:
     def close(self) -> None:
         self._kill(Disconnected("handle closed"), cause="closed")
 
-    def _kill(self, error: TwinError, cause: str) -> TwinError:
-        """Mark the handle dead and drop the connection; returns ``error``."""
-        self._fail(error, cause)
-        self._channel.close()
-        return error
-
-    def _fail(self, error: TwinError, cause: str) -> None:
-        with self._pending_lock:
-            if self._dead is not None:
-                return
+    def _kill(self, error: TwinError, cause: str | None = None) -> TwinError:
+        """Mark the handle dead, end its streams and drop the connection;
+        returns ``error``."""
+        if self._dead is None:
             self._dead = error
-            if self._pending is not None:
-                self._pending.put(error)
+            if cause is None:
+                cause = "protocol-error" if isinstance(error, ProtocolError) else "disconnected"
             for stream in self._sample_streams.values():
                 stream._end(cause)
             for stream in self._event_streams.values():
                 stream._end(cause)
-
-    def _read_loop(self) -> None:
-        while True:
-            try:
-                msg = self._channel.recv()
-            except Disconnected as exc:
-                self._fail(exc, cause="disconnected")
-                return
-            except ProtocolError as exc:
-                # cannot attribute or trust anything further on this connection
-                self._kill(exc, cause="protocol-error")
-                return
-            self._route(msg)
+        self._channel.close()
+        return error
 
     def _route(self, msg: dict[str, Any]) -> None:
-        if "id" in msg:
-            with self._pending_lock:
-                if self._pending is not None:
-                    self._pending.put(msg)
-            return
         op = msg.get("op")
         try:
             if op == "update":
                 stream = self._sample_streams.get(msg["element"])
                 if stream is not None:
-                    stream._put(ValueSample(element_name=msg["element"], value=msg["value"],
-                                            asset_timestamp=msg["ts"], sequence_no=msg["seq"]))
+                    stream._items.append(ValueSample(
+                        element_name=msg["element"], value=msg["value"],
+                        asset_timestamp=msg["ts"], sequence_no=msg["seq"]))
             elif op == "event":
                 stream = self._event_streams.get(msg["element"])
                 if stream is not None:
-                    stream._put(EventOccurrence(name=msg["element"], payload=msg["payload"],
-                                                asset_timestamp=msg["ts"]))
+                    stream._items.append(EventOccurrence(
+                        name=msg["element"], payload=msg["payload"], asset_timestamp=msg["ts"]))
             else:
                 raise ProtocolError(f"unexpected push op {op!r}")
-        except (KeyError, ProtocolError) as exc:
-            err = exc if isinstance(exc, ProtocolError) else ProtocolError(f"malformed push: {exc}")
-            self._kill(err, cause="protocol-error")
+        except KeyError as exc:
+            raise ProtocolError(f"malformed push: {exc}") from exc
+
+    def _read_push(self, deadline: float | None) -> bool:
+        """Read one push with no request outstanding and route it.
+
+        False when the deadline passed or the handle is dead.
+        """
+        with self._lock:
+            if self._dead is not None:
+                return False
+            try:
+                msg = self._channel.recv(deadline)
+                if "id" in msg:
+                    raise ProtocolError(f"response id {msg['id']} answers no request")
+                self._route(msg)
+            except TimeoutError:
+                return False
+            except (Disconnected, ProtocolError) as exc:
+                self._kill(exc)
+                return False
+            return True
 
     def _request(self, msg: dict[str, Any], timeout: float = 10.0) -> dict[str, Any]:
-        with self._request_lock:
+        with self._lock:
             if self._dead is not None:
                 raise Disconnected(str(self._dead)) from self._dead
-            rid = next(self._ids)
-            msg = dict(msg, id=rid)
-            slot: queue.Queue = queue.Queue()
-            with self._pending_lock:
-                self._pending = slot
             try:
-                self._channel.send(msg)
-                try:
-                    reply = slot.get(timeout=timeout)
-                except queue.Empty:
-                    # a late reply would land in the next request's slot
-                    raise self._kill(Disconnected("request timed out"),
-                                     cause="timeout") from None
-            finally:
-                with self._pending_lock:
-                    self._pending = None
-            if isinstance(reply, TwinError):
-                raise reply
-            if reply.get("id") != rid:
-                raise self._kill(ProtocolError(
-                    f"response id {reply.get('id')} does not match request {rid}"),
-                    cause="protocol-error")
-            if reply.get("op") == "error":
-                exc_type = _ERROR_MAP.get(reply.get("code", ""), ProtocolError)
-                raise exc_type(reply.get("message", "asset error"))
-            return reply
+                reply = self._channel.request(dict(msg, id=next(self._ids)), timeout,
+                                              self._route)
+            except (Disconnected, ProtocolError) as exc:
+                raise self._kill(exc)
+        if reply.get("op") == "error":
+            exc_type = _ERROR_MAP.get(reply.get("code", ""), ProtocolError)
+            raise exc_type(reply.get("message", "asset error"))
+        return reply
 
     # --- element lookups ---
 
@@ -407,7 +365,7 @@ class GatewayHandle:
             raise Disconnected(str(self._dead))
         stream = self._sample_streams.get(name)
         if stream is None or stream.end_cause is not None:
-            stream = Stream(name)
+            stream = Stream(name, self)
             # register before the request so no early push can be dropped
             self._sample_streams[name] = stream
         try:
@@ -423,7 +381,7 @@ class GatewayHandle:
             raise Disconnected(str(self._dead))
         stream = self._event_streams.get(name)
         if stream is None or stream.end_cause is not None:
-            stream = Stream(name)
+            stream = Stream(name, self)
             self._event_streams[name] = stream
         try:
             self._expect(self._request({"op": "subscribe", "element": name}), "ack")
@@ -460,32 +418,24 @@ def connect(descriptor: GatewayDescriptor, timeout: float = 5.0,
     except ConnectionError as exc:
         raise ConnectFailed(str(exc)) from exc
     try:
-        channel.send({"op": "hello", "id": 0, "proto": "twin/1"})
-        reply = channel.recv()
+        reply = channel.request({"op": "hello", "id": 0, "proto": "twin/1"}, timeout)
     except Disconnected as exc:
-        channel.close()
         raise ConnectFailed(f"handshake failed: {exc}") from exc
-    except ProtocolError:
-        channel.close()
-        raise
-    if reply.get("op") == "error":
-        channel.close()
-        raise ProtocolError(reply.get("message", "handshake rejected"))
-    if reply.get("op") != "hello-ack" or reply.get("id") != 0:
-        channel.close()
-        raise ProtocolError(f"unexpected handshake response {reply.get('op')!r}")
     try:
+        if reply.get("op") == "error":
+            raise ProtocolError(reply.get("message", "handshake rejected"))
+        if reply.get("op") != "hello-ack":
+            raise ProtocolError(f"unexpected handshake response {reply.get('op')!r}")
         advertised = [GatewayElementDecl.from_wire(e) for e in reply.get("catalog", [])]
-    except ProtocolError:
+        differences = _catalog_diff(descriptor.elements, advertised)
+        if differences:
+            raise CatalogMismatch(
+                f"{descriptor.gateway_id}: catalog differs from descriptor "
+                f"({'; '.join(differences)})", differences)
+    except TwinError:
         channel.close()
         raise
-    differences = _catalog_diff(descriptor.elements, advertised)
-    if differences:
-        channel.close()
-        raise CatalogMismatch(
-            f"{descriptor.gateway_id}: catalog differs from descriptor "
-            f"({'; '.join(differences)})", differences)
-    return GatewayHandle(descriptor, channel, advertised)
+    return GatewayHandle(descriptor, channel)
 
 
 def _catalog_diff(declared, advertised) -> list[str]:

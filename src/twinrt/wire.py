@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
+import time
 from typing import Any, Callable
 
 from .errors import Disconnected, ProtocolError
@@ -111,19 +113,31 @@ class LineChannel:
         except OSError as exc:
             raise Disconnected(f"send failed: {exc}") from exc
 
-    def recv(self) -> dict[str, Any]:
-        line = self._recv_line()
+    def recv(self, deadline: float | None = None) -> dict[str, Any]:
+        """The next message. With a ``deadline`` (``time.monotonic()``), waiting
+        past it raises TimeoutError and keeps any partial line buffered;
+        without one, the call blocks until a line or EOF arrives."""
+        line = self._recv_line(deadline)
         msg = decode_message(line)
         if self._transcript is not None:
             self._transcript.record(self._recv_dir, line)
         return msg
 
-    def _recv_line(self) -> bytes:
+    def _recv_line(self, deadline: float | None) -> bytes:
         while b"\n" not in self._buf:
             if len(self._buf) > MAX_LINE_BYTES:
                 raise ProtocolError("wire line exceeds maximum length")
             try:
+                if deadline is None:
+                    self._sock.settimeout(None)
+                else:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise TimeoutError
+                    self._sock.settimeout(remaining)
                 chunk = self._sock.recv(65536)
+            except TimeoutError:
+                raise
             except OSError as exc:
                 raise Disconnected(f"recv failed: {exc}") from exc
             if not chunk:
@@ -131,6 +145,38 @@ class LineChannel:
             self._buf += chunk
         line, self._buf = self._buf.split(b"\n", 1)
         return line + b"\n"
+
+    def request(self, msg: dict[str, Any], timeout: float,
+                on_push: Callable[[dict[str, Any]], None] | None = None) -> dict[str, Any]:
+        """Send ``msg`` (which carries its ``id``) and read until its reply.
+
+        Messages without an ``id`` that arrive first are pushes: they go to
+        ``on_push``, or are dropped when there is none. A reply with another
+        ``id`` is a ProtocolError; no reply within ``timeout`` seconds is
+        Disconnected("request timed out"). Either fault, like any transport
+        or protocol error, closes the channel, so a late reply can never be
+        taken for the answer to a later request. An ``error`` reply is
+        returned like any other; its meaning is the caller's.
+        """
+        deadline = time.monotonic() + timeout
+        try:
+            self.send(msg)
+            while True:
+                try:
+                    reply = self.recv(deadline)
+                except TimeoutError:
+                    raise Disconnected("request timed out") from None
+                if "id" not in reply:
+                    if on_push is not None:
+                        on_push(reply)
+                    continue
+                if reply["id"] != msg["id"]:
+                    raise ProtocolError(
+                        f"response id {reply['id']} does not match request {msg['id']}")
+                return reply
+        except (Disconnected, ProtocolError):
+            self.close()
+            raise
 
     def close(self) -> None:
         try:
@@ -160,32 +206,24 @@ class LineServer:
     """
 
     def __init__(self, listen: str, handler: Callable[[LineChannel], None]):
-        import threading
-
         host, port = parse_endpoint(listen)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen()
         self._handler = handler
-        self._threads: list[threading.Thread] = []
-        self._closing = False
         self.endpoint = format_endpoint(host, self._listener.getsockname()[1])
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
 
     def _accept_loop(self) -> None:
-        import threading
-
         while True:
             try:
                 conn, _addr = self._listener.accept()
             except OSError:
                 return  # listener closed
             channel = LineChannel(conn, transcript_side="S")
-            thread = threading.Thread(target=self._run_handler, args=(channel,), daemon=True)
-            self._threads.append(thread)
-            thread.start()
+            threading.Thread(target=self._run_handler, args=(channel,), daemon=True).start()
 
     def _run_handler(self, channel: LineChannel) -> None:
         try:
@@ -196,7 +234,6 @@ class LineServer:
             channel.close()
 
     def close(self) -> None:
-        self._closing = True
         try:
             self._listener.close()
         except OSError:

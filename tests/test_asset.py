@@ -1,3 +1,5 @@
+import socket
+import struct
 import subprocess
 import sys
 import time
@@ -9,6 +11,7 @@ from helpers import start_tank, tank_descriptor
 from twinrt.asset import AssetControl, EchoModel, TankModel, build_model, parse_param
 from twinrt.errors import NoSuchElement, ProtocolError, ReadOnlyViolation, SchemaViolation
 from twinrt.gateway import connect
+from twinrt.wire import LineChannel, parse_endpoint
 
 
 def euler_levels(steps: int, dt: float, valve: float, inflow: float = 1.0,
@@ -168,6 +171,29 @@ class TestTimestamps:
             server.close()
 
 
+class TestPushFanOut:
+    def test_an_observer_reset_mid_step_drops_only_that_observer(self):
+        server = start_tank(valve=1.0)
+        try:
+            gone = LineChannel(socket.create_connection(parse_endpoint(server.endpoint)))
+            gone.send({"op": "observe", "id": 1, "element": "level"})
+            assert gone.recv()["op"] == "ack"
+            handle = connect(tank_descriptor(server.endpoint))
+            stream = handle.observe_property("level")
+            # holding the lock keeps the reset session registered until the step
+            with server._lock:
+                gone._sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                      struct.pack("ii", 1, 0))
+                gone.close()  # the peer sees a reset
+                server.step(20)
+            handle.ping()
+            assert [s.asset_timestamp for s in stream.drain()] == [100 * (i + 1)
+                                                                   for i in range(20)]
+            handle.close()
+        finally:
+            server.close()
+
+
 class TestAssetProcess:
     """The asset must be separately runnable; drive it as a real subprocess."""
 
@@ -194,12 +220,14 @@ class TestAssetProcess:
             proc.wait(timeout=5)
 
     def test_bad_param_is_a_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "twinrt.asset", "--listen", "tcp://127.0.0.1:0",
-             "--model", "tank", "--param", "thrust=9000"],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert "thrust" in proc.stderr
+        for args, fragment in ((["--param", "thrust=9000"], "thrust"),
+                               (["--step-ms", "0"], "step_ms")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "twinrt.asset", "--listen", "tcp://127.0.0.1:0",
+                 "--model", "tank", *args],
+                capture_output=True, text=True, timeout=30)
+            assert proc.returncode == 2, args
+            assert fragment in proc.stderr
 
     def test_killed_process_disconnects_streams(self):
         proc, endpoint = self._spawn("--model", "tank")

@@ -188,6 +188,10 @@ class TestParseErrors:
                      id="step-ms-bool"),
         pytest.param(SIMULATE + "step_ms: 2.9}}", "gateways[0].simulate.step_ms",
                      id="step-ms-real"),
+        pytest.param(SIMULATE + "step_ms: 0}}", "gateways[0].simulate.step_ms",
+                     id="step-ms-zero"),
+        pytest.param(SIMULATE + "step_ms: -5}}", "gateways[0].simulate.step_ms",
+                     id="step-ms-negative"),
         pytest.param(SIMULATE + "seed: [1]}}", "gateways[0].simulate.seed", id="seed-list"),
         pytest.param(SIMULATE + "seed: true}}", "gateways[0].simulate.seed", id="seed-bool"),
         pytest.param(SIMULATE + "seed: 2.9}}", "gateways[0].simulate.seed", id="seed-real"),

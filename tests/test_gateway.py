@@ -81,6 +81,16 @@ class TestConnect:
         with pytest.raises(ConnectFailed):
             connect(tank_descriptor("tcp://127.0.0.1:1"), timeout=0.5)
 
+    def test_idle_handle_outlives_its_connect_timeout(self, tank_server):
+        # the timeout bounds a call's wait, never the idle time between calls
+        handle = connect(tank_descriptor(tank_server.endpoint), timeout=0.2)
+        try:
+            time.sleep(0.5)
+            handle.ping()
+            assert handle.is_alive
+        finally:
+            handle.close()
+
 
 class TestReadWrite:
     def test_read_initial_level_matches_configuration(self):

@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ import twinrt.cli as cli_mod
 import twinrt.config as config_mod
 import twinrt.scenario as scenario_mod
 from twinrt.cli import main
+from twinrt.engine import SyncReason
 from twinrt.errors import ConfigParseError, ScenarioAssertionFailed
 from twinrt.runtime import TwinRuntime
 from twinrt.scenario import ScenarioRunner
@@ -394,6 +396,17 @@ class TestRunTimerMode:
         assert main(["run", "--config", str(DEMO_CONFIG), "--timer", "125",
                      "--max-ticks", "4"]) == 0
         assert clock.sleeps == sleeps
+
+    def test_ticks_after_idling_past_the_connect_timeout_are_not_suspended(self, tmp_path):
+        runtime = TwinRuntime(config_mod.load(DEMO_CONFIG), journal_path=tmp_path / "j.ndjson",
+                              connect_timeout=0.2)
+        try:
+            time.sleep(0.5)
+            runtime.advance(2)
+            reasons = [d.reason for d in runtime.engine.decisions]
+            assert reasons and SyncReason.SUSPENDED not in reasons
+        finally:
+            runtime.close()
 
     def test_mapping_free_config_runs_as_a_plain_digital_model(self, capsys, tmp_path):
         config = tmp_path / "bare.yaml"
