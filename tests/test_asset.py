@@ -2,7 +2,7 @@ import socket
 import struct
 import subprocess
 import sys
-import time
+import threading
 
 import pytest
 
@@ -219,6 +219,20 @@ class TestAssetProcess:
             proc.terminate()
             proc.wait(timeout=5)
 
+    def test_connect_starts_no_thread(self):
+        # the asset runs in its own process, so every new thread would be the twin's
+        proc, endpoint = self._spawn("--model", "tank")
+        try:
+            before = set(threading.enumerate())
+            handle = connect(tank_descriptor(endpoint))
+            handle.observe_property("level")
+            handle.ping()
+            assert set(threading.enumerate()) - before == set()
+            handle.close()
+        finally:
+            proc.terminate()
+            proc.wait(timeout=5)
+
     def test_bad_param_is_a_usage_error(self):
         for args, fragment in ((["--param", "thrust=9000"], "thrust"),
                                (["--step-ms", "0"], "step_ms")):
@@ -235,8 +249,6 @@ class TestAssetProcess:
         stream = handle.observe_property("level")
         proc.kill()
         proc.wait(timeout=5)
-        deadline = time.time() + 5
-        while stream.end_cause is None and time.time() < deadline:
-            time.sleep(0.01)
+        assert stream.get(timeout=5) is None  # reads until the connection dies
         assert stream.end_cause == "disconnected"
         handle.close()

@@ -1,3 +1,4 @@
+import threading
 import time
 
 import pytest
@@ -164,9 +165,7 @@ class TestObserve:
     def test_asset_death_terminates_stream_with_cause(self, tank_server, tank_handle):
         stream = tank_handle.observe_property("level")
         tank_server.close()
-        deadline = time.time() + 5
-        while stream.end_cause is None and time.time() < deadline:
-            time.sleep(0.01)
+        assert stream.get(timeout=5) is None  # reads until the connection dies
         assert stream.end_cause == "disconnected"
         assert stream.get(timeout=0.1) is None
         with pytest.raises(Disconnected):
@@ -276,35 +275,19 @@ class TestKindSafetyLeavesStateUnchanged:
         assert tank_server.state() == before
 
 
-class TestConcurrentConsumption:
-    def test_stream_consumed_from_another_thread_while_requesting(self, tank_server):
-        # streams may be consumed by a different thread of control than the
-        # requester; per-element order must survive
-        import threading
-
+class TestInterleavedPushes:
+    def test_pushes_routed_by_requests_keep_their_order(self, tank_server):
+        # each request routes the pushes that arrived before its reply;
+        # per-element order must survive
         handle = connect(tank_descriptor(tank_server.endpoint))
         try:
             stream = handle.observe_property("level")
             received = []
-            done = threading.Event()
-
-            def consume():
-                while True:
-                    sample = stream.get(timeout=5.0)
-                    if sample is None:
-                        return
-                    received.append(sample)
-                    if len(received) >= 20:
-                        done.set()
-                        return
-
-            consumer = threading.Thread(target=consume, daemon=True)
-            consumer.start()
             for i in range(20):
                 tank_server.force_set("level", float(i + 1))
-                handle.read_property("valve")  # interleave requests
-            assert done.wait(timeout=5.0)
-            consumer.join(timeout=5.0)
+                handle.read_property("valve")  # routes the update pushed before it
+                received.extend(stream.drain())
+                assert len(received) == i + 1
             assert [s.value for s in received] == [float(i + 1) for i in range(20)]
             seqs = [s.sequence_no for s in received]
             assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
@@ -336,14 +319,33 @@ class TestNoNanBoundary:
             # corrupt the asset state directly: the physical side misbehaves
             server.model.level = float("nan")
             server.force_set("valve", 0.125)  # triggers a flush of changed props
-            deadline = time.time() + 5
-            while stream.end_cause is None and time.time() < deadline:
-                time.sleep(0.01)
+            assert stream.get(timeout=5) is None  # the NaN update kills the connection
             assert stream.end_cause == "protocol-error"
             assert all(s.value == s.value for s in stream.drain())  # no NaN delivered
             handle.close()
         finally:
             server.close()
+
+
+class TestSingleReader:
+    def test_pushes_between_two_reads_neither_block_the_asset_nor_get_lost(self, echo_server):
+        # nothing reads the connection between requests: the pushes wait in
+        # the socket buffers, which hold far more than one tick produces
+        handle = connect(echo_descriptor(echo_server.endpoint))
+        try:
+            stream = handle.observe_property("count")
+            pusher = threading.Thread(
+                target=lambda: [echo_server.force_set("count", i) for i in range(1, 10001)],
+                daemon=True)
+            pusher.start()
+            pusher.join(timeout=60)
+            assert not pusher.is_alive(), "the asset blocked on a full socket buffer"
+            handle.ping()
+            samples = stream.drain()
+            assert [s.value for s in samples] == list(range(1, 10001))
+            assert [s.sequence_no for s in samples] == list(range(1, 10001))
+        finally:
+            handle.close()
 
 
 class TestRequestTimeout:
