@@ -213,8 +213,7 @@ class LineServer:
         self._listener.listen()
         self._handler = handler
         self.endpoint = format_endpoint(host, self._listener.getsockname()[1])
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        threading.Thread(target=self._accept_loop, daemon=True).start()
 
     def _accept_loop(self) -> None:
         while True:

@@ -270,8 +270,6 @@ class TestControlSocket:
 
     def test_history_over_control_socket(self, capsys, running_twin):
         runtime, endpoint = running_twin
-        import time
-
         deadline = time.time() + 5
         while runtime.data.count() == 0 and time.time() < deadline:
             time.sleep(0.02)
