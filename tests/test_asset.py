@@ -231,7 +231,7 @@ class TestAssetProcess:
             handle.close()
         finally:
             proc.terminate()
-            proc.wait(timeout=5)
+            proc.communicate(timeout=5)
 
     def test_bad_param_is_a_usage_error(self):
         for args, fragment in ((["--param", "thrust=9000"], "thrust"),
