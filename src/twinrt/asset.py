@@ -22,7 +22,7 @@ import json
 import random
 import threading
 import time
-from typing import Any
+from typing import Any, Callable
 
 from .errors import (
     AssetFault,
@@ -35,6 +35,7 @@ from .errors import (
     WrongKind,
 )
 from .gateway import (
+    ERROR_CODES,
     ElementKind,
     GatewayElementDecl,
     PropertyAccess,
@@ -65,26 +66,21 @@ class AssetModel:
     def catalog(self) -> list[GatewayElementDecl]:
         raise NotImplementedError
 
-    def decl(self, name: str) -> GatewayElementDecl | None:
+    def _decl(self, name: str, kind: ElementKind) -> GatewayElementDecl:
+        """The declaration of element ``name``, which must be of ``kind``."""
         for d in self.catalog:
             if d.name == name:
+                if d.kind is not kind:
+                    raise WrongKind(f"{name!r} is a {d.kind.value}")
                 return d
-        return None
-
-    def _property_decl(self, name: str) -> GatewayElementDecl:
-        d = self.decl(name)
-        if d is None:
-            raise NoSuchElement(f"no element {name!r}")
-        if d.kind is not ElementKind.PROPERTY:
-            raise WrongKind(f"{name!r} is a {d.kind.value}")
-        return d
+        raise NoSuchElement(f"no element {name!r}")
 
     def read(self, name: str) -> Value:
-        self._property_decl(name)
+        self._decl(name, ElementKind.PROPERTY)
         return self.state()[name]
 
     def write(self, name: str, value: Value) -> None:
-        d = self._property_decl(name)
+        d = self._decl(name, ElementKind.PROPERTY)
         if d.access is not PropertyAccess.READ_WRITE:
             raise ReadOnlyViolation(f"property {name!r} is read-only")
         check_value(value, d.value_type)
@@ -92,16 +88,12 @@ class AssetModel:
 
     def force_set(self, name: str, value: Value) -> None:
         """Backdoor standing in for the physical world: ignores access mode."""
-        d = self._property_decl(name)
+        d = self._decl(name, ElementKind.PROPERTY)
         check_value(value, d.value_type)
         self._set(name, value)
 
     def raise_event(self, name: str, payload: Value) -> None:
-        d = self.decl(name)
-        if d is None:
-            raise NoSuchElement(f"no element {name!r}")
-        if d.kind is not ElementKind.EVENT:
-            raise WrongKind(f"{name!r} is a {d.kind.value}")
+        d = self._decl(name, ElementKind.EVENT)
         check_value(payload, d.payload_type)
         self._pending_events.append((name, payload))
 
@@ -116,16 +108,17 @@ class AssetModel:
         raise NotImplementedError
 
     def invoke(self, name: str, args: list[Value]) -> Value:
-        d = self.decl(name)
-        if d is None:
-            raise NoSuchElement(f"no element {name!r}")
-        if d.kind is not ElementKind.FUNCTION:
-            raise WrongKind(f"{name!r} is a {d.kind.value}")
+        d = self._decl(name, ElementKind.FUNCTION)
         if len(args) != len(d.arg_types):
             raise SchemaViolation(f"{name!r} takes {len(d.arg_types)} argument(s), got {len(args)}")
         for arg, arg_type in zip(args, d.arg_types):
             check_value(arg, arg_type)
-        return self._invoke(name, args)
+        try:
+            return self._invoke(name, args)
+        except TwinError:
+            raise
+        except Exception as exc:  # execution failure inside the asset
+            raise AssetFault(f"{name} failed: {exc}") from exc
 
     def _invoke(self, name: str, args: list[Value]) -> Value:
         raise NotImplementedError
@@ -263,10 +256,13 @@ class _Session:
 class AssetServer:
     """Serves one asset model over the wire protocol.
 
-    All state access happens under one lock; on every mutation the changed
-    properties (in name order) are pushed to observing sessions before the
-    mutating request is acknowledged, so a later ping response is a barrier
-    for all prior pushes on the same connection.
+    All state access happens under one lock. Every mutation goes through
+    ``_mutate``, which pushes the changed properties (in name order) and then
+    the raised events to the sessions that listen, before the mutating
+    request is acknowledged, so a later ping response is a barrier for all
+    prior pushes on the same connection. Every push and reply is a blocking
+    ``sendall`` under that lock: a session that stops reading, once the
+    socket buffers fill, stalls every other session of the asset too.
     """
 
     def __init__(self, model: AssetModel, listen: str = "tcp://127.0.0.1:0",
@@ -301,27 +297,31 @@ class AssetServer:
     def step(self, count: int = 1) -> None:
         with self._lock:
             for _ in range(count):
-                before = self._model.state()
-                self._model.step(self._step_ms / 1000.0)
-                self._steps += 1
-                self._flush(before)
+                self._mutate(self._advance)
+
+    def _advance(self) -> None:
+        self._model.step(self._step_ms / 1000.0)
+        self._steps += 1
 
     def force_set(self, name: str, value: Value) -> None:
-        with self._lock:
-            before = self._model.state()
-            self._model.force_set(name, value)
-            self._flush(before)
+        self._mutate(lambda: self._model.force_set(name, value))
 
     def raise_event(self, name: str, payload: Value) -> None:
-        with self._lock:
-            self._model.raise_event(name, payload)
-            self._flush(self._model.state())
+        self._mutate(lambda: self._model.raise_event(name, payload))
 
     def state(self) -> dict[str, Value]:
         with self._lock:
             return self._model.state()
 
     # --- push fan-out ---
+
+    def _mutate(self, change: Callable[[], Value]) -> Value:
+        """Apply one change and push what it changed; returns its result."""
+        with self._lock:
+            before = self._model.state()
+            result = change()
+            self._flush(before)
+            return result
 
     def _flush(self, before: dict[str, Value]) -> None:
         after = self._model.state()
@@ -367,7 +367,9 @@ class AssetServer:
             try:
                 reply = self._dispatch(session, msg)
             except TwinError as exc:
-                reply = {"op": "error", "code": _error_code(exc), "message": str(exc)}
+                code = next((c for c, cls in ERROR_CODES.items() if isinstance(exc, cls)),
+                            "PROTOCOL")
+                reply = {"op": "error", "code": code, "message": str(exc)}
             reply["id"] = rid
             session.send(reply)
 
@@ -389,22 +391,16 @@ class AssetServer:
                     "ts": self.timestamp, "seq": session.next_seq(name)}
         if op == "write":
             name = _element_of(msg)
-            before = model.state()
-            model.write(name, msg.get("value"))
-            self._flush(before)
+            self._mutate(lambda: model.write(name, msg.get("value")))
             return {"op": "ack", "ts": self.timestamp}
         if op == "observe":
             name = msg.get("element", "")
-            model._property_decl(name)
+            model._decl(name, ElementKind.PROPERTY)
             session.observed.add(name)
             return {"op": "ack", "ts": self.timestamp}
         if op == "subscribe":
             name = msg.get("element", "")
-            d = model.decl(name)
-            if d is None:
-                raise NoSuchElement(f"no element {name!r}")
-            if d.kind is not ElementKind.EVENT:
-                raise WrongKind(f"{name!r} is a {d.kind.value}")
+            model._decl(name, ElementKind.EVENT)
             session.subscribed.add(name)
             return {"op": "ack", "ts": self.timestamp}
         if op == "invoke":
@@ -412,36 +408,22 @@ class AssetServer:
             args = msg.get("args", [])
             if not isinstance(args, list):
                 raise ProtocolError("args must be a list")
-            before = model.state()
-            try:
-                result = model.invoke(name, args)
-            except TwinError:
-                raise
-            except Exception as exc:  # execution failure inside the asset
-                raise AssetFault(f"{name} failed: {exc}") from exc
-            self._flush(before)
+            result = self._mutate(lambda: model.invoke(name, args))
             return {"op": "result", "value": result, "ts": self.timestamp}
         if op == "ctl.step":
-            count = int(msg.get("count", 1))
-            for _ in range(count):
-                before = model.state()
-                model.step(self._step_ms / 1000.0)
-                self._steps += 1
-                self._flush(before)
+            count = msg.get("count", 1)
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                raise ProtocolError(f"count must be a positive integer, got {count!r}")
+            self.step(count)
             return {"op": "ack", "ts": self.timestamp}
         if op == "ctl.set":
-            name = _element_of(msg)
-            before = model.state()
-            model.force_set(name, msg.get("value"))
-            self._flush(before)
+            self.force_set(_element_of(msg), msg.get("value"))
             return {"op": "ack", "ts": self.timestamp}
         if op == "ctl.raise":
-            name = _element_of(msg)
-            model.raise_event(name, msg.get("payload"))
-            self._flush(model.state())
+            self.raise_event(_element_of(msg), msg.get("payload"))
             return {"op": "ack", "ts": self.timestamp}
         if op == "ctl.state":
-            return {"op": "state", "properties": model.state(), "ts": self.timestamp}
+            return {"op": "state", "properties": self.state(), "ts": self.timestamp}
         raise ProtocolError(f"unknown op {op!r}")
 
 
@@ -450,20 +432,6 @@ def _element_of(msg: dict[str, Any]) -> str:
     if not isinstance(name, str):
         raise ProtocolError("missing element field")
     return name
-
-
-def _error_code(exc: TwinError) -> str:
-    if isinstance(exc, NoSuchElement):
-        return "NO_SUCH_ELEMENT"
-    if isinstance(exc, WrongKind):
-        return "WRONG_KIND"
-    if isinstance(exc, ReadOnlyViolation):
-        return "READ_ONLY"
-    if isinstance(exc, SchemaViolation):
-        return "SCHEMA"
-    if isinstance(exc, AssetFault):
-        return "ASSET_FAULT"
-    return "PROTOCOL"
 
 
 class AssetControl:

@@ -27,7 +27,7 @@ from .errors import (
     StorageFailure,
     TwinError,
 )
-from .values import Value, canonical_json, validate_value
+from .values import Value, canonical_json, strict_loads, validate_value
 
 
 class PropertyType(str, Enum):
@@ -412,17 +412,10 @@ class DataManager:
         return manager
 
     def _replay(self, line: bytes) -> None:
-        import json
-
-        def reject(constant):
-            raise ValueError(f"non-finite number {constant!r}")
-
         try:
-            entry = json.loads(line.decode("utf-8"), parse_constant=reject)
-        except (UnicodeDecodeError, ValueError) as exc:
+            entry = strict_loads(line)
+        except ValueError as exc:
             raise CorruptJournal(f"unparseable entry: {exc}") from exc
-        if not isinstance(entry, dict):
-            raise CorruptJournal("entry is not an object")
         op = entry.get("op")
         if op == "record":
             try:

@@ -42,27 +42,22 @@ from typing import Any, Callable
 from . import data as data_mod
 from .data import DataManager, ModelElementRef
 from .errors import (
-    AssetFault,
     Disconnected,
     DuplicateMapping,
     DuplicateService,
     DanglingGrantTarget,
     IntegrityViolation,
     MissingLastUpdateSupport,
-    NoSuchElement,
     PermissionDenied,
-    ProtocolError,
     ReadOnlyTarget,
-    ReadOnlyViolation,
     SchemaViolation,
     TickSequenceError,
     TransformFailure,
     TwinError,
     UnresolvedGatewaySide,
     UnresolvedModelSide,
-    WrongKind,
 )
-from .gateway import ElementKind, GatewayHandle, PropertyAccess, Stream
+from .gateway import ERROR_CODES, ElementKind, GatewayHandle, PropertyAccess, Stream
 from .models import ModelMode, ModelRegistry
 from .services import (
     ApplyOperator,
@@ -236,8 +231,7 @@ class _ServiceState:
 
 
 # what a failed gateway request raises besides Disconnected; it suspends the sync
-_GATEWAY_FAULTS = (ProtocolError, AssetFault, SchemaViolation, NoSuchElement, WrongKind,
-                   ReadOnlyViolation)
+_GATEWAY_FAULTS = tuple(ERROR_CODES.values())
 
 
 def _fit_value(value: Value, target_type: str | None) -> Value:
@@ -396,28 +390,24 @@ class Engine:
             self._subscribe(trigger.gateway_id, trigger.element)
 
     def _observe(self, gateway_id: str, prop: str) -> None:
-        key = (gateway_id, prop)
-        if key in self._sample_streams:
-            return
-        handle = self._gateways.get(gateway_id)
-        if handle is None or not handle.is_alive:
-            return
-        try:
-            self._sample_streams[key] = handle.observe_property(prop)
-        except TwinError:
-            pass  # gateway will show up as suspended at sync time
+        self._open_stream(self._sample_streams, gateway_id, prop, "observe_property")
 
     def _subscribe(self, gateway_id: str, event: str) -> None:
-        key = (gateway_id, event)
-        if key in self._event_streams:
+        self._open_stream(self._event_streams, gateway_id, event, "subscribe_event")
+
+    def _open_stream(self, streams: dict, gateway_id: str, name: str, method: str) -> None:
+        """Open one element's stream once, by calling ``method`` on its gateway handle;
+        a gateway fault leaves it unopened."""
+        key = (gateway_id, name)
+        if key in streams:
             return
         handle = self._gateways.get(gateway_id)
         if handle is None or not handle.is_alive:
             return
         try:
-            self._event_streams[key] = handle.subscribe_event(event)
+            streams[key] = getattr(handle, method)(name)
         except TwinError:
-            pass
+            pass  # gateway will show up as suspended at sync time
 
     # --- model registry callbacks ---
 

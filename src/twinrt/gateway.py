@@ -15,7 +15,7 @@ import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
@@ -177,8 +177,9 @@ class Stream:
     distinguishes why ("disconnected", "protocol-error" or "closed").
     """
 
-    def __init__(self, element: str, handle: "GatewayHandle"):
+    def __init__(self, element: str, kind: ElementKind, handle: "GatewayHandle"):
         self.element = element
+        self.kind = kind  # PROPERTY streams take updates, EVENT streams events
         self._handle = handle
         self._items: deque = deque()
         self._end_cause: str | None = None
@@ -212,7 +213,10 @@ class Stream:
         return items
 
 
-_ERROR_MAP: dict[str, type[TwinError]] = {
+# The one table of error codes on the wire. An asset replies with the code of
+# the first class its error is an instance of, PROTOCOL for any other
+# TwinError; the handle raises the class of the code it receives.
+ERROR_CODES: dict[str, type[TwinError]] = {
     "NO_SUCH_ELEMENT": NoSuchElement,
     "WRONG_KIND": WrongKind,
     "READ_ONLY": ReadOnlyViolation,
@@ -239,8 +243,7 @@ class GatewayHandle:
         self._channel = channel
         self._ids = itertools.count(1)
         self._lock = threading.Lock()  # one reader of the connection at a time
-        self._sample_streams: dict[str, Stream] = {}
-        self._event_streams: dict[str, Stream] = {}
+        self._streams: dict[str, Stream] = {}  # element names are unique
         self._dead: TwinError | None = None
 
     # --- connection lifecycle ---
@@ -259,31 +262,29 @@ class GatewayHandle:
             self._dead = error
             if cause is None:
                 cause = "protocol-error" if isinstance(error, ProtocolError) else "disconnected"
-            for stream in self._sample_streams.values():
-                stream._end(cause)
-            for stream in self._event_streams.values():
+            for stream in self._streams.values():
                 stream._end(cause)
         self._channel.close()
         return error
 
     def _route(self, msg: dict[str, Any]) -> None:
         op = msg.get("op")
+        if op not in ("update", "event"):
+            raise ProtocolError(f"unexpected push op {op!r}")
+        kind = ElementKind.PROPERTY if op == "update" else ElementKind.EVENT
         try:
+            stream = self._streams.get(msg["element"])
+            if stream is None or stream.kind is not kind:
+                return  # nothing listens, or the push names the other kind
             if op == "update":
-                stream = self._sample_streams.get(msg["element"])
-                if stream is not None:
-                    stream._items.append(ValueSample(
-                        element_name=msg["element"], value=msg["value"],
-                        asset_timestamp=msg["ts"], sequence_no=msg["seq"]))
-            elif op == "event":
-                stream = self._event_streams.get(msg["element"])
-                if stream is not None:
-                    stream._items.append(EventOccurrence(
-                        name=msg["element"], payload=msg["payload"], asset_timestamp=msg["ts"]))
+                item = ValueSample(element_name=msg["element"], value=msg["value"],
+                                   asset_timestamp=msg["ts"], sequence_no=msg["seq"])
             else:
-                raise ProtocolError(f"unexpected push op {op!r}")
-        except KeyError as exc:
+                item = EventOccurrence(name=msg["element"], payload=msg["payload"],
+                                       asset_timestamp=msg["ts"])
+        except (KeyError, TypeError) as exc:  # a missing field, an unhashable element
             raise ProtocolError(f"malformed push: {exc}") from exc
+        stream._items.append(item)
 
     def _read_push(self, deadline: float | None) -> bool:
         """Read one push with no request outstanding and route it.
@@ -315,7 +316,7 @@ class GatewayHandle:
             except (Disconnected, ProtocolError) as exc:
                 raise self._kill(exc)
         if reply.get("op") == "error":
-            exc_type = _ERROR_MAP.get(reply.get("code", ""), ProtocolError)
+            exc_type = ERROR_CODES.get(reply.get("code", ""), ProtocolError)
             raise exc_type(reply.get("message", "asset error"))
         return reply
 
@@ -360,33 +361,24 @@ class GatewayHandle:
         return Acknowledgement(asset_timestamp=reply.get("ts", 0))
 
     def observe_property(self, name: str) -> Stream:
-        self._decl(name, ElementKind.PROPERTY)
-        if self._dead is not None:
-            raise Disconnected(str(self._dead))
-        stream = self._sample_streams.get(name)
-        if stream is None or stream.end_cause is not None:
-            stream = Stream(name, self)
-            # register before the request so no early push can be dropped
-            self._sample_streams[name] = stream
-        try:
-            self._expect(self._request({"op": "observe", "element": name}), "ack")
-        except TwinError:
-            self._sample_streams.pop(name, None)
-            raise
-        return stream
+        return self._open_stream(name, ElementKind.PROPERTY, "observe")
 
     def subscribe_event(self, name: str) -> Stream:
-        self._decl(name, ElementKind.EVENT)
+        return self._open_stream(name, ElementKind.EVENT, "subscribe")
+
+    def _open_stream(self, name: str, kind: ElementKind, op: str) -> Stream:
+        self._decl(name, kind)
         if self._dead is not None:
             raise Disconnected(str(self._dead))
-        stream = self._event_streams.get(name)
+        stream = self._streams.get(name)
         if stream is None or stream.end_cause is not None:
-            stream = Stream(name, self)
-            self._event_streams[name] = stream
+            stream = Stream(name, kind, self)
+            # register before the request so no early push can be dropped
+            self._streams[name] = stream
         try:
-            self._expect(self._request({"op": "subscribe", "element": name}), "ack")
+            self._expect(self._request({"op": op, "element": name}), "ack")
         except TwinError:
-            self._event_streams.pop(name, None)
+            self._streams.pop(name, None)
             raise
         return stream
 

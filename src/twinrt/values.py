@@ -83,6 +83,20 @@ def canonical_json(obj: Any) -> str:
                       ensure_ascii=False, allow_nan=False)
 
 
+def _refuse_constant(name: str) -> float:
+    raise ValueError(f"non-finite number {name!r}")
+
+
+def strict_loads(raw: bytes) -> dict[str, Any]:
+    """Parse one UTF-8 JSON object: the one decoder for wire lines and
+    journal entries. Bad UTF-8 or JSON, NaN, ±Infinity and any value that is
+    not an object raise ValueError; each caller maps it to its own error."""
+    obj = json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant)
+    if not isinstance(obj, dict):
+        raise ValueError("not an object")
+    return obj
+
+
 def digest(obj: Any) -> str:
     """Stable content digest of a JSON-representable object."""
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()

@@ -9,20 +9,15 @@ docs/protocol.md alongside byte-exact golden transcripts.
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
 import time
 from typing import Any, Callable
 
 from .errors import Disconnected, ProtocolError
-from .values import canonical_json
+from .values import canonical_json, strict_loads
 
 MAX_LINE_BYTES = 1 << 20  # one message may not exceed 1 MiB
-
-
-def _reject_constant(name: str) -> float:
-    raise ProtocolError(f"non-finite number {name!r} on the wire")
 
 
 def encode_message(msg: dict[str, Any]) -> bytes:
@@ -36,13 +31,9 @@ def encode_message(msg: dict[str, Any]) -> bytes:
 def decode_message(line: bytes) -> dict[str, Any]:
     """Parse one wire line into a message object, rejecting non-finite numbers."""
     try:
-        msg = json.loads(line.decode("utf-8"), parse_constant=_reject_constant)
-    except ProtocolError:
-        raise
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        msg = strict_loads(line)
+    except ValueError as exc:
         raise ProtocolError(f"malformed message: {exc}") from exc
-    if not isinstance(msg, dict):
-        raise ProtocolError("message is not an object")
     if not isinstance(msg.get("op"), str):
         raise ProtocolError("message lacks an op field")
     return msg

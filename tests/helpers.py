@@ -87,13 +87,15 @@ def late_first_reply() -> Callable[[dict], dict]:
     return respond
 
 
-def start_scripted_tank(respond: Callable[[dict], dict] = plain_reply,
+def start_scripted_tank(respond: Callable[[dict], dict | list[dict]] = plain_reply,
                         requests: Counter | None = None) -> LineServer:
     """A fake tank asset that answers each request with ``respond(request)``.
 
-    It advertises the tank catalog in the handshake and never pushes, so a
-    test can make single replies late, wrong or failing. If ``requests`` is
-    given, it counts the requests after the handshake by op.
+    It advertises the tank catalog in the handshake and pushes only what
+    ``respond`` scripts: a list is sent message by message, so pushes can
+    precede the reply. A test can make single replies late, wrong or
+    failing. If ``requests`` is given, it counts the requests after the
+    handshake by op.
     """
     catalog = [decl.to_wire() for decl in TANK_ELEMENTS]
 
@@ -104,7 +106,9 @@ def start_scripted_tank(respond: Callable[[dict], dict] = plain_reply,
             msg = channel.recv()
             if requests is not None:
                 requests[msg["op"]] += 1
-            channel.send(respond(msg))
+            reply = respond(msg)
+            for out in reply if isinstance(reply, list) else [reply]:
+                channel.send(out)
 
     return LineServer("tcp://127.0.0.1:0", serve)
 

@@ -160,6 +160,21 @@ class TestAssetControl:
             control.close()
 
 
+class TestStepCount:
+    @pytest.mark.parametrize("count", ["x", [1], 1.5, True, 0, -3],
+                             ids=["text", "list", "real", "bool", "zero", "negative"])
+    def test_a_count_that_is_not_a_positive_integer_is_refused(self, tank_server, count):
+        channel = LineChannel(socket.create_connection(parse_endpoint(tank_server.endpoint)))
+        try:
+            reply = channel.request({"op": "ctl.step", "id": 1, "count": count}, timeout=5)
+            assert (reply["op"], reply["code"]) == ("error", "PROTOCOL")
+            state = channel.request({"op": "ctl.state", "id": 2}, timeout=5)
+            assert state["ts"] == 0 and tank_server.timestamp == 0
+            assert channel.request({"op": "ping", "id": 3}, timeout=5) == {"op": "pong", "id": 3}
+        finally:
+            channel.close()
+
+
 class TestTimestamps:
     def test_timestamp_is_steps_times_step_ms(self):
         server = start_tank(step_ms=250)
@@ -217,7 +232,7 @@ class TestAssetProcess:
             control.close()
         finally:
             proc.terminate()
-            proc.wait(timeout=5)
+            proc.communicate(timeout=5)
 
     def test_connect_starts_no_thread(self):
         # the asset runs in its own process, so every new thread would be the twin's
@@ -248,7 +263,7 @@ class TestAssetProcess:
         handle = connect(tank_descriptor(endpoint))
         stream = handle.observe_property("level")
         proc.kill()
-        proc.wait(timeout=5)
+        proc.communicate(timeout=5)
         assert stream.get(timeout=5) is None  # reads until the connection dies
         assert stream.end_cause == "disconnected"
         handle.close()

@@ -229,6 +229,20 @@ class TestReload:
             DataManager.reload(path)
         assert excinfo.value.line_no == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "not-an-object"])
+    def test_non_finite_or_non_object_entry_is_corrupt_unless_it_is_the_tail(self, tmp_path,
+                                                                            bad):
+        path = self.write_store(tmp_path / "j.ndjson")
+        lines = path.read_bytes().split(b"\n")
+        line = lines[1].replace(b'"value":2.0', b'"value":NaN') if bad == "nan" else b"[1]"
+        assert line != lines[1]
+        path.write_bytes(b"\n".join(lines[:1] + [line] + lines[2:]))
+        with pytest.raises(CorruptJournal) as excinfo:
+            DataManager.reload(path)
+        assert excinfo.value.line_no == 2
+        path.write_bytes(b"\n".join(lines[:-1] + [line, b""]))  # as the last entry
+        assert DataManager.reload(path).count() == 3
+
     def test_any_prefix_of_a_journal_reloads(self, tmp_path):
         # append-only journals are prefix-valid: cutting the file at any byte
         # yields complete entries plus a discardable torn tail; the store

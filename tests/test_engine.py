@@ -611,6 +611,25 @@ class TestGatewayFaults:
             engine.close()
             server.close()
 
+    def test_push_naming_an_unhashable_element_suspends_the_sync(self):
+        def bad_push_before_pong(msg):
+            if msg["op"] == "ping":
+                return [{"op": "update", "element": [1], "value": 1.0, "ts": 0, "seq": 1},
+                        plain_reply(msg)]
+            return plain_reply(msg)
+
+        server, handle, engine = scripted_engine(bad_push_before_pong)
+        try:
+            stream = handle.observe_property("level")
+            decisions = engine.tick(1)  # the ping reads the push: must return, not raise
+            assert not handle.is_alive
+            assert stream.end_cause == "protocol-error"
+            assert [(d.reason, d.detail) for d in decisions] == [
+                (SyncReason.SUSPENDED, "gateway unavailable")]
+        finally:
+            engine.close()
+            server.close()
+
 
 class TestInvariants:
     def test_direction_safety_over_a_mixed_run(self):

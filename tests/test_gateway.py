@@ -23,8 +23,10 @@ from twinrt.errors import (
     WrongKind,
 )
 from twinrt.gateway import (
+    EventOccurrence,
     GatewayDescriptor,
     PropertyAccess,
+    ValueSample,
     connect,
     event_decl,
     property_decl,
@@ -293,6 +295,31 @@ class TestInterleavedPushes:
             assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
         finally:
             handle.close()
+
+
+class TestPushRouting:
+    def test_a_push_reaches_only_a_stream_of_its_kind(self):
+        def crossed_pushes_before_pong(msg):
+            if msg["op"] != "ping":
+                return plain_reply(msg)
+            return [{"op": "update", "element": "overflow", "value": 9.0, "ts": 0, "seq": 1},
+                    {"op": "event", "element": "level", "payload": 9.0, "ts": 0},
+                    {"op": "update", "element": "level", "value": 9.5, "ts": 0, "seq": 1},
+                    {"op": "event", "element": "overflow", "payload": 9.5, "ts": 0},
+                    plain_reply(msg)]
+
+        server = start_scripted_tank(crossed_pushes_before_pong)
+        try:
+            handle = connect(tank_descriptor(server.endpoint))
+            level = handle.observe_property("level")
+            overflow = handle.subscribe_event("overflow")
+            handle.ping()
+            assert level.drain() == [ValueSample("level", 9.5, 0, 1)]
+            assert overflow.drain() == [EventOccurrence("overflow", 9.5, 0)]
+            assert handle.is_alive
+            handle.close()
+        finally:
+            server.close()
 
 
 class TestNoNanBoundary:

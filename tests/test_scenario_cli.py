@@ -350,7 +350,7 @@ steps:
             assert code == 0
         finally:
             proc.terminate()
-            proc.wait(timeout=5)
+            proc.communicate(timeout=5)
 
 
 class _FakeClock:
