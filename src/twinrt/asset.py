@@ -39,6 +39,7 @@ from .gateway import (
     ElementKind,
     GatewayElementDecl,
     PropertyAccess,
+    check_reply,
     event_decl,
     function_decl,
     property_decl,
@@ -241,7 +242,6 @@ class _Session:
         self.observed: set[str] = set()
         self.subscribed: set[str] = set()
         self._seqs: dict[str, int] = {}
-        self._send_lock = threading.Lock()
 
     def next_seq(self, element: str) -> int:
         seq = self._seqs.get(element, 0) + 1
@@ -249,8 +249,10 @@ class _Session:
         return seq
 
     def send(self, msg: dict[str, Any]) -> None:
-        with self._send_lock:
-            self.channel.send_raw(_lax_encode(msg))
+        """Write one reply or push. Every caller holds ``AssetServer._lock``
+        (``_handle`` for replies, ``_mutate`` for pushes), so two sends to a
+        session never interleave."""
+        self.channel.send_raw(_lax_encode(msg))
 
 
 class AssetServer:
@@ -448,10 +450,7 @@ class AssetControl:
 
     def _request(self, msg: dict[str, Any]) -> dict[str, Any]:
         # this client never observes or subscribes, so no push can arrive
-        reply = self._channel.request(dict(msg, id=next(self._ids)), self._timeout)
-        if reply.get("op") == "error":
-            raise ProtocolError(reply.get("message", "asset error"))
-        return reply
+        return check_reply(self._channel.request(dict(msg, id=next(self._ids)), self._timeout))
 
     def step(self, count: int = 1) -> None:
         self._request({"op": "ctl.step", "count": count})

@@ -35,7 +35,7 @@ from .models import (
     PropertyRule,
 )
 from .services import Hook, ServiceDescriptor, ServiceGrant
-from .values import VALUE_TYPES
+from .values import VALUE_TYPES, fit_value
 
 
 @dataclass(frozen=True)
@@ -276,13 +276,6 @@ def _parse_manager(obj: dict, path: str) -> ManagerConfig:
         delegations=tuple(delegations))
 
 
-def _fit_scalar(value, vtype: str | None):
-    # YAML writes 5 where a real is meant; fit ints to declared real schemas
-    if vtype == "real" and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    return value
-
-
 def _parse_model(obj: dict, path: str,
                  languages: dict[str, ModelingLanguage]) -> ModelConfig:
     model_id = _as_str(_need(obj, "id", path), f"{path}.id")
@@ -300,8 +293,9 @@ def _parse_model(obj: dict, path: str,
         schema = language.schema_for(kind) if language is not None else {}
         properties = {}
         for name, value in _as_dict(e.get("properties"), f"{epath}.properties").items():
+            # YAML reads 5 as an int and 5.0 as a float, whatever the schema
             properties[name] = ModelProperty(name=name,
-                                             value=_fit_scalar(value, schema.get(name)))
+                                             value=fit_value(value, schema.get(name)))
         elements.append(ModelElement(element_id=element_id, kind=kind,
                                      properties=properties))
     return ModelConfig(model_id=model_id, language_id=language_id,

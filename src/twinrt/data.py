@@ -143,7 +143,9 @@ class ModelElementRef:
 
     @classmethod
     def from_list(cls, obj) -> "ModelElementRef":
-        if not isinstance(obj, list) or len(obj) != 3:
+        if (not isinstance(obj, list) or len(obj) != 3
+                or not (isinstance(obj[0], str) and isinstance(obj[1], str))
+                or not (obj[2] is None or isinstance(obj[2], str))):
             raise SchemaViolation(f"bad model element ref {obj!r}")
         return cls(model_id=obj[0], element_id=obj[1], property_name=obj[2])
 
@@ -212,16 +214,28 @@ class Selector:
         return True
 
 
+_SELECTOR_FIELDS = (("origin", str), ("timeliness", str), ("processing", str), ("model", str),
+                    ("element", str), ("property", str), ("tick_from", int), ("tick_to", int))
+
+
 def selector_from_dict(obj: dict) -> Selector:
     """Build a selector from its configuration/wire form.
 
     ``origin`` is either a source name ("actual-system", "service",
-    "operator") or source:id ("service:kpi").
+    "operator") or source:id ("service:kpi"). The tick bounds are ints, the
+    other fields text; a field of another type, or an ``obj`` that is not a
+    mapping, raises ValueError.
     """
+    if not isinstance(obj, dict):
+        raise ValueError(f"a selector is a mapping, got {obj!r}")
+    for name, wanted in _SELECTOR_FIELDS:
+        value = obj.get(name)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, wanted)):
+            raise ValueError(f"selector {name} must be {wanted.__name__}, got {value!r}")
     origin = obj.get("origin")
     origin_source = origin_id = None
     if origin:
-        origin_source, sep, rest = str(origin).partition(":")
+        origin_source, sep, rest = origin.partition(":")
         origin_id = rest if sep else None
     return Selector(
         origin_source=origin_source,

@@ -7,7 +7,11 @@ engine pings every gateway, which reads everything pushed before the pong,
 and only then drains the streams, so two runs over the same scripted asset
 trace produce identical decision lists, model states, and data journals.
 Every caller steps its assets once per tick, so a tick's pushes stay far
-below what the socket buffers hold.
+below what the socket buffers hold. The engine keeps no stream table: the
+handle's is the one record of what the twin listens to. An element's stream
+is opened only when its handle has none, and each tick drains the handles'
+streams in fixed order: gateways by id, then property streams by name, then
+event streams by name.
 
 For an observed property the newest update drained after the barrier is
 the asset's current value, so a pull takes it from the ledger. It reads the
@@ -71,7 +75,7 @@ from .services import (
     ServiceRequest,
     required_capability,
 )
-from .values import Value, coerce_real
+from .values import Value, coerce_real, fit_value
 
 
 class Direction(str, Enum):
@@ -210,9 +214,7 @@ class SyncDecision:
 @dataclass
 class _Observation:
     tick: int
-    seq: int
     value: Value
-    asset_ts: int
 
 
 @dataclass
@@ -234,13 +236,9 @@ class _ServiceState:
 _GATEWAY_FAULTS = tuple(ERROR_CODES.values())
 
 
-def _fit_value(value: Value, target_type: str | None) -> Value:
-    """Lossless numeric fit to a declared schema type (int<->float)."""
-    if target_type == "real" and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    if target_type == "integer" and isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
+def _drain_order(stream: Stream) -> tuple[bool, str]:
+    """Property streams by name, then event streams by name."""
+    return stream.kind is not ElementKind.PROPERTY, stream.element
 
 
 class Engine:
@@ -262,8 +260,6 @@ class Engine:
         self._mappings: dict[str, Mapping] = {}
         self._by_trigger: dict[tuple, list[str]] = {}  # trigger key -> sorted mapping ids
         self._scheduled: list[str] = []  # sorted ids of every-n-ticks mappings
-        self._sample_streams: dict[tuple[str, str], Stream] = {}
-        self._event_streams: dict[tuple[str, str], Stream] = {}
         self._asset_ledger: dict[tuple[str, str], _Observation] = {}
         self._edit_ledger: dict[tuple[str, str, str], _Edit] = {}
         self._sync_memory: dict[str, tuple[int, int]] = {}
@@ -380,32 +376,23 @@ class Engine:
     def _subscribe_mapping(self, mapping: Mapping) -> None:
         """Observe/subscribe the gateway elements one mapping must hear about."""
         if mapping.direction is Direction.BIDIRECTIONAL:
-            self._observe(mapping.gateway_id, mapping.gateway_property)
+            self._open_stream(mapping.gateway_id, mapping.gateway_property, "observe_property")
         trigger = mapping.schedule.trigger
         if trigger is None:
             return
         if trigger.kind is TriggerKind.GATEWAY_CHANGE:
-            self._observe(trigger.gateway_id, trigger.element)
+            self._open_stream(trigger.gateway_id, trigger.element, "observe_property")
         elif trigger.kind is TriggerKind.GATEWAY_EVENT:
-            self._subscribe(trigger.gateway_id, trigger.element)
+            self._open_stream(trigger.gateway_id, trigger.element, "subscribe_event")
 
-    def _observe(self, gateway_id: str, prop: str) -> None:
-        self._open_stream(self._sample_streams, gateway_id, prop, "observe_property")
-
-    def _subscribe(self, gateway_id: str, event: str) -> None:
-        self._open_stream(self._event_streams, gateway_id, event, "subscribe_event")
-
-    def _open_stream(self, streams: dict, gateway_id: str, name: str, method: str) -> None:
-        """Open one element's stream once, by calling ``method`` on its gateway handle;
-        a gateway fault leaves it unopened."""
-        key = (gateway_id, name)
-        if key in streams:
-            return
+    def _open_stream(self, gateway_id: str, name: str, method: str) -> None:
+        """Open one element's stream by calling ``method`` on its gateway handle,
+        unless the handle has one already; a gateway fault leaves it unopened."""
         handle = self._gateways.get(gateway_id)
-        if handle is None or not handle.is_alive:
+        if handle is None or not handle.is_alive or name in handle.streams:
             return
         try:
-            streams[key] = getattr(handle, method)(name)
+            getattr(handle, method)(name)
         except TwinError:
             pass  # gateway will show up as suspended at sync time
 
@@ -447,7 +434,7 @@ class Engine:
             descriptor=descriptor, impl=impl, client=client)
         for hook in descriptor.hooks:
             if hook.kind == "on-event":
-                self._subscribe(hook.gateway_id, hook.event)
+                self._open_stream(hook.gateway_id, hook.event, "subscribe_event")
 
     def set_service_enabled(self, service_id: str, enabled: bool) -> None:
         svc = self._services.get(service_id)
@@ -546,20 +533,19 @@ class Engine:
                     handle.ping()  # barrier: all earlier pushes are now routed
                 except TwinError:
                     pass
-            for key in sorted(k for k in self._sample_streams if k[0] == gateway_id):
-                stream = self._sample_streams[key]
-                for sample in stream.drain():
-                    self._asset_ledger[key] = _Observation(
-                        tick=self._tick, seq=sample.sequence_no,
-                        value=sample.value, asset_ts=sample.asset_timestamp)
-                    self._pending_triggers.append(
-                        (TriggerKind.GATEWAY_CHANGE.value, key[0], key[1]))
-            for key in sorted(k for k in self._event_streams if k[0] == gateway_id):
-                stream = self._event_streams[key]
-                for occurrence in stream.drain():
-                    self._pending_triggers.append(
-                        (TriggerKind.GATEWAY_EVENT.value, key[0], key[1]))
-                    events.append((key[0], key[1], occurrence))
+            for stream in sorted(handle.streams.values(), key=_drain_order):
+                name = stream.element
+                if stream.kind is ElementKind.PROPERTY:
+                    for sample in stream.drain():
+                        self._asset_ledger[(gateway_id, name)] = _Observation(
+                            self._tick, sample.value)
+                        self._pending_triggers.append(
+                            (TriggerKind.GATEWAY_CHANGE.value, gateway_id, name))
+                else:
+                    for occurrence in stream.drain():
+                        self._pending_triggers.append(
+                            (TriggerKind.GATEWAY_EVENT.value, gateway_id, name))
+                        events.append((gateway_id, name, occurrence))
         return events
 
     def _collect_fired(self, now_tick: int) -> list[tuple[str, SyncReason]]:
@@ -650,20 +636,20 @@ class Engine:
         the recency of a property that has not changed.
         """
         key = (mapping.gateway_id, mapping.gateway_property)
+        handle = self.gateway(mapping.gateway_id)
         obs = self._asset_ledger.get(key)
-        stream = self._sample_streams.get(key)
+        stream = handle.streams.get(mapping.gateway_property)
         if obs is not None and stream.empty:
             return obs.value
-        sample = self.gateway(mapping.gateway_id).read_property(mapping.gateway_property)
+        sample = handle.read_property(mapping.gateway_property)
         if obs is None and stream is not None:
-            self._asset_ledger[key] = _Observation(tick=0, seq=sample.sequence_no,
-                                                   value=sample.value,
-                                                   asset_ts=sample.asset_timestamp)
+            self._asset_ledger[key] = _Observation(0, sample.value)
         return sample.value
 
     def _pull(self, mapping: Mapping, reason: SyncReason) -> SyncDecision:
-        value = mapping.transform.apply(self._asset_value(mapping))
-        value = self._fit_model_value(mapping, value)
+        value = fit_value(mapping.transform.apply(self._asset_value(mapping)),
+                          self.registry.declared_type(mapping.model_id, mapping.element_id,
+                                                      mapping.property_name))
         owner = self.registry.owner_of(mapping.model_id)
         self.registry.apply_operator(owner, "set_property", mapping.model_id,
                                      {"element": mapping.element_id,
@@ -684,7 +670,7 @@ class Engine:
         out = mapping.transform.invert(value)
         handle = self.gateway(mapping.gateway_id)
         decl = handle.descriptor.element(mapping.gateway_property)
-        out = _fit_value(out, decl.value_type if decl else None)
+        out = fit_value(out, decl.value_type if decl else None)
         handle.write_property(mapping.gateway_property, out)
         edit = self._edit_ledger.get((mapping.model_id, mapping.element_id,
                                       mapping.property_name))
@@ -700,14 +686,6 @@ class Engine:
         ], model_link=mapping.model_ref())
         self._sync_memory[mapping.mapping_id] = self._recency(mapping)
         return self._decision(mapping, SyncAction.PUSH_DT_TO_AS, reason)
-
-    def _fit_model_value(self, mapping: Mapping, value: Value) -> Value:
-        model = self.registry.model(mapping.model_id)
-        element = model.elements.get(mapping.element_id)
-        if element is None:
-            return value
-        schema = self.registry.language(model.language_id).schema_for(element.kind)
-        return _fit_value(value, schema.get(mapping.property_name))
 
     def _decision(self, mapping: Mapping, action: SyncAction, reason: SyncReason,
                   detail: str = "") -> SyncDecision:

@@ -6,7 +6,8 @@ events (asset-raised notifications), and functions (invocable commands).
 Connecting performs a handshake that must confirm the declared element
 catalog exactly; afterwards the handle serializes requests and, while each
 request reads its reply, routes asset-pushed samples and events into
-per-element streams.
+per-element streams. The handle's stream table is the only record of what
+the twin listens to on that gateway: the engine keeps none of its own.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 from .errors import (
     AssetFault,
@@ -226,6 +228,16 @@ ERROR_CODES: dict[str, type[TwinError]] = {
 }
 
 
+def check_reply(reply: dict[str, Any]) -> dict[str, Any]:
+    """Return ``reply``, unless it is an ``error``: then raise the class its
+    code names in ERROR_CODES, ProtocolError for any other code."""
+    if reply.get("op") == "error":
+        code = reply.get("code")
+        exc_type = ERROR_CODES.get(code, ProtocolError) if isinstance(code, str) else ProtocolError
+        raise exc_type(reply.get("message", "asset error"))
+    return reply
+
+
 class GatewayHandle:
     """Live connection to one asset. One outstanding request at a time.
 
@@ -244,6 +256,8 @@ class GatewayHandle:
         self._ids = itertools.count(1)
         self._lock = threading.Lock()  # one reader of the connection at a time
         self._streams: dict[str, Stream] = {}  # element names are unique
+        # read-only view of the open streams by element name
+        self.streams: Mapping[str, Stream] = MappingProxyType(self._streams)
         self._dead: TwinError | None = None
 
     # --- connection lifecycle ---
@@ -315,10 +329,7 @@ class GatewayHandle:
                                               self._route)
             except (Disconnected, ProtocolError) as exc:
                 raise self._kill(exc)
-        if reply.get("op") == "error":
-            exc_type = ERROR_CODES.get(reply.get("code", ""), ProtocolError)
-            raise exc_type(reply.get("message", "asset error"))
-        return reply
+        return check_reply(reply)
 
     # --- element lookups ---
 
@@ -414,9 +425,7 @@ def connect(descriptor: GatewayDescriptor, timeout: float = 5.0,
     except Disconnected as exc:
         raise ConnectFailed(f"handshake failed: {exc}") from exc
     try:
-        if reply.get("op") == "error":
-            raise ProtocolError(reply.get("message", "handshake rejected"))
-        if reply.get("op") != "hello-ack":
+        if check_reply(reply).get("op") != "hello-ack":
             raise ProtocolError(f"unexpected handshake response {reply.get('op')!r}")
         advertised = [GatewayElementDecl.from_wire(e) for e in reply.get("catalog", [])]
         differences = _catalog_diff(descriptor.elements, advertised)

@@ -527,6 +527,19 @@ class ModelRegistry:
             raise UnknownModel(f"{model_id}/{element_id}.{name} does not resolve")
         return element.properties[name].value
 
+    def declared_type(self, model_id: str, element_id: str, name: str) -> str | None:
+        """The value type the model's language declares for ``name`` on the
+        element's kind; None when the model or element does not resolve or
+        an id is not text."""
+        if not (isinstance(model_id, str) and isinstance(element_id, str)
+                and isinstance(name, str)):
+            return None
+        model = self._models.get(model_id)
+        element = model.elements.get(element_id) if model is not None else None
+        if element is None:
+            return None
+        return self.language(model.language_id).schema_for(element.kind).get(name)
+
     def digest(self, model_id: str) -> str:
         return self.model(model_id).digest()
 

@@ -13,23 +13,17 @@ from __future__ import annotations
 import threading
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .asset import AssetControl, AssetServer, build_model
 from .config import TwinConfiguration
-from .data import DataManager, DataRecord, selector_from_dict
-from .engine import Engine, SyncDecision
+from .data import DataManager, DataRecord
+from .engine import Engine, Mapping, SyncDecision
 from .errors import ProtocolError, TwinError
 from .gateway import ValueSample, connect
 from .models import ModelElement, ModelProperty, ModelRegistry, OperatorOutcome
-from .services import (
-    ApplyOperator,
-    InvokeFunction,
-    ServiceRequest,
-    build_builtin,
-    request_from_wire,
-)
-from .values import Value, canonical_json
+from .services import ApplyOperator, ServiceRequest, build_builtin, request_from_wire
+from .values import Value, canonical_json, fit_value
 from .wire import LineChannel, LineServer
 
 
@@ -38,7 +32,7 @@ class PassiveService:
 
 
 def build_registry(config: TwinConfiguration) -> ModelRegistry:
-    """Model registry for a configuration: languages, managers, models, delegations."""
+    """Model registry for a configuration, each model in its configured mode."""
     registry = ModelRegistry()
     for language in config.languages:
         registry.register_language(language)
@@ -57,6 +51,8 @@ def build_registry(config: TwinConfiguration) -> ModelRegistry:
                     for e in model.elements]
         registry.create_model(owner, model.model_id, model.language_id,
                               elements, track_last_update=model.last_update)
+        # models are created Offline; the configuration decides the starting mode
+        registry.set_mode(owner, model.model_id, model.mode)
     for manager in config.managers:
         for delegation in manager.delegations:
             registry.add_delegation(manager.manager_id, delegation.operator,
@@ -66,14 +62,22 @@ def build_registry(config: TwinConfiguration) -> ModelRegistry:
 
 def inspect_config(config: TwinConfiguration) -> dict:
     """Offline structural report: no gateway connections, no journal opened."""
-    registry = build_registry(config)
-    for model in config.models:
-        registry.set_mode(registry.owner_of(model.model_id), model.model_id, model.mode)
+    return _report(config, build_registry(config), tick=0, endpoints={},
+                   mappings=config.mappings,
+                   services={s.service_id: True for s in config.services})
+
+
+def _report(config: TwinConfiguration, registry: ModelRegistry, tick: int,
+            endpoints: dict[str, str], mappings: Iterable[Mapping],
+            services: dict[str, bool]) -> dict:
+    """The deterministic structural report of a twin, offline or running;
+    a gateway missing from ``endpoints`` shows its configured endpoint."""
     return {
         "twin": config.twin_id,
-        "tick": 0,
+        "tick": tick,
         "gateways": [
-            {"id": gw.descriptor.gateway_id, "endpoint": gw.descriptor.endpoint,
+            {"id": gw.descriptor.gateway_id,
+             "endpoint": endpoints.get(gw.descriptor.gateway_id, gw.descriptor.endpoint),
              "elements": [d.name for d in gw.descriptor.elements],
              "simulated": gw.simulate is not None}
             for gw in config.gateways
@@ -84,10 +88,9 @@ def inspect_config(config: TwinConfiguration) -> dict:
              "model": f"{m.model_id}/{m.element_id}.{m.property_name}",
              "gateway": f"{m.gateway_id}/{m.gateway_property}",
              "enabled": m.enabled}
-            for m in sorted(config.mappings, key=lambda m: m.mapping_id)
+            for m in sorted(mappings, key=lambda m: m.mapping_id)
         ],
-        "services": [{"id": s.service_id, "enabled": True}
-                     for s in sorted(config.services, key=lambda s: s.service_id)],
+        "services": [{"id": sid, "enabled": enabled} for sid, enabled in sorted(services.items())],
     }
 
 
@@ -114,7 +117,6 @@ class TwinRuntime:
 
         try:
             self._start_gateways(connect_timeout)
-            self._apply_modes()
             for mapping in config.mappings:
                 self.engine.add_mapping(mapping)
             for service in config.services:
@@ -136,12 +138,6 @@ class TwinRuntime:
                 self._assets[descriptor.gateway_id] = server
                 descriptor = replace(descriptor, endpoint=server.endpoint)
             self.engine.add_gateway(connect(descriptor, timeout=connect_timeout))
-
-    def _apply_modes(self) -> None:
-        # models are created Offline; the configuration decides the starting mode
-        for model in self.config.models:
-            owner = self.registry.owner_of(model.model_id)
-            self.registry.set_mode(owner, model.model_id, model.mode)
 
     # --- driving ---
 
@@ -169,10 +165,8 @@ class TwinRuntime:
 
     def asset_set(self, gateway_id: str, prop: str, value: Value) -> None:
         decl = self._gateway_decl(gateway_id, prop)
-        if decl is not None and decl.value_type == "real" and isinstance(value, int) \
-                and not isinstance(value, bool):
-            value = float(value)
-        self._control(gateway_id).force_set(prop, value)
+        self._control(gateway_id).force_set(
+            prop, fit_value(value, decl.value_type if decl is not None else None))
 
     def asset_raise(self, gateway_id: str, event: str, payload: Value) -> None:
         self._control(gateway_id).raise_event(event, payload)
@@ -208,24 +202,13 @@ class TwinRuntime:
 
     def model_edit(self, manager_id: str, operator_id: str, model_id: str,
                    args: dict[str, Value]):
-        args = self._fit_operator_args(operator_id, model_id, args)
+        if operator_id == "set_property" and isinstance(args, dict) and "value" in args:
+            # argument checks stay with the registry: a bad element or
+            # property fits to nothing and is refused there
+            vtype = self.registry.declared_type(model_id, args.get("element"),
+                                                args.get("property"))
+            args = dict(args, value=fit_value(args["value"], vtype))
         return self.mediate_operator(ApplyOperator(manager_id, operator_id, model_id, args))
-
-    def _fit_operator_args(self, operator_id: str, model_id: str,
-                           args: dict[str, Value]) -> dict[str, Value]:
-        if operator_id != "set_property" or not isinstance(args, dict):
-            return args
-        try:
-            model = self.registry.model(model_id)
-            element = model.elements[args["element"]]
-            schema = self.registry.language(model.language_id).schema_for(element.kind)
-            vtype = schema.get(args["property"])
-        except (TwinError, KeyError):
-            return args
-        value = args.get("value")
-        if vtype == "real" and isinstance(value, int) and not isinstance(value, bool):
-            return dict(args, value=float(value))
-        return args
 
     def model_value(self, model_id: str, element_id: str, prop: str) -> Value:
         return self.registry.property_value(model_id, element_id, prop)
@@ -253,14 +236,12 @@ class TwinRuntime:
             with self.lock:
                 return {"op": "status", "twin": self.config.twin_id,
                         "tick": self.engine.tick_count}
+        # ctl.invoke and ctl.history carry the fields of the matching request
         if op == "ctl.invoke":
-            request = InvokeFunction(gateway_id=msg.get("gateway", ""),
-                                     function=msg.get("function", ""),
-                                     args=tuple(msg.get("args", [])))
-            result = self.mediate_operator(request)
+            result = self.mediate_operator(request_from_wire(dict(msg, kind="invoke-function")))
             return {"op": "result", "value": result}
         if op == "ctl.history":
-            selector = selector_from_dict(msg.get("selector") or {})
+            selector = request_from_wire(dict(msg, kind="query-data")).selector
             with self.lock:
                 records = self.data.query(selector)
             return {"op": "records", "records": [r.to_dict() for r in records]}
@@ -269,55 +250,24 @@ class TwinRuntime:
                 return {"op": "report", "report": self.inspect()}
         if op == "ctl.call":
             # out-of-process service path: same requests, same grant checks
-            request = self._parse_request(msg)
+            service = msg.get("service", "")
+            if not isinstance(service, str):
+                raise ProtocolError(f"service must be text, got {service!r}")
+            request = request_from_wire(msg.get("request") or {})
             with self.lock:
-                result = self.engine.mediate_service_call(msg.get("service", ""), request)
+                result = self.engine.mediate_service_call(service, request)
             return {"op": "result", "value": _wire_result(result)}
         raise ProtocolError(f"unknown control op {op!r}")
 
-    @staticmethod
-    def _parse_request(msg: dict) -> ServiceRequest:
-        try:
-            return request_from_wire(msg.get("request") or {})
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from exc
-
-    def _effective_endpoint(self, gateway_id: str, declared: str) -> str:
-        try:
-            return self.engine.gateway(gateway_id).descriptor.endpoint
-        except TwinError:
-            return declared
-
     def inspect(self) -> dict:
         """Deterministic structural report of the running twin."""
-        models = {}
-        for model_id in self.registry.models():
-            model = self.registry.model(model_id)
-            models[model_id] = model.to_dict()
-        return {
-            "twin": self.config.twin_id,
-            "tick": self.engine.tick_count,
-            "gateways": [
-                {"id": gw.descriptor.gateway_id,
-                 "endpoint": self._effective_endpoint(gw.descriptor.gateway_id,
-                                                      gw.descriptor.endpoint),
-                 "elements": [d.name for d in gw.descriptor.elements],
-                 "simulated": gw.simulate is not None}
-                for gw in self.config.gateways
-            ],
-            "models": models,
-            "mappings": [
-                {"id": m.mapping_id, "direction": m.direction.value,
-                 "model": f"{m.model_id}/{m.element_id}.{m.property_name}",
-                 "gateway": f"{m.gateway_id}/{m.gateway_property}",
-                 "enabled": m.enabled}
-                for m in self.engine.mappings()
-            ],
-            "services": [
-                {"id": sid, "enabled": self.engine.service_enabled(sid)}
-                for sid in self.engine.services()
-            ],
-        }
+        engine = self.engine
+        return _report(
+            self.config, self.registry, engine.tick_count,
+            endpoints={gid: engine.gateway(gid).descriptor.endpoint
+                       for gid in engine.gateways()},
+            mappings=engine.mappings(),
+            services={sid: engine.service_enabled(sid) for sid in engine.services()})
 
     def close(self) -> None:
         if self._control_server is not None:

@@ -21,6 +21,7 @@ from .engine import SyncDecision
 from .errors import ConfigParseError, ScenarioAssertionFailed
 from .data import selector_from_dict
 from .runtime import TwinRuntime
+from .values import fit_value, value_type
 
 STEP_KINDS = ("tick", "asset-set", "asset-raise", "model-edit", "service-on",
               "service-off", "expect-model", "expect-decision", "expect-record-count")
@@ -88,6 +89,11 @@ def _parse_step(raw: Any, index: int) -> ScenarioStep:
             raise ConfigParseError(f"step {index}: {kind} names a service id")
     elif not isinstance(payload, dict):
         raise ConfigParseError(f"step {index}: {kind} takes a mapping payload")
+    elif kind == "expect-record-count":
+        try:
+            selector_from_dict(payload.get("selector") or {})
+        except ValueError as exc:
+            raise ConfigParseError(f"step {index}: {exc}") from exc
     return ScenarioStep(kind=kind, payload=payload)
 
 
@@ -139,10 +145,7 @@ class ScenarioRunner:
 
     def _expect_model(self, p: dict, index: int) -> None:
         actual = self.runtime.model_value(p["model"], p["element"], p["property"])
-        expected = p["value"]
-        if isinstance(expected, int) and isinstance(actual, float) \
-                and not isinstance(expected, bool):
-            expected = float(expected)
+        expected = fit_value(p["value"], value_type(actual))
         tolerance = p.get("tolerance")
         if tolerance is not None and isinstance(actual, (int, float)) \
                 and isinstance(expected, (int, float)):

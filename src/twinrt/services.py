@@ -20,7 +20,7 @@ from .data import (
     Selector,
     selector_from_dict,
 )
-from .errors import PermissionDenied, TwinError
+from .errors import PermissionDenied, ProtocolError, TwinError
 from .values import Value, coerce_real
 
 CAPABILITY_KINDS = ("read-model", "write-model", "read-data", "ingest-data",
@@ -135,30 +135,47 @@ ALL_REQUEST_TYPES = (ReadModelProperty, ApplyOperator, QueryData, IngestProcesse
                      ReadGatewayProperty, InvokeFunction)
 
 
+def _field(obj: dict, name: str, expected: type, *default):
+    """``obj[name]``, or ``default`` when it is absent; it must be an ``expected``."""
+    value = obj.get(name, *default) if default else obj[name]
+    if not isinstance(value, expected):
+        raise ProtocolError(f"field {name!r} must be {expected.__name__}, got {value!r}")
+    return value
+
+
 def request_from_wire(obj: dict) -> ServiceRequest:
-    """Decode the wire form of a mediated request (out-of-process services)."""
+    """Decode the wire form of a mediated request (out-of-process services).
+
+    A request that is not a mapping, lacks a field or holds a field of the
+    wrong type raises ProtocolError.
+    """
+    if not isinstance(obj, dict):
+        raise ProtocolError(f"a request is a mapping, got {obj!r}")
     kind = obj.get("kind")
     try:
         if kind == "read-model-property":
-            return ReadModelProperty(obj["model"], obj["element"], obj["property"])
+            return ReadModelProperty(_field(obj, "model", str), _field(obj, "element", str),
+                                     _field(obj, "property", str))
         if kind == "apply-operator":
-            return ApplyOperator(obj["manager"], obj["operator"], obj["model"],
-                                 dict(obj.get("args", {})))
+            return ApplyOperator(_field(obj, "manager", str), _field(obj, "operator", str),
+                                 _field(obj, "model", str), dict(_field(obj, "args", dict, {})))
         if kind == "query-data":
             return QueryData(selector_from_dict(obj.get("selector") or {}))
         if kind == "ingest-processed":
             link = obj.get("link")
             return IngestProcessed(
-                obj["value"], timeliness=obj.get("timeliness", HISTORICAL),
+                obj["value"], timeliness=_field(obj, "timeliness", str, HISTORICAL),
                 link=ModelElementRef.from_list(link) if link else None)
         if kind == "read-gateway-property":
-            return ReadGatewayProperty(obj["gateway"], obj["property"])
+            return ReadGatewayProperty(_field(obj, "gateway", str), _field(obj, "property", str))
         if kind == "invoke-function":
-            return InvokeFunction(obj["gateway"], obj["function"],
-                                  tuple(obj.get("args", ())))
+            return InvokeFunction(_field(obj, "gateway", str), _field(obj, "function", str),
+                                  tuple(_field(obj, "args", list, [])))
     except KeyError as exc:
-        raise ValueError(f"request {kind!r} missing field {exc}") from exc
-    raise ValueError(f"unknown request kind {kind!r}")
+        raise ProtocolError(f"request {kind!r} missing field {exc}") from exc
+    except ValueError as exc:  # a malformed selector
+        raise ProtocolError(str(exc)) from exc
+    raise ProtocolError(f"unknown request kind {kind!r}")
 
 
 def required_capability(request: ServiceRequest) -> tuple[str, str]:

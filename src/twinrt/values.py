@@ -70,6 +70,17 @@ def check_value(value: Value, expected: str) -> None:
         raise SchemaViolation(f"expected {expected}, got {actual}")
 
 
+def fit_value(value: Value, target_type: str | None) -> Value:
+    """Fit a number losslessly to a declared schema type: an int to a real,
+    an integral real to an integer. Anything else is returned as it is, for
+    the schema check to judge."""
+    if target_type == "real" and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if target_type == "integer" and isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
 def coerce_real(value: Value) -> float:
     """Return ``value`` as a float for arithmetic; rejects non-numeric values."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):

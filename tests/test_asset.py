@@ -9,7 +9,7 @@ import pytest
 from helpers import start_tank, tank_descriptor
 
 from twinrt.asset import AssetControl, EchoModel, TankModel, build_model, parse_param
-from twinrt.errors import NoSuchElement, ProtocolError, ReadOnlyViolation, SchemaViolation
+from twinrt.errors import NoSuchElement, ReadOnlyViolation, SchemaViolation, TwinError
 from twinrt.gateway import connect
 from twinrt.wire import LineChannel, parse_endpoint
 
@@ -154,8 +154,24 @@ class TestAssetControl:
     def test_control_rejects_bad_element(self, tank_server):
         control = AssetControl(tank_server.endpoint)
         try:
-            with pytest.raises(ProtocolError):
+            with pytest.raises(NoSuchElement):
                 control.force_set("pressure", 1.0)
+        finally:
+            control.close()
+
+    def test_control_raises_what_the_asset_raises(self, tank_server):
+        # the reply's code names the class; a controlled asset and an
+        # in-process one fail alike
+        control = AssetControl(tank_server.endpoint)
+        try:
+            for act in (lambda owner: owner.force_set("pressure", 1.0),
+                        lambda owner: owner.force_set("level", "full"),
+                        lambda owner: owner.raise_event("level", 1.0)):
+                with pytest.raises(TwinError) as in_process:
+                    act(tank_server)
+                with pytest.raises(TwinError) as controlled:
+                    act(control)
+                assert type(controlled.value) is type(in_process.value)
         finally:
             control.close()
 

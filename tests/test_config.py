@@ -71,13 +71,19 @@ managers: [{id: m, models: [mdl]}]
 models:
   - id: mdl
     language: lang
-    elements: [{id: e, kind: Node, properties: {x: 5, n: 5}}]
+    elements: [{id: e, kind: Node, properties: {x: 5, n: 5}},
+               {id: f, kind: Node, properties: {x: 2.5, n: 2.0}}]
 """)
         element = cfg.models[0].elements[0]
         assert element.properties["x"].value == 5.0
         assert isinstance(element.properties["x"].value, float)
         assert element.properties["n"].value == 5
         assert isinstance(element.properties["n"].value, int)
+        # an integral real given for an integer is fitted too, losslessly
+        other = cfg.models[0].elements[1]
+        assert other.properties["x"].value == 2.5
+        assert other.properties["n"].value == 2
+        assert isinstance(other.properties["n"].value, int)
 
     def test_trigger_schedules(self):
         cfg = config_mod.loads("""

@@ -263,6 +263,45 @@ class TestTriggerIndex:
             rig.close()
 
 
+def _pull_on(mapping_id: str, gateway_id: str, prop: str, kind: TriggerKind,
+             element: str) -> Mapping:
+    """An AS->DT mapping of ``prop`` fired by a change or event of ``element``."""
+    target = "level" if prop == "level" else "valve_target"
+    return Mapping(mapping_id, "tank", "main", target, gateway_id, prop, Direction.AS_TO_DT,
+                   Schedule(trigger=Trigger(kind, gateway_id=gateway_id, element=element)))
+
+
+class TestDrainOrder:
+    def test_triggers_fire_by_gateway_then_properties_then_events(self):
+        from helpers import build_registry, start_tank, tank_descriptor
+
+        registry = build_registry()
+        engine = Engine(registry, DataManager(resolver=registry.resolve))
+        servers = {gid: start_tank() for gid in ("g-a", "g-b")}
+        try:
+            for gid, server in servers.items():
+                engine.add_gateway(connect(tank_descriptor(server.endpoint, gateway_id=gid)))
+            # added so that neither mapping ids nor opening order match the drain order
+            change, event = TriggerKind.GATEWAY_CHANGE, TriggerKind.GATEWAY_EVENT
+            for mapping in (_pull_on("m-0", "g-b", "valve", change, "valve"),
+                            _pull_on("m-2", "g-b", "level", event, "overflow"),
+                            _pull_on("m-1", "g-b", "level", change, "level"),
+                            _pull_on("m-3", "g-a", "valve", change, "valve")):
+                engine.add_mapping(mapping)
+            servers["g-b"].force_set("level", 9.0)  # crosses the overflow level
+            servers["g-b"].force_set("valve", 0.5)
+            servers["g-a"].force_set("valve", 0.25)
+            decisions = engine.tick(1)
+            # g-a before g-b; within g-b, level and valve by name, then overflow
+            assert [d.mapping_id for d in decisions] == ["m-3", "m-1", "m-0", "m-2"]
+            assert {d.action for d in decisions} == {SyncAction.PULL_AS_TO_DT}
+            assert registry.property_value("tank", "main", "level") == 9.0
+        finally:
+            engine.close()
+            for server in servers.values():
+                server.close()
+
+
 class TestSyncAsToDt:
     def test_pull_updates_model_and_ingests_exactly_one_record(self):
         rig = build_rig(mappings=[level_mapping()], valve=1.0)

@@ -12,7 +12,7 @@ import twinrt.scenario as scenario_mod
 from twinrt.cli import main
 from twinrt.engine import SyncReason
 from twinrt.errors import ConfigParseError, ScenarioAssertionFailed
-from twinrt.runtime import TwinRuntime
+from twinrt.runtime import TwinRuntime, inspect_config
 from twinrt.scenario import ScenarioRunner
 
 
@@ -43,6 +43,7 @@ steps:
         "steps:\n  - {tick: 1, asset-set: {}}",
         "steps: {not: a list}",
         "steps:\n  - service-on: {}",
+        "steps:\n  - expect-record-count: {selector: {tick_from: '1'}, count: 0}",
         pytest.param(b"steps:\n  - asset-set: {gateway: tank01, property: caf\xe9, value: 1}\n",
                      id="latin-1"),
     ])
@@ -51,6 +52,31 @@ steps:
         path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         with pytest.raises(ConfigParseError):
             scenario_mod.load(path)
+
+
+# a bare twin with an integer model property and a simulated echo asset
+FIT_CONFIG = """
+twin: fit
+gateways:
+  - id: echo01
+    endpoint: tcp://127.0.0.1:0
+    simulate: {model: echo}
+    elements:
+      - {name: pad, kind: property, type: text, access: rw}
+      - {name: gain, kind: property, type: real, access: rw}
+      - {name: count, kind: property, type: integer, access: rw}
+      - {name: lit, kind: property, type: boolean, access: rw}
+      - {name: pulse, kind: event, payload: integer}
+      - {name: echo, kind: function, args: [text], result: text}
+      - {name: sum, kind: function, args: [real, real], result: real}
+      - {name: div, kind: function, args: [real, real], result: real}
+languages: [{id: lang, kinds: {Node: {x: real, n: integer}}}]
+managers: [{id: m, models: [mdl]}]
+models:
+  - id: mdl
+    language: lang
+    elements: [{id: e, kind: Node, properties: {x: 0.0, n: 0}}]
+"""
 
 
 class TestScenarioExecution:
@@ -89,6 +115,34 @@ steps:
                  args: {element: main, property: valve_target, value: 1}}
   - expect-model: {model: tank, element: main, property: valve_target, value: 1.0}
 """)
+        # an integral real given for an integer property fits the other way
+        runtime = TwinRuntime(config_mod.loads(FIT_CONFIG))
+        try:
+            ScenarioRunner(runtime).run(scenario_mod.loads("""
+steps:
+  - model-edit: {manager: m, operator: set_property, model: mdl,
+                 args: {element: e, property: n, value: 2.0}}
+  - asset-set: {gateway: echo01, property: count, value: 3.0}
+  - asset-set: {gateway: echo01, property: gain, value: 2}
+"""))
+            n = runtime.model_value("mdl", "e", "n")
+            state = runtime.asset_state("echo01")
+        finally:
+            runtime.close()
+        assert n == 2 and isinstance(n, int)
+        assert state["count"] == 3 and isinstance(state["count"], int)
+        assert state["gain"] == 2.0 and isinstance(state["gain"], float)
+
+    @pytest.mark.parametrize("args", [
+        "{element: [main], property: valve_target, value: 1}",
+        "{element: main, property: [valve_target], value: 1}",
+    ], ids=["element", "property"])
+    def test_model_edit_with_a_non_text_id_is_an_error(self, capsys, tmp_path, args):
+        script = tmp_path / "s.yaml"
+        script.write_text("steps:\n  - model-edit: {manager: plant, operator: set_property, "
+                          f"model: tank, args: {args}}}\n")
+        assert main(["scenario", str(script), "--config", str(DEMO_CONFIG)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_service_off_stops_hooks(self):
         runtime, _ = self.run_steps("""
@@ -179,6 +233,22 @@ steps:
         model = json.loads(capsys.readouterr().out)
         assert list(model["elements"]) == ["main"]
         assert model["elements"]["main"]["properties"]["capacity"]["value"] == 10.0
+
+    def test_offline_report_is_the_live_report(self):
+        config = config_mod.load(DEMO_CONFIG)
+        offline = inspect_config(config)
+        runtime = TwinRuntime(config)
+        try:
+            live = runtime.inspect()
+        finally:
+            runtime.close()
+        # only the tick and where a simulated asset was bound may differ
+        for report in (offline, live):
+            del report["tick"]
+            for gateway in report["gateways"]:
+                if gateway["simulated"]:
+                    del gateway["endpoint"]
+        assert offline == live
 
     def test_inspect_empty_config(self, capsys, tmp_path):
         empty = tmp_path / "empty.yaml"
@@ -310,6 +380,32 @@ class TestControlSocket:
                                       "element": "main", "property": "capacity"}})
             reply = channel.recv()
             assert reply["op"] == "result" and reply["value"] == 10.0
+        finally:
+            channel.close()
+
+    @pytest.mark.parametrize("msg", [
+        {"op": "ctl.history", "selector": {"tick_from": [1]}},
+        {"op": "ctl.history", "selector": {"tick_from": "1"}},
+        {"op": "ctl.history", "selector": ["x"]},
+        {"op": "ctl.invoke", "gateway": ["tank01"], "function": "flush", "args": []},
+        {"op": "ctl.invoke", "gateway": "tank01", "function": "flush", "args": 5},
+        {"op": "ctl.call", "service": ["kpi"],
+         "request": {"kind": "read-model-property", "model": "tank", "element": "main",
+                     "property": "capacity"}},
+        {"op": "ctl.call", "service": "kpi", "request": ["x"]},
+    ], ids=["tick-list", "tick-text", "selector-list", "invoke-gateway-list",
+            "invoke-args-int", "call-service-list", "call-request-list"])
+    def test_malformed_request_gets_a_protocol_error(self, running_twin, msg):
+        from twinrt.wire import connect_channel
+
+        _, endpoint = running_twin
+        channel = connect_channel(endpoint)
+        try:
+            reply = channel.request(dict(msg, id=1), timeout=5)
+            assert (reply["op"], reply["code"]) == ("error", "ProtocolError")
+            # the connection survives and answers the next request
+            status = channel.request({"op": "ctl.status", "id": 2}, timeout=5)
+            assert status["op"] == "status" and status["twin"] == "demo-tank"
         finally:
             channel.close()
 
