@@ -11,7 +11,8 @@ Assets never read a clock: dynamics advance only on explicit step commands,
 and the reported timestamp is ``steps_taken * step_ms``. Besides the gateway
 ops, the server answers simulation-control ops (``ctl.step``, ``ctl.set``,
 ``ctl.raise``, ``ctl.state``) used by test harnesses and the scenario runner
-to stand in for the physical world.
+to stand in for the physical world. Each server reads all its connections
+on one thread of its own.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import itertools
 import json
 import random
 import threading
-import time
 from typing import Any, Callable
 
 from .errors import (
@@ -256,7 +256,7 @@ class _Session:
 
 
 class AssetServer:
-    """Serves one asset model over the wire protocol.
+    """Serves one asset model over the wire protocol from one loop thread.
 
     All state access happens under one lock. Every mutation goes through
     ``_mutate``, which pushes the changed properties (in name order) and then
@@ -275,9 +275,11 @@ class AssetServer:
         self._step_ms = int(step_ms)
         self._steps = 0
         self._lock = threading.RLock()
-        self._sessions: list[_Session] = []
-        self._server = LineServer(listen, self._serve)
+        self._sessions: dict[LineChannel, _Session] = {}
+        self._server = LineServer(listen, self._handle, on_close=self._forget)
         self.endpoint = self._server.endpoint
+        self._thread = threading.Thread(target=self._server.serve, daemon=True)
+        self._thread.start()
 
     @property
     def timestamp(self) -> int:
@@ -288,10 +290,9 @@ class AssetServer:
         return self._model
 
     def close(self) -> None:
-        self._server.close()
+        self._server.close()  # its loop closes every session's channel
+        self._thread.join()
         with self._lock:
-            for session in self._sessions:
-                session.channel.close()
             self._sessions.clear()
 
     # --- direct control for in-process owners (scenario runner, tests) ---
@@ -329,13 +330,13 @@ class AssetServer:
         after = self._model.state()
         for name in sorted(after):
             if after[name] != before.get(name):
-                for session in list(self._sessions):
+                for session in list(self._sessions.values()):
                     if name in session.observed:
                         self._push(session, {"op": "update", "element": name,
                                              "value": after[name], "ts": self.timestamp,
                                              "seq": session.next_seq(name)})
         for event_name, payload in self._model.pop_events():
-            for session in list(self._sessions):
+            for session in list(self._sessions.values()):
                 if event_name in session.subscribed:
                     self._push(session, {"op": "event", "element": event_name,
                                          "payload": payload, "ts": self.timestamp})
@@ -345,27 +346,20 @@ class AssetServer:
             session.send(msg)
         except Disconnected:
             # the observer is gone; the other sessions still get every push
-            if session in self._sessions:
-                self._sessions.remove(session)
+            self._sessions.pop(session.channel, None)
 
     # --- request handling ---
 
-    def _serve(self, channel: LineChannel) -> None:
-        session = _Session(channel)
+    def _forget(self, channel: LineChannel) -> None:
         with self._lock:
-            self._sessions.append(session)
-        try:
-            while True:
-                msg = channel.recv()
-                self._handle(session, msg)
-        finally:
-            with self._lock:
-                if session in self._sessions:
-                    self._sessions.remove(session)
+            self._sessions.pop(channel, None)
 
-    def _handle(self, session: _Session, msg: dict[str, Any]) -> None:
+    def _handle(self, channel: LineChannel, msg: dict[str, Any]) -> None:
         rid = msg.get("id")
         with self._lock:
+            session = self._sessions.get(channel)
+            if session is None:
+                session = self._sessions[channel] = _Session(channel)
             try:
                 reply = self._dispatch(session, msg)
             except TwinError as exc:
@@ -475,14 +469,12 @@ def parse_param(text: str) -> tuple[str, Value]:
         raise ValueError(f"--param expects k=v, got {text!r}")
     if raw.lower() in ("true", "false"):
         return key, raw.lower() == "true"
-    try:
-        return key, int(raw)
-    except ValueError:
-        pass
-    try:
-        return key, float(raw)
-    except ValueError:
-        return key, raw
+    for parse in (int, float):
+        try:
+            return key, parse(raw)
+        except ValueError:
+            pass
+    return key, raw
 
 
 def build_model(name: str, seed: int, params: dict[str, Value]) -> AssetModel:
@@ -507,12 +499,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         model = build_model(args.model, args.seed, params)
         server = AssetServer(model, listen=args.listen, step_ms=args.step_ms)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, TwinError) as exc:  # TwinError: the address is taken
         parser.error(str(exc))
     print(f"listening {server.endpoint}", flush=True)
     try:
-        while True:
-            time.sleep(3600)
+        server._thread.join()  # the loop runs until the process is stopped
     except KeyboardInterrupt:
         pass
     finally:

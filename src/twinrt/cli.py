@@ -24,7 +24,7 @@ from .errors import (
     ScenarioAssertionFailed,
     TwinError,
 )
-from .data import selector_from_dict
+from .data import DataManager, selector_from_dict
 from .runtime import (
     DecisionLog,
     TwinRuntime,
@@ -92,6 +92,9 @@ def cmd_run(args) -> int:
     _gate_audit(cfg, args.force)
     if args.script is None and args.timer is None:
         raise ConfigParseError("run requires --script PATH or --timer MS")
+    for flag, value in (("--timer", args.timer), ("--max-ticks", args.max_ticks)):
+        if value is not None and value < 1:
+            raise ConfigParseError(f"{flag} must be a positive integer, got {value}")
 
     sink = DecisionLog(args.decisions) if args.decisions else None
     runtime = TwinRuntime(cfg, journal_path=args.journal, decision_sink=sink)
@@ -106,15 +109,14 @@ def cmd_run(args) -> int:
             print(f"scenario ok ({executed} steps, {runtime.engine.tick_count} ticks)")
             return EXIT_OK
         period = args.timer / 1000.0
-        max_ticks = args.max_ticks
         print(f"running {cfg.twin_id} every {args.timer} ms", flush=True)
         # each tick is due one period after the last one was due, so the time
         # a tick takes does not add up into drift
+        wait = runtime.serve_control if control_addr else time.sleep
         due = time.monotonic() + period
-        while max_ticks is None or runtime.engine.tick_count < max_ticks:
-            time.sleep(max(0.0, due - time.monotonic()))
-            runtime.step_assets(1)
-            runtime.tick()
+        while args.max_ticks is None or runtime.engine.tick_count < args.max_ticks:
+            wait(max(0.0, due - time.monotonic()))
+            runtime.advance()
             due += period
         return EXIT_OK
     except KeyboardInterrupt:
@@ -127,7 +129,7 @@ def cmd_run(args) -> int:
 
 def cmd_scenario(args) -> int:
     args.script = args.script_path
-    args.timer = None
+    args.timer = args.max_ticks = None
     return cmd_run(args)
 
 
@@ -219,8 +221,6 @@ def cmd_history(args) -> int:
     }
     selector_spec = {k: v for k, v in selector_spec.items() if v is not None}
     if args.journal:
-        from .data import DataManager
-
         manager = DataManager.reload(args.journal)
         records = [r.to_dict() for r in manager.query(selector_from_dict(selector_spec))]
     elif args.control or os.environ.get("TWIN_CONTROL_ADDR"):

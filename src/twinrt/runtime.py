@@ -4,13 +4,13 @@ The runtime hosts simulated assets declared in the configuration (binding
 their listeners and rewriting ephemeral ports), connects all gateways,
 builds the model registry and data manager, registers services, and then
 ticks the engine either from a script or a timer. A control server speaking
-the wire framing exposes mediated invoke/history/inspect to the CLI; all
-control requests serialize with the tick loop through one lock.
+the wire framing exposes mediated invoke/history/inspect to the CLI. The
+tick loop serves it between ticks, so no control request runs during one.
 """
 
 from __future__ import annotations
 
-import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -101,7 +101,6 @@ class TwinRuntime:
                  decision_sink: Callable[[dict], None] | None = None,
                  connect_timeout: float = 5.0):
         self.config = config
-        self.lock = threading.RLock()
         self._assets: dict[str, AssetServer] = {}
         self._asset_controls: dict[str, AssetControl] = {}
         self._control_server: LineServer | None = None
@@ -148,20 +147,19 @@ class TwinRuntime:
         simulation-control channel, so scripted runs behave identically
         either way.
         """
-        for gateway_id in self._gateway_asset_ids():
+        for gateway_id in sorted(gw.descriptor.gateway_id for gw in self.config.gateways):
             self._control(gateway_id).step(count)
 
     def tick(self) -> list[SyncDecision]:
-        with self.lock:
-            decisions = self.engine.tick(self.engine.tick_count + 1)
-            self.last_decisions = decisions
-            return decisions
+        self.last_decisions = self.engine.tick(self.engine.tick_count + 1)
+        return self.last_decisions
 
     def advance(self, ticks: int = 1) -> None:
-        """Scenario tick: assets step once, then the engine ticks."""
+        """Scenario tick: assets step, the engine ticks, waiting control requests are answered."""
         for _ in range(ticks):
             self.step_assets(1)
             self.tick()
+            self.serve_control()
 
     def asset_set(self, gateway_id: str, prop: str, value: Value) -> None:
         decl = self._gateway_decl(gateway_id, prop)
@@ -177,9 +175,6 @@ class TwinRuntime:
     def _gateway_decl(self, gateway_id: str, element: str):
         gw = self.config.gateway(gateway_id)
         return gw.descriptor.element(element) if gw else None
-
-    def _gateway_asset_ids(self) -> list[str]:
-        return sorted(gw.descriptor.gateway_id for gw in self.config.gateways)
 
     def _control(self, gateway_id: str):
         server = self._assets.get(gateway_id)
@@ -197,8 +192,7 @@ class TwinRuntime:
     # --- mediated access ---
 
     def mediate_operator(self, request: ServiceRequest):
-        with self.lock:
-            return self.engine.mediate_operator_call(request)
+        return self.engine.mediate_operator_call(request)
 
     def model_edit(self, manager_id: str, operator_id: str, model_id: str,
                    args: dict[str, Value]):
@@ -216,46 +210,41 @@ class TwinRuntime:
     # --- control server ---
 
     def start_control(self, listen: str) -> str:
-        self._control_server = LineServer(listen, self._serve_control)
+        self._control_server = LineServer(listen, self._answer_control)
         return self._control_server.endpoint
 
-    def _serve_control(self, channel: LineChannel) -> None:
-        while True:
-            msg = channel.recv()
-            rid = msg.get("id")
-            try:
-                reply = self._dispatch_control(msg)
-            except TwinError as exc:
-                reply = {"op": "error", "code": type(exc).__name__, "message": str(exc)}
-            reply["id"] = rid
-            channel.send(reply)
+    def serve_control(self, seconds: float = 0.0) -> None:
+        """Answer control requests for ``seconds``, then all that are waiting."""
+        if self._control_server is not None:
+            self._control_server.serve(time.monotonic() + seconds)
+
+    def _answer_control(self, channel: LineChannel, msg: dict) -> None:
+        try:
+            reply = self._dispatch_control(msg)
+        except TwinError as exc:
+            reply = {"op": "error", "code": type(exc).__name__, "message": str(exc)}
+        channel.send(dict(reply, id=msg.get("id")))
 
     def _dispatch_control(self, msg: dict) -> dict:
         op = msg.get("op")
         if op == "ctl.status":
-            with self.lock:
-                return {"op": "status", "twin": self.config.twin_id,
-                        "tick": self.engine.tick_count}
+            return {"op": "status", "twin": self.config.twin_id, "tick": self.engine.tick_count}
         # ctl.invoke and ctl.history carry the fields of the matching request
         if op == "ctl.invoke":
             result = self.mediate_operator(request_from_wire(dict(msg, kind="invoke-function")))
             return {"op": "result", "value": result}
         if op == "ctl.history":
             selector = request_from_wire(dict(msg, kind="query-data")).selector
-            with self.lock:
-                records = self.data.query(selector)
-            return {"op": "records", "records": [r.to_dict() for r in records]}
+            return {"op": "records", "records": [r.to_dict() for r in self.data.query(selector)]}
         if op == "ctl.inspect":
-            with self.lock:
-                return {"op": "report", "report": self.inspect()}
+            return {"op": "report", "report": self.inspect()}
         if op == "ctl.call":
             # out-of-process service path: same requests, same grant checks
             service = msg.get("service", "")
             if not isinstance(service, str):
                 raise ProtocolError(f"service must be text, got {service!r}")
             request = request_from_wire(msg.get("request") or {})
-            with self.lock:
-                result = self.engine.mediate_service_call(service, request)
+            result = self.engine.mediate_service_call(service, request)
             return {"op": "result", "value": _wire_result(result)}
         raise ProtocolError(f"unknown control op {op!r}")
 

@@ -5,16 +5,18 @@ One message per line: a single UTF-8 JSON object, canonically encoded
 an ``id`` and are answered by exactly one response with the same ``id``;
 messages without an ``id`` are unsolicited pushes. The full grammar lives in
 docs/protocol.md alongside byte-exact golden transcripts.
+A server starts no thread: ``LineServer.serve`` reads every connection
+from one ``selectors`` loop on the caller's thread.
 """
 
 from __future__ import annotations
 
+import selectors
 import socket
-import threading
 import time
 from typing import Any, Callable
 
-from .errors import Disconnected, ProtocolError
+from .errors import ConnectFailed, Disconnected, ProtocolError
 from .values import canonical_json, strict_loads
 
 MAX_LINE_BYTES = 1 << 20  # one message may not exceed 1 MiB
@@ -108,34 +110,37 @@ class LineChannel:
         """The next message. With a ``deadline`` (``time.monotonic()``), waiting
         past it raises TimeoutError and keeps any partial line buffered;
         without one, the call blocks until a line or EOF arrives."""
-        line = self._recv_line(deadline)
-        msg = decode_message(line)
-        if self._transcript is not None:
-            self._transcript.record(self._recv_dir, line)
+        while (msg := self._take()) is None:
+            self._read(deadline)
         return msg
 
-    def _recv_line(self, deadline: float | None) -> bytes:
-        while b"\n" not in self._buf:
+    def _take(self) -> dict[str, Any] | None:
+        """The next buffered message, or None until a whole line is read."""
+        line, sep, rest = self._buf.partition(b"\n")
+        if not sep:
             if len(self._buf) > MAX_LINE_BYTES:
                 raise ProtocolError("wire line exceeds maximum length")
-            try:
-                if deadline is None:
-                    self._sock.settimeout(None)
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise TimeoutError
-                    self._sock.settimeout(remaining)
-                chunk = self._sock.recv(65536)
-            except TimeoutError:
-                raise
-            except OSError as exc:
-                raise Disconnected(f"recv failed: {exc}") from exc
-            if not chunk:
-                raise Disconnected("peer closed the connection")
-            self._buf += chunk
-        line, self._buf = self._buf.split(b"\n", 1)
-        return line + b"\n"
+            return None
+        self._buf = rest
+        msg = decode_message(line + sep)
+        if self._transcript is not None:
+            self._transcript.record(self._recv_dir, line + sep)
+        return msg
+
+    def _read(self, deadline: float | None) -> None:
+        timeout = None if deadline is None else deadline - time.monotonic()
+        if timeout is not None and timeout <= 0:
+            raise TimeoutError
+        try:
+            self._sock.settimeout(timeout)
+            chunk = self._sock.recv(65536)
+        except TimeoutError:
+            raise
+        except OSError as exc:
+            raise Disconnected(f"recv failed: {exc}") from exc
+        if not chunk:
+            raise Disconnected("peer closed the connection")
+        self._buf += chunk
 
     def request(self, msg: dict[str, Any], timeout: float,
                 on_push: Callable[[dict[str, Any]], None] | None = None) -> dict[str, Any]:
@@ -190,41 +195,66 @@ def connect_channel(endpoint: str, timeout: float = 5.0,
 
 
 class LineServer:
-    """Minimal accept-loop TCP server dispatching one thread per connection.
+    """A TCP server whose ``serve`` loop hands each complete line to
+    ``handler(channel, msg)``, which writes any reply itself. EOF, a malformed
+    line, or Disconnected or ProtocolError out of the handler closes that
+    connection alone and calls ``on_close(channel)``."""
 
-    ``handler(channel)`` runs on its own thread and owns the channel until it
-    returns or the peer disconnects.
-    """
-
-    def __init__(self, listen: str, handler: Callable[[LineChannel], None]):
+    def __init__(self, listen: str, handler: Callable[[LineChannel, dict[str, Any]], None],
+                 on_close: Callable[[LineChannel], None] = lambda channel: None):
         host, port = parse_endpoint(listen)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen()
-        self._handler = handler
-        self.endpoint = format_endpoint(host, self._listener.getsockname()[1])
-        threading.Thread(target=self._accept_loop, daemon=True).start()
-
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            channel = LineChannel(conn, transcript_side="S")
-            threading.Thread(target=self._run_handler, args=(channel,), daemon=True).start()
-
-    def _run_handler(self, channel: LineChannel) -> None:
         try:
-            self._handler(channel)
-        except (Disconnected, ProtocolError):
-            pass
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind((host, port))
+            self._listener.listen()
+        except OSError as exc:
+            self._listener.close()
+            raise ConnectFailed(f"cannot listen on {listen}: {exc}") from exc
+        self.endpoint = format_endpoint(host, self._listener.getsockname()[1])
+        self._handler, self._on_close = handler, on_close
+        self._wake_r, self._wake_w = socket.socketpair()  # see close()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
+        self._serving = self._closed = False
+
+    def serve(self, until: float | None = None) -> None:
+        """Serve until ``close()``; with ``until`` (``time.monotonic()``), only
+        until that time has passed and no socket is ready."""
+        self._serving = True
+        try:
+            while not self._closed:
+                ready = self._selector.select(None if until is None else until - time.monotonic())
+                if not ready:
+                    return
+                for key, _ in ready:
+                    if key.fileobj is self._listener:
+                        conn, _addr = self._listener.accept()
+                        self._selector.register(conn, selectors.EVENT_READ,
+                                                LineChannel(conn, transcript_side="S"))
+                    elif key.data is not None:
+                        self._on_readable(key.fileobj, key.data)
         finally:
+            self._serving = False  # before reading _closed, which close() sets first
+            if self._closed:
+                self.close()
+
+    def _on_readable(self, sock: socket.socket, channel: LineChannel) -> None:
+        try:
+            channel._read(None)  # the socket is ready, so this does not block
+            while (msg := channel._take()) is not None:
+                self._handler(channel, msg)
+        except (Disconnected, ProtocolError):
+            self._selector.unregister(sock)
+            self._on_close(channel)
             channel.close()
 
     def close(self) -> None:
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        """Close every socket; a ``serve`` on another thread does so as it returns."""
+        self._closed = True
+        self._wake_w.close()  # its peer in the selector reads EOF
+        if not self._serving:
+            for key in list((self._selector.get_map() or {}).values()):
+                (key.data or key.fileobj).close()
+            self._selector.close()

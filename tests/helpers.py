@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -95,22 +96,24 @@ def start_scripted_tank(respond: Callable[[dict], dict | list[dict]] = plain_rep
     ``respond`` scripts: a list is sent message by message, so pushes can
     precede the reply. A test can make single replies late, wrong or
     failing. If ``requests`` is given, it counts the requests after the
-    handshake by op.
+    handshake by op. The server's loop runs on a thread of its own until
+    ``close()``.
     """
     catalog = [decl.to_wire() for decl in TANK_ELEMENTS]
 
-    def serve(channel: LineChannel) -> None:
-        hello = channel.recv()
-        channel.send({"op": "hello-ack", "id": hello["id"], "catalog": catalog})
-        while True:
-            msg = channel.recv()
-            if requests is not None:
-                requests[msg["op"]] += 1
-            reply = respond(msg)
-            for out in reply if isinstance(reply, list) else [reply]:
-                channel.send(out)
+    def answer(channel: LineChannel, msg: dict) -> None:
+        if msg["op"] == "hello":
+            channel.send({"op": "hello-ack", "id": msg["id"], "catalog": catalog})
+            return
+        if requests is not None:
+            requests[msg["op"]] += 1
+        reply = respond(msg)
+        for out in reply if isinstance(reply, list) else [reply]:
+            channel.send(out)
 
-    return LineServer("tcp://127.0.0.1:0", serve)
+    server = LineServer("tcp://127.0.0.1:0", answer)
+    threading.Thread(target=server.serve, daemon=True).start()
+    return server
 
 
 def tank_language() -> ModelingLanguage:

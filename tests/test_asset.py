@@ -225,6 +225,23 @@ class TestPushFanOut:
             server.close()
 
 
+class TestOneLoopThread:
+    def test_a_server_with_three_connections_runs_one_thread(self):
+        before = set(threading.enumerate())
+        server = start_tank()
+        controls = [AssetControl(server.endpoint) for _ in range(3)]
+        try:
+            for control in controls:
+                control.step()  # each connection has been accepted and served
+            assert len(set(threading.enumerate()) - before) == 1
+            assert server.timestamp == 300
+        finally:
+            for control in controls:
+                control.close()
+            server.close()
+        assert set(threading.enumerate()) - before == set()  # close() joins the loop
+
+
 class TestAssetProcess:
     """The asset must be separately runnable; drive it as a real subprocess."""
 
@@ -273,6 +290,18 @@ class TestAssetProcess:
                 capture_output=True, text=True, timeout=30)
             assert proc.returncode == 2, args
             assert fragment in proc.stderr
+
+    def test_a_busy_listen_address_is_a_usage_error(self):
+        busy = socket.create_server(("127.0.0.1", 0))
+        try:
+            endpoint = f"tcp://127.0.0.1:{busy.getsockname()[1]}"
+            proc = subprocess.run([sys.executable, "-m", "twinrt.asset", "--listen", endpoint],
+                                  capture_output=True, text=True, timeout=30)
+        finally:
+            busy.close()
+        assert proc.returncode == 2
+        assert f"cannot listen on {endpoint}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_killed_process_disconnects_streams(self):
         proc, endpoint = self._spawn("--model", "tank")

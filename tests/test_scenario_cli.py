@@ -307,7 +307,9 @@ class TestControlSocket:
         ticker = threading.Event()
 
         def loop():
-            while not ticker.wait(0.02):
+            # control requests are answered between ticks, on this thread
+            while not ticker.is_set():
+                runtime.serve_control(0.02)
                 runtime.step_assets(1)
                 runtime.tick()
 
@@ -410,6 +412,98 @@ class TestControlSocket:
             channel.close()
 
 
+class TestControlBetweenTicks:
+    def test_control_clients_add_no_thread_and_the_runtime_has_no_lock(self, tmp_path):
+        import twinrt.runtime as runtime_mod
+        import twinrt.wire as wire_mod
+        from twinrt.wire import connect_channel
+
+        runtime = TwinRuntime(config_mod.load(DEMO_CONFIG), journal_path=tmp_path / "j.ndjson")
+        before = set(threading.enumerate())
+        endpoint = runtime.start_control("tcp://127.0.0.1:0")
+        channels = [connect_channel(endpoint) for _ in range(3)]
+        try:
+            for i, channel in enumerate(channels):
+                channel.send({"op": "ctl.status", "id": i})
+            runtime.serve_control()
+            assert [channel.recv()["id"] for channel in channels] == [0, 1, 2]
+            assert set(threading.enumerate()) - before == set()
+        finally:
+            for channel in channels:
+                channel.close()
+            runtime.close()
+        assert not hasattr(runtime, "lock")
+        assert "threading" not in vars(runtime_mod) and "threading" not in vars(wire_mod)
+
+    def test_a_status_sent_mid_scenario_is_answered_after_the_next_tick(self, tmp_path):
+        from twinrt.wire import connect_channel
+
+        runtime = TwinRuntime(config_mod.load(DEMO_CONFIG), journal_path=tmp_path / "j.ndjson")
+        endpoint = runtime.start_control("tcp://127.0.0.1:0")
+        channel = connect_channel(endpoint)
+        runner = ScenarioRunner(runtime)
+        try:
+            runner.run(scenario_mod.loads("- tick: 2\n"))
+            channel.send({"op": "ctl.status", "id": 1})
+            with pytest.raises(TimeoutError):  # nothing serves the socket during a step
+                channel.recv(time.monotonic() + 0.2)
+            runner.run(scenario_mod.loads("- tick\n"))
+            assert channel.recv(time.monotonic() + 5) == {
+                "op": "status", "id": 1, "twin": "demo-tank", "tick": 3}
+        finally:
+            channel.close()
+            runtime.close()
+
+    def test_timer_mode_answers_control_requests_while_it_waits(self):
+        import subprocess
+        import sys
+
+        from twinrt.wire import connect_channel
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "twinrt.cli", "run", "--config", str(DEMO_CONFIG),
+             "--timer", "10", "--max-ticks", "200", "--control", "tcp://127.0.0.1:0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            endpoint = proc.stdout.readline().split()[-1]
+            channel = connect_channel(endpoint)
+            try:
+                ticks = [channel.request({"op": "ctl.status", "id": i}, timeout=5)["tick"]
+                         for i in range(3)]
+            finally:
+                channel.close()
+            assert ticks == sorted(ticks) and 0 <= ticks[0] and ticks[-1] <= 200
+        finally:
+            out, err = proc.communicate(timeout=30)
+        assert proc.returncode == 0, err
+
+
+class TestListenFailures:
+    @pytest.fixture()
+    def busy(self):
+        import socket
+
+        sock = socket.create_server(("127.0.0.1", 0))
+        yield f"tcp://127.0.0.1:{sock.getsockname()[1]}"
+        sock.close()
+
+    def test_run_with_a_busy_control_address_exits_1(self, capsys, busy, tmp_path):
+        script = tmp_path / "s.yaml"
+        script.write_text("- tick\n")
+        assert main(["run", "--config", str(DEMO_CONFIG), "--script", str(script),
+                     "--control", busy]) == 1
+        assert f"error: cannot listen on {busy}" in capsys.readouterr().err
+
+    def test_a_simulated_gateway_on_a_busy_endpoint_fails_the_runtime(self, busy, tmp_path):
+        from twinrt.errors import ConnectFailed
+
+        config = tmp_path / "busy.yaml"
+        config.write_text(DEMO_CONFIG.read_text().replace(
+            "endpoint: tcp://127.0.0.1:0", f"endpoint: {busy}"))
+        with pytest.raises(ConnectFailed, match=f"cannot listen on {busy}"):
+            TwinRuntime(config_mod.load(config), journal_path=tmp_path / "j.ndjson")
+
+
 class TestExternalAsset:
     def test_runtime_drives_a_separate_asset_process(self, tmp_path):
         import subprocess
@@ -465,6 +559,18 @@ class _FakeClock:
 
 
 class TestRunTimerMode:
+    @pytest.mark.parametrize("flags,flag", [
+        (["--timer", "-50"], "--timer"),
+        (["--timer", "0"], "--timer"),
+        (["--timer", "5", "--max-ticks", "-2"], "--max-ticks"),
+        (["--timer", "5", "--max-ticks", "0"], "--max-ticks"),
+    ])
+    def test_a_flag_below_one_is_a_usage_error(self, capsys, flags, flag):
+        assert main(["run", "--config", str(DEMO_CONFIG), *flags]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} must be a positive integer" in captured.err
+        assert "running" not in captured.out
+
     def test_timer_mode_with_max_ticks(self, capsys, tmp_path):
         code = main(["run", "--config", str(DEMO_CONFIG), "--timer", "5",
                      "--max-ticks", "3", "--journal", str(tmp_path / "j.ndjson")])

@@ -230,6 +230,80 @@ class TestMediation:
             server.close()
 
 
+class Asker:
+    """Test service that asks one question through its client each tick."""
+
+    def __init__(self, ask):
+        self.ask = ask
+        self.answers = []
+
+    def on_tick(self, ctx):
+        try:
+            self.answers.append(self.ask(ctx))
+        except PermissionDenied as exc:
+            self.answers.append(exc)
+
+
+class TestServiceClientReads:
+    """query_data and read_gateway_property, called as a registered service calls them."""
+
+    def ask_each_tick(self, engine, grant, ask, ticks=2):
+        asker = Asker(ask)
+        engine.register_service(ServiceDescriptor(
+            "asker", ServiceGrant.parse(grant), hooks=(Hook("on-tick"),)), asker)
+        for t in range(1, ticks + 1):
+            engine.tick(t)
+        return asker.answers
+
+    def test_query_data_with_the_read_data_grant(self):
+        registry, data, engine, server = make_rig(mappings=[level_mapping()], valve=1.0)
+        try:
+            actual = Selector(origin_source="actual-system")
+            service = Selector(origin_source="service")
+            answers = self.ask_each_tick(engine, ["read-data"], lambda ctx: (
+                ctx.query_data(actual), ctx.query_data(), ctx.query_data(service)))
+            # each tick's hook runs after that tick's pull was recorded
+            assert [len(pulled) for pulled, _, _ in answers] == [1, 2]
+            assert answers[-1] == (data.query(actual), data.query(Selector()), [])
+        finally:
+            engine.close()
+            server.close()
+
+    def test_query_data_without_the_read_data_grant_is_denied(self):
+        registry, data, engine, server = make_rig(mappings=[level_mapping()])
+        try:
+            answers = self.ask_each_tick(engine, ["read-model:*"],
+                                         lambda ctx: ctx.query_data(), ticks=1)
+            assert [type(a) for a in answers] == [PermissionDenied]
+            assert answers[0].capability == "read-data"
+        finally:
+            engine.close()
+            server.close()
+
+    def test_read_gateway_property_with_its_grant(self):
+        registry, data, engine, server = make_rig(level=5.0)
+        try:
+            answers = self.ask_each_tick(engine, ["read-gateway:tank01"],
+                                         lambda ctx: ctx.read_gateway_property("tank01", "level"))
+            assert [a.value for a in answers] == [5.0, 5.0]
+            assert {a.element_name for a in answers} == {"level"}
+        finally:
+            engine.close()
+            server.close()
+
+    def test_read_gateway_property_without_its_grant_is_denied(self):
+        registry, data, engine, server = make_rig(level=5.0)
+        try:
+            answers = self.ask_each_tick(engine, ["read-model:*", "read-data"],
+                                         lambda ctx: ctx.read_gateway_property("tank01", "level"),
+                                         ticks=1)
+            assert [type(a) for a in answers] == [PermissionDenied]
+            assert answers[0].capability == "read-gateway:tank01"
+        finally:
+            engine.close()
+            server.close()
+
+
 class TestKpiMonitor:
     def register_kpi(self, engine, window=4, grant=("read-model:tank", "ingest-data")):
         engine.register_service(

@@ -1,10 +1,15 @@
+import threading
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twinrt.errors import ProtocolError
+from twinrt.errors import ConnectFailed, Disconnected, ProtocolError
 from twinrt.wire import (
+    LineServer,
     Transcript,
+    connect_channel,
     decode_message,
     encode_message,
     format_endpoint,
@@ -76,3 +81,108 @@ messages = st.fixed_dictionaries(
 @given(messages)
 def test_any_wire_message_round_trips(msg):
     assert decode_message(encode_message(msg)) == msg
+
+
+def _echo_server(on_close=lambda channel: None):
+    """A LineServer that answers each message with ``{"op": "ack", "id": ...}``."""
+    def answer(channel, msg):
+        channel.send({"op": "ack", "id": msg.get("id")})
+
+    return LineServer("tcp://127.0.0.1:0", answer, on_close)
+
+
+def _serve_in_background(server):
+    thread = threading.Thread(target=server.serve, daemon=True)
+    thread.start()
+    return thread
+
+
+class TestLineServer:
+    def test_a_half_line_does_not_delay_another_connections_reply(self):
+        server = _echo_server()
+        thread = _serve_in_background(server)
+        slow = connect_channel(server.endpoint)
+        fast = connect_channel(server.endpoint)
+        try:
+            slow._sock.sendall(b'{"id":1,"op":"pi')  # the rest never comes
+            started = time.monotonic()
+            assert fast.request({"op": "ping", "id": 2}, timeout=5) == {"op": "ack", "id": 2}
+            assert time.monotonic() - started < 1.0
+            # the half line is kept: completing it gets its reply
+            slow._sock.sendall(b'ng"}\n')
+            assert slow.recv(time.monotonic() + 5) == {"op": "ack", "id": 1}
+        finally:
+            slow.close()
+            fast.close()
+            server.close()
+            thread.join(timeout=5)
+
+    def test_a_malformed_line_closes_only_its_own_connection(self):
+        closed = []
+        server = _echo_server(closed.append)
+        thread = _serve_in_background(server)
+        bad = connect_channel(server.endpoint)
+        good = connect_channel(server.endpoint)
+        try:
+            assert good.request({"op": "ping", "id": 1}, timeout=5)["id"] == 1
+            bad._sock.sendall(b"not json\n")
+            with pytest.raises(Disconnected):
+                bad.recv(time.monotonic() + 5)
+            assert len(closed) == 1
+            assert good.request({"op": "ping", "id": 2}, timeout=5)["id"] == 2
+            assert len(closed) == 1
+        finally:
+            bad.close()
+            good.close()
+            server.close()
+            thread.join(timeout=5)
+
+    def test_serve_until_returns_by_its_deadline_without_traffic(self):
+        server = _echo_server()
+        try:
+            started = time.monotonic()
+            server.serve(started + 0.1)
+            assert 0.1 <= time.monotonic() - started < 0.5
+            server.serve(time.monotonic() - 1)  # a past deadline only polls
+            assert time.monotonic() - started < 0.5
+        finally:
+            server.close()
+
+    def test_serve_until_answers_what_is_waiting_and_returns(self):
+        server = _echo_server()
+        client = connect_channel(server.endpoint)
+        try:
+            client.send({"op": "ping", "id": 7})
+            server.serve(time.monotonic())  # accepts, reads and answers in one call
+            assert client.recv(time.monotonic() + 5) == {"op": "ack", "id": 7}
+        finally:
+            client.close()
+            server.close()
+
+    def test_close_from_another_thread_ends_serve_and_closes_every_socket(self):
+        server = _echo_server()
+        thread = _serve_in_background(server)
+        clients = [connect_channel(server.endpoint) for _ in range(2)]
+        try:
+            for i, client in enumerate(clients):
+                assert client.request({"op": "ping", "id": i}, timeout=5)["id"] == i
+            sockets = [key.fileobj for key in server._selector.get_map().values()]
+            assert len(sockets) == 4  # the listener, the wake-up socket and two connections
+            server.close()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            assert all(sock.fileno() == -1 for sock in sockets)
+            for client in clients:
+                with pytest.raises(Disconnected):
+                    client.recv(time.monotonic() + 5)
+        finally:
+            for client in clients:
+                client.close()
+
+    def test_a_busy_address_is_a_connect_failure_naming_it(self):
+        server = _echo_server()
+        try:
+            with pytest.raises(ConnectFailed, match=server.endpoint):
+                LineServer(server.endpoint, lambda channel, msg: None)
+        finally:
+            server.close()
