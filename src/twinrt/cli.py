@@ -239,9 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="twin", description="Digital twin runtime.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", help="twin configuration file")
+    def add_common(p):
+        p.add_argument("--config", help="twin configuration file")
         p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("classify", help="classify a configuration (model/shadow/twin)")

@@ -114,15 +114,6 @@ class TwinConfiguration:
                 return gw
         return None
 
-    def model(self, model_id: str) -> ModelConfig | None:
-        for model in self.models:
-            if model.model_id == model_id:
-                return model
-        return None
-
-    def to_dict(self) -> dict:
-        return _serialize(self)
-
 
 # --- parsing -----------------------------------------------------------------
 
@@ -471,109 +462,3 @@ def load(path: str | Path) -> TwinConfiguration:
         raise ConfigParseError(f"{path} is not UTF-8: {exc}") from exc
     return loads(text)
 
-
-# --- serialization -------------------------------------------------------------
-
-
-def _serialize_element(decl: GatewayElementDecl) -> dict:
-    if decl.kind is ElementKind.PROPERTY:
-        return {"name": decl.name, "kind": "property", "type": decl.value_type,
-                "access": decl.access.value}
-    if decl.kind is ElementKind.EVENT:
-        return {"name": decl.name, "kind": "event", "payload": decl.payload_type}
-    return {"name": decl.name, "kind": "function", "args": list(decl.arg_types),
-            "result": decl.result_type}
-
-
-def _serialize_trigger(trigger: Trigger) -> dict:
-    if trigger.kind is TriggerKind.GATEWAY_EVENT:
-        return {"gateway": trigger.gateway_id, "event": trigger.element}
-    if trigger.kind is TriggerKind.GATEWAY_CHANGE:
-        return {"gateway": trigger.gateway_id, "property": trigger.element}
-    return {"model": trigger.model_id, "element": trigger.element_id,
-            "property": trigger.property_name}
-
-
-def _serialize_mapping(mapping: Mapping) -> dict:
-    out: dict[str, Any] = {
-        "id": mapping.mapping_id,
-        "model": {"model": mapping.model_id, "element": mapping.element_id,
-                  "property": mapping.property_name},
-        "gateway": {"gateway": mapping.gateway_id, "property": mapping.gateway_property},
-        "direction": mapping.direction.value,
-    }
-    if mapping.schedule.every is not None:
-        out["schedule"] = {"every": mapping.schedule.every}
-    else:
-        out["schedule"] = {"trigger": _serialize_trigger(mapping.schedule.trigger)}
-    if not mapping.transform.is_identity or mapping.transform.unit is not None:
-        transform: dict[str, Any] = {"scale": mapping.transform.scale,
-                                     "offset": mapping.transform.offset}
-        if mapping.transform.unit is not None:
-            transform["unit"] = mapping.transform.unit
-        out["transform"] = transform
-    if not mapping.enabled:
-        out["enabled"] = False
-    return out
-
-
-def _serialize(config: TwinConfiguration) -> dict:
-    out: dict[str, Any] = {"twin": config.twin_id}
-    out["gateways"] = []
-    for gw in config.gateways:
-        entry: dict[str, Any] = {
-            "id": gw.descriptor.gateway_id,
-            "endpoint": gw.descriptor.endpoint,
-            "elements": [_serialize_element(e) for e in gw.descriptor.elements],
-        }
-        if gw.simulate is not None:
-            entry["simulate"] = {"model": gw.simulate.model, "step_ms": gw.simulate.step_ms,
-                                 "seed": gw.simulate.seed, "params": dict(gw.simulate.params)}
-        out["gateways"].append(entry)
-    out["languages"] = [
-        {"id": lang.language_id,
-         "kinds": {k: dict(lang.property_schemas.get(k, {})) for k in sorted(lang.element_kinds)},
-         "rules": [r.to_dict() for r in lang.rules]}
-        for lang in config.languages
-    ]
-    out["managers"] = [
-        {"id": m.manager_id, "models": list(m.models),
-         "delegations": [{"operator": d.operator, "model": d.model_pattern, "to": d.target}
-                         for d in m.delegations]}
-        for m in config.managers
-    ]
-    out["models"] = [
-        {"id": m.model_id, "language": m.language_id, "mode": m.mode.value,
-         "last_update": m.last_update,
-         "elements": [{"id": e.element_id, "kind": e.kind,
-                       "properties": {n: p.value for n, p in sorted(e.properties.items())}}
-                      for e in m.elements]}
-        for m in config.models
-    ]
-    out["mappings"] = [_serialize_mapping(m) for m in config.mappings]
-    out["services"] = []
-    for svc in config.services:
-        entry = {"id": svc.service_id}
-        if svc.builtin is not None:
-            entry["builtin"] = svc.builtin
-        if svc.params:
-            entry["params"] = dict(svc.params)
-        if svc.grant is not None:
-            entry["grant"] = svc.grant.to_list()
-        if svc.hooks:
-            hooks: list[Any] = []
-            for hook in svc.hooks:
-                if hook.kind == "on-event":
-                    hooks.append({"on-event": {"gateway": hook.gateway_id, "event": hook.event}})
-                else:
-                    hooks.append(hook.kind)
-            entry["hooks"] = hooks
-        out["services"].append(entry)
-    out["data"] = {"journal": config.data.journal,
-                   "mandatory_metadata": config.data.mandatory_metadata,
-                   "model_linkage": config.data.model_linkage}
-    return out
-
-
-def dumps(config: TwinConfiguration) -> str:
-    return yaml.safe_dump(config.to_dict(), sort_keys=False, default_flow_style=False)

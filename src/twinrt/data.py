@@ -387,9 +387,7 @@ class DataManager:
     # --- persistence ---
 
     @classmethod
-    def reload(cls, journal_path: str | Path, resolver: RefResolver | None = None,
-               enforce_mandatory: bool = True, allow_linkage: bool = True,
-               reopen: bool = False) -> "DataManager":
+    def reload(cls, journal_path: str | Path, reopen: bool = False) -> "DataManager":
         """Rebuild a manager by replaying a journal.
 
         Every complete (newline-terminated, well-formed) entry is applied; a
@@ -405,8 +403,7 @@ class DataManager:
 
         # everything after the final newline is an unterminated tail: discard
         lines = blob.split(b"\n")[:-1]
-        manager = cls(journal_path=None, resolver=None,
-                      enforce_mandatory=enforce_mandatory, allow_linkage=allow_linkage)
+        manager = cls()
         last = len(lines) - 1
         for i, line in enumerate(lines):
             try:
@@ -416,7 +413,6 @@ class DataManager:
                     break  # trailing torn entry: a crash can also tear the line content
                 raise CorruptJournal(f"journal entry {i + 1} is malformed: {exc}",
                                      line_no=i + 1) from exc
-        manager.resolver = resolver
         if reopen:
             manager._journal_path = path
             try:

@@ -163,11 +163,6 @@ class EventOccurrence:
     asset_timestamp: int
 
 
-@dataclass(frozen=True)
-class Acknowledgement:
-    asset_timestamp: int
-
-
 class Stream:
     """Ordered stream of samples or event occurrences pushed by the asset.
 
@@ -363,13 +358,12 @@ class GatewayHandle:
         except KeyError as exc:
             raise ProtocolError(f"value response missing field {exc}") from exc
 
-    def write_property(self, name: str, value: Value) -> Acknowledgement:
+    def write_property(self, name: str, value: Value) -> None:
         decl = self._decl(name, ElementKind.PROPERTY)
         if decl.access is not PropertyAccess.READ_WRITE:
             raise ReadOnlyViolation(f"{self.gateway_id}: property {name!r} is read-only")
         check_value(value, decl.value_type)
-        reply = self._expect(self._request({"op": "write", "element": name, "value": value}), "ack")
-        return Acknowledgement(asset_timestamp=reply.get("ts", 0))
+        self._expect(self._request({"op": "write", "element": name, "value": value}), "ack")
 
     def observe_property(self, name: str) -> Stream:
         return self._open_stream(name, ElementKind.PROPERTY, "observe")

@@ -177,15 +177,6 @@ class PropertyRule:
         return [f"{self.rule_id}: {model_id}/{element.element_id}."
                 f"{self.property_name}={left!r} violates {self.op} {right!r}"]
 
-    def to_dict(self) -> dict:
-        out = {"id": self.rule_id, "kind": self.kind, "property": self.property_name,
-               "op": self.op}
-        if self.other_property is not None:
-            out["other"] = self.other_property
-        else:
-            out["bound"] = self.bound
-        return out
-
 
 @dataclass(frozen=True)
 class CallableRule:

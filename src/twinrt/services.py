@@ -54,12 +54,6 @@ class ServiceGrant:
     def allows(self, kind: str, target: str) -> bool:
         return (kind, "*") in self.entries or (kind, target) in self.entries
 
-    def to_list(self) -> list[str]:
-        out = []
-        for kind, target in sorted(self.entries):
-            out.append(kind if kind in _UNTARGETED else f"{kind}:{target}")
-        return out
-
 
 @dataclass(frozen=True)
 class Hook:

@@ -86,21 +86,17 @@ class LineChannel:
     time. EOF or transport errors surface as Disconnected.
     """
 
-    def __init__(self, sock: socket.socket, transcript: Transcript | None = None,
-                 transcript_side: str = "C"):
+    def __init__(self, sock: socket.socket, transcript: Transcript | None = None):
         self._sock = sock
         self._buf = b""
-        self._transcript = transcript
-        # direction labels depend on which side is recording
-        self._send_dir = transcript_side
-        self._recv_dir = "S" if transcript_side == "C" else "C"
+        self._transcript = transcript  # recorded from the client side
 
     def send(self, msg: dict[str, Any]) -> None:
         self.send_raw(encode_message(msg))
 
     def send_raw(self, raw: bytes) -> None:
         if self._transcript is not None:
-            self._transcript.record(self._send_dir, raw)
+            self._transcript.record("C", raw)
         try:
             self._sock.sendall(raw)
         except OSError as exc:
@@ -124,7 +120,7 @@ class LineChannel:
         self._buf = rest
         msg = decode_message(line + sep)
         if self._transcript is not None:
-            self._transcript.record(self._recv_dir, line + sep)
+            self._transcript.record("S", line + sep)
         return msg
 
     def _read(self, deadline: float | None) -> None:
@@ -191,7 +187,7 @@ def connect_channel(endpoint: str, timeout: float = 5.0,
     except OSError as exc:
         raise ConnectionError(f"cannot connect to {endpoint}: {exc}") from exc
     sock.settimeout(timeout)
-    return LineChannel(sock, transcript=transcript, transcript_side="C")
+    return LineChannel(sock, transcript=transcript)
 
 
 class LineServer:
@@ -232,7 +228,7 @@ class LineServer:
                     if key.fileobj is self._listener:
                         conn, _addr = self._listener.accept()
                         self._selector.register(conn, selectors.EVENT_READ,
-                                                LineChannel(conn, transcript_side="S"))
+                                                LineChannel(conn))
                     elif key.data is not None:
                         self._on_readable(key.fileobj, key.data)
         finally:

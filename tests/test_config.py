@@ -44,15 +44,6 @@ class TestParseDemo:
         assert kpi.grant.allows("read-model", "tank")
         assert kpi.descriptor().hooks[0].kind == "on-tick"
 
-    def test_round_trip_structural_equality(self, demo_config):
-        text = config_mod.dumps(demo_config)
-        assert config_mod.loads(text) == demo_config
-
-    def test_double_round_trip_is_stable(self, demo_config):
-        once = config_mod.dumps(demo_config)
-        twice = config_mod.dumps(config_mod.loads(once))
-        assert once == twice
-
 
 # an otherwise valid mapping, open for its schedule and transform
 MAPPING = ("mappings:\n  - {id: m, model: {model: a, element: b, property: c}, "

@@ -37,9 +37,9 @@ def under(loader, fn, *args):
 
 
 def outcome(text: str):
-    """What ``config.loads`` makes of ``text``: the dict form or the error text."""
+    """What ``config.loads`` makes of ``text``: the configuration or the error text."""
     try:
-        return config_mod.loads(text).to_dict()
+        return config_mod.loads(text)
     except ConfigParseError as exc:
         return ("error", str(exc))
 
@@ -85,7 +85,7 @@ class TestLoadersAgree:
     ])
     def test_configurations(self, text):
         c_config = under(C_LOADER, config_mod.loads, text)
-        assert c_config.to_dict() == under(yaml.SafeLoader, config_mod.loads, text).to_dict()
+        assert c_config == under(yaml.SafeLoader, config_mod.loads, text)
         assert len(c_config.mappings) >= 2
 
     def test_demo_scenario(self):
@@ -238,7 +238,7 @@ def test_duplicate_id_check_matches_reference(doc):
         {name: [item["id"] for item in doc[key]] for name, key in sections.items()})
     result = outcome(yaml.safe_dump(doc))
     if expected is None:
-        assert isinstance(result, dict)
+        assert isinstance(result, config_mod.TwinConfiguration)
     else:
         assert result == ("error", expected)
 

@@ -3,6 +3,7 @@ import threading
 import time
 
 import pytest
+import yaml
 
 from conftest import DEMO_CONFIG, DEMO_SCENARIO
 
@@ -516,15 +517,12 @@ class TestExternalAsset:
         try:
             endpoint = proc.stdout.readline().split(" ", 1)[1].strip()
             # external asset: point the gateway at the process, drop simulate
-            from dataclasses import replace
-
-            cfg = config_mod.load(DEMO_CONFIG)
-            gw = cfg.gateways[0]
-            external = replace(gw, simulate=None,
-                               descriptor=replace(gw.descriptor, endpoint=endpoint))
-            cfg = replace(cfg, gateways=(external,))
+            doc = yaml.safe_load(DEMO_CONFIG.read_text())
+            gateway = doc["gateways"][0]
+            gateway["endpoint"] = endpoint
+            del gateway["simulate"]
             config_path = tmp_path / "external.yaml"
-            config_path.write_text(config_mod.dumps(cfg))
+            config_path.write_text(yaml.safe_dump(doc))
             script = tmp_path / "s.yaml"
             script.write_text("""
 steps:
