@@ -56,25 +56,32 @@ def _lax_encode(msg: dict[str, Any]) -> bytes:
 
 
 class AssetModel:
-    """State and behavior of one simulated asset."""
+    """State and behavior of one simulated asset.
+
+    ``catalog`` is a class attribute: a model class declares its elements
+    once, and every instance serves the same ones.
+    """
 
     model_name = "base"
+    catalog: tuple[GatewayElementDecl, ...] = ()
+    _decls: dict[str, GatewayElementDecl] = {}  # catalog by element name
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._decls = {d.name: d for d in cls.catalog}
 
     def __init__(self) -> None:
         self._pending_events: list[tuple[str, Value]] = []
 
-    @property
-    def catalog(self) -> list[GatewayElementDecl]:
-        raise NotImplementedError
-
     def _decl(self, name: str, kind: ElementKind) -> GatewayElementDecl:
         """The declaration of element ``name``, which must be of ``kind``."""
-        for d in self.catalog:
-            if d.name == name:
-                if d.kind is not kind:
-                    raise WrongKind(f"{name!r} is a {d.kind.value}")
-                return d
-        raise NoSuchElement(f"no element {name!r}")
+        # a name off the wire may be any JSON value, a list or an object too
+        d = self._decls.get(name) if isinstance(name, str) else None
+        if d is None:
+            raise NoSuchElement(f"no element {name!r}")
+        if d.kind is not kind:
+            raise WrongKind(f"{name!r} is a {d.kind.value}")
+        return d
 
     def read(self, name: str) -> Value:
         self._decl(name, ElementKind.PROPERTY)
@@ -152,14 +159,12 @@ class TankModel(AssetModel):
         self.noise = float(noise)
         self._rng = random.Random(seed)
 
-    @property
-    def catalog(self) -> list[GatewayElementDecl]:
-        return [
-            property_decl("level", "real", PropertyAccess.READ_ONLY),
-            property_decl("valve", "real", PropertyAccess.READ_WRITE),
-            event_decl("overflow", "real"),
-            function_decl("flush", [], "boolean"),
-        ]
+    catalog = (
+        property_decl("level", "real", PropertyAccess.READ_ONLY),
+        property_decl("valve", "real", PropertyAccess.READ_WRITE),
+        event_decl("overflow", "real"),
+        function_decl("flush", [], "boolean"),
+    )
 
     def state(self) -> dict[str, Value]:
         return {"level": self.level, "valve": self.valve}
@@ -203,18 +208,16 @@ class EchoModel(AssetModel):
         super().__init__()
         self._props: dict[str, Value] = {"pad": "", "gain": 1.0, "count": 0, "lit": False}
 
-    @property
-    def catalog(self) -> list[GatewayElementDecl]:
-        return [
-            property_decl("pad", "text", PropertyAccess.READ_WRITE),
-            property_decl("gain", "real", PropertyAccess.READ_WRITE),
-            property_decl("count", "integer", PropertyAccess.READ_WRITE),
-            property_decl("lit", "boolean", PropertyAccess.READ_WRITE),
-            event_decl("pulse", "integer"),
-            function_decl("echo", ["text"], "text"),
-            function_decl("sum", ["real", "real"], "real"),
-            function_decl("div", ["real", "real"], "real"),
-        ]
+    catalog = (
+        property_decl("pad", "text", PropertyAccess.READ_WRITE),
+        property_decl("gain", "real", PropertyAccess.READ_WRITE),
+        property_decl("count", "integer", PropertyAccess.READ_WRITE),
+        property_decl("lit", "boolean", PropertyAccess.READ_WRITE),
+        event_decl("pulse", "integer"),
+        function_decl("echo", ["text"], "text"),
+        function_decl("sum", ["real", "real"], "real"),
+        function_decl("div", ["real", "real"], "real"),
+    )
 
     def state(self) -> dict[str, Value]:
         return dict(self._props)

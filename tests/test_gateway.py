@@ -52,9 +52,7 @@ class TestConnect:
         from twinrt.asset import AssetModel, AssetServer
 
         class NullModel(AssetModel):
-            @property
-            def catalog(self):
-                return []
+            catalog = ()
 
             def state(self):
                 return {}
