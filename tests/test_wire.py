@@ -30,8 +30,6 @@ def test_round_trip():
 @pytest.mark.parametrize("line", [
     b"not json\n",
     b"[1,2,3]\n",              # not an object
-    b'{"id": 1}\n',            # no op
-    b'{"op": 5}\n',            # op not a string
     b'{"op":"value","value":NaN}\n',
     b'{"op":"value","value":Infinity}\n',
     b'{"op":"value","value":-Infinity}\n',
@@ -95,6 +93,24 @@ def _serve_in_background(server):
     thread = threading.Thread(target=server.serve, daemon=True)
     thread.start()
     return thread
+
+
+@pytest.mark.parametrize("line", [
+    b'{"id": 1}\n',            # no op
+    b'{"op": 5}\n',            # op not a string
+])
+def test_request_rejects_a_line_without_text_op(line):
+    server = LineServer("tcp://127.0.0.1:0", lambda channel, msg: channel.send_raw(line))
+    thread = _serve_in_background(server)
+    client = connect_channel(server.endpoint)
+    try:
+        with pytest.raises(ProtocolError):
+            client.request({"op": "ping", "id": 1}, timeout=5)
+        assert client._sock.fileno() == -1  # the request closed the channel
+    finally:
+        client.close()
+        server.close()
+        thread.join(timeout=5)
 
 
 class TestLineServer:
