@@ -31,14 +31,15 @@ def encode_message(msg: dict[str, Any]) -> bytes:
 
 
 def decode_message(line: bytes) -> dict[str, Any]:
-    """Parse one wire line into a message object, rejecting non-finite numbers."""
+    """Parse one wire line into a message object, rejecting non-finite numbers.
+
+    The ``op`` is not checked here: a server answers a request without a
+    text ``op`` with an error reply, and ``LineChannel.request`` refuses a
+    reply or push without one."""
     try:
-        msg = strict_loads(line)
+        return strict_loads(line)
     except ValueError as exc:
         raise ProtocolError(f"malformed message: {exc}") from exc
-    if not isinstance(msg.get("op"), str):
-        raise ProtocolError("message lacks an op field")
-    return msg
 
 
 def parse_endpoint(endpoint: str) -> tuple[str, int]:
@@ -143,9 +144,10 @@ class LineChannel:
         """Send ``msg`` (which carries its ``id``) and read until its reply.
 
         Messages without an ``id`` that arrive first are pushes: they go to
-        ``on_push``, or are dropped when there is none. A reply with another
-        ``id`` is a ProtocolError; no reply within ``timeout`` seconds is
-        Disconnected("request timed out"). Either fault, like any transport
+        ``on_push``, or are dropped when there is none. A message without a
+        text ``op``, or a reply with another ``id``, is a ProtocolError; no
+        reply within ``timeout`` seconds is
+        Disconnected("request timed out"). Each fault, like any transport
         or protocol error, closes the channel, so a late reply can never be
         taken for the answer to a later request. An ``error`` reply is
         returned like any other; its meaning is the caller's.
@@ -158,6 +160,8 @@ class LineChannel:
                     reply = self.recv(deadline)
                 except TimeoutError:
                     raise Disconnected("request timed out") from None
+                if not isinstance(reply.get("op"), str):
+                    raise ProtocolError("message lacks an op field")
                 if "id" not in reply:
                     if on_push is not None:
                         on_push(reply)

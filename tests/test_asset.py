@@ -191,6 +191,19 @@ class TestStepCount:
             channel.close()
 
 
+class TestRequestWithoutTextOp:
+    @pytest.mark.parametrize("msg", [{"op": 5, "id": 3}, {"op": None, "id": 3}, {"id": 3}],
+                             ids=["integer", "null", "missing"])
+    def test_it_gets_a_protocol_error_and_the_connection_stays_open(self, tank_server, msg):
+        channel = LineChannel(socket.create_connection(parse_endpoint(tank_server.endpoint)))
+        try:
+            reply = channel.request(msg, timeout=5)
+            assert (reply["op"], reply["code"], reply["id"]) == ("error", "PROTOCOL", 3)
+            assert channel.request({"op": "ping", "id": 4}, timeout=5) == {"op": "pong", "id": 4}
+        finally:
+            channel.close()
+
+
 class TestTimestamps:
     def test_timestamp_is_steps_times_step_ms(self):
         server = start_tank(step_ms=250)

@@ -403,3 +403,40 @@ class TestRequestTimeout:
             handle.close()
         finally:
             server.close()
+
+
+class TestMessagesWithoutTextOp:
+    @pytest.mark.parametrize("respond", [
+        lambda msg: {"id": msg["id"]},
+        lambda msg: {"op": 5, "id": msg["id"]},
+        lambda msg: [{"element": "level", "value": 1.0, "ts": 0, "seq": 1}, plain_reply(msg)],
+        lambda msg: [{"op": ["update"], "element": "level", "value": 1.0, "ts": 0, "seq": 1},
+                     plain_reply(msg)],
+    ], ids=["reply-no-op", "reply-op-integer", "push-no-op", "push-op-list"])
+    def test_a_reply_or_push_without_text_op_kills_the_handle(self, respond):
+        server = start_scripted_tank(respond)
+        try:
+            handle = connect(tank_descriptor(server.endpoint))
+            with pytest.raises(ProtocolError, match="lacks an op"):
+                handle.ping()
+            assert not handle.is_alive
+            handle.close()
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("push", [
+        {"element": "level", "value": 1.0, "ts": 0, "seq": 1},
+        {"op": 5, "element": "level", "value": 1.0, "ts": 0, "seq": 1},
+    ], ids=["no-op", "op-integer"])
+    def test_a_push_without_text_op_read_by_a_stream_kills_the_handle(self, push):
+        # the push follows the observe reply, so the stream's own read meets it
+        server = start_scripted_tank(lambda msg: [plain_reply(msg), push])
+        try:
+            handle = connect(tank_descriptor(server.endpoint))
+            stream = handle.observe_property("level")
+            assert stream.get(timeout=5) is None
+            assert stream.end_cause == "protocol-error"
+            assert not handle.is_alive
+            handle.close()
+        finally:
+            server.close()

@@ -396,8 +396,10 @@ class TestControlSocket:
          "request": {"kind": "read-model-property", "model": "tank", "element": "main",
                      "property": "capacity"}},
         {"op": "ctl.call", "service": "kpi", "request": ["x"]},
+        {"op": [1]},
+        {},
     ], ids=["tick-list", "tick-text", "selector-list", "invoke-gateway-list",
-            "invoke-args-int", "call-service-list", "call-request-list"])
+            "invoke-args-int", "call-service-list", "call-request-list", "op-list", "no-op"])
     def test_malformed_request_gets_a_protocol_error(self, running_twin, msg):
         from twinrt.wire import connect_channel
 
