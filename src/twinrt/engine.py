@@ -220,7 +220,7 @@ class _Observation:
 @dataclass
 class _Edit:
     tick: int
-    cause: str  # "operator" | "service:<id>" | "restore"
+    cause: str  # "operator" | "service:<id>"
 
 
 @dataclass
