@@ -42,7 +42,7 @@ from .services import Hook, ServiceDescriptor, ServiceGrant
 from .values import VALUE_TYPES, fit_value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimulatedAsset:
     model: str
     step_ms: int = 100
@@ -50,27 +50,27 @@ class SimulatedAsset:
     params: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GatewayConfig:
     descriptor: GatewayDescriptor
     simulate: SimulatedAsset | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DelegationConfig:
     operator: str
     target: str
     model_pattern: str = "*"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManagerConfig:
     manager_id: str
     models: tuple[str, ...] = ()
     delegations: tuple[DelegationConfig, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelConfig:
     model_id: str
     language_id: str
@@ -79,7 +79,7 @@ class ModelConfig:
     elements: tuple[ModelElement, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceConfig:
     service_id: str
     builtin: str | None = None
@@ -94,14 +94,14 @@ class ServiceConfig:
         return ServiceDescriptor(service_id=self.service_id, grant=self.grant, hooks=hooks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataConfig:
     journal: str | None = None
     mandatory_metadata: bool = True
     model_linkage: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwinConfiguration:
     twin_id: str
     gateways: tuple[GatewayConfig, ...] = ()

@@ -29,7 +29,7 @@ class TwinCategory(str, Enum):
     DIGITAL_TWIN = "digital-twin"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Classification:
     category: TwinCategory
     evidence: tuple[str, ...]  # mapping ids justifying the verdict
@@ -44,7 +44,7 @@ class RuleStatus(str, Enum):
     NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleResult:
     conclusion: str
     title: str
@@ -56,7 +56,7 @@ class RuleResult:
                 "status": self.status.value, "findings": list(self.findings)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConformanceReport:
     results: tuple[RuleResult, ...]
 

@@ -70,7 +70,7 @@ def _check_property_value(ptype: PropertyType, value: Value) -> None:
             raise SchemaViolation("last-update must be a non-negative tick number")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataProperty:
     property_type: PropertyType
     value: Value
@@ -130,7 +130,7 @@ def last_update(tick: int) -> DataProperty:
     return DataProperty(PropertyType.LAST_UPDATE, tick)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelElementRef:
     """Reference to a model element, optionally narrowed to one property."""
 
@@ -150,7 +150,7 @@ class ModelElementRef:
         return cls(model_id=obj[0], element_id=obj[1], property_name=obj[2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataRecord:
     record_id: int
     value: Value
@@ -171,7 +171,7 @@ class DataRecord:
                 "link": self.model_link.to_list() if self.model_link else None}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Selector:
     """Conjunctive record filter; an empty selector matches every record."""
 

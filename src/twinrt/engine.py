@@ -104,7 +104,7 @@ class TriggerKind(str, Enum):
     MODEL_CHANGE = "model-change"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trigger:
     kind: TriggerKind
     gateway_id: str | None = None
@@ -119,7 +119,7 @@ class Trigger:
         return (self.kind.value, self.gateway_id, self.element)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Schedule:
     """Either every n ticks (n >= 1) or on a trigger occurrence."""
 
@@ -133,7 +133,7 @@ class Schedule:
             raise ValueError("schedule period must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transform:
     """Affine value transform applied in the AS-to-DT direction.
 
@@ -172,7 +172,7 @@ class Transform:
             raise TransformFailure(str(exc)) from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mapping:
     mapping_id: str
     model_id: str
@@ -195,7 +195,7 @@ class Mapping:
         return self._model_ref
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SyncDecision:
     tick: int
     mapping_id: str
@@ -211,19 +211,19 @@ class SyncDecision:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class _Observation:
     tick: int
     value: Value
 
 
-@dataclass
+@dataclass(slots=True)
 class _Edit:
     tick: int
     cause: str  # "operator" | "service:<id>"
 
 
-@dataclass
+@dataclass(slots=True)
 class _ServiceState:
     descriptor: ServiceDescriptor
     impl: Any
@@ -427,11 +427,9 @@ class Engine:
             elif kind in ("read-gateway", "command-gateway"):
                 if target not in self._gateways:
                     raise DanglingGrantTarget(f"grant names unknown gateway {target!r}")
-        client = ServiceClient(self, descriptor.service_id)
-        client.report = lambda message: self._notice(  # type: ignore[attr-defined]
-            service=descriptor.service_id, event="error", detail=message)
         self._services[descriptor.service_id] = _ServiceState(
-            descriptor=descriptor, impl=impl, client=client)
+            descriptor=descriptor, impl=impl,
+            client=ServiceClient(self, descriptor.service_id))
         for hook in descriptor.hooks:
             if hook.kind == "on-event":
                 self._open_stream(hook.gateway_id, hook.event, "subscribe_event")
@@ -452,10 +450,19 @@ class Engine:
 
     # --- mediation ---
 
-    def mediate_service_call(self, service_id: str, request: ServiceRequest):
+    def _service(self, service_id: str) -> _ServiceState:
         svc = self._services.get(service_id)
         if svc is None:
             raise PermissionDenied(f"service {service_id!r} is not registered")
+        return svc
+
+    def report_service_error(self, service_id: str, message: str) -> None:
+        """Record, as an ``error`` notice, a failure the service handled itself."""
+        self._service(service_id)
+        self._notice(service=service_id, event="error", detail=message)
+
+    def mediate_service_call(self, service_id: str, request: ServiceRequest):
+        svc = self._service(service_id)
         kind, target = required_capability(request)
         allowed = svc.descriptor.effective_grant.allows(kind, target)
         self.mediated_log.append({"tick": self.effective_tick(), "service": service_id,
@@ -731,8 +738,20 @@ class Engine:
                          detail=str(exc))
 
     def close(self) -> None:
+        """Close every gateway, unwire the engine from the registry and drop
+        the services, whose clients hold the engine. No reference cycle then
+        holds the engine: it is freed with its last reference. A service
+        client called after close is refused like an unregistered service."""
         for handle in self._gateways.values():
             try:
                 handle.close()
             except TwinError:
                 pass
+        registry = self.registry
+        if registry.tick_supplier == self.effective_tick:
+            registry.tick_supplier = lambda: 0  # as in a registry no engine drives
+        for listeners, mine in ((registry.change_listeners, self._on_model_change),
+                                (registry.mode_listeners, self._on_mode_change)):
+            if mine in listeners:
+                listeners.remove(mine)
+        self._services.clear()

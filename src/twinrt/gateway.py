@@ -48,7 +48,7 @@ class PropertyAccess(str, Enum):
     READ_WRITE = "rw"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GatewayElementDecl:
     """Declaration of one gateway element.
 
@@ -126,7 +126,7 @@ def function_decl(name: str, arg_types: tuple[str, ...] | list[str],
                               arg_types=tuple(arg_types), result_type=result_type)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GatewayDescriptor:
     gateway_id: str
     endpoint: str
@@ -148,7 +148,7 @@ class GatewayDescriptor:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueSample:
     element_name: str
     value: Value
@@ -156,7 +156,7 @@ class ValueSample:
     sequence_no: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventOccurrence:
     name: str
     payload: Value
@@ -171,19 +171,21 @@ class Stream:
     before its reply. ``drain`` and ``empty`` look only at what has been
     routed so far; ``get`` waits for the next push by reading through the
     handle. When the connection dies the stream terminates and ``end_cause``
-    distinguishes why ("disconnected", "protocol-error" or "closed").
+    distinguishes why ("disconnected", "protocol-error" or "closed"). An
+    ended stream lets go of its handle, so the two form no reference cycle.
     """
 
     def __init__(self, element: str, kind: ElementKind, handle: "GatewayHandle"):
         self.element = element
         self.kind = kind  # PROPERTY streams take updates, EVENT streams events
-        self._handle = handle
+        self._handle: GatewayHandle | None = handle
         self._items: deque = deque()
         self._end_cause: str | None = None
 
     def _end(self, cause: str) -> None:
         if self._end_cause is None:
             self._end_cause = cause
+        self._handle = None
 
     @property
     def end_cause(self) -> str | None:
@@ -198,7 +200,7 @@ class Stream:
         """Next item, or None if the stream ended or the timeout elapsed."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while not self._items:
-            if self._end_cause is not None or not self._handle._read_push(deadline):
+            if self._handle is None or not self._handle._read_push(deadline):
                 return None
         return self._items.popleft()
 
@@ -241,7 +243,9 @@ class GatewayHandle:
     the streams, and ``Stream.get`` reads when it waits. Pushes sent while
     nothing reads wait in the kernel's socket buffers, so a dead
     connection is seen by the next call that reads. Once disconnected the
-    handle is dead and must be re-created.
+    handle is dead and must be re-created. A dead handle keeps only the
+    message of the fault that killed it: the fault's traceback holds frames
+    that hold the handle.
     """
 
     def __init__(self, descriptor: GatewayDescriptor, channel: LineChannel):
@@ -253,7 +257,7 @@ class GatewayHandle:
         self._streams: dict[str, Stream] = {}  # element names are unique
         # read-only view of the open streams by element name
         self.streams: Mapping[str, Stream] = MappingProxyType(self._streams)
-        self._dead: TwinError | None = None
+        self._dead: str | None = None  # why the handle died
 
     # --- connection lifecycle ---
 
@@ -268,7 +272,7 @@ class GatewayHandle:
         """Mark the handle dead, end its streams and drop the connection;
         returns ``error``."""
         if self._dead is None:
-            self._dead = error
+            self._dead = str(error)
             if cause is None:
                 cause = "protocol-error" if isinstance(error, ProtocolError) else "disconnected"
             for stream in self._streams.values():
@@ -318,7 +322,7 @@ class GatewayHandle:
     def _request(self, msg: dict[str, Any], timeout: float = 10.0) -> dict[str, Any]:
         with self._lock:
             if self._dead is not None:
-                raise Disconnected(str(self._dead)) from self._dead
+                raise Disconnected(self._dead)
             try:
                 reply = self._channel.request(dict(msg, id=next(self._ids)), timeout,
                                               self._route)
@@ -374,7 +378,7 @@ class GatewayHandle:
     def _open_stream(self, name: str, kind: ElementKind, op: str) -> Stream:
         self._decl(name, kind)
         if self._dead is not None:
-            raise Disconnected(str(self._dead))
+            raise Disconnected(self._dead)
         stream = self._streams.get(name)
         if stream is None or stream.end_cause is not None:
             stream = Stream(name, kind, self)

@@ -47,14 +47,14 @@ class ModelMode(str, Enum):
     OFFLINE = "offline"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelProperty:
     name: str
     value: Value
     property_type: PropertyType | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ModelElement:
     element_id: str
     kind: str
@@ -65,7 +65,7 @@ class ModelElement:
         return prop.value if prop is not None else None
 
 
-@dataclass
+@dataclass(slots=True)
 class Model:
     model_id: str
     language_id: str
@@ -129,7 +129,7 @@ class RuleContext:
         self.models = models
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropertyRule:
     """Declarative integrity rule on elements of one kind.
 
@@ -178,7 +178,7 @@ class PropertyRule:
                 f"{self.property_name}={left!r} violates {self.op} {right!r}"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallableRule:
     """Programmatically registered rule; not expressible in configuration."""
 
@@ -189,7 +189,7 @@ class CallableRule:
         return self.fn(model, context)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelingLanguage:
     language_id: str
     element_kinds: frozenset[str]
@@ -200,13 +200,13 @@ class ModelingLanguage:
         return self.property_schemas.get(kind, {})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DelegationRule:
     model_pattern: str
     target: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperatorDef:
     operator_id: str
     applicable_language: str  # language_id or "*"
@@ -215,7 +215,7 @@ class OperatorDef:
     delegations: tuple[DelegationRule, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperatorOutcome:
     model_id: str
     operator_id: str
@@ -225,7 +225,7 @@ class OperatorOutcome:
     tick: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelSnapshot:
     """Preserved model content; restoring yields an Offline copy.
 

@@ -27,13 +27,13 @@ STEP_KINDS = ("tick", "asset-set", "asset-raise", "model-edit", "service-on",
               "service-off", "expect-model", "expect-decision", "expect-record-count")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioStep:
     kind: str
     payload: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioScript:
     steps: tuple[ScenarioStep, ...]
 

@@ -29,7 +29,7 @@ CAPABILITY_KINDS = ("read-model", "write-model", "read-data", "ingest-data",
 _UNTARGETED = ("read-data", "ingest-data")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceGrant:
     """Positive-only capability set; an empty grant denies everything."""
 
@@ -55,7 +55,7 @@ class ServiceGrant:
         return (kind, "*") in self.entries or (kind, target) in self.entries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hook:
     kind: str  # "on-tick" | "on-decision" | "on-event"
     gateway_id: str | None = None
@@ -68,7 +68,7 @@ class Hook:
             raise ValueError("on-event hook requires gateway_id and event")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceDescriptor:
     service_id: str
     grant: ServiceGrant | None = None  # None = not explicitly gated (audit flags it)
@@ -81,14 +81,14 @@ class ServiceDescriptor:
 
 # --- mediated requests --------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadModelProperty:
     model_id: str
     element_id: str
     property_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApplyOperator:
     manager_id: str
     operator_id: str
@@ -96,12 +96,12 @@ class ApplyOperator:
     args: dict[str, Value] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryData:
     selector: Selector = field(default_factory=Selector)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IngestProcessed:
     value: Value
     timeliness: str = HISTORICAL
@@ -109,13 +109,13 @@ class IngestProcessed:
     link: ModelElementRef | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadGatewayProperty:
     gateway_id: str
     property_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvokeFunction:
     gateway_id: str
     function: str
@@ -223,6 +223,10 @@ class ServiceClient:
         return self._mediator.mediate_service_call(
             self.service_id, InvokeFunction(gateway_id, function, tuple(args)))
 
+    def report(self, message: str) -> None:
+        """Record a failure the service handled itself as an ``error`` notice."""
+        self._mediator.report_service_error(self.service_id, message)
+
 
 # --- built-in services ---------------------------------------------------------
 
@@ -279,9 +283,7 @@ class ThresholdGuard:
                 except PermissionDenied:
                     raise
                 except TwinError as exc:
-                    report = getattr(ctx, "report", None)
-                    if report is not None:
-                        report(f"{self.function} on {self.gateway_id} failed: {exc}")
+                    ctx.report(f"{self.function} on {self.gateway_id} failed: {exc}")
         else:
             self._armed = True
 

@@ -194,14 +194,19 @@ def connect_channel(endpoint: str, timeout: float = 5.0,
     return LineChannel(sock, transcript=transcript)
 
 
+def _drop(*_args) -> None:
+    """The handler of a closed server."""
+
+
 class LineServer:
     """A TCP server whose ``serve`` loop hands each complete line to
     ``handler(channel, msg)``, which writes any reply itself. EOF, a malformed
     line, or Disconnected or ProtocolError out of the handler closes that
-    connection alone and calls ``on_close(channel)``."""
+    connection alone and calls ``on_close(channel)``. A closed server lets go
+    of both, which are often bound methods of the object that owns it."""
 
     def __init__(self, listen: str, handler: Callable[[LineChannel, dict[str, Any]], None],
-                 on_close: Callable[[LineChannel], None] = lambda channel: None):
+                 on_close: Callable[[LineChannel], None] = _drop):
         host, port = parse_endpoint(listen)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
@@ -258,3 +263,4 @@ class LineServer:
             for key in list((self._selector.get_map() or {}).values()):
                 (key.data or key.fileobj).close()
             self._selector.close()
+            self._handler = self._on_close = _drop

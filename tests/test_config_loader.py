@@ -48,20 +48,30 @@ def outcome(text: str):
         return ("error", str(exc))
 
 
-def fleet_yaml(n: int) -> str:
-    """A configuration with an ``n``-element model and one mapping per element."""
+def fleet_yaml(n: int, simulate: bool = False) -> str:
+    """A configuration with an ``n``-element model and one mapping per element.
+
+    With ``simulate`` its gateway is a simulated tank with an open valve, so
+    the configuration runs and every tick changes the mapped level.
+    """
     out = ["twin: fleet\n",
            "gateways:\n",
            "  - id: g\n",
            "    endpoint: tcp://127.0.0.1:0\n",
-           "    elements: [{name: level, kind: property, type: real, access: ro}]\n",
-           "languages: [{id: lang, kinds: {Tank: {level: real, capacity: real}}}]\n",
-           "managers: [{id: plant, models: [fleet]}]\n",
-           "models:\n",
-           "  - id: fleet\n",
-           "    language: lang\n",
-           "    last_update: true\n",
-           "    elements:\n"]
+           "    elements: [{name: level, kind: property, type: real, access: ro}]\n"]
+    if simulate:
+        out[-1] = ("    simulate: {model: tank, params: {valve: 1.0}}\n"
+                   "    elements: [{name: level, kind: property, type: real, access: ro},\n"
+                   "               {name: valve, kind: property, type: real, access: rw},\n"
+                   "               {name: overflow, kind: event, payload: real},\n"
+                   "               {name: flush, kind: function, args: [], result: boolean}]\n")
+    out += ["languages: [{id: lang, kinds: {Tank: {level: real, capacity: real}}}]\n",
+            "managers: [{id: plant, models: [fleet]}]\n",
+            "models:\n",
+            "  - id: fleet\n",
+            "    language: lang\n",
+            "    last_update: true\n",
+            "    elements:\n"]
     out += [f"      - {{id: e{i}, kind: Tank, properties: {{level: 0, capacity: {i}.5}}}}\n"
             for i in range(n)]
     out.append("mappings:\n")

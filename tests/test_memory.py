@@ -1,0 +1,153 @@
+"""What a twin holds in memory, and that closing it lets all of it go.
+
+A closed and dropped twin must be freed by reference counting alone, with
+no reference cycle left for the garbage collector: these tests run with the
+collector disabled and watch the twin's parts through weak references. A
+slotted dataclass carries no per-instance ``__dict__``, which matters for
+the objects built per record, per decision and per element.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import importlib
+import inspect
+import pkgutil
+import weakref
+
+import pytest
+import yaml
+
+import twinrt
+import twinrt.config as config_mod
+from conftest import DEMO_CONFIG
+from helpers import start_tank
+from test_config_loader import fleet_yaml
+from twinrt.data import DataRecord, ModelElementRef, PropertyType
+from twinrt.engine import SyncDecision, SyncReason
+from twinrt.errors import PermissionDenied
+from twinrt.runtime import DecisionLog, TwinRuntime
+from twinrt.services import Hook, ServiceDescriptor, ServiceGrant
+
+
+@pytest.fixture
+def no_gc():
+    """The collector stays off for the test, so only reference counts free."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def watch(runtime: TwinRuntime, **more) -> dict[str, weakref.ref]:
+    """Weak references to the runtime, its engine, registry and data manager,
+    every gateway handle, every asset it hosts, and ``more``."""
+    engine = runtime.engine
+    parts = {"runtime": runtime, "engine": engine, "registry": runtime.registry,
+             "data": runtime.data, **more}
+    parts.update({f"gateway {gid}": engine.gateway(gid) for gid in engine.gateways()})
+    parts.update({f"asset {gid}": server for gid, server in runtime._assets.items()})
+    return {name: weakref.ref(part) for name, part in parts.items()}
+
+
+def alive(watched: dict[str, weakref.ref]) -> list[str]:
+    return [name for name, ref in watched.items() if ref() is not None]
+
+
+class KeepsItsClient:
+    def on_tick(self, ctx):
+        self.ctx = ctx
+
+
+class TestClosedTwinIsFreed:
+    def test_demo_twin_with_services_journal_and_control_socket(self, no_gc, tmp_path):
+        log = DecisionLog(tmp_path / "decisions.log")
+        runtime = TwinRuntime(config_mod.load(DEMO_CONFIG),
+                              journal_path=tmp_path / "j.ndjson", decision_sink=log)
+        runtime.start_control("tcp://127.0.0.1:0")
+        watched = watch(runtime)
+        assert len(watched) == 6
+        runtime.advance(3)
+        runtime.model_edit("plant", "set_property", "tank",
+                           {"element": "main", "property": "valve_target", "value": 0.25})
+        runtime.advance(2)  # the bidirectional valve mapping pushes, the KPI ingests
+        assert runtime.data.count() > 5 and runtime.engine.services() == ["guard", "kpi"]
+        runtime.close()
+        log.close()
+        del runtime
+        assert alive(watched) == []
+
+    def test_fleet_shaped_twin(self, no_gc):
+        runtime = TwinRuntime(config_mod.loads(fleet_yaml(50, simulate=True)))
+        watched = watch(runtime)
+        runtime.advance(3)
+        assert len(runtime.last_decisions) == 50
+        runtime.close()
+        del runtime
+        assert alive(watched) == []
+
+    def test_twin_whose_asset_died(self, no_gc):
+        server = start_tank()
+        doc = yaml.safe_load(DEMO_CONFIG.read_text())
+        gateway = doc["gateways"][0]
+        gateway["endpoint"] = server.endpoint
+        del gateway["simulate"]
+        runtime = TwinRuntime(config_mod.loads(yaml.safe_dump(doc)))
+        watched = watch(runtime, asset=server)
+        runtime.advance(2)
+        server.close()
+        decisions = runtime.tick()
+        assert decisions and {d.reason for d in decisions} == {SyncReason.SUSPENDED}
+        assert not runtime.engine.gateway("tank01").is_alive
+        runtime.close()
+        del runtime, server, decisions
+        assert alive(watched) == []
+
+    def test_a_service_client_is_refused_after_close(self):
+        runtime = TwinRuntime(config_mod.load(DEMO_CONFIG))
+        keeper = KeepsItsClient()
+        runtime.engine.register_service(
+            ServiceDescriptor("keeper", ServiceGrant.parse(["read-model:tank"]),
+                              hooks=(Hook("on-tick"),)), keeper)
+        runtime.advance(1)
+        assert keeper.ctx.read_model_property("tank", "main", "capacity") == 10.0
+        runtime.close()
+        with pytest.raises(PermissionDenied, match="not registered"):
+            keeper.ctx.read_model_property("tank", "main", "capacity")
+        with pytest.raises(PermissionDenied, match="not registered"):
+            keeper.ctx.report("after close")
+
+
+def twinrt_dataclasses() -> list[type]:
+    found = []
+    for info in pkgutil.iter_modules(twinrt.__path__):
+        module = importlib.import_module(f"twinrt.{info.name}")
+        found += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                  if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__]
+    return found
+
+
+class TestEveryDataclassIsSlotted:
+    def test_every_twinrt_dataclass_defines_slots_and_no_instance_dict(self):
+        classes = twinrt_dataclasses()
+        assert {DataRecord, ModelElementRef, SyncDecision} <= set(classes)
+        unslotted = [cls.__qualname__ for cls in classes
+                     if "__slots__" not in vars(cls) or cls.__dictoffset__ != 0]
+        assert unslotted == []
+
+    def test_records_and_decisions_have_no_instance_dict(self):
+        runtime = TwinRuntime(config_mod.load(DEMO_CONFIG))
+        try:
+            runtime.advance(1)
+            decision = runtime.last_decisions[0]
+            record = runtime.data.query()[0]
+        finally:
+            runtime.close()
+        link = record.model_link
+        assert link is not None and record.prop(PropertyType.ORIGIN) is not None
+        for obj in (decision, record, link, *record.properties):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
