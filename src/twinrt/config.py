@@ -439,6 +439,11 @@ class _Values:
     the order it builds the nodes in.
     With two values in a document that cannot be built, the one named may
     differ, since SafeConstructor builds breadth-first.
+
+    A scalar that its tag's constructor cannot read (`!!int x`, `!!bool
+    maybe`, `!!timestamp nope`) is a ConstructorError at that scalar, where
+    SafeConstructor lets the constructor's own ValueError, KeyError,
+    AttributeError or IndexError escape: every YAML error is a YAMLError.
     """
 
     def __init__(self, loader):
@@ -577,8 +582,13 @@ class _Values:
                     generator, data = data, next(data)
                     for _ in generator:
                         pass
-            except Exception as exc:
+            except yaml.YAMLError as exc:
                 self.unbuilt(exc)
+                data = None
+            except Exception:  # the text does not fit its tag
+                self.unbuilt(ConstructorError(
+                    None, None, f"cannot read {value!r} as {tag.replace(_TAG, '!!')}",
+                    event.start_mark))
                 data = None
         return self.register(event, data)
 

@@ -206,6 +206,12 @@ class TestParseErrors:
         pytest.param("data: {journal: [a]}", "data.journal", id="journal-list"),
         pytest.param("data: {journal: ''}", "data.journal", id="journal-empty"),
         pytest.param(b"twin: caf\xe9\n", "not UTF-8", id="latin-1"),
+        pytest.param("twin: !!int x", "cannot read 'x' as !!int", id="int-tag"),
+        pytest.param("twin: !!bool maybe", "cannot read 'maybe' as !!bool", id="bool-tag"),
+        pytest.param("twin: !!timestamp nope", "cannot read 'nope' as !!timestamp",
+                     id="timestamp-tag"),
+        pytest.param("twin: !!int ''", "cannot read '' as !!int", id="empty-int-tag"),
+        pytest.param("twin: !!float x", "cannot read 'x' as !!float", id="float-tag"),
     ])
     def test_bad_configs(self, text, fragment, tmp_path):
         path = tmp_path / "twin.yaml"

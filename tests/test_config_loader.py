@@ -253,6 +253,24 @@ def test_refuses_what_safe_constructor_builds_in_some_orders(loader, text):
         under(loader, config_mod._load_yaml, text)
 
 
+# SafeConstructor lets the scalar constructor's own error escape for these;
+# `_load_yaml` raises a ConstructorError at the scalar instead
+UNREADABLE = {
+    "int": "a: !!int x", "bool": "a: !!bool maybe", "timestamp": "a: !!timestamp nope",
+    "empty-int": "a: !!int ''", "float": "a: !!float x",
+}
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("text", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_a_scalar_its_tag_cannot_read_is_a_constructor_error(loader, text):
+    with pytest.raises(Exception) as raised:
+        yaml.load(text, yaml.SafeLoader)
+    assert not isinstance(raised.value, yaml.YAMLError)
+    with pytest.raises(ConstructorError, match="line 1, column 4"):
+        under(loader, config_mod._load_yaml, text)
+
+
 FLOW_KEYS = [
     "0", "-2", "0x1f", "1_000", "1.5", ".inf", ".nan", "~", "yes", "No", "2001-12-14",
     "abc", "'q'", '"1"', "!!str 1", "!!int '3'", "!!float 1", "! 5", "!!binary aGk=", "="]

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import threading
 import time
 
@@ -47,6 +49,11 @@ steps:
         "steps:\n  - expect-record-count: {selector: {tick_from: '1'}, count: 0}",
         pytest.param(b"steps:\n  - asset-set: {gateway: tank01, property: caf\xe9, value: 1}\n",
                      id="latin-1"),
+        pytest.param("steps:\n  - tick: !!int x", id="int-tag"),
+        pytest.param("steps:\n  - tick: !!bool maybe", id="bool-tag"),
+        pytest.param("steps:\n  - tick: !!timestamp nope", id="timestamp-tag"),
+        pytest.param("steps:\n  - tick: !!int ''", id="empty-int-tag"),
+        pytest.param("steps:\n  - tick: !!float x", id="float-tag"),
     ])
     def test_bad_scripts(self, text, tmp_path):
         path = tmp_path / "scenario.yaml"
@@ -175,6 +182,15 @@ class TestCliCommands:
         assert main(["audit", "--config", str(bad)]) != 0
         out = capsys.readouterr().out
         assert "violated" in out
+
+    def test_a_bad_explicit_tag_is_a_configuration_error(self, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("twin: !!int x\n")
+        proc = subprocess.run([sys.executable, "-m", "twinrt.cli", "audit", "--config", str(bad)],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert "invalid YAML: cannot read 'x' as !!int" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_audit_json_format(self, capsys):
         assert main(["audit", "--config", str(DEMO_CONFIG), "--format", "json"]) == 0
@@ -458,9 +474,6 @@ class TestControlBetweenTicks:
             runtime.close()
 
     def test_timer_mode_answers_control_requests_while_it_waits(self):
-        import subprocess
-        import sys
-
         from twinrt.wire import connect_channel
 
         proc = subprocess.Popen(
@@ -509,9 +522,6 @@ class TestListenFailures:
 
 class TestExternalAsset:
     def test_runtime_drives_a_separate_asset_process(self, tmp_path):
-        import subprocess
-        import sys
-
         proc = subprocess.Popen(
             [sys.executable, "-m", "twinrt.asset", "--listen", "tcp://127.0.0.1:0",
              "--model", "tank", "--step-ms", "100", "--param", "valve=1.0"],
