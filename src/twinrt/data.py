@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -250,15 +249,35 @@ def selector_from_dict(obj: dict) -> Selector:
     )
 
 
+# the record properties that repeat from record to record
+_REPEATED = (PropertyType.ORIGIN, PropertyType.TIMELINESS, PropertyType.PROCESSING)
+
+
+def _replayed_property(ptype: PropertyType, value: Value, shared: dict) -> DataProperty:
+    """A journal entry's property. An origin, timeliness or processing
+    property equal to one in ``shared`` is that one, so each distinct value is
+    built and validated once; a valid value is text or a dict of text."""
+    if ptype not in _REPEATED:
+        return DataProperty(ptype, value)
+    key = (ptype, tuple(value.items()) if isinstance(value, dict) else value)
+    try:
+        prop = shared.get(key)
+    except TypeError:  # unhashable: validation rejects it
+        return DataProperty(ptype, value)
+    if prop is None:
+        prop = shared[key] = DataProperty(ptype, value)
+    return prop
+
+
 # resolver answers whether a model element reference currently resolves
 RefResolver = Callable[[ModelElementRef], bool]
 
 
 class DataManager:
-    """Single-writer record store with an optional on-disk journal.
+    """Record store with an optional on-disk journal, used from one thread.
 
-    Only the orchestration loop ingests; queries may run concurrently and see
-    a consistent prefix. ``enforce_mandatory`` and ``allow_linkage`` exist so
+    The orchestration loop ingests, and queries are answered on the same
+    thread, control requests included, so nothing locks. ``enforce_mandatory`` and ``allow_linkage`` exist so
     a configuration can be audited for running without mandatory metadata or
     model linkage; production configurations leave both on.
     """
@@ -271,7 +290,6 @@ class DataManager:
         self._ticks: list[int] = []
         self._tick_ids: list[int] = []
         self._next_id = 1
-        self._lock = threading.Lock()
         self.resolver = resolver
         self.enforce_mandatory = enforce_mandatory
         self.allow_linkage = allow_linkage
@@ -301,31 +319,28 @@ class DataManager:
         if model_link is not None:
             self._check_link(model_link)
         ordered = tuple(sorted(by_type.values(), key=lambda p: p.property_type.value))
-        with self._lock:
-            record = DataRecord(record_id=self._next_id, value=value,
-                                properties=ordered, model_link=model_link)
-            self._append_journal({"op": "record", "id": record.record_id, "value": value,
-                                  "props": {p.property_type.value: p.value for p in ordered},
-                                  "link": model_link.to_list() if model_link else None})
-            self._records.append(record)
-            self._index_tick(record)
-            self._next_id += 1
-            return record.record_id
+        record = DataRecord(record_id=self._next_id, value=value,
+                            properties=ordered, model_link=model_link)
+        self._append_journal({"op": "record", "id": record.record_id, "value": value,
+                              "props": {p.property_type.value: p.value for p in ordered},
+                              "link": model_link.to_list() if model_link else None})
+        self._records.append(record)
+        self._index_tick(record)
+        self._next_id += 1
+        return record.record_id
 
     def query(self, selector: Selector | None = None) -> list[DataRecord]:
         selector = selector or Selector()
         start, end = selector.tick_from, selector.tick_to
         if (start is None and end is None) or not all(
                 bound is None or isinstance(bound, (int, float)) for bound in (start, end)):
-            snapshot = self._records[: len(self._records)]
+            candidates = self._records
         else:
             # a tick window reads only the records whose last-update falls in it
-            with self._lock:
-                lo = 0 if start is None else bisect.bisect_left(self._ticks, start)
-                hi = len(self._ticks) if end is None else bisect.bisect_right(self._ticks, end)
-                ids = sorted(self._tick_ids[lo:hi])
-                snapshot = [self._records[rid - 1] for rid in ids]
-        return [r for r in snapshot if selector.matches(r)]
+            lo = 0 if start is None else bisect.bisect_left(self._ticks, start)
+            hi = len(self._ticks) if end is None else bisect.bisect_right(self._ticks, end)
+            candidates = [self._records[rid - 1] for rid in sorted(self._tick_ids[lo:hi])]
+        return [r for r in candidates if selector.matches(r)]
 
     def get(self, record_id: int) -> DataRecord:
         if not 1 <= record_id < self._next_id:
@@ -335,16 +350,15 @@ class DataManager:
     def link_to_model(self, record_id: int, ref: ModelElementRef) -> None:
         if not self.allow_linkage:
             raise TwinError("model linkage is disabled in this configuration")
-        with self._lock:
-            record = self.get(record_id)
-            if record.model_link == ref:
-                return  # idempotent
-            if record.model_link is not None:
-                raise AlreadyLinkedDifferently(
-                    f"record {record_id} already linked to {record.model_link}")
-            self._check_link(ref)
-            self._append_journal({"op": "link", "id": record_id, "ref": ref.to_list()})
-            self._records[record_id - 1] = replace(record, model_link=ref)
+        record = self.get(record_id)
+        if record.model_link == ref:
+            return  # idempotent
+        if record.model_link is not None:
+            raise AlreadyLinkedDifferently(
+                f"record {record_id} already linked to {record.model_link}")
+        self._check_link(ref)
+        self._append_journal({"op": "link", "id": record_id, "ref": ref.to_list()})
+        self._records[record_id - 1] = replace(record, model_link=ref)
 
     def count(self) -> int:
         return len(self._records)
@@ -404,10 +418,11 @@ class DataManager:
         # everything after the final newline is an unterminated tail: discard
         lines = blob.split(b"\n")[:-1]
         manager = cls()
+        shared: dict = {}
         last = len(lines) - 1
         for i, line in enumerate(lines):
             try:
-                manager._replay(line)
+                manager._replay(line, shared)
             except TwinError as exc:
                 if i == last:
                     break  # trailing torn entry: a crash can also tear the line content
@@ -421,7 +436,9 @@ class DataManager:
                 raise StorageFailure(f"cannot reopen journal {path}: {exc}") from exc
         return manager
 
-    def _replay(self, line: bytes) -> None:
+    def _replay(self, line: bytes, shared: dict) -> None:
+        """Apply one journal entry. ``shared`` holds the properties and links
+        replayed so far, so equal ones are one object, as in the live store."""
         try:
             entry = strict_loads(line)
         except ValueError as exc:
@@ -429,8 +446,11 @@ class DataManager:
         op = entry.get("op")
         if op == "record":
             try:
-                props = [DataProperty(PropertyType(t), v) for t, v in sorted(entry["props"].items())]
+                props = [_replayed_property(PropertyType(t), v, shared)
+                         for t, v in sorted(entry["props"].items())]
                 link = ModelElementRef.from_list(entry["link"]) if entry.get("link") else None
+                if link is not None:
+                    link = shared.setdefault(link, link)
                 record = DataRecord(record_id=entry["id"], value=entry["value"],
                                     properties=tuple(props), model_link=link)
             except (KeyError, TypeError, ValueError, TwinError) as exc:

@@ -207,6 +207,26 @@ class TestReload:
         assert reloaded.get(1).model_link == LEVEL_REF
         assert reloaded.get(2).model_link is None
 
+    def test_reloaded_records_share_equal_properties_and_links(self, tmp_path):
+        path = tmp_path / "j.ndjson"
+        dm = DataManager(journal_path=path)
+        for i, origin in enumerate([origin_service("kpi"), origin_operator(),
+                                    origin_service("kpi"), origin_operator()]):
+            dm.ingest(float(i), [origin, timeliness(HISTORICAL), processing(PROCESSED),
+                                 last_update(i)], model_link=ModelElementRef("m", "e", "p"))
+        dm.close()
+        first, second, third, fourth = DataManager.reload(path).query()
+        assert first.properties != second.properties
+        for a, b in ((first, third), (second, fourth)):
+            assert a.to_dict()["properties"] != b.to_dict()["properties"]  # last-update
+            shared = [x for x, y in zip(a.properties, b.properties) if x is y]
+            assert [p.property_type for p in shared] == [
+                PropertyType.ORIGIN, PropertyType.PROCESSING, PropertyType.TIMELINESS]
+            assert a.model_link is b.model_link
+        # a copy handed out is not the shared value
+        first.to_dict()["properties"]["origin"]["id"] = "changed"
+        assert third.prop(PropertyType.ORIGIN) == {"source": "service", "id": "kpi"}
+
     def test_reload_empty_file(self, tmp_path):
         path = tmp_path / "empty.ndjson"
         path.write_bytes(b"")

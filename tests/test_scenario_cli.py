@@ -433,6 +433,7 @@ class TestControlSocket:
 
 class TestControlBetweenTicks:
     def test_control_clients_add_no_thread_and_the_runtime_has_no_lock(self, tmp_path):
+        import twinrt.data as data_mod
         import twinrt.runtime as runtime_mod
         import twinrt.wire as wire_mod
         from twinrt.wire import connect_channel
@@ -451,8 +452,9 @@ class TestControlBetweenTicks:
             for channel in channels:
                 channel.close()
             runtime.close()
-        assert not hasattr(runtime, "lock")
-        assert "threading" not in vars(runtime_mod) and "threading" not in vars(wire_mod)
+        assert not hasattr(runtime, "lock") and not hasattr(runtime.data, "_lock")
+        assert all("threading" not in vars(module)
+                   for module in (runtime_mod, wire_mod, data_mod))
 
     def test_a_status_sent_mid_scenario_is_answered_after_the_next_tick(self, tmp_path):
         from twinrt.wire import connect_channel
