@@ -259,6 +259,16 @@ class TwinRuntime:
             services={sid: engine.service_enabled(sid) for sid in engine.services()})
 
     def close(self) -> None:
+        """Close the control socket, the gateways, the hosted assets and the
+        journal.
+
+        Until closed, the twin keeps every record, decision, notice and
+        mediated request. Closing unwires the engine from the registry and from its
+        services, so no reference cycle is left and the twin is freed as
+        soon as its last reference is dropped. A service client called
+        after close is refused with PermissionDenied, as an unregistered
+        service is.
+        """
         if self._control_server is not None:
             self._control_server.close()
             self._control_server = None
