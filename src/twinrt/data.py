@@ -277,9 +277,10 @@ class DataManager:
     """Record store with an optional on-disk journal, used from one thread.
 
     The orchestration loop ingests, and queries are answered on the same
-    thread, control requests included, so nothing locks. ``enforce_mandatory`` and ``allow_linkage`` exist so
-    a configuration can be audited for running without mandatory metadata or
-    model linkage; production configurations leave both on.
+    thread, control requests included, so nothing locks. ``enforce_mandatory``
+    and ``allow_linkage`` exist so a configuration can be audited for running
+    without mandatory metadata or model linkage; production configurations
+    leave both on.
     """
 
     def __init__(self, journal_path: str | Path | None = None,

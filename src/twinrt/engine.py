@@ -748,8 +748,7 @@ class Engine:
             except TwinError:
                 pass
         registry = self.registry
-        if registry.tick_supplier == self.effective_tick:
-            registry.tick_supplier = lambda: 0  # as in a registry no engine drives
+        registry.tick_supplier = lambda: 0  # as in a registry no engine drives
         for listeners, mine in ((registry.change_listeners, self._on_model_change),
                                 (registry.mode_listeners, self._on_mode_change)):
             if mine in listeners:

@@ -412,6 +412,25 @@ class TestThresholdGuard:
             engine.close()
             server.close()
 
+    def test_a_failed_invoke_is_reported_and_the_guard_stays_enabled(self):
+        registry, data, engine, server = make_rig(tank=CountingTank(valve=1.0),
+                                                  mappings=[level_mapping()])
+        engine.register_service(
+            ServiceDescriptor("guard", ServiceGrant.parse(["read-model:tank",
+                                                           "command-gateway:tank01"]),
+                              hooks=(Hook("on-tick"),)),
+            ThresholdGuard(ref=LEVEL_REF, bound=0.0, gateway_id="tank01", function="vent"))
+        try:
+            server.step(1)
+            engine.tick(1)
+            assert engine.notices == [{
+                "kind": "service", "tick": 1, "service": "guard", "event": "error",
+                "detail": "vent on tank01 failed: tank01: no element 'vent'"}]
+            assert engine.service_enabled("guard")
+        finally:
+            engine.close()
+            server.close()
+
 
 class TestHookOrdering:
     def test_on_tick_runs_after_sync_in_service_id_order(self):
