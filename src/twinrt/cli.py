@@ -9,6 +9,7 @@ socket (--control or TWIN_CONTROL_ADDR).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -34,7 +35,7 @@ from .runtime import (
 )
 from .scenario import ScenarioRunner
 from .values import canonical_json
-from .wire import connect_channel
+from .wire import LineChannel, connect_channel
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -180,19 +181,48 @@ def _print_model(model_id: str, model: dict, indent: str = "") -> None:
         print(f"{indent}  {eid} ({element['kind']}): {props}")
 
 
-def _control_request(args, msg: dict) -> dict:
+def _control_channel(args) -> LineChannel:
     addr = getattr(args, "control", None) or os.environ.get("TWIN_CONTROL_ADDR")
     if not addr:
         raise NotRunning("no control address; set --control or TWIN_CONTROL_ADDR")
     try:
-        channel = connect_channel(addr, timeout=5.0)
+        return connect_channel(addr, timeout=5.0)
     except ConnectionError as exc:
         raise NotRunning(f"no twin reachable at {addr}: {exc}") from exc
+
+
+def _ask(channel: LineChannel, msg: dict) -> dict:
+    reply = channel.request(msg, timeout=5.0)
+    if reply.get("op") == "error":
+        raise TwinError(f"{reply.get('code', 'Error')}: {reply.get('message', '')}")
+    return reply
+
+
+def _control_request(args, msg: dict) -> dict:
+    channel = _control_channel(args)
     try:
-        reply = channel.request(dict(msg, id=1), timeout=5.0)  # one request per connection
-        if reply.get("op") == "error":
-            raise TwinError(f"{reply.get('code', 'Error')}: {reply.get('message', '')}")
-        return reply
+        return _ask(channel, dict(msg, id=1))  # one request per connection
+    finally:
+        channel.close()
+
+
+# records per ctl.history reply: a page of small records stays far below the
+# wire's 1 MiB line limit
+HISTORY_PAGE = 1000
+
+
+def _history_pages(args, selector_spec: dict) -> list[dict]:
+    """Every matching record of a running twin, a page per request, in id order."""
+    channel = _control_channel(args)
+    records: list[dict] = []
+    try:
+        for request_id in itertools.count(1):
+            page = _ask(channel, {"op": "ctl.history", "id": request_id,
+                                  "selector": selector_spec, "limit": HISTORY_PAGE,
+                                  "after_id": records[-1]["id"] if records else 0})["records"]
+            records += page
+            if len(page) < HISTORY_PAGE:
+                return records
     finally:
         channel.close()
 
@@ -224,8 +254,7 @@ def cmd_history(args) -> int:
         manager = DataManager.reload(args.journal)
         records = [r.to_dict() for r in manager.query(selector_from_dict(selector_spec))]
     elif args.control or os.environ.get("TWIN_CONTROL_ADDR"):
-        reply = _control_request(args, {"op": "ctl.history", "selector": selector_spec})
-        records = reply["records"]
+        records = _history_pages(args, selector_spec)
     else:
         raise NotRunning("history needs --journal PATH or a control address")
     if args.format == "json":

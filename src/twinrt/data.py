@@ -125,8 +125,18 @@ def processing(value: str) -> DataProperty:
     return DataProperty(PropertyType.PROCESSING, value)
 
 
+_last_update: DataProperty | None = None  # the one last-update property handed out last
+
+
 def last_update(tick: int) -> DataProperty:
-    return DataProperty(PropertyType.LAST_UPDATE, tick)
+    """The last-update property of ``tick``; calls for the same tick in a row
+    get the same instance, so the records of one tick can share a property
+    tuple (see ``DataManager``)."""
+    global _last_update
+    prop = _last_update
+    if type(tick) is not int or prop is None or prop.value != tick:
+        prop = _last_update = DataProperty(PropertyType.LAST_UPDATE, tick)
+    return prop
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,6 +159,13 @@ class ModelElementRef:
         return cls(model_id=obj[0], element_id=obj[1], property_name=obj[2])
 
 
+def _value(properties: tuple[DataProperty, ...], ptype: PropertyType) -> Value | None:
+    for p in properties:
+        if p.property_type is ptype:
+            return p.value
+    return None
+
+
 @dataclass(frozen=True, slots=True)
 class DataRecord:
     record_id: int
@@ -157,10 +174,7 @@ class DataRecord:
     model_link: ModelElementRef | None = None
 
     def prop(self, ptype: PropertyType) -> Value | None:
-        for p in self.properties:
-            if p.property_type is ptype:
-                return p.value
-        return None
+        return _value(self.properties, ptype)
 
     def to_dict(self) -> dict:
         # origin values may be shared constants: hand out copies
@@ -185,31 +199,40 @@ class Selector:
     tick_to: int | None = None
 
     def matches(self, record: DataRecord) -> bool:
+        return self.matches_properties(record.properties) and self.matches_link(record.model_link)
+
+    def matches_properties(self, properties: tuple[DataProperty, ...]) -> bool:
+        """The origin, timeliness, processing and tick-window part of the test."""
         if self.origin_source is not None or self.origin_id is not None:
-            origin = record.prop(PropertyType.ORIGIN) or {}
+            origin = _value(properties, PropertyType.ORIGIN) or {}
             if self.origin_source is not None and origin.get("source") != self.origin_source:
                 return False
             if self.origin_id is not None and origin.get("id") != self.origin_id:
                 return False
-        if self.timeliness is not None and record.prop(PropertyType.TIMELINESS) != self.timeliness:
+        if (self.timeliness is not None
+                and _value(properties, PropertyType.TIMELINESS) != self.timeliness):
             return False
-        if self.processing is not None and record.prop(PropertyType.PROCESSING) != self.processing:
-            return False
-        link = record.model_link
-        if self.model_id is not None and (link is None or link.model_id != self.model_id):
-            return False
-        if self.element_id is not None and (link is None or link.element_id != self.element_id):
-            return False
-        if self.property_name is not None and (link is None or link.property_name != self.property_name):
+        if (self.processing is not None
+                and _value(properties, PropertyType.PROCESSING) != self.processing):
             return False
         if self.tick_from is not None or self.tick_to is not None:
-            tick = record.prop(PropertyType.LAST_UPDATE)
+            tick = _value(properties, PropertyType.LAST_UPDATE)
             if tick is None:
                 return False
             if self.tick_from is not None and tick < self.tick_from:
                 return False
             if self.tick_to is not None and tick > self.tick_to:
                 return False
+        return True
+
+    def matches_link(self, link: ModelElementRef | None) -> bool:
+        """The model, element and property part of the test."""
+        if self.model_id is not None and (link is None or link.model_id != self.model_id):
+            return False
+        if self.element_id is not None and (link is None or link.element_id != self.element_id):
+            return False
+        if self.property_name is not None and (link is None or link.property_name != self.property_name):
+            return False
         return True
 
 
@@ -256,7 +279,10 @@ _REPEATED = (PropertyType.ORIGIN, PropertyType.TIMELINESS, PropertyType.PROCESSI
 def _replayed_property(ptype: PropertyType, value: Value, shared: dict) -> DataProperty:
     """A journal entry's property. An origin, timeliness or processing
     property equal to one in ``shared`` is that one, so each distinct value is
-    built and validated once; a valid value is text or a dict of text."""
+    built and validated once; a valid value is text or a dict of text. A
+    last-update property is shared with the entry before it, as in ingest."""
+    if ptype is PropertyType.LAST_UPDATE:
+        return last_update(value)
     if ptype not in _REPEATED:
         return DataProperty(ptype, value)
     key = (ptype, tuple(value.items()) if isinstance(value, dict) else value)
@@ -273,6 +299,10 @@ def _replayed_property(ptype: PropertyType, value: Value, shared: dict) -> DataP
 RefResolver = Callable[[ModelElementRef], bool]
 
 
+# property sets remembered for sharing before the memo starts again
+_MAX_PROPERTY_SETS = 64
+
+
 class DataManager:
     """Record store with an optional on-disk journal, used from one thread.
 
@@ -281,6 +311,14 @@ class DataManager:
     and ``allow_linkage`` exist so a configuration can be audited for running
     without mandatory metadata or model linkage; production configurations
     leave both on.
+
+    Records share what repeats, live and after a reload alike. Records
+    ingested with the same property objects hold one ``properties`` tuple:
+    the store remembers the sets of the current last-update property (at
+    most ``_MAX_PROPERTY_SETS``) and forgets them when that property
+    changes, so the memo grows with neither ticks nor records. Records
+    linked to equal model element references hold one reference. A query
+    tests each distinct property tuple once and the link of each record.
     """
 
     def __init__(self, journal_path: str | Path | None = None,
@@ -291,6 +329,10 @@ class DataManager:
         self._ticks: list[int] = []
         self._tick_ids: list[int] = []
         self._next_id = 1
+        # property tuples by the ids of their properties, all of one last-update
+        self._property_sets: dict[tuple[int, ...], tuple[DataProperty, ...]] = {}
+        self._sets_tick: DataProperty | None = None
+        self._links: dict[ModelElementRef, ModelElementRef] = {}
         self.resolver = resolver
         self.enforce_mandatory = enforce_mandatory
         self.allow_linkage = allow_linkage
@@ -319,7 +361,9 @@ class DataManager:
                     raise MissingMandatoryProperty(f"record lacks {mandatory.value}")
         if model_link is not None:
             self._check_link(model_link)
-        ordered = tuple(sorted(by_type.values(), key=lambda p: p.property_type.value))
+            model_link = self._links.setdefault(model_link, model_link)
+        ordered = self._shared_properties(
+            tuple(sorted(by_type.values(), key=lambda p: p.property_type.value)))
         record = DataRecord(record_id=self._next_id, value=value,
                             properties=ordered, model_link=model_link)
         self._append_journal({"op": "record", "id": record.record_id, "value": value,
@@ -341,7 +385,17 @@ class DataManager:
             lo = 0 if start is None else bisect.bisect_left(self._ticks, start)
             hi = len(self._ticks) if end is None else bisect.bisect_right(self._ticks, end)
             candidates = [self._records[rid - 1] for rid in sorted(self._tick_ids[lo:hi])]
-        return [r for r in candidates if selector.matches(r)]
+            selector = replace(selector, tick_from=None, tick_to=None)  # the index bounds them
+        verdicts: dict[int, bool] = {}  # by id of a properties tuple
+        found = []
+        for record in candidates:
+            props = record.properties
+            verdict = verdicts.get(id(props))
+            if verdict is None:
+                verdict = verdicts[id(props)] = selector.matches_properties(props)
+            if verdict and selector.matches_link(record.model_link):
+                found.append(record)
+        return found
 
     def get(self, record_id: int) -> DataRecord:
         if not 1 <= record_id < self._next_id:
@@ -359,7 +413,7 @@ class DataManager:
                 f"record {record_id} already linked to {record.model_link}")
         self._check_link(ref)
         self._append_journal({"op": "link", "id": record_id, "ref": ref.to_list()})
-        self._records[record_id - 1] = replace(record, model_link=ref)
+        self._records[record_id - 1] = replace(record, model_link=self._links.setdefault(ref, ref))
 
     def count(self) -> int:
         return len(self._records)
@@ -370,6 +424,24 @@ class DataManager:
             self._journal = None
 
     # --- internals ---
+
+    def _shared_properties(self, props: tuple[DataProperty, ...]) -> tuple[DataProperty, ...]:
+        """The remembered tuple of these same property objects, else ``props``.
+
+        Identity, not equality, decides: an origin's value is a dict and
+        cannot be hashed. A remembered tuple keeps its properties alive, so
+        their ids stay theirs while the memo holds them.
+        """
+        key = tuple(map(id, props))
+        shared = self._property_sets.get(key)
+        if shared is not None:
+            return shared
+        tick = next((p for p in props if p.property_type is PropertyType.LAST_UPDATE), None)
+        if tick is not self._sets_tick or len(self._property_sets) >= _MAX_PROPERTY_SETS:
+            self._property_sets.clear()
+            self._sets_tick = tick
+        self._property_sets[key] = props
+        return props
 
     def _index_tick(self, record: DataRecord) -> None:
         tick = record.prop(PropertyType.LAST_UPDATE)
@@ -438,8 +510,9 @@ class DataManager:
         return manager
 
     def _replay(self, line: bytes, shared: dict) -> None:
-        """Apply one journal entry. ``shared`` holds the properties and links
-        replayed so far, so equal ones are one object, as in the live store."""
+        """Apply one journal entry. ``shared`` holds the properties replayed so
+        far, so equal ones are one object and records share property tuples
+        and links as in the live store."""
         try:
             entry = strict_loads(line)
         except ValueError as exc:
@@ -451,9 +524,10 @@ class DataManager:
                          for t, v in sorted(entry["props"].items())]
                 link = ModelElementRef.from_list(entry["link"]) if entry.get("link") else None
                 if link is not None:
-                    link = shared.setdefault(link, link)
+                    link = self._links.setdefault(link, link)
                 record = DataRecord(record_id=entry["id"], value=entry["value"],
-                                    properties=tuple(props), model_link=link)
+                                    properties=self._shared_properties(tuple(props)),
+                                    model_link=link)
             except (KeyError, TypeError, ValueError, TwinError) as exc:
                 raise CorruptJournal(f"bad record entry: {exc}") from exc
             if record.record_id != self._next_id:
@@ -473,6 +547,6 @@ class DataManager:
             record = self._records[rid - 1]
             if record.model_link is not None and record.model_link != ref:
                 raise CorruptJournal(f"record {rid} linked twice with different refs")
-            self._records[rid - 1] = replace(record, model_link=ref)
+            self._records[rid - 1] = replace(record, model_link=self._links.setdefault(ref, ref))
         else:
             raise CorruptJournal(f"unknown journal op {op!r}")

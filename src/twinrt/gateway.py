@@ -13,7 +13,6 @@ the twin listens to on that gateway: the engine keeps none of its own.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -238,6 +237,9 @@ def check_reply(reply: dict[str, Any]) -> dict[str, Any]:
 class GatewayHandle:
     """Live connection to one asset. One outstanding request at a time.
 
+    The handle is used only from the thread that ticks the engine, control
+    requests included, so nothing locks.
+
     No thread reads the connection on the handle's behalf: each request
     reads its own reply and routes the pushes that arrive before it into
     the streams, and ``Stream.get`` reads when it waits. Pushes sent while
@@ -253,7 +255,6 @@ class GatewayHandle:
         self.gateway_id = descriptor.gateway_id
         self._channel = channel
         self._ids = itertools.count(1)
-        self._lock = threading.Lock()  # one reader of the connection at a time
         self._streams: dict[str, Stream] = {}  # element names are unique
         # read-only view of the open streams by element name
         self.streams: Mapping[str, Stream] = MappingProxyType(self._streams)
@@ -304,30 +305,27 @@ class GatewayHandle:
 
         False when the deadline passed or the handle is dead.
         """
-        with self._lock:
-            if self._dead is not None:
-                return False
-            try:
-                msg = self._channel.recv(deadline)
-                if "id" in msg:
-                    raise ProtocolError(f"response id {msg['id']} answers no request")
-                self._route(msg)
-            except TimeoutError:
-                return False
-            except (Disconnected, ProtocolError) as exc:
-                self._kill(exc)
-                return False
-            return True
+        if self._dead is not None:
+            return False
+        try:
+            msg = self._channel.recv(deadline)
+            if "id" in msg:
+                raise ProtocolError(f"response id {msg['id']} answers no request")
+            self._route(msg)
+        except TimeoutError:
+            return False
+        except (Disconnected, ProtocolError) as exc:
+            self._kill(exc)
+            return False
+        return True
 
     def _request(self, msg: dict[str, Any], timeout: float = 10.0) -> dict[str, Any]:
-        with self._lock:
-            if self._dead is not None:
-                raise Disconnected(self._dead)
-            try:
-                reply = self._channel.request(dict(msg, id=next(self._ids)), timeout,
-                                              self._route)
-            except (Disconnected, ProtocolError) as exc:
-                raise self._kill(exc)
+        if self._dead is not None:
+            raise Disconnected(self._dead)
+        try:
+            reply = self._channel.request(dict(msg, id=next(self._ids)), timeout, self._route)
+        except (Disconnected, ProtocolError) as exc:
+            raise self._kill(exc)
         return check_reply(reply)
 
     # --- element lookups ---

@@ -235,7 +235,10 @@ class TwinRuntime:
             return {"op": "result", "value": result}
         if op == "ctl.history":
             selector = request_from_wire(dict(msg, kind="query-data")).selector
-            return {"op": "records", "records": [r.to_dict() for r in self.data.query(selector)]}
+            limit = _count(msg, "limit", None, least=1)
+            after_id = _count(msg, "after_id", 0, least=0)
+            records = [r for r in self.data.query(selector) if r.record_id > after_id]
+            return {"op": "records", "records": [r.to_dict() for r in records[:limit]]}
         if op == "ctl.inspect":
             return {"op": "report", "report": self.inspect()}
         if op == "ctl.call":
@@ -280,6 +283,16 @@ class TwinRuntime:
             server.close()
         self._assets.clear()
         self.data.close()
+
+
+def _count(msg: dict, name: str, default: int | None, least: int) -> int | None:
+    """``msg[name]``, an integer of at least ``least``, or ``default`` when absent."""
+    value = msg.get(name)
+    if value is None:
+        return default
+    if type(value) is not int or value < least:
+        raise ProtocolError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def _wire_result(result) -> Any:

@@ -147,6 +147,84 @@ class TestQuery:
         assert [r.to_dict() for r in dm.query()] == before
 
 
+class TestSharing:
+    """Records share repeated property tuples and links, live and reloaded."""
+
+    def ingest_ticks(self, dm, ticks=3, per_tick=2):
+        for tick in range(ticks):
+            for i in range(per_tick):
+                dm.ingest(float(i), [origin_actual_system("tank01"), timeliness(LIVE),
+                                     processing(RAW), last_update(tick)],
+                          model_link=ModelElementRef("tank", "main", "level"))
+
+    def test_last_update_is_one_instance_per_tick_in_a_row(self):
+        five = last_update(5)
+        assert last_update(5) is five
+        with pytest.raises(SchemaViolation):
+            last_update(True)
+        assert last_update(5) is five
+        assert last_update(6).value == 6
+        assert last_update(5) is not five  # one entry: the memo keeps the latest tick
+
+    def test_records_of_one_tick_share_a_tuple_and_equal_links_one_ref(self, tmp_path):
+        path = tmp_path / "j.ndjson"
+        dm = DataManager(journal_path=path)
+        self.ingest_ticks(dm)
+        dm.close()
+        for store in (dm, DataManager.reload(path)):
+            records = store.query()
+            assert [r.properties is records[0].properties for r in records] == [
+                True, True, False, False, False, False]
+            assert records[2].properties is records[3].properties
+            assert records[4].properties is records[5].properties
+            assert all(r.model_link is records[0].model_link for r in records)
+
+    def test_equal_but_distinct_property_objects_are_not_merged(self):
+        dm = DataManager()
+        for _ in range(2):
+            dm.ingest(1.0, [DataProperty(PropertyType.ORIGIN, {"source": "operator"}),
+                            timeliness(LIVE), last_update(0)])
+        first, second = dm.query()
+        assert first.properties == second.properties
+        assert first.properties is not second.properties
+
+    def test_a_link_added_later_is_shared_too(self, tmp_path):
+        path = tmp_path / "j.ndjson"
+        dm = DataManager(journal_path=path)
+        first = dm.ingest(1.0, base_props(), model_link=ModelElementRef("tank", "main", "level"))
+        second = dm.ingest(2.0, base_props())
+        dm.link_to_model(second, ModelElementRef("tank", "main", "level"))
+        dm.close()
+        for store in (dm, DataManager.reload(path)):
+            assert store.get(first).model_link is store.get(second).model_link
+
+    def test_the_memo_holds_only_the_current_tick(self):
+        dm = DataManager()
+        self.ingest_ticks(dm, ticks=200, per_tick=4)
+        assert len(dm._property_sets) == 1
+        assert len({id(r.properties) for r in dm.query()}) == 200
+
+    def test_the_memo_is_bounded_within_one_tick(self):
+        dm = DataManager()
+        for i in range(500):
+            dm.ingest(float(i), base_props(extra=DataProperty(PropertyType.UNCERTAINTY, i)))
+        assert 0 < len(dm._property_sets) <= 64
+
+    def test_a_query_tests_each_distinct_property_tuple_once(self, monkeypatch):
+        dm = DataManager()
+        self.ingest_ticks(dm, ticks=5, per_tick=4)
+        tested = []
+        matches_properties = Selector.matches_properties
+
+        def counting(selector, properties):
+            tested.append(properties)
+            return matches_properties(selector, properties)
+
+        monkeypatch.setattr(Selector, "matches_properties", counting)
+        assert len(dm.query(Selector(origin_source="actual-system", model_id="tank"))) == 20
+        assert len(tested) == 5 and len({id(p) for p in tested}) == 5
+
+
 class TestLink:
     def make_manager(self, resolve=lambda ref: True):
         dm = DataManager(resolver=resolve)

@@ -14,6 +14,7 @@ import gc
 import importlib
 import inspect
 import pkgutil
+import tracemalloc
 import weakref
 
 import pytest
@@ -24,7 +25,16 @@ import twinrt.config as config_mod
 from conftest import DEMO_CONFIG
 from helpers import start_tank
 from test_config_loader import fleet_yaml
-from twinrt.data import DataRecord, ModelElementRef, PropertyType
+from twinrt.data import (
+    HISTORICAL,
+    DataManager,
+    DataRecord,
+    ModelElementRef,
+    PropertyType,
+    last_update,
+    origin_actual_system,
+    timeliness,
+)
 from twinrt.engine import SyncDecision, SyncReason
 from twinrt.errors import PermissionDenied
 from twinrt.runtime import DecisionLog, TwinRuntime
@@ -151,3 +161,21 @@ class TestEveryDataclassIsSlotted:
         assert link is not None and record.prop(PropertyType.ORIGIN) is not None
         for obj in (decision, record, link, *record.properties):
             assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
+class TestRecordCost:
+    def test_history_records_sharing_metadata_retain_at_most_200_bytes_each(self):
+        # the shape of a primed history: one property list, and a new but
+        # equal link per record for each of 1 000 elements
+        props = [origin_actual_system("g1"), timeliness(HISTORICAL), last_update(0)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dm = DataManager()
+            for i in range(20_000):
+                dm.ingest(i / 7, props,
+                          model_link=ModelElementRef("fleet", f"e{i % 1000:04d}", "level"))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / dm.count() <= 200

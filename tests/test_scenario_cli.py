@@ -367,6 +367,51 @@ class TestControlSocket:
         lines = capsys.readouterr().out.splitlines()
         assert lines and json.loads(lines[0])["id"] == 1
 
+    def test_history_longer_than_a_wire_line_arrives_whole_and_in_id_order(self, capsys):
+        from twinrt.data import HISTORICAL, last_update, origin_operator, timeliness
+        from twinrt.wire import MAX_LINE_BYTES
+
+        runtime = TwinRuntime(config_mod.load(DEMO_CONFIG))
+        props = [origin_operator(), timeliness(HISTORICAL), last_update(0)]
+        for i in range(3000):
+            runtime.data.ingest(f"{i:04d}" + "x" * 500, props)
+        endpoint = runtime.start_control("tcp://127.0.0.1:0")
+        stop = threading.Event()
+
+        def serve():
+            while not stop.is_set():
+                runtime.serve_control(0.02)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            assert main(["history", "--control", endpoint, "--origin", "operator",
+                         "--format", "json"]) == 0
+        finally:
+            stop.set()
+            thread.join(timeout=5)
+            runtime.close()
+        out = capsys.readouterr().out
+        assert len(out.encode("utf-8")) > MAX_LINE_BYTES
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["id"] for r in records] == list(range(1, 3001))
+        assert [r["value"][:4] for r in records] == [f"{i:04d}" for i in range(3000)]
+
+    def test_history_pages_by_limit_and_after_id(self, running_twin):
+        from twinrt.wire import connect_channel
+
+        runtime, endpoint = running_twin
+        deadline = time.time() + 5
+        while runtime.data.count() < 5 and time.time() < deadline:
+            time.sleep(0.02)
+        channel = connect_channel(endpoint)
+        try:
+            page = channel.request({"op": "ctl.history", "id": 1, "limit": 2, "after_id": 2},
+                                   timeout=5)
+        finally:
+            channel.close()
+        assert [r["id"] for r in page["records"]] == [3, 4]
+
     def test_inspect_over_control_socket(self, capsys, running_twin):
         _, endpoint = running_twin
         assert main(["inspect", "--control", endpoint, "--format", "json"]) == 0
@@ -406,6 +451,10 @@ class TestControlSocket:
         {"op": "ctl.history", "selector": {"tick_from": [1]}},
         {"op": "ctl.history", "selector": {"tick_from": "1"}},
         {"op": "ctl.history", "selector": ["x"]},
+        {"op": "ctl.history", "limit": 0},
+        {"op": "ctl.history", "limit": True},
+        {"op": "ctl.history", "after_id": "3"},
+        {"op": "ctl.history", "after_id": -1},
         {"op": "ctl.invoke", "gateway": ["tank01"], "function": "flush", "args": []},
         {"op": "ctl.invoke", "gateway": "tank01", "function": "flush", "args": 5},
         {"op": "ctl.call", "service": ["kpi"],
@@ -414,7 +463,8 @@ class TestControlSocket:
         {"op": "ctl.call", "service": "kpi", "request": ["x"]},
         {"op": [1]},
         {},
-    ], ids=["tick-list", "tick-text", "selector-list", "invoke-gateway-list",
+    ], ids=["tick-list", "tick-text", "selector-list", "limit-zero", "limit-bool",
+            "after-id-text", "after-id-negative", "invoke-gateway-list",
             "invoke-args-int", "call-service-list", "call-request-list", "op-list", "no-op"])
     def test_malformed_request_gets_a_protocol_error(self, running_twin, msg):
         from twinrt.wire import connect_channel
@@ -434,6 +484,7 @@ class TestControlSocket:
 class TestControlBetweenTicks:
     def test_control_clients_add_no_thread_and_the_runtime_has_no_lock(self, tmp_path):
         import twinrt.data as data_mod
+        import twinrt.gateway as gateway_mod
         import twinrt.runtime as runtime_mod
         import twinrt.wire as wire_mod
         from twinrt.wire import connect_channel
@@ -454,7 +505,7 @@ class TestControlBetweenTicks:
             runtime.close()
         assert not hasattr(runtime, "lock") and not hasattr(runtime.data, "_lock")
         assert all("threading" not in vars(module)
-                   for module in (runtime_mod, wire_mod, data_mod))
+                   for module in (runtime_mod, wire_mod, data_mod, gateway_mod))
 
     def test_a_status_sent_mid_scenario_is_answered_after_the_next_tick(self, tmp_path):
         from twinrt.wire import connect_channel
