@@ -406,37 +406,33 @@ def _parse_service(obj: dict, path: str) -> ServiceConfig:
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _TAG = "tag:yaml.org,2002:"
-_STR, _SEQ, _MAP, _SET, _OMAP, _PAIRS, _MERGE, _VALUE = (
-    _TAG + name for name in ("str", "seq", "map", "set", "omap", "pairs", "merge", "value"))
+_STR, _SEQ, _MAP, _MERGE, _VALUE = (
+    _TAG + name for name in ("str", "seq", "map", "merge", "value"))
 # what a `<<` key is built as, so that the mapping holding it merges its value
 _MERGE_KEY = object()
-# a merge or `=` key in the pairs of a mapping as written
-_SPECIAL_KEY = object()
 
 
 class _Values:
     """Builds the value of a one-document YAML stream straight from its events.
 
-    The result equals SafeConstructor's, sharing included: an anchor names the
-    object built for it, and a collection is registered before it is filled,
-    so an alias inside it gives the collection itself. As with SafeConstructor,
-    an error in building a value is raised only once the whole stream has been
-    read, so a syntax or alias error later in the text wins.
+    It builds lists, dicts and scalars only, the shapes of the twin's value
+    union: a sequence is a list and a mapping a dict, so a collection tagged
+    anything else (`!!set`, `!!omap`, `!!pairs`, a local tag) is a
+    ConstructorError at its start.
 
-    An entry of `!!omap` or `!!pairs` is read from the pairs of its mapping as
-    written, as SafeConstructor reads it from the node, so the pairs of each
-    anchored mapping are kept. An entry that is an alias is read once the
-    stream is read, since the mapping it names may still be open. A mapping
-    written as an anchored entry is built only for its aliases, so an error in
-    building it counts only if an alias other than an entry uses it.
+    Otherwise the result equals SafeConstructor's, sharing included: an
+    anchor names the object built for it, and a collection is registered
+    before it is filled, so an alias inside it gives the collection itself.
+    As with SafeConstructor, an error in building a value is raised only once
+    the whole stream has been read, so a syntax or alias error later in the
+    text wins.
 
     Where SafeConstructor would build something odd, this refuses instead:
     a merge key takes only mappings and lists of mappings, and not one that
     is still being filled; a collection under a scalar tag (`!!str {=: x}`)
-    is an error; so are an anchored or aliased `!!omap` or `!!pairs` entry
-    whose mapping holds a merge or `=` key, and a `=` value that an alias
-    also uses as a key, which SafeConstructor builds or not depending on
-    the order it builds the nodes in.
+    is an error; so is a `=` value that an alias also uses as a key, which
+    SafeConstructor builds or not depending on the order it builds the
+    nodes in.
     With two values in a document that cannot be built, the one named may
     differ, since SafeConstructor builds breadth-first.
 
@@ -455,11 +451,6 @@ class _Values:
         self.filling: set[int] = set()  # ids of the lists and dicts being filled
         self.tags: dict[tuple, str] = {}  # (text, implicit flags) -> resolved tag
         self.error: Exception | None = None
-        self.pairs_of: dict[str, list] = {}  # anchor of a mapping -> its pairs as written
-        self.equals_keys: set[str] = set()  # anchors of `=` keys
-        self.latent: dict[str, Exception] = {}  # anchor -> error if an alias builds it
-        self.built: set[str] = set()  # anchors that an alias builds
-        self.entries: list[tuple] = []  # aliased omap and pairs entries, read last
 
     def document(self) -> Any:
         loader = self.loader
@@ -475,10 +466,6 @@ class _Values:
                 raise ComposerError("expected a single document in the stream",
                                     root.start_mark, "but found another document",
                                     loader.get_event().start_mark)
-        for data_list, index, start, tag, event in self.entries:
-            data_list[index] = self.entry(self.pairs_of.get(event.anchor), start, tag, event)
-        for anchor in self.built & self.latent.keys():
-            self.unbuilt(self.latent[anchor])
         if self.error is not None:
             raise self.error
         return data
@@ -504,55 +491,36 @@ class _Values:
             raise ComposerError(None, None, f"found undefined alias {event.anchor!r}",
                                 event.start_mark) from None
 
-    def node(self, event, fail=None):
-        """The value of the node that ``event`` starts.
-
-        ``fail`` takes an error in building this collection itself, as
-        opposed to one of its items; by default it is raised at the end.
-        """
+    def node(self, event):
+        """The value of the node that ``event`` starts."""
         cls = event.__class__
         if cls is yaml.ScalarEvent:
             return self.scalar(event, False)
         if cls is yaml.AliasEvent:
             data = self.alias(event)
-            self.built.add(event.anchor)
             if data is _MERGE_KEY:
                 self.unbuilt(ConstructorError(None, None, "a merge key is not a value",
                                               event.start_mark))
                 return None
             return data
-        fail = fail or self.unbuilt
+        sequence = cls is yaml.SequenceStartEvent
         tag = event.tag
         if tag is None or tag == "!":
-            kind = yaml.SequenceNode if cls is yaml.SequenceStartEvent else yaml.MappingNode
-            tag = self.resolve(kind, None, event.implicit)
-        if cls is yaml.SequenceStartEvent:
-            if tag == _OMAP or tag == _PAIRS:
-                return self.pairs(event, tag)
-            data = self.register(event, [])
-            if tag != _SEQ:
-                fail(ConstructorError(
-                    None, None, f"cannot build a sequence tagged {tag!r}", event.start_mark))
+            tag = self.resolve(yaml.SequenceNode if sequence else yaml.MappingNode,
+                               None, event.implicit)
+        data = self.register(event, [] if sequence else {})
+        if tag != (_SEQ if sequence else _MAP):
+            kind = "sequence" if sequence else "mapping"
+            self.unbuilt(ConstructorError(
+                None, None, f"cannot build a {kind} tagged {tag!r}", event.start_mark))
+        self.filling.add(id(data))
+        if sequence:
             get_event, node = self.get_event, self.node
-            self.filling.add(id(data))
             while (item := get_event()).__class__ is not yaml.SequenceEndEvent:
                 data.append(node(item))
-            self.filling.discard(id(data))
-            return data
-        written = None if event.anchor is None else []
-        if tag == _SET:
-            data = self.register(event, set())
-            data.update(self.mapping(event, {}, fail, written))
         else:
-            data = self.register(event, {})
-            if tag != _MAP:
-                fail(ConstructorError(
-                    None, None, f"cannot build a mapping tagged {tag!r}", event.start_mark))
-            self.filling.add(id(data))
-            self.mapping(event, data, fail, written)
-            self.filling.discard(id(data))
-        if written is not None:
-            self.pairs_of[event.anchor] = written
+            self.mapping(event, data)
+        self.filling.discard(id(data))
         return data
 
     def scalar(self, event, key: bool):
@@ -565,8 +533,6 @@ class _Values:
                     yaml.ScalarNode, value, event.implicit)
         if key and tag == _VALUE:
             tag = _STR  # SafeConstructor reads a `=` key as text
-            if event.anchor is not None:
-                self.equals_keys.add(event.anchor)
         if tag == _STR:
             data = value  # what construct_yaml_str returns
         elif key and tag == _MERGE:
@@ -577,11 +543,9 @@ class _Values:
                 data = constructor(self.loader, yaml.ScalarNode(
                     tag, value, event.start_mark, event.end_mark, event.style))
                 if isinstance(data, GeneratorType):
-                    # a collection constructor yields its empty collection,
-                    # then raises on a scalar node
-                    generator, data = data, next(data)
-                    for _ in generator:
-                        pass
+                    # only a collection's constructor is a generator
+                    raise ConstructorError(None, None, f"cannot build a scalar tagged {tag!r}",
+                                           event.start_mark)
             except yaml.YAMLError as exc:
                 self.unbuilt(exc)
                 data = None
@@ -592,42 +556,25 @@ class _Values:
                 data = None
         return self.register(event, data)
 
-    def mapping(self, start, data: dict, fail, written: list | None) -> dict:
-        """Fill ``data`` up to the mapping's end, merge keys applied.
-
-        ``written``, if given, gets the pairs as written, with a merge or
-        `=` key as _SPECIAL_KEY.
-        """
+    def mapping(self, start, data: dict) -> None:
+        """Fill ``data`` up to the mapping's end, merge keys applied."""
         get_event, node = self.get_event, self.node
         merged: list[dict] = []
         while (event := get_event()).__class__ is not yaml.MappingEndEvent:
             if event.__class__ is yaml.ScalarEvent:
                 key = self.scalar(event, True)
-                special = written is not None and key == "=" and event.tag is None and (
-                    self.tags[key, event.implicit] == _VALUE)
             else:
-                if event.__class__ is yaml.AliasEvent:
-                    key = self.alias(event)
-                    self.built.add(event.anchor)
-                    special = event.anchor in self.equals_keys
-                else:
-                    key = node(event)
-                    special = False
+                key = self.alias(event) if event.__class__ is yaml.AliasEvent else node(event)
                 if key is not _MERGE_KEY and not isinstance(key, Hashable):
-                    fail(ConstructorError("while constructing a mapping",
-                                          start.start_mark, "found unhashable key",
-                                          event.start_mark))
-                    value = node(get_event())
-                    if written is not None:
-                        written.append((key, value))
+                    self.unbuilt(ConstructorError("while constructing a mapping",
+                                                  start.start_mark, "found unhashable key",
+                                                  event.start_mark))
+                    node(get_event())
                     continue
             if key is _MERGE_KEY:
-                value = self.merge(start, get_event(), merged, fail)
-                special = True
+                self.merge(start, get_event(), merged)
             else:
-                value = data[key] = node(get_event())
-            if written is not None:
-                written.append((_SPECIAL_KEY if special else key, value))
+                data[key] = node(get_event())
         if merged:
             # a later merge key wins over an earlier one, and the mapping's own keys over all
             own = dict(data)
@@ -635,65 +582,21 @@ class _Values:
             for source in merged:
                 data.update(source)
             data.update(own)
-        return data
 
-    def merge(self, start, event, merged: list[dict], fail):
+    def merge(self, start, event, merged: list[dict]) -> None:
         value = self.node(event)
         # of a list of mappings, the first wins
         sources = value[::-1] if isinstance(value, list) else [value]
         if not all(isinstance(source, dict) for source in sources):
-            fail(ConstructorError(
+            self.unbuilt(ConstructorError(
                 "while constructing a mapping", start.start_mark,
                 "expected a mapping or list of mappings for merging", event.start_mark))
         elif any(id(v) in self.filling for v in [value, *sources]):
-            fail(ConstructorError(
+            self.unbuilt(ConstructorError(
                 "while constructing a mapping", start.start_mark,
                 "found a merge of a collection that is still being filled", event.start_mark))
         else:
             merged += sources
-        return value
-
-    def pairs(self, start, tag: str) -> list:
-        """An `!!omap` or `!!pairs` sequence: one (key, value) per one-pair mapping."""
-        data = self.register(start, [])
-        get_event, node = self.get_event, self.node
-        while (event := get_event()).__class__ is not yaml.SequenceEndEvent:
-            cls = event.__class__
-            if cls is yaml.MappingStartEvent and event.anchor is None:
-                # the pairs are kept as written: no merge, no hashing of keys
-                items = []
-                while not self.loader.check_event(yaml.MappingEndEvent):
-                    items.append((node(get_event()), node(get_event())))
-                get_event()
-            elif cls is yaml.MappingStartEvent:
-                latent: list[Exception] = []
-                node(event, latent.append)
-                if latent:
-                    self.latent[event.anchor] = latent[0]
-                items = self.pairs_of[event.anchor]
-            elif cls is yaml.AliasEvent:
-                self.alias(event)
-                self.entries.append((data, len(data), start, tag, event))
-                data.append(None)
-                continue
-            else:
-                node(event)
-                items = None
-            data.append(self.entry(items, start, tag, event))
-        return data
-
-    def entry(self, items: list | None, start, tag: str, event):
-        """The (key, value) of one `!!omap` or `!!pairs` entry with pairs ``items``."""
-        if items is not None and len(items) == 1 and items[0][0] is not _SPECIAL_KEY:
-            key, value = items[0]
-            return key, value
-        if items is not None and any(key is _SPECIAL_KEY for key, _ in items):
-            problem = "found a merge or `=` key in an anchored or aliased entry"
-        else:
-            problem = "expected a mapping of one pair"
-        self.unbuilt(ConstructorError(f"while constructing {tag}", start.start_mark,
-                                      problem, event.start_mark))
-        return None
 
 
 def _load_yaml(text: str) -> Any:

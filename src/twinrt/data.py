@@ -374,17 +374,25 @@ class DataManager:
         self._next_id += 1
         return record.record_id
 
-    def query(self, selector: Selector | None = None) -> list[DataRecord]:
+    def query(self, selector: Selector | None = None, *, after_id: int = 0,
+              limit: int | None = None) -> list[DataRecord]:
+        """The records ``selector`` matches, in id order: only those with an
+        id above ``after_id``, and with a ``limit`` of 1 or more at most that
+        many. The scan starts after ``after_id`` and stops at ``limit``."""
         selector = selector or Selector()
         start, end = selector.tick_from, selector.tick_to
         if (start is None and end is None) or not all(
                 bound is None or isinstance(bound, (int, float)) for bound in (start, end)):
-            candidates = self._records
+            # ids run 1, 2, ... in list order, so the record after after_id is at after_id
+            candidates = self._records[after_id:] if after_id > 0 else self._records
         else:
             # a tick window reads only the records whose last-update falls in it
             lo = 0 if start is None else bisect.bisect_left(self._ticks, start)
             hi = len(self._ticks) if end is None else bisect.bisect_right(self._ticks, end)
-            candidates = [self._records[rid - 1] for rid in sorted(self._tick_ids[lo:hi])]
+            ids = sorted(self._tick_ids[lo:hi])
+            if after_id > 0:
+                ids = ids[bisect.bisect_right(ids, after_id):]
+            candidates = [self._records[rid - 1] for rid in ids]
             selector = replace(selector, tick_from=None, tick_to=None)  # the index bounds them
         verdicts: dict[int, bool] = {}  # by id of a properties tuple
         found = []
@@ -395,6 +403,8 @@ class DataManager:
                 verdict = verdicts[id(props)] = selector.matches_properties(props)
             if verdict and selector.matches_link(record.model_link):
                 found.append(record)
+                if len(found) == limit:
+                    break
         return found
 
     def get(self, record_id: int) -> DataRecord:

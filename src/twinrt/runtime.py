@@ -19,7 +19,7 @@ from .asset import AssetControl, AssetServer, build_model
 from .config import TwinConfiguration
 from .data import DataManager, DataRecord
 from .engine import Engine, Mapping, SyncDecision
-from .errors import ProtocolError, TwinError
+from .errors import ConfigParseError, ProtocolError, TwinError
 from .gateway import ValueSample, connect
 from .models import ModelElement, ModelProperty, ModelRegistry, OperatorOutcome
 from .services import ApplyOperator, ServiceRequest, build_builtin, request_from_wire
@@ -118,20 +118,26 @@ class TwinRuntime:
             self._start_gateways(connect_timeout)
             for mapping in config.mappings:
                 self.engine.add_mapping(mapping)
-            for service in config.services:
-                impl = (build_builtin(service.builtin, service.params)
-                        if service.builtin is not None else PassiveService())
+            for i, service in enumerate(config.services):
+                try:
+                    impl = (build_builtin(service.builtin, service.params)
+                            if service.builtin is not None else PassiveService())
+                except (TypeError, ValueError) as exc:
+                    raise ConfigParseError(f"services[{i}]: {exc}") from exc
                 self.engine.register_service(service.descriptor(), impl)
         except Exception:
             self.close()
             raise
 
     def _start_gateways(self, connect_timeout: float) -> None:
-        for gw in self.config.gateways:
+        for i, gw in enumerate(self.config.gateways):
             descriptor = gw.descriptor
             if gw.simulate is not None:
-                model = build_model(gw.simulate.model, gw.simulate.seed,
-                                    dict(gw.simulate.params))
+                try:
+                    model = build_model(gw.simulate.model, gw.simulate.seed,
+                                        dict(gw.simulate.params))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigParseError(f"gateways[{i}].simulate: {exc}") from exc
                 server = AssetServer(model, listen=descriptor.endpoint,
                                      step_ms=gw.simulate.step_ms)
                 self._assets[descriptor.gateway_id] = server
@@ -237,8 +243,8 @@ class TwinRuntime:
             selector = request_from_wire(dict(msg, kind="query-data")).selector
             limit = _count(msg, "limit", None, least=1)
             after_id = _count(msg, "after_id", 0, least=0)
-            records = [r for r in self.data.query(selector) if r.record_id > after_id]
-            return {"op": "records", "records": [r.to_dict() for r in records[:limit]]}
+            records = self.data.query(selector, after_id=after_id, limit=limit)
+            return {"op": "records", "records": [r.to_dict() for r in records]}
         if op == "ctl.inspect":
             return {"op": "report", "report": self.inspect()}
         if op == "ctl.call":

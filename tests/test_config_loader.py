@@ -129,6 +129,25 @@ class TestMalformedYaml:
         with pytest.raises(ConfigParseError, match="line 3, column 5"):
             under(loader, config_mod.loads, "twin: t\ngateways:\n  - {id: g\n")
 
+    @pytest.mark.parametrize("loader", LOADERS)
+    @pytest.mark.parametrize("load, text, line", [
+        pytest.param(config_mod.loads, "models:\n  - id: m\n    language: l\n    elements:\n"
+                     "      - {id: e, kind: N, properties: {x: !!set {a}}}\n", 5,
+                     id="config-set-property"),
+        pytest.param(config_mod.loads, "services:\n  - id: s\n    builtin: kpi_monitor\n"
+                     "    params: {window: !!omap [{a: 1}]}\n", 4, id="config-omap-param"),
+        pytest.param(scenario_mod.loads, "steps:\n  - tick: 1\n"
+                     "  - asset-set: {gateway: g, property: p, value: !!set {a}}\n", 3,
+                     id="scenario-set-value"),
+        pytest.param(scenario_mod.loads, "steps:\n  - tick: 1\n  - expect-record-count:\n"
+                     "      {selector: !!omap [{origin: operator}], count: 0}\n", 4,
+                     id="scenario-omap-selector"),
+    ])
+    def test_a_set_or_ordered_map_is_refused_at_its_line(self, loader, load, text, line):
+        with pytest.raises(ConfigParseError, match="cannot build a") as raised:
+            under(loader, load, text)
+        assert f"line {line}, column " in str(raised.value)
+
 
 # --- values built from events, held to yaml.load --------------------------------
 
@@ -136,22 +155,18 @@ class TestMalformedYaml:
 def shape(value, seen=None):
     """``value`` as nested tuples that also record which collections are one object.
 
-    Each list, dict and set is numbered where it is first met; meeting it
+    Each list and dict is numbered where it is first met; meeting it
     again gives ``("same", n)``, so shared and recursive collections compare
     by identity. Scalars compare by type and repr, so NaN equals NaN.
     """
     seen = {} if seen is None else seen
-    if isinstance(value, (list, dict, set)):
+    if isinstance(value, (list, dict)):
         if id(value) in seen:
             return ("same", seen[id(value)])
         seen[id(value)] = len(seen)
         if isinstance(value, list):
             return ("list", [shape(v, seen) for v in value])
-        if isinstance(value, set):
-            return ("set", sorted(repr(shape(v, seen)) for v in value))
         return ("dict", [(shape(k, seen), shape(v, seen)) for k, v in value.items()])
-    if isinstance(value, tuple):
-        return ("tuple", [shape(v, seen) for v in value])
     return (type(value).__name__, repr(value))
 
 
@@ -188,23 +203,15 @@ ORACLE_TABLE = {
     "binary": "!!binary aGVsbG8=",
     "bad-binary": "!!binary '=+'",
     "timestamp": "[!!timestamp '2001-12-14 21:59:43.10 -5', 2001-12-14, 2001-12-14t21:59:43Z]",
-    "set": "!!set {a, b, 1}",
-    "omap": "!!omap [{a: 1}, {b: [2]}, {a: 3}]",
-    "pairs": "!!pairs [{a: 1}, {a: 2}]",
-    "omap-unhashable-key": "!!omap [{[1]: 2}]",
     "omap-two-pairs": "!!omap [{a: 1, b: 2}]",
     "omap-not-a-mapping": "!!omap [1]",
-    "omap-alias-of-open-mapping": "&a {0: !!omap [*a]}",
-    "pairs-alias": "!!pairs [&x {a: 1}, *x]",
-    "omap-alias-of-set": "- &s !!set {a}\n- !!omap [*s]\n",
     "omap-alias-two-pairs": "- &x {a: 1, a: 2}\n- !!omap [*x]\n",
     "omap-alias-of-scalar": "- &s 1\n- !!omap [*s]\n",
-    "omap-anchored-entry-unhashable": "!!omap [&x {[1]: 2}]",
     "omap-anchored-entry-unhashable-aliased": "[!!omap [&x {[1]: 2}], *x]",
-    "omap-anchored-entry-tagged": "!!omap [&x !foo {a: 1}]",
     "map": "!!map {a: 1}",
     "seq": "!!seq [a, 1]",
     "seq-of-scalar": "!!seq text",
+    "map-of-scalar": "!!map text",
     "set-of-scalar": "!!set text",
     "non-specific": "[! 5, ! text, ! 'x']",
     "null-bool": "[~, null, '', yes, No, on, OFF]",
@@ -239,8 +246,6 @@ def test_values_as_yaml_load_builds_them(loader, text):
 # order it happens to build nodes in, so `_load_yaml` refuses them
 REFUSED = {
     "merge-of-open-mapping": "&a {x: {<<: *a}}",
-    "omap-entry-merged": "- &x {<<: {a: 1}}\n- !!omap [*x]\n",
-    "omap-entry-equals-key": "- &x {=: 1}\n- !!omap [*x]\n",
     "equals-value-aliased-as-key": "{a: &e =, *e : 1}",
 }
 
@@ -250,6 +255,31 @@ REFUSED = {
 def test_refuses_what_safe_constructor_builds_in_some_orders(loader, text):
     yaml.load(text, yaml.SafeLoader)
     with pytest.raises(ConstructorError):
+        under(loader, config_mod._load_yaml, text)
+
+
+# SafeConstructor builds these as a set or a list of tuples, which lie outside
+# the value union, so `_load_yaml` refuses each at its collection's tag
+REFUSED_TAGS = {
+    "set": "!!set {a, b, 1}",
+    "omap": "!!omap [{a: 1}, {b: [2]}, {a: 3}]",
+    "pairs": "!!pairs [{a: 1}, {a: 2}]",
+    "omap-unhashable-key": "!!omap [{[1]: 2}]",
+    "omap-alias-of-open-mapping": "&a {0: !!omap [*a]}",
+    "pairs-alias": "!!pairs [&x {a: 1}, *x]",
+    "omap-alias-of-set": "- &s !!set {a}\n- !!omap [*s]\n",
+    "omap-anchored-entry-unhashable": "!!omap [&x {[1]: 2}]",
+    "omap-anchored-entry-tagged": "!!omap [&x !foo {a: 1}]",
+    "omap-entry-merged": "- &x {<<: {a: 1}}\n- !!omap [*x]\n",
+    "omap-entry-equals-key": "- &x {=: 1}\n- !!omap [*x]\n",
+}
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("text", REFUSED_TAGS.values(), ids=REFUSED_TAGS.keys())
+def test_refuses_collections_outside_the_value_union(loader, text):
+    yaml.load(text, yaml.SafeLoader)
+    with pytest.raises(ConstructorError, match="cannot build a"):
         under(loader, config_mod._load_yaml, text)
 
 
@@ -276,8 +306,6 @@ FLOW_KEYS = [
     "abc", "'q'", '"1"', "!!str 1", "!!int '3'", "!!float 1", "! 5", "!!binary aGk=", "="]
 # these values cannot be built: SafeConstructor raises a ConstructorError for each
 FLOW_SCALARS = FLOW_KEYS + ["!foo x", "<<"]
-# keys whose meaning to SafeConstructor does not hang on the order it builds in
-PLAIN_KEYS = [key for key in FLOW_KEYS if key != "="]
 KEY_SCALARS = [text for text in FLOW_SCALARS if text not in ("=", "<<")]
 
 
@@ -288,14 +316,11 @@ def flow_documents(draw):
     An alias names an anchor met earlier, possibly one of a collection still
     open, which makes the value recursive. `_load_yaml` refuses on purpose
     what SafeConstructor builds only in some orders, so the text holds none
-    of it: a merge key takes only plain mappings that are complete; a key
-    written as a node is never `<<`, `=` or an alias of a `=` value; and an
-    anchored or aliased `!!omap` or `!!pairs` entry names a mapping without
-    a merge or `=` key.
+    of it: a merge key takes only plain mappings that are complete, and a
+    key written as a node is never `<<`, `=` or an alias of a `=` value.
     """
     complete_mappings: set[str] = set()
     anchors: list[str] = []
-    entry_names: set[str] = set()  # what an !!omap or !!pairs entry may alias
     equals_values: set[str] = set()
 
     def anchor() -> str | None:
@@ -307,44 +332,35 @@ def flow_documents(draw):
         anchors.append(name)
         return name
 
-    def node(depth: int, entry: bool = False, key: bool = False) -> str:
+    def node(depth: int, key: bool = False) -> str:
         choice = draw(st.integers(0, 5 if depth < 3 else 1))
-        names = [name for name in anchors if (name in entry_names or not entry)
-                 and (name not in equals_values or not key)]
+        names = [name for name in anchors if name not in equals_values or not key]
         if choice == 0 and names:
             return "*" + draw(st.sampled_from(names))
         if choice <= 1:
             name = anchor()
             text = draw(st.sampled_from(KEY_SCALARS if key else FLOW_SCALARS))
-            if name:
-                entry_names.add(name)
-                if text == "=":
-                    equals_values.add(name)
+            if name and text == "=":
+                equals_values.add(name)
             return (f"&{name} " if name else "") + text
         if choice <= 3:
-            tag = draw(st.sampled_from(["", "", "", "!!seq ", "!!omap ", "!!pairs ", "!!str "]))
+            tag = draw(st.sampled_from(["", "", "", "!!seq ", "!!str "]))
             name = anchor()
-            if name:
-                entry_names.add(name)
-            items = [node(depth + 1, entry=tag in ("!!omap ", "!!pairs "))
-                     for _ in range(draw(st.integers(0, 3)))]
+            items = [node(depth + 1) for _ in range(draw(st.integers(0, 3)))]
             return (f"&{name} " if name else "") + tag + "[" + ", ".join(items) + "]"
-        return mapping(depth, draw(st.sampled_from(["", "", "!!map ", "! ", "!!set "])), entry)
+        return mapping(depth, draw(st.sampled_from(["", "", "!!map ", "! "])))
 
-    def mapping(depth: int, tag: str = "", entry: bool = False) -> str:
+    def mapping(depth: int, tag: str = "") -> str:
         name = anchor()
-        plain = bool(name) and (entry or draw(st.booleans()))
-        if plain:
-            entry_names.add(name)
         items = []
         for _ in range(draw(st.integers(0, 3))):
-            if not plain and draw(st.integers(0, 2)) == 0:
+            if draw(st.integers(0, 2)) == 0:
                 items.append("<<: " + merge_source(depth))
             else:
                 key = node(depth + 1, key=True) if draw(st.integers(0, 5)) == 0 else draw(
-                    st.sampled_from(PLAIN_KEYS if plain else FLOW_KEYS))
+                    st.sampled_from(FLOW_KEYS))
                 items.append(f"{key} : {node(depth + 1)}")
-        if name and tag != "!!set ":
+        if name:
             complete_mappings.add(name)
         return (f"&{name} " if name else "") + tag + "{" + ", ".join(items) + "}"
 

@@ -146,6 +146,26 @@ class TestQuery:
         dm.query(Selector(tick_from=0))
         assert [r.to_dict() for r in dm.query()] == before
 
+    def test_a_page_tests_only_the_records_it_scans(self, monkeypatch):
+        dm = DataManager()
+        for i in range(20_000):
+            dm.ingest(float(i), base_props())
+        tested = []
+        matches_link = Selector.matches_link
+
+        def counting(selector, link):
+            tested.append(link)
+            return matches_link(selector, link)
+
+        monkeypatch.setattr(Selector, "matches_link", counting)
+        selector = Selector(origin_source="actual-system")
+        last = dm.query(selector, after_id=19_000, limit=1_000)
+        assert [r.record_id for r in last] == list(range(19_001, 20_001))
+        assert len(tested) == 1_000
+        first = dm.query(selector, limit=1_000)
+        assert [r.record_id for r in first] == list(range(1, 1_001))
+        assert len(tested) == 2_000
+
 
 class TestSharing:
     """Records share repeated property tuples and links, live and reloaded."""
@@ -400,12 +420,10 @@ links = st.sampled_from([None, LEVEL_REF, VALVE_REF,
                          ModelElementRef("boiler", "b1", "temp")])
 
 
-record_specs = st.lists(
-    st.tuples(st.floats(allow_nan=False, allow_infinity=False, width=32),
-              origins, timelinesses, processings,
-              st.one_of(st.none(), st.integers(0, 20)), links),
-    max_size=60,
-)
+record_spec = st.tuples(st.floats(allow_nan=False, allow_infinity=False, width=32),
+                        origins, timelinesses, processings,
+                        st.one_of(st.none(), st.integers(0, 20)), links)
+record_specs = st.lists(record_spec, max_size=60)
 
 selectors = st.builds(
     Selector,
@@ -469,6 +487,39 @@ def test_query_equals_linear_scan_oracle(specs, selector):
         dm.ingest(value, props, model_link=link)
     got = [r.record_id for r in dm.query(selector)]
     assert got == oracle_filter(dm.query(), selector)
+
+
+# selectors that leave most fields open, so that pages fill up
+broad_selectors = st.builds(
+    Selector,
+    origin_source=st.sampled_from([None, "actual-system"]),
+    tick_from=st.sampled_from([None, 0, 5]),
+    tick_to=st.sampled_from([None, 10, 25]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(record_spec, min_size=10, max_size=60),
+       st.one_of(selectors, broad_selectors), st.integers(1, 5), st.data())
+def test_pages_concatenate_to_the_unpaged_query(specs, selector, limit, data):
+    start = data.draw(st.integers(0, len(specs)), label="after_id")
+    dm = DataManager()
+    for value, origin, timely, proc, tick, link in specs:
+        props = [origin, timeliness(timely)]
+        if proc is not None:
+            props.append(processing(proc))
+        if tick is not None:
+            props.append(last_update(tick))
+        dm.ingest(value, props, model_link=link)
+    pages, after_id = [], start
+    for _ in range(len(specs) + 1):
+        page = dm.query(selector, after_id=after_id, limit=limit)
+        assert len(page) <= limit
+        pages += page
+        if len(page) < limit:
+            break
+        after_id = page[-1].record_id
+    assert pages == [r for r in dm.query(selector) if r.record_id > start]
 
 
 @settings(max_examples=40, deadline=None)

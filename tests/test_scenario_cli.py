@@ -276,6 +276,26 @@ steps:
         bad = tmp_path / "nope.yaml"
         assert main(["classify", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("written, edit, where", [
+        pytest.param("window: 4,", "window: [1],", "services[0]", id="window-list"),
+        pytest.param("window: 4,", "window: four,", "services[0]", id="window-text"),
+        pytest.param("window: 4, ", "", "services[0]", id="window-missing"),
+        pytest.param("bound: 8.0,", "bound: high,", "services[1]", id="bound-text"),
+        pytest.param("valve: 0.5,", "valve: [1],", "gateways[0].simulate", id="valve-list"),
+        pytest.param("valve: 0.5,", "valve: open,", "gateways[0].simulate", id="valve-text"),
+        pytest.param("valve: 0.5,", "valv: 0.5,", "gateways[0].simulate", id="unknown-param"),
+        pytest.param("model: tank\n", "model: tnk\n", "gateways[0].simulate",
+                     id="unknown-model"),
+    ])
+    def test_bad_builtin_or_asset_parameters_are_configuration_errors(
+            self, capsys, tmp_path, written, edit, where):
+        text = DEMO_CONFIG.read_text()
+        assert text.count(written) == 1
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace(written, edit))
+        assert main(["run", "--config", str(bad), "--timer", "10", "--max-ticks", "3"]) == 2
+        assert f"configuration error: {where}: " in capsys.readouterr().err
+
 
 class TestHistoryCli:
     @pytest.fixture()
