@@ -20,6 +20,7 @@ import yaml
 from yaml.composer import ComposerError
 from yaml.constructor import ConstructorError
 
+from .asset import build_model
 from .engine import Direction, Mapping, Schedule, Transform, Trigger, TriggerKind
 from .errors import ConfigParseError
 from .gateway import (
@@ -38,7 +39,13 @@ from .models import (
     ModelProperty,
     PropertyRule,
 )
-from .services import Hook, ServiceDescriptor, ServiceGrant
+from .services import (
+    BUILTIN_SERVICE_NAMES,
+    Hook,
+    ServiceDescriptor,
+    ServiceGrant,
+    build_builtin,
+)
 from .values import VALUE_TYPES, fit_value
 
 
@@ -230,6 +237,12 @@ def _parse_gateway(obj: dict, path: str) -> GatewayConfig:
             step_ms=step_ms,
             seed=_as_int(sim.get("seed", 0), f"{path}.simulate.seed"),
             params=_as_dict(sim.get("params"), f"{path}.simulate.params"))
+        # the runtime builds the asset from these: refused here, so that
+        # audit and run refuse alike
+        try:
+            build_model(simulate.model, simulate.seed, dict(simulate.params))
+        except (TypeError, ValueError) as exc:
+            raise _fail(f"{path}.simulate", str(exc)) from exc
     return GatewayConfig(descriptor=descriptor, simulate=simulate)
 
 
@@ -322,6 +335,10 @@ def _parse_trigger(obj: dict, path: str) -> Trigger:
     raise _fail(path, "trigger must name a gateway property, gateway event, or model property")
 
 
+# the transform of every mapping that declares none
+_IDENTITY = Transform()
+
+
 def _parse_mapping(obj: dict, path: str) -> Mapping:
     model_side = _as_dict(_need(obj, "model", path), f"{path}.model")
     gateway_side = _as_dict(_need(obj, "gateway", path), f"{path}.gateway")
@@ -341,7 +358,7 @@ def _parse_mapping(obj: dict, path: str) -> Mapping:
                 f"{path}.schedule.trigger"))
         else:
             raise _fail(f"{path}.schedule", "expected every or trigger")
-        transform = Transform()
+        transform = _IDENTITY
         if obj.get("transform") is not None:
             t = _as_dict(obj["transform"], f"{path}.transform")
             transform = Transform(
@@ -391,11 +408,18 @@ def _parse_service(obj: dict, path: str) -> ServiceConfig:
             raise _fail(f"{path}.grant", str(exc)) from exc
     hooks = tuple(_parse_hook(h, f"{path}.hooks[{i}]")
                   for i, h in enumerate(_as_list(obj.get("hooks"), f"{path}.hooks")))
+    builtin = obj.get("builtin")
+    params = _as_dict(obj.get("params"), f"{path}.params")
+    if builtin in BUILTIN_SERVICE_NAMES:
+        # refused here, so that audit and run refuse alike; an unknown
+        # builtin is a dangling name, which the audit reports
+        try:
+            build_builtin(builtin, params)
+        except ValueError as exc:
+            raise _fail(path, str(exc)) from exc
     return ServiceConfig(
         service_id=_as_str(_need(obj, "id", path), f"{path}.id"),
-        builtin=obj.get("builtin"),
-        params=_as_dict(obj.get("params"), f"{path}.params"),
-        grant=grant, hooks=hooks)
+        builtin=builtin, params=params, grant=grant, hooks=hooks)
 
 
 # libyaml parses when PyYAML was built with it, and the pure-Python parser
@@ -410,6 +434,9 @@ _STR, _SEQ, _MAP, _MERGE, _VALUE = (
     _TAG + name for name in ("str", "seq", "map", "merge", "value"))
 # what a `<<` key is built as, so that the mapping holding it merges its value
 _MERGE_KEY = object()
+_UNBUILT = object()
+# the immutable scalars that `_Values` builds once per text and shares
+_SHARED_TYPES = (str, int, float, bool, type(None))
 
 
 class _Values:
@@ -423,6 +450,9 @@ class _Values:
     Otherwise the result equals SafeConstructor's, sharing included: an
     anchor names the object built for it, and a collection is registered
     before it is filled, so an alias inside it gives the collection itself.
+    Beyond that, equal plain scalars (untagged, unanchored, built as text, a
+    number, a boolean or null) are one object, so a configuration that
+    repeats a name or number thousands of times holds it once.
     As with SafeConstructor, an error in building a value is raised only once
     the whole stream has been read, so a syntax or alias error later in the
     text wins.
@@ -449,7 +479,8 @@ class _Values:
         self.constructors = loader.yaml_constructors
         self.anchors: dict[str, Any] = {}
         self.filling: set[int] = set()  # ids of the lists and dicts being filled
-        self.tags: dict[tuple, str] = {}  # (text, implicit flags) -> resolved tag
+        # (text, implicit flags) -> the value built for a plain scalar
+        self.scalars: dict[tuple, Any] = {}
         self.error: Exception | None = None
 
     def document(self) -> Any:
@@ -525,14 +556,19 @@ class _Values:
 
     def scalar(self, event, key: bool):
         value, tag = event.value, event.tag
+        shared = None
         if tag is None or tag == "!":
-            # with no path resolvers, resolve depends on the text and flags alone
-            tag = self.tags.get((value, event.implicit))
-            if tag is None:
-                tag = self.tags[value, event.implicit] = self.resolve(
-                    yaml.ScalarNode, value, event.implicit)
+            if event.anchor is None:
+                # with no path resolvers, the tag and so the value depend on
+                # the text and flags alone: equal plain scalars are one object
+                shared = (value, event.implicit)
+                data = self.scalars.get(shared, _UNBUILT)
+                if data is not _UNBUILT:
+                    return data
+            tag = self.resolve(yaml.ScalarNode, value, event.implicit)
         if key and tag == _VALUE:
             tag = _STR  # SafeConstructor reads a `=` key as text
+            shared = None
         if tag == _STR:
             data = value  # what construct_yaml_str returns
         elif key and tag == _MERGE:
@@ -548,12 +584,14 @@ class _Values:
                                            event.start_mark)
             except yaml.YAMLError as exc:
                 self.unbuilt(exc)
-                data = None
+                return self.register(event, None)
             except Exception:  # the text does not fit its tag
                 self.unbuilt(ConstructorError(
                     None, None, f"cannot read {value!r} as {tag.replace(_TAG, '!!')}",
                     event.start_mark))
-                data = None
+                return self.register(event, None)
+        if shared is not None and data.__class__ in _SHARED_TYPES:
+            self.scalars[shared] = data
         return self.register(event, data)
 
     def mapping(self, start, data: dict) -> None:

@@ -19,9 +19,9 @@ from .asset import AssetControl, AssetServer, build_model
 from .config import TwinConfiguration
 from .data import DataManager, DataRecord
 from .engine import Engine, Mapping, SyncDecision
-from .errors import ConfigParseError, ProtocolError, TwinError
+from .errors import ProtocolError, TwinError
 from .gateway import ValueSample, connect
-from .models import ModelElement, ModelProperty, ModelRegistry, OperatorOutcome
+from .models import ModelRegistry, OperatorOutcome
 from .services import ApplyOperator, ServiceRequest, build_builtin, request_from_wire
 from .values import Value, canonical_json, fit_value
 from .wire import LineChannel, LineServer
@@ -45,12 +45,10 @@ def build_registry(config: TwinConfiguration) -> ModelRegistry:
         owner = owners.get(model.model_id)
         if owner is None:
             raise TwinError(f"model {model.model_id!r} has no responsible manager")
-        elements = [ModelElement(element_id=e.element_id, kind=e.kind,
-                                 properties={n: ModelProperty(n, p.value, p.property_type)
-                                             for n, p in e.properties.items()})
-                    for e in model.elements]
+        # the registry commits the configured elements themselves: no transaction
+        # writes a committed element, so they stay as configured
         registry.create_model(owner, model.model_id, model.language_id,
-                              elements, track_last_update=model.last_update)
+                              list(model.elements), track_last_update=model.last_update)
         # models are created Offline; the configuration decides the starting mode
         registry.set_mode(owner, model.model_id, model.mode)
     for manager in config.managers:
@@ -118,26 +116,20 @@ class TwinRuntime:
             self._start_gateways(connect_timeout)
             for mapping in config.mappings:
                 self.engine.add_mapping(mapping)
-            for i, service in enumerate(config.services):
-                try:
-                    impl = (build_builtin(service.builtin, service.params)
-                            if service.builtin is not None else PassiveService())
-                except (TypeError, ValueError) as exc:
-                    raise ConfigParseError(f"services[{i}]: {exc}") from exc
+            for service in config.services:
+                impl = (build_builtin(service.builtin, service.params)
+                        if service.builtin is not None else PassiveService())
                 self.engine.register_service(service.descriptor(), impl)
         except Exception:
             self.close()
             raise
 
     def _start_gateways(self, connect_timeout: float) -> None:
-        for i, gw in enumerate(self.config.gateways):
+        for gw in self.config.gateways:
             descriptor = gw.descriptor
             if gw.simulate is not None:
-                try:
-                    model = build_model(gw.simulate.model, gw.simulate.seed,
-                                        dict(gw.simulate.params))
-                except (TypeError, ValueError) as exc:
-                    raise ConfigParseError(f"gateways[{i}].simulate: {exc}") from exc
+                model = build_model(gw.simulate.model, gw.simulate.seed,
+                                    dict(gw.simulate.params))
                 server = AssetServer(model, listen=descriptor.endpoint,
                                      step_ms=gw.simulate.step_ms)
                 self._assets[descriptor.gateway_id] = server

@@ -20,7 +20,7 @@ from .data import (
     Selector,
     selector_from_dict,
 )
-from .errors import PermissionDenied, ProtocolError, TwinError
+from .errors import PermissionDenied, ProtocolError, TwinError, UnresolvedReference
 from .values import Value, coerce_real
 
 CAPABILITY_KINDS = ("read-model", "write-model", "read-data", "ingest-data",
@@ -239,9 +239,9 @@ class KpiMonitor:
     """
 
     def __init__(self, window: int, ref: ModelElementRef):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = int(window)
+        if type(window) is not int or window < 1:
+            raise ValueError(f"window must be an integer >= 1, got {window!r}")
+        self.window = window
         self.ref = ref
         self._buffer: list[float] = []
 
@@ -265,8 +265,13 @@ class ThresholdGuard:
 
     def __init__(self, ref: ModelElementRef, bound: float, gateway_id: str,
                  function: str, args: tuple[Value, ...] = ()):
+        if isinstance(bound, bool) or not isinstance(bound, (int, float)):
+            raise ValueError(f"bound must be a number, got {bound!r}")
         self.ref = ref
-        self.bound = float(bound)
+        try:
+            self.bound = float(bound)
+        except OverflowError:
+            raise ValueError(f"bound out of range: {bound!r}") from None
         self.gateway_id = gateway_id
         self.function = function
         self.args = tuple(args)
@@ -288,23 +293,38 @@ class ThresholdGuard:
             self._armed = True
 
 
+def _text(params: dict[str, Any], name: str) -> str:
+    value = params[name]
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{name} must be non-empty text, got {value!r}")
+    return value
+
+
 def _ref_from_params(params: dict[str, Any]) -> ModelElementRef:
-    return ModelElementRef(model_id=params["model"], element_id=params["element"],
-                           property_name=params["property"])
+    return ModelElementRef(model_id=_text(params, "model"), element_id=_text(params, "element"),
+                           property_name=_text(params, "property"))
 
 
 def build_builtin(name: str, params: dict[str, Any]):
-    """Construct a built-in service implementation from configuration params."""
+    """Construct a built-in service implementation from configuration params.
+
+    Every parameter is read as it is written, never converted: one that is
+    missing or of the wrong type is a ValueError naming it. An unknown name
+    is an UnresolvedReference, as the audit reports it (rule C7).
+    """
     try:
         if name == "kpi_monitor":
-            return KpiMonitor(window=int(params["window"]), ref=_ref_from_params(params))
+            return KpiMonitor(window=params["window"], ref=_ref_from_params(params))
         if name == "threshold_guard":
-            return ThresholdGuard(ref=_ref_from_params(params), bound=float(params["bound"]),
-                                  gateway_id=params["gateway"], function=params["function"],
-                                  args=tuple(params.get("args", ())))
+            args = params.get("args", [])
+            if not isinstance(args, list):
+                raise ValueError(f"args must be a list, got {args!r}")
+            return ThresholdGuard(ref=_ref_from_params(params), bound=params["bound"],
+                                  gateway_id=_text(params, "gateway"),
+                                  function=_text(params, "function"), args=tuple(args))
     except KeyError as exc:
         raise ValueError(f"builtin {name!r} missing parameter {exc}") from exc
-    raise ValueError(f"unknown builtin service {name!r}")
+    raise UnresolvedReference(f"unknown builtin service {name!r}")
 
 
 BUILTIN_SERVICE_NAMES = ("kpi_monitor", "threshold_guard")

@@ -12,6 +12,7 @@ reference_config.py are their oracles.
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,75 @@ def test_values_as_yaml_load_builds_them(loader, text):
     assert_builds_as_yaml_load(loader, text)
 
 
+# equal plain scalars are built once per load and shared; these hold texts
+# that build alike only in some roles, or not at all, beside plain ones
+SHARED_SCALARS = {
+    "quoted-and-tagged": "[1000, '1000', \"1000\", !!str 1000, 1000, '1000', ! 1000]",
+    "key-and-value": "{level: level, 0: 0, ~: ~, true: true}",
+    "equals-key-then-value": "- {=: 1}\n- {=: 2}\n- =\n",
+    "equals-value-then-key": "- =\n- {=: 1}\n",
+    "merge-key-then-value": "- {<<: {a: 1}}\n- {<<: {b: 2}}\n- <<\n",
+    "anchored-and-plain": "[&a 1000, 1000, *a, &b x y, x y, *b, 1000]",
+    "merge-of-shared": "- &m {k: v}\n- {<<: *m, v: k}\n- {k: v}\n",
+    "unbuildable-twice-then-alias": "[=, =, *nope]",
+}
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("text", SHARED_SCALARS.values(), ids=SHARED_SCALARS.keys())
+def test_shared_scalars_build_as_yaml_load_builds_them(loader, text):
+    assert_builds_as_yaml_load(loader, text)
+
+
+def scalars(value, keys: list, values: list) -> None:
+    """Append every scalar in ``value`` to ``keys`` or ``values`` by its role."""
+    if isinstance(value, list):
+        for item in value:
+            scalars(item, keys, values)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            keys.append(key)
+            scalars(item, keys, values)
+    else:
+        values.append(value)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_equal_plain_scalars_are_one_object(loader):
+    keys, values = [], []
+    scalars(under(loader, config_mod._load_yaml, fleet_yaml(50)), keys, values)
+    # a key and a value of one text are one object too
+    objects: dict[tuple, set[int]] = {}
+    for scalar in keys + values:
+        objects.setdefault((type(scalar), scalar), set()).add(id(scalar))
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert any(len(ids) == 1 for (kind, text), ids in objects.items()
+               if kind is str and text in keys and text in values)
+    # 50 elements and mappings, each spelling out the same names
+    assert len(keys) > 900 and len({id(key) for key in keys}) < 30
+    config = under(loader, config_mod.loads, fleet_yaml(50))
+    first, second = config.mappings[:2]
+    assert first.model_id is second.model_id and first.gateway_property is second.gateway_property
+    assert first.transform is second.transform
+    elements = config.models[0].elements
+    assert elements[0].kind is elements[1].kind
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_anchored_tagged_and_quoted_scalars_keep_their_own_objects(loader):
+    data = under(loader, config_mod._load_yaml, SHARED_SCALARS["anchored-and-plain"])
+    assert data[1] is data[6] and data[0] is data[2] and data[3] is data[5]
+    data = under(loader, config_mod._load_yaml, SHARED_SCALARS["quoted-and-tagged"])
+    assert data[0] is data[4] and data[1] is data[5] and type(data[3]) is str
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_an_unreadable_plain_scalar_is_refused_where_it_first_appears(loader):
+    # a scalar that cannot be built is not kept for its next appearance
+    with pytest.raises(ConstructorError, match="line 2, column 3"):
+        under(loader, config_mod._load_yaml, "- 2001-12-14\n- 2001-13-45\n- 2001-13-45\n")
+
+
 # SafeConstructor builds these, but whether it would build them depends on the
 # order it happens to build nodes in, so `_load_yaml` refuses them
 REFUSED = {
@@ -406,11 +476,13 @@ def test_load_keeps_no_node_tree():
 # --- config-shaped documents ---------------------------------------------------
 
 
-def config_docs(name):
+def config_docs(name, loadable=True):
     """Documents shaped like a configuration, with ids and names drawn from ``name``.
 
     Every document parses; ids may repeat within a section, and references
-    may point at anything.
+    may point at anything. Unless ``loadable``, a built-in service's
+    parameters are any subset of the ones it reads, as a configuration built
+    in code may hold, which ``loads`` refuses.
     """
     number = st.one_of(st.integers(-5, 5),
                        st.floats(allow_nan=False, allow_infinity=False, width=32))
@@ -458,14 +530,32 @@ def config_docs(name):
         st.sampled_from(["on-tick", "on-decision"]),
         st.fixed_dictionaries({"on-event": st.fixed_dictionaries(
             {"gateway": name, "event": name})}))
-    service = st.fixed_dictionaries(
-        {"id": name},
-        optional={"builtin": st.sampled_from(["kpi_monitor", "threshold_guard", "nope"]),
-                  "params": st.fixed_dictionaries(
-                      {}, optional={"model": name, "element": name, "property": name,
-                                    "gateway": name, "function": name}),
-                  "grant": st.lists(capability, max_size=3),
-                  "hooks": st.lists(hook, max_size=2)})
+    watched = {"model": name, "element": name, "property": name}
+    if loadable:
+        # a built-in's parameters are checked as the configuration loads, so
+        # the two built-ins get whole parameter sets; an unknown one gets any
+        builtin = st.one_of(
+            st.just({}),
+            st.fixed_dictionaries({"builtin": st.just("kpi_monitor"),
+                                   "params": st.fixed_dictionaries(
+                                       {**watched, "window": st.integers(1, 4)})}),
+            st.fixed_dictionaries({"builtin": st.just("threshold_guard"),
+                                   "params": st.fixed_dictionaries(
+                                       {**watched, "bound": number, "gateway": name,
+                                        "function": name})}),
+            st.fixed_dictionaries({"builtin": st.just("nope")}, optional={
+                "params": st.fixed_dictionaries({}, optional={**watched, "gateway": name})}))
+    else:
+        builtin = st.fixed_dictionaries({}, optional={
+            "builtin": st.sampled_from(["kpi_monitor", "threshold_guard", "nope"]),
+            "params": st.fixed_dictionaries(
+                {}, optional={**watched, "gateway": name, "function": name})})
+    service = st.builds(
+        lambda base, extra: {**base, **extra},
+        st.fixed_dictionaries({"id": name},
+                              optional={"grant": st.lists(capability, max_size=3),
+                                        "hooks": st.lists(hook, max_size=2)}),
+        builtin)
     return st.fixed_dictionaries({
         "twin": name,
         "gateways": st.lists(gateway, max_size=4),
@@ -486,9 +576,18 @@ ANY_NAMES = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max
 
 
 def config_from_doc(doc: dict) -> config_mod.TwinConfiguration:
-    """Parse ``doc`` section by section, keeping ids that ``loads`` would reject."""
+    """Parse ``doc`` section by section, keeping ids that ``loads`` would reject.
+
+    A service keeps its built-in name and parameters as written, unchecked,
+    as a configuration built in code may hold them.
+    """
     def section(key, parse):
         return tuple(parse(item, f"{key}[{i}]") for i, item in enumerate(doc[key]))
+
+    def service(obj, path):
+        parsed = config_mod._parse_service(
+            {k: v for k, v in obj.items() if k not in ("builtin", "params")}, path)
+        return replace(parsed, builtin=obj.get("builtin"), params=obj.get("params", {}))
 
     languages = section("languages", config_mod._parse_language)
     lang_index = {lang.language_id: lang for lang in languages}
@@ -500,7 +599,7 @@ def config_from_doc(doc: dict) -> config_mod.TwinConfiguration:
         models=section("models",
                        lambda m, path: config_mod._parse_model(m, path, lang_index)),
         mappings=section("mappings", config_mod._parse_mapping),
-        services=section("services", config_mod._parse_service),
+        services=section("services", service),
         data=config_mod.DataConfig(**doc["data"]))
 
 
@@ -531,7 +630,7 @@ def test_duplicate_id_check_matches_reference(doc):
 
 
 @settings(max_examples=300, deadline=None)
-@given(doc=config_docs(POOL_NAMES))
+@given(doc=config_docs(POOL_NAMES, loadable=False))
 def test_closure_findings_match_reference(doc):
     config = config_from_doc(doc)
     assert _closure_findings(config) == reference_config.closure_findings(config)

@@ -36,8 +36,8 @@ from twinrt.data import (
     timeliness,
 )
 from twinrt.engine import SyncDecision, SyncReason
-from twinrt.errors import PermissionDenied
-from twinrt.runtime import DecisionLog, TwinRuntime
+from twinrt.errors import IntegrityViolation, PermissionDenied
+from twinrt.runtime import DecisionLog, TwinRuntime, build_registry, inspect_config
 from twinrt.services import Hook, ServiceDescriptor, ServiceGrant
 
 
@@ -179,3 +179,63 @@ class TestRecordCost:
         finally:
             tracemalloc.stop()
         assert retained / dm.count() <= 200
+
+
+class TestConfigurationCost:
+    def test_fleet_configuration_and_registry_bytes_per_element(self):
+        # each element repeats a kind, a property name and a number, and
+        # each mapping five names; built once each, the whole fleet costs
+        # about 2 200 B per element at peak and 900 B per element held
+        n = 2000
+        text = fleet_yaml(n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            config = config_mod.loads(text)
+            peak = tracemalloc.get_traced_memory()[1]
+            registry = build_registry(config)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(registry.model("fleet").elements) == len(config.mappings) == n
+        assert (peak - base) / n <= 3000
+        assert (retained - base) / n <= 1200
+
+
+CONFIGURED_MAIN = {"level": 0.0, "capacity": 10.0, "valve_target": 0.0}
+
+
+def configured_main(config) -> dict:
+    (element,) = config.models[0].elements
+    return {name: prop.value for name, prop in element.properties.items()}
+
+
+class TestRegistryHoldsTheConfiguredElements:
+    def test_until_a_write_copies_them(self):
+        config = config_mod.load(DEMO_CONFIG)
+        runtime = TwinRuntime(config)
+        try:
+            (element,) = config.models[0].elements
+            assert runtime.registry.model("tank").elements["main"] is element
+            runtime.advance(3)  # the level mapping pulls a rising level
+            runtime.model_edit("plant", "set_property", "tank",
+                               {"element": "main", "property": "valve_target", "value": 0.25})
+            runtime.advance(1)
+            live = runtime.registry.model("tank").elements["main"]
+            assert live is not element
+            assert live.value("level") > 0.0 and live.value("valve_target") == 0.25
+        finally:
+            runtime.close()
+        assert configured_main(runtime.config) == CONFIGURED_MAIN
+        properties = inspect_config(config)["models"]["tank"]["elements"]["main"]["properties"]
+        assert {name: p["value"] for name, p in properties.items()} == CONFIGURED_MAIN
+
+    def test_a_refused_write_leaves_them_as_configured(self):
+        config = config_mod.load(DEMO_CONFIG)
+        registry = build_registry(config)
+        with pytest.raises(IntegrityViolation):
+            registry.apply_operator("plant", "set_property", "tank",
+                                    {"element": "main", "property": "level", "value": 11.0})
+        assert configured_main(config) == CONFIGURED_MAIN
+        assert registry.model("tank").elements["main"] is config.models[0].elements[0]

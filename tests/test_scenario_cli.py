@@ -286,15 +286,38 @@ steps:
         pytest.param("valve: 0.5,", "valv: 0.5,", "gateways[0].simulate", id="unknown-param"),
         pytest.param("model: tank\n", "model: tnk\n", "gateways[0].simulate",
                      id="unknown-model"),
+        pytest.param("window: 4,", "window: 1.5,", "services[0]", id="window-real"),
+        pytest.param("window: 4,", "window: true,", "services[0]", id="window-bool"),
+        pytest.param("window: 4,", "window: '4',", "services[0]", id="window-quoted"),
+        pytest.param("bound: 8.0,", "bound: '8',", "services[1]", id="bound-quoted"),
+        pytest.param("function: flush}", "function: flush, args: ab}", "services[1]",
+                     id="args-text"),
+        pytest.param("element: main, property: level, bound",
+                     "element: '', property: level, bound", "services[1]", id="element-empty"),
     ])
+    @pytest.mark.parametrize("command", [["run", "--timer", "10", "--max-ticks", "3"],
+                                         ["audit"]], ids=["run", "audit"])
     def test_bad_builtin_or_asset_parameters_are_configuration_errors(
-            self, capsys, tmp_path, written, edit, where):
+            self, capsys, tmp_path, written, edit, where, command):
         text = DEMO_CONFIG.read_text()
         assert text.count(written) == 1
         bad = tmp_path / "bad.yaml"
         bad.write_text(text.replace(written, edit))
-        assert main(["run", "--config", str(bad), "--timer", "10", "--max-ticks", "3"]) == 2
+        assert main([command[0], "--config", str(bad), *command[1:]]) == 2
         assert f"configuration error: {where}: " in capsys.readouterr().err
+
+    def test_an_unknown_builtin_is_refused_by_audit_and_at_start(self, capsys, tmp_path):
+        text = DEMO_CONFIG.read_text()
+        assert text.count("builtin: kpi_monitor") == 1
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace("builtin: kpi_monitor", "builtin: nope"))
+        run = ["run", "--config", str(bad), "--timer", "10", "--max-ticks", "3"]
+        assert main(["audit", "--config", str(bad)]) == 3
+        assert main(run) == 3
+        assert "names unknown builtin 'nope'" in capsys.readouterr().err
+        # forced past the audit, the runtime cannot build it
+        assert main([*run, "--force"]) == 1
+        assert "error: unknown builtin service 'nope'" in capsys.readouterr().err
 
 
 class TestHistoryCli:

@@ -5,7 +5,12 @@ from helpers import build_registry, level_mapping, tank_descriptor
 from twinrt.asset import AssetServer, TankModel
 from twinrt.data import DataManager, ModelElementRef, Selector
 from twinrt.engine import Engine
-from twinrt.errors import DanglingGrantTarget, DuplicateService, PermissionDenied
+from twinrt.errors import (
+    DanglingGrantTarget,
+    DuplicateService,
+    PermissionDenied,
+    UnresolvedReference,
+)
 from twinrt.gateway import connect
 from twinrt.services import (
     ALL_REQUEST_TYPES,
@@ -530,9 +535,39 @@ def test_build_builtin_validation():
                                               "property": "level", "bound": 8,
                                               "gateway": "tank01", "function": "flush"})
     assert isinstance(guard, ThresholdGuard) and guard.bound == 8.0
-    with pytest.raises(ValueError):
+    with pytest.raises(UnresolvedReference, match="unknown builtin service 'oracle'"):
         build_builtin("oracle", {})
     with pytest.raises(ValueError):
         build_builtin("kpi_monitor", {"window": 3})
     with pytest.raises(ValueError):
         KpiMonitor(window=0, ref=LEVEL_REF)
+
+
+KPI_PARAMS = {"window": 3, "model": "tank", "element": "main", "property": "level"}
+GUARD_PARAMS = {"model": "tank", "element": "main", "property": "level", "bound": 8,
+                "gateway": "tank01", "function": "flush"}
+
+
+@pytest.mark.parametrize("name, params, changed, message", [
+    ("kpi_monitor", KPI_PARAMS, {"window": 1.5}, "window must be an integer >= 1"),
+    ("kpi_monitor", KPI_PARAMS, {"window": True}, "window must be an integer >= 1"),
+    ("kpi_monitor", KPI_PARAMS, {"window": "4"}, "window must be an integer >= 1"),
+    ("threshold_guard", GUARD_PARAMS, {"bound": "8"}, "bound must be a number"),
+    ("threshold_guard", GUARD_PARAMS, {"bound": False}, "bound must be a number"),
+    ("threshold_guard", GUARD_PARAMS, {"args": "ab"}, "args must be a list"),
+    ("threshold_guard", GUARD_PARAMS, {"args": ("a",)}, "args must be a list"),
+    *[(name, params, {key: bad}, f"{key} must be non-empty text")
+      for name, params, keys in (("kpi_monitor", KPI_PARAMS, ("model", "element", "property")),
+                                 ("threshold_guard", GUARD_PARAMS,
+                                  ("model", "element", "property", "gateway", "function")))
+      for key in keys for bad in ("", 5)],
+])
+def test_build_builtin_reads_parameters_as_written(name, params, changed, message):
+    build_builtin(name, params)
+    with pytest.raises(ValueError, match=message):
+        build_builtin(name, {**params, **changed})
+
+
+def test_build_builtin_keeps_list_args_and_integer_bounds():
+    guard = build_builtin("threshold_guard", {**GUARD_PARAMS, "args": ["a", 1]})
+    assert guard.args == ("a", 1) and guard.bound == 8.0
