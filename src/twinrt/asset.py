@@ -135,6 +135,13 @@ class AssetModel:
         """Advance the asset's dynamics by one fixed step of dt seconds."""
 
 
+def _number(name: str, value) -> float:
+    """A model parameter as written: an int or a float, never a bool or text."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"parameter {name} must be a number, got {value!r}")
+    return float(value)
+
+
 class TankModel(AssetModel):
     """Tank filled through a valve: level' = inflow * valve - outflow.
 
@@ -150,13 +157,13 @@ class TankModel(AssetModel):
                  inflow: float = 1.0, outflow: float = 0.0, overflow_level: float = 8.0,
                  noise: float = 0.0, seed: int = 0):
         super().__init__()
-        self.level = float(level)
-        self.valve = float(valve)
-        self.capacity = float(capacity)
-        self.inflow = float(inflow)
-        self.outflow = float(outflow)
-        self.overflow_level = float(overflow_level)
-        self.noise = float(noise)
+        self.level = _number("level", level)
+        self.valve = _number("valve", valve)
+        self.capacity = _number("capacity", capacity)
+        self.inflow = _number("inflow", inflow)
+        self.outflow = _number("outflow", outflow)
+        self.overflow_level = _number("overflow_level", overflow_level)
+        self.noise = _number("noise", noise)
         self._rng = random.Random(seed)
 
     catalog = (
@@ -204,7 +211,7 @@ class EchoModel(AssetModel):
 
     model_name = "echo"
 
-    def __init__(self, seed: int = 0, **_params):
+    def __init__(self, seed: int = 0):
         super().__init__()
         self._props: dict[str, Value] = {"pad": "", "gain": 1.0, "count": 0, "lit": False}
 

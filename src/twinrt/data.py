@@ -318,7 +318,8 @@ class DataManager:
     most ``_MAX_PROPERTY_SETS``) and forgets them when that property
     changes, so the memo grows with neither ticks nor records. Records
     linked to equal model element references hold one reference. A query
-    tests each distinct property tuple once and the link of each record.
+    tests each distinct property tuple once, and tests a record's link only
+    when the selector names a model, element or property.
     """
 
     def __init__(self, journal_path: str | Path | None = None,
@@ -393,15 +394,19 @@ class DataManager:
             if after_id > 0:
                 ids = ids[bisect.bisect_right(ids, after_id):]
             candidates = [self._records[rid - 1] for rid in ids]
-            selector = replace(selector, tick_from=None, tick_to=None)  # the index bounds them
+        # matches_link passes every record when the selector names no link field
+        test_link = (selector.model_id is not None or selector.element_id is not None
+                     or selector.property_name is not None)
         verdicts: dict[int, bool] = {}  # by id of a properties tuple
+        props = verdict = None
         found = []
         for record in candidates:
-            props = record.properties
-            verdict = verdicts.get(id(props))
-            if verdict is None:
-                verdict = verdicts[id(props)] = selector.matches_properties(props)
-            if verdict and selector.matches_link(record.model_link):
+            if record.properties is not props:  # records of one tick sit together
+                props = record.properties
+                verdict = verdicts.get(id(props))
+                if verdict is None:
+                    verdict = verdicts[id(props)] = selector.matches_properties(props)
+            if verdict and (not test_link or selector.matches_link(record.model_link)):
                 found.append(record)
                 if len(found) == limit:
                     break

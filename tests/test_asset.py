@@ -137,6 +137,18 @@ class TestParams:
         with pytest.raises(ValueError):
             build_model("reactor", seed=0, params={})
 
+    @pytest.mark.parametrize("name, bad", [("valve", "0.5"), ("capacity", True),
+                                           ("noise", None), ("inflow", [1.0])])
+    def test_tank_parameters_are_numbers_as_written(self, name, bad):
+        assert getattr(build_model("tank", seed=0, params={name: 3}), name) == 3.0
+        with pytest.raises(ValueError, match=f"parameter {name} must be a number"):
+            build_model("tank", seed=0, params={name: bad})
+
+    def test_echo_takes_no_parameters(self):
+        assert isinstance(build_model("echo", seed=3, params={}), EchoModel)
+        with pytest.raises(TypeError, match="whatever"):
+            build_model("echo", seed=0, params={"whatever": [1]})
+
 
 class TestAssetControl:
     def test_control_ops_over_the_wire(self, tank_server):
@@ -296,6 +308,7 @@ class TestAssetProcess:
 
     def test_bad_param_is_a_usage_error(self):
         for args, fragment in ((["--param", "thrust=9000"], "thrust"),
+                               (["--param", "valve=open"], "valve"),
                                (["--step-ms", "0"], "step_ms")):
             proc = subprocess.run(
                 [sys.executable, "-m", "twinrt.asset", "--listen", "tcp://127.0.0.1:0",

@@ -32,6 +32,19 @@ LEVEL_REF = ModelElementRef("tank", "main", "level")
 VALVE_REF = ModelElementRef("tank", "main", "valve_target")
 
 
+def count_calls(monkeypatch, method: str) -> list:
+    """Record the argument of every call to ``Selector.<method>``."""
+    calls = []
+    original = getattr(Selector, method)
+
+    def counting(selector, arg):
+        calls.append(arg)
+        return original(selector, arg)
+
+    monkeypatch.setattr(Selector, method, counting)
+    return calls
+
+
 def base_props(**overrides):
     props = {
         "origin": origin_actual_system("tank01"),
@@ -137,6 +150,8 @@ class TestQuery:
         assert [r.record_id for r in dm.query(Selector(processing=PROCESSED))] == [3]
         assert [r.record_id for r in dm.query(Selector(model_id="tank",
                                                        property_name="level"))] == [1, 3]
+        assert [r.record_id for r in dm.query(Selector(element_id="main"))] == [1, 2, 3]
+        assert [r.record_id for r in dm.query(Selector(property_name="level"))] == [1, 3]
         assert [r.record_id for r in dm.query(Selector(tick_from=2, tick_to=4))] == [2, 3]
 
     def test_query_is_pure(self):
@@ -149,22 +164,42 @@ class TestQuery:
     def test_a_page_tests_only_the_records_it_scans(self, monkeypatch):
         dm = DataManager()
         for i in range(20_000):
-            dm.ingest(float(i), base_props())
-        tested = []
-        matches_link = Selector.matches_link
-
-        def counting(selector, link):
-            tested.append(link)
-            return matches_link(selector, link)
-
-        monkeypatch.setattr(Selector, "matches_link", counting)
-        selector = Selector(origin_source="actual-system")
+            dm.ingest(float(i), base_props(), model_link=LEVEL_REF)
+        tested = count_calls(monkeypatch, "matches_link")
+        selector = Selector(origin_source="actual-system", model_id="tank")
         last = dm.query(selector, after_id=19_000, limit=1_000)
         assert [r.record_id for r in last] == list(range(19_001, 20_001))
         assert len(tested) == 1_000
         first = dm.query(selector, limit=1_000)
         assert [r.record_id for r in first] == list(range(1, 1_001))
         assert len(tested) == 2_000
+        # a selector that names no model, element or property tests no link
+        unlinked = Selector(origin_source="actual-system")
+        assert dm.query(unlinked, after_id=19_000, limit=1_000) == last
+        assert dm.query(unlinked, limit=1_000) == first
+        assert len(tested) == 2_000
+
+    @pytest.mark.parametrize("history", [2_000, 20_000])
+    def test_a_dashboard_window_tests_only_the_ticks_it_returns(self, monkeypatch, history):
+        """A scale-fleet-shaped store: imported history at tick 0, then four
+        syncs a tick. A 10-tick origin query costs its ten ticks, whatever
+        the history holds."""
+        dm = DataManager()
+        imported = [origin_actual_system("g1"), timeliness(HISTORICAL), last_update(0)]
+        for i in range(history):
+            dm.ingest(float(i), imported, model_link=ModelElementRef("fleet", f"e{i % 1000}",
+                                                                     "level"))
+        for tick in range(1, 31):
+            for element in ("e3", "e250", "e500", "e999"):
+                dm.ingest(float(tick), [origin_actual_system("g0"), timeliness(LIVE),
+                                        processing(RAW), last_update(tick)],
+                          model_link=ModelElementRef("fleet", element, "level"))
+        tuples = count_calls(monkeypatch, "matches_properties")
+        links = count_calls(monkeypatch, "matches_link")
+        found = dm.query(Selector(origin_source="actual-system", tick_from=21, tick_to=30))
+        assert [r.record_id for r in found] == list(range(history + 81, history + 121))
+        assert len(tuples) == 10 and len({id(t) for t in tuples}) == 10
+        assert links == []
 
 
 class TestSharing:
@@ -233,16 +268,20 @@ class TestSharing:
     def test_a_query_tests_each_distinct_property_tuple_once(self, monkeypatch):
         dm = DataManager()
         self.ingest_ticks(dm, ticks=5, per_tick=4)
-        tested = []
-        matches_properties = Selector.matches_properties
-
-        def counting(selector, properties):
-            tested.append(properties)
-            return matches_properties(selector, properties)
-
-        monkeypatch.setattr(Selector, "matches_properties", counting)
+        tested = count_calls(monkeypatch, "matches_properties")
         assert len(dm.query(Selector(origin_source="actual-system", model_id="tank"))) == 20
         assert len(tested) == 5 and len({id(p) for p in tested}) == 5
+
+    def test_interleaved_tuples_are_each_tested_once(self, monkeypatch):
+        dm = DataManager()
+        for i in range(20):
+            gateway = ("tank01", "pump02")[i % 2]
+            dm.ingest(float(i), [origin_actual_system(gateway), timeliness(LIVE),
+                                 last_update(7)])
+        tested = count_calls(monkeypatch, "matches_properties")
+        found = dm.query(Selector(origin_source="actual-system", origin_id="pump02"))
+        assert [r.record_id for r in found] == list(range(2, 21, 2))
+        assert len(tested) == 2
 
 
 class TestLink:
@@ -439,6 +478,15 @@ selectors = st.builds(
 )
 
 
+# selectors that leave most fields open, so that pages fill up
+broad_selectors = st.builds(
+    Selector,
+    origin_source=st.sampled_from([None, "actual-system"]),
+    tick_from=st.sampled_from([None, 0, 5]),
+    tick_to=st.sampled_from([None, 10, 25]),
+)
+
+
 def oracle_filter(records, sel: Selector):
     """Linear-scan reference filter, written independently of Selector.matches."""
     out = []
@@ -475,7 +523,7 @@ def oracle_filter(records, sel: Selector):
 
 
 @settings(max_examples=150, deadline=None)
-@given(record_specs, selectors)
+@given(record_specs, st.one_of(selectors, broad_selectors))
 def test_query_equals_linear_scan_oracle(specs, selector):
     dm = DataManager()
     for value, origin, timely, proc, tick, link in specs:
@@ -487,15 +535,6 @@ def test_query_equals_linear_scan_oracle(specs, selector):
         dm.ingest(value, props, model_link=link)
     got = [r.record_id for r in dm.query(selector)]
     assert got == oracle_filter(dm.query(), selector)
-
-
-# selectors that leave most fields open, so that pages fill up
-broad_selectors = st.builds(
-    Selector,
-    origin_source=st.sampled_from([None, "actual-system"]),
-    tick_from=st.sampled_from([None, 0, 5]),
-    tick_to=st.sampled_from([None, 10, 25]),
-)
 
 
 @settings(max_examples=150, deadline=None)

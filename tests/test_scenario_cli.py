@@ -284,6 +284,13 @@ steps:
         pytest.param("valve: 0.5,", "valve: [1],", "gateways[0].simulate", id="valve-list"),
         pytest.param("valve: 0.5,", "valve: open,", "gateways[0].simulate", id="valve-text"),
         pytest.param("valve: 0.5,", "valv: 0.5,", "gateways[0].simulate", id="unknown-param"),
+        pytest.param("valve: 0.5,", "valve: '0.5',", "gateways[0].simulate", id="valve-quoted"),
+        pytest.param("0.5, capacity: 10.0,", "0.5, capacity: true,", "gateways[0].simulate",
+                     id="capacity-bool"),
+        pytest.param("tank\n      step_ms: 100\n      seed: 1\n      params: {valve: 0.5, "
+                     "capacity: 10.0, inflow: 1.0, outflow: 0.0, overflow_level: 8.0}",
+                     "echo\n      step_ms: 100\n      seed: 1\n      params: {anything: [1]}",
+                     "gateways[0].simulate", id="echo-param"),
         pytest.param("model: tank\n", "model: tnk\n", "gateways[0].simulate",
                      id="unknown-model"),
         pytest.param("window: 4,", "window: 1.5,", "services[0]", id="window-real"),
