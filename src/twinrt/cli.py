@@ -85,7 +85,7 @@ def _gate_audit(cfg, force: bool) -> None:
             f"{c}: {report.result(c).findings[0] if report.result(c).findings else ''}"
             for c in report.violated)
         raise AuditFailed(f"audit violated {report.violated} ({details}); "
-                          f"use --force to run anyway", violated=report.violated)
+                          f"use --force to run anyway")
 
 
 def cmd_run(args) -> int:
@@ -98,8 +98,9 @@ def cmd_run(args) -> int:
             raise ConfigParseError(f"{flag} must be a positive integer, got {value}")
 
     sink = DecisionLog(args.decisions) if args.decisions else None
-    runtime = TwinRuntime(cfg, journal_path=args.journal, decision_sink=sink)
+    runtime = None
     try:
+        runtime = TwinRuntime(cfg, journal_path=args.journal, decision_sink=sink)
         control_addr = args.control or os.environ.get("TWIN_CONTROL_ADDR")
         if control_addr:
             endpoint = runtime.start_control(control_addr)
@@ -123,7 +124,8 @@ def cmd_run(args) -> int:
     except KeyboardInterrupt:
         return EXIT_OK
     finally:
-        runtime.close()
+        if runtime is not None:
+            runtime.close()
         if sink is not None:
             sink.close()
 

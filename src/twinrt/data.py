@@ -303,6 +303,24 @@ RefResolver = Callable[[ModelElementRef], bool]
 _MAX_PROPERTY_SETS = 64
 
 
+def open_empty(path: Path, what: str):
+    """Open ``path`` to append bytes, refusing a file that already holds some.
+
+    Each run writes its outputs from the start: a journal appended to by a
+    second run would restart its record ids and no longer replay. A refused
+    file is closed and left as it was.
+    """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "ab")
+    except OSError as exc:
+        raise StorageFailure(f"cannot open {what} {path}: {exc}") from exc
+    if fh.tell():
+        fh.close()
+        raise StorageFailure(f"{what} {path} is not empty; a run needs a new or empty file")
+    return fh
+
+
 class DataManager:
     """Record store with an optional on-disk journal, used from one thread.
 
@@ -337,14 +355,7 @@ class DataManager:
         self.resolver = resolver
         self.enforce_mandatory = enforce_mandatory
         self.allow_linkage = allow_linkage
-        self._journal_path = Path(journal_path) if journal_path is not None else None
-        self._journal = None
-        if self._journal_path is not None:
-            try:
-                self._journal_path.parent.mkdir(parents=True, exist_ok=True)
-                self._journal = open(self._journal_path, "ab")
-            except OSError as exc:
-                raise StorageFailure(f"cannot open journal {self._journal_path}: {exc}") from exc
+        self._journal = None if journal_path is None else open_empty(Path(journal_path), "journal")
 
     # --- operations ---
 
@@ -489,13 +500,12 @@ class DataManager:
     # --- persistence ---
 
     @classmethod
-    def reload(cls, journal_path: str | Path, reopen: bool = False) -> "DataManager":
-        """Rebuild a manager by replaying a journal.
+    def reload(cls, journal_path: str | Path) -> "DataManager":
+        """Rebuild an in-memory manager by replaying a journal.
 
         Every complete (newline-terminated, well-formed) entry is applied; a
         torn trailing entry is discarded. Malformation anywhere before the
-        tail raises CorruptJournal. With ``reopen`` the journal is opened for
-        further appends, otherwise the result is an in-memory store.
+        tail raises CorruptJournal.
         """
         path = Path(journal_path)
         try:
@@ -516,12 +526,6 @@ class DataManager:
                     break  # trailing torn entry: a crash can also tear the line content
                 raise CorruptJournal(f"journal entry {i + 1} is malformed: {exc}",
                                      line_no=i + 1) from exc
-        if reopen:
-            manager._journal_path = path
-            try:
-                manager._journal = open(path, "ab")
-            except OSError as exc:
-                raise StorageFailure(f"cannot reopen journal {path}: {exc}") from exc
         return manager
 
     def _replay(self, line: bytes, shared: dict) -> None:

@@ -229,7 +229,6 @@ class _ServiceState:
     impl: Any
     client: ServiceClient
     enabled: bool = True
-    disabled_reason: str = ""
 
 
 # what a failed gateway request raises besides Disconnected; it suspends the sync
@@ -267,8 +266,6 @@ class Engine:
         self._needs_reconcile: set[str] = set()
         self._services: dict[str, _ServiceState] = {}
         self.decisions: list[SyncDecision] = []
-        self.notices: list[dict] = []
-        self.mediated_log: list[dict] = []  # every service request, allowed or not
         self.sync_model_updates = 0  # model writes performed by the synchronizer
         registry.tick_supplier = self.effective_tick
         registry.change_listeners.append(self._on_model_change)
@@ -289,9 +286,7 @@ class Engine:
             self._sink(line)
 
     def _notice(self, **fields) -> None:
-        notice = {"kind": "service", "tick": self.effective_tick(), **fields}
-        self.notices.append(notice)
-        self._emit(notice)
+        self._emit({"kind": "service", "tick": self.effective_tick(), **fields})
 
     # --- wiring ---
 
@@ -439,8 +434,6 @@ class Engine:
         if svc is None:
             raise KeyError(f"no service {service_id!r}")
         svc.enabled = enabled
-        if enabled:
-            svc.disabled_reason = ""
 
     def services(self) -> list[str]:
         return sorted(self._services)
@@ -464,11 +457,7 @@ class Engine:
     def mediate_service_call(self, service_id: str, request: ServiceRequest):
         svc = self._service(service_id)
         kind, target = required_capability(request)
-        allowed = svc.descriptor.effective_grant.allows(kind, target)
-        self.mediated_log.append({"tick": self.effective_tick(), "service": service_id,
-                                  "capability": kind, "target": target,
-                                  "allowed": allowed})
-        if not allowed:
+        if not svc.descriptor.effective_grant.allows(kind, target):
             capability = kind if target == "*" else f"{kind}:{target}"
             raise PermissionDenied(
                 f"service {service_id!r} lacks capability {capability}", capability)
@@ -730,7 +719,6 @@ class Engine:
             fn(svc.client, *args)
         except PermissionDenied as exc:
             svc.enabled = False
-            svc.disabled_reason = str(exc)
             self._notice(service=svc.descriptor.service_id, event="disabled",
                          detail=f"permission denied: {exc.capability or exc}")
         except TwinError as exc:

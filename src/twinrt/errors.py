@@ -60,7 +60,7 @@ class MissingMandatoryProperty(TwinError):
 
 
 class StorageFailure(TwinError):
-    """Journal append or flush failed."""
+    """A run output could not be opened, or a journal append or flush failed."""
 
 
 class NoSuchRecord(TwinError):
@@ -195,10 +195,6 @@ class ConfigParseError(TwinError):
 
 class AuditFailed(TwinError):
     """Configuration audit reported Violated rules and --force was not given."""
-
-    def __init__(self, message: str, violated: list[str] | None = None):
-        super().__init__(message)
-        self.violated = violated or []
 
 
 class ScenarioAssertionFailed(TwinError):

@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable
 
 from .asset import AssetControl, AssetServer, build_model
 from .config import TwinConfiguration
-from .data import DataManager, DataRecord
+from .data import DataManager, DataRecord, open_empty
 from .engine import Engine, Mapping, SyncDecision
 from .errors import ProtocolError, TwinError
 from .gateway import ValueSample, connect
@@ -263,12 +263,12 @@ class TwinRuntime:
         """Close the control socket, the gateways, the hosted assets and the
         journal.
 
-        Until closed, the twin keeps every record, decision, notice and
-        mediated request. Closing unwires the engine from the registry and from its
-        services, so no reference cycle is left and the twin is freed as
-        soon as its last reference is dropped. A service client called
-        after close is refused with PermissionDenied, as an unregistered
-        service is.
+        Until closed, the twin keeps every record and sync decision; a service
+        notice goes only to the decision sink. Closing unwires the engine from
+        the registry and from its services, so no reference cycle is left and
+        the twin is freed as soon as its last reference is dropped. A service
+        client called after close is refused with PermissionDenied, as an
+        unregistered service is.
         """
         if self._control_server is not None:
             self._control_server.close()
@@ -308,15 +308,15 @@ def _wire_result(result) -> Any:
 
 
 class DecisionLog:
-    """Writes one canonical JSON line per decision or service notice."""
+    """Writes one canonical JSON line per decision or service notice to a
+    new or empty file; a file that holds bytes is refused, as a journal is."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "w", encoding="utf-8")
+        self._fh = open_empty(self.path, "decision log")
 
     def __call__(self, line: dict) -> None:
-        self._fh.write(canonical_json(line) + "\n")
+        self._fh.write((canonical_json(line) + "\n").encode("utf-8"))
         self._fh.flush()
 
     def close(self) -> None:

@@ -184,10 +184,10 @@ def valve_mapping(direction: Direction = Direction.BIDIRECTIONAL,
 
 def build_rig(mappings=(), journal_path=None, step_ms: int = 100,
               track_last_update: bool = True, online: bool = True,
-              **tank_params) -> Rig:
+              sink: Callable[[dict], None] | None = None, **tank_params) -> Rig:
     registry = build_registry(track_last_update=track_last_update, online=online)
     data = DataManager(journal_path=journal_path, resolver=registry.resolve)
-    engine = Engine(registry, data)
+    engine = Engine(registry, data, sink=sink)
     server = start_tank(step_ms=step_ms, **tank_params)
     handle = connect(tank_descriptor(server.endpoint))
     engine.add_gateway(handle)

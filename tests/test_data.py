@@ -26,6 +26,7 @@ from twinrt.errors import (
     MissingMandatoryProperty,
     NoSuchRecord,
     SchemaViolation,
+    StorageFailure,
 )
 
 LEVEL_REF = ModelElementRef("tank", "main", "level")
@@ -427,12 +428,25 @@ class TestReload:
             assert reloaded.count() == 3
             assert reloaded.get(1).model_link is None, f"offset {cut}"
 
-    def test_reload_reopen_continues_ids(self, tmp_path):
+    @pytest.mark.parametrize("tail", [b"", b'{"op":"record","id":4,"va'])
+    def test_a_start_on_a_journal_that_holds_bytes_is_refused(self, tmp_path, tail):
+        # a second run appending to the first run's journal would restart
+        # record ids at 1, and the journal would no longer replay
         path = self.write_store(tmp_path / "j.ndjson")
-        dm = DataManager.reload(path, reopen=True)
-        assert dm.ingest(4.0, base_props()) == 4
+        path.write_bytes(path.read_bytes() + tail)
+        blob = path.read_bytes()
+        with pytest.raises(StorageFailure, match="j.ndjson is not empty"):
+            DataManager(journal_path=path)
+        assert path.read_bytes() == blob
+        assert DataManager.reload(path).count() == 3
+
+    def test_a_start_on_an_empty_journal_file_is_accepted(self, tmp_path):
+        path = tmp_path / "j.ndjson"
+        path.touch()
+        dm = DataManager(journal_path=path)
+        assert dm.ingest(1.0, base_props()) == 1
         dm.close()
-        assert DataManager.reload(path).count() == 4
+        assert DataManager.reload(path).count() == 1
 
     def test_out_of_order_ids_are_corrupt(self, tmp_path):
         path = tmp_path / "j.ndjson"

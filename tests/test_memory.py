@@ -163,6 +163,27 @@ class TestEveryDataclassIsSlotted:
             assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
+def container_sizes(obj) -> dict[str, int]:
+    return {name: len(value) for name, value in vars(obj).items()
+            if isinstance(value, (list, dict, set))}
+
+
+class TestEngineGrowth:
+    def test_of_the_engines_containers_only_decisions_grow_with_ticks(self):
+        # services act through mediated requests, and the decision sink, not
+        # the engine, keeps what they did
+        runtime = TwinRuntime(config_mod.load(DEMO_CONFIG))
+        try:
+            assert runtime.engine.services() == ["guard", "kpi"]
+            runtime.advance(20)
+            before = container_sizes(runtime.engine)
+            runtime.advance(200)
+            after = container_sizes(runtime.engine)
+        finally:
+            runtime.close()
+        assert [name for name in after if after[name] > before[name]] == ["decisions"]
+
+
 class TestRecordCost:
     def test_history_records_sharing_metadata_retain_at_most_200_bytes_each(self):
         # the shape of a primed history: one property list, and a new but

@@ -691,6 +691,29 @@ class TestRunTimerMode:
         journal = (tmp_path / "j.ndjson").read_text().splitlines()
         assert len(journal) >= 3  # one pull per tick at least
 
+    def test_a_second_run_on_the_same_outputs_is_refused_and_leaves_them_whole(
+            self, capsys, tmp_path):
+        journal, decisions = tmp_path / "j.ndjson", tmp_path / "d.log"
+
+        def run(decision_log):
+            return main(["run", "--config", str(DEMO_CONFIG), "--journal", str(journal),
+                         "--decisions", str(decision_log), "--timer", "1",
+                         "--max-ticks", "3"])
+
+        assert run(decisions) == 0
+        written = journal.read_bytes(), decisions.read_bytes()
+        assert all(written)
+        capsys.readouterr()
+        assert run(decisions) == 1
+        assert f"error: decision log {decisions} is not empty" in capsys.readouterr().err
+        # a new decision log does not let the run append to the old journal
+        fresh = tmp_path / "d2.log"
+        assert run(fresh) == 1
+        assert f"error: journal {journal} is not empty" in capsys.readouterr().err
+        assert (journal.read_bytes(), decisions.read_bytes()) == written
+        assert fresh.read_bytes() == b""
+        assert main(["history", "--journal", str(journal)]) == 0
+
     @pytest.mark.parametrize("tick_s,sleeps", [
         (0.03125, [0.125, 0.09375, 0.09375, 0.09375]),  # each tick sleeps off the rest
         (0.25, [0.125, 0.0, 0.0, 0.0]),  # overrunning ticks never sleep a negative time

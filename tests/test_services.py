@@ -42,10 +42,10 @@ class CountingTank(TankModel):
         return super()._invoke(name, args)
 
 
-def make_rig(tank=None, mappings=(), **tank_params):
+def make_rig(tank=None, mappings=(), sink=None, **tank_params):
     registry = build_registry()
     data = DataManager(resolver=registry.resolve)
-    engine = Engine(registry, data)
+    engine = Engine(registry, data, sink=sink)
     server = AssetServer(tank or TankModel(**tank_params))
     engine.add_gateway(connect(tank_descriptor(server.endpoint)))
     for mapping in mappings:
@@ -349,14 +349,15 @@ class TestKpiMonitor:
             server.close()
 
     def test_missing_ingest_grant_disables_after_first_denial(self):
-        registry, data, engine, server = make_rig(level=2.0)
+        lines = []
+        registry, data, engine, server = make_rig(level=2.0, sink=lines.append)
         try:
             self.register_kpi(engine, window=2, grant=("read-model:tank",))
             for t in range(1, 7):
                 engine.tick(t)
             assert data.query(Selector(origin_source="service")) == []
             assert not engine.service_enabled("kpi")
-            disabled = [n for n in engine.notices if n.get("event") == "disabled"]
+            disabled = [n for n in lines if n.get("event") == "disabled"]
             assert len(disabled) == 1 and disabled[0]["service"] == "kpi"
             assert disabled[0]["detail"].startswith("permission denied: ingest-data")
             # disabled at tick 2 (first window close); no hook ran afterwards
@@ -418,8 +419,10 @@ class TestThresholdGuard:
             server.close()
 
     def test_a_failed_invoke_is_reported_and_the_guard_stays_enabled(self):
+        lines = []
         registry, data, engine, server = make_rig(tank=CountingTank(valve=1.0),
-                                                  mappings=[level_mapping()])
+                                                  mappings=[level_mapping()],
+                                                  sink=lines.append)
         engine.register_service(
             ServiceDescriptor("guard", ServiceGrant.parse(["read-model:tank",
                                                            "command-gateway:tank01"]),
@@ -428,7 +431,7 @@ class TestThresholdGuard:
         try:
             server.step(1)
             engine.tick(1)
-            assert engine.notices == [{
+            assert [n for n in lines if n["kind"] == "service"] == [{
                 "kind": "service", "tick": 1, "service": "guard", "event": "error",
                 "detail": "vent on tank01 failed: tank01: no element 'vent'"}]
             assert engine.service_enabled("guard")
@@ -483,14 +486,36 @@ class TestHookOrdering:
             server.close()
 
 
+def spy_on_mediation(monkeypatch) -> list[dict]:
+    """Every service request the engine mediates from now on, allowed or not,
+    seen by wrapping ``Engine.mediate_service_call`` as the bench tracer does."""
+    log = []
+    mediate = Engine.mediate_service_call
+
+    def spy(engine, service_id, request):
+        kind, target = required_capability(request)
+        entry = {"service": service_id, "capability": kind, "target": target,
+                 "allowed": True}
+        log.append(entry)
+        try:
+            return mediate(engine, service_id, request)
+        except PermissionDenied:
+            entry["allowed"] = False
+            raise
+
+    monkeypatch.setattr(Engine, "mediate_service_call", spy)
+    return log
+
+
 class TestNoBackChannel:
-    def test_every_service_effect_appears_in_the_mediated_log(self, tmp_path):
+    def test_every_service_effect_appears_in_the_mediated_log(self, monkeypatch):
         # cross-check two independent records: journal entries with service
         # origin and asset commands must each match an allowed mediated call
         import twinrt.config as config_mod
         from conftest import DEMO_CONFIG
         from twinrt.runtime import TwinRuntime
 
+        log = spy_on_mediation(monkeypatch)
         runtime = TwinRuntime(config_mod.load(DEMO_CONFIG))
         try:
             for _ in range(9):
@@ -498,7 +523,6 @@ class TestNoBackChannel:
             runtime.asset_set("tank01", "level", 8.5)  # trips the guard
             for _ in range(3):
                 runtime.advance(1)
-            log = runtime.engine.mediated_log
             kpi_records = runtime.data.query(Selector(origin_source="service",
                                                       origin_id="kpi"))
             kpi_ingests = [e for e in log if e["service"] == "kpi"
@@ -513,15 +537,17 @@ class TestNoBackChannel:
         finally:
             runtime.close()
 
-    def test_denied_requests_are_logged_as_denied(self):
+    def test_a_denied_request_names_its_capability_and_never_runs(self, monkeypatch):
         registry, data, engine, server = make_rig()
         try:
             engine.register_service(ServiceDescriptor("mute", ServiceGrant()), object())
-            with pytest.raises(PermissionDenied):
+            queries = []
+            monkeypatch.setattr(data, "query", lambda *a, **kw: queries.append(a))
+            with pytest.raises(PermissionDenied) as denied:
                 engine.mediate_service_call("mute", QueryData())
-            assert engine.mediated_log == [
-                {"tick": 1, "service": "mute", "capability": "read-data",
-                 "target": "*", "allowed": False}]
+            assert denied.value.capability == "read-data"
+            assert "lacks capability read-data" in str(denied.value)
+            assert queries == []
         finally:
             engine.close()
             server.close()

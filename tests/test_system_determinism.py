@@ -30,8 +30,9 @@ def overflow_mapping():
 
 def run_workload(seed: int):
     rng = random.Random(seed)
+    lines = []
     rig = build_rig(mappings=[level_mapping(every=2), valve_mapping(),
-                              overflow_mapping()], valve=0.4)
+                              overflow_mapping()], valve=0.4, sink=lines.append)
     rig.engine.register_service(
         ServiceDescriptor("kpi", ServiceGrant.parse(["read-model:tank", "ingest-data"]),
                           hooks=(Hook("on-tick"),)),
@@ -62,7 +63,7 @@ def run_workload(seed: int):
             else:
                 rig.engine.set_service_enabled("kpi", rng.random() < 0.5)
         decisions = [d.to_dict() for d in rig.engine.decisions]
-        notices = list(rig.engine.notices)
+        notices = [line for line in lines if line["kind"] == "service"]
         journal = [r.to_dict() for r in rig.data.query()]
         state = rig.registry.digests()
         return decisions, notices, journal, state
