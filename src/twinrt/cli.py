@@ -96,6 +96,9 @@ def cmd_run(args) -> int:
     for flag, value in (("--timer", args.timer), ("--max-ticks", args.max_ticks)):
         if value is not None and value < 1:
             raise ConfigParseError(f"{flag} must be a positive integer, got {value}")
+    journal = args.journal or cfg.data.journal
+    if journal and args.decisions and os.path.realpath(journal) == os.path.realpath(args.decisions):
+        raise ConfigParseError(f"the journal and the decision log are one file: {journal}")
 
     sink = DecisionLog(args.decisions) if args.decisions else None
     runtime = None

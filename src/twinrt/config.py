@@ -22,7 +22,7 @@ from yaml.constructor import ConstructorError
 
 from .asset import build_model
 from .engine import Direction, Mapping, Schedule, Transform, Trigger, TriggerKind
-from .errors import ConfigParseError
+from .errors import ConfigParseError, IllFormedLanguage
 from .gateway import (
     ElementKind,
     GatewayDescriptor,
@@ -133,12 +133,6 @@ def _fail(path: str, message: str) -> ConfigParseError:
     return ConfigParseError(f"{path}: {message}")
 
 
-def _need(obj: dict, key: str, path: str):
-    if not isinstance(obj, dict) or key not in obj:
-        raise _fail(path, f"missing required field {key!r}")
-    return obj[key]
-
-
 def _as_str(value, path: str) -> str:
     if not isinstance(value, str) or not value:
         raise _fail(path, f"expected a non-empty string, got {value!r}")
@@ -193,34 +187,46 @@ def _value_type(value, path: str) -> str:
     return value
 
 
-def _parse_element_decl(obj: dict, path: str) -> GatewayElementDecl:
-    name = _as_str(_need(obj, "name", path), f"{path}.name")
-    kind = _as_str(_need(obj, "kind", path), f"{path}.kind")
+def _need(obj: dict, key: str, path: str, read=_as_str):
+    """The required field ``key`` of ``obj``, read at ``path.key``."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise _fail(path, f"missing required field {key!r}")
+    return read(obj[key], f"{path}.{key}")
+
+
+def _each(obj: dict, key: str, path: str, read) -> tuple:
+    """Each item of the optional list ``obj[key]``, read at ``path.key[i]`` ("" is the root)."""
+    where = f"{path}.{key}" if path else key
+    return tuple(read(item, f"{where}[{i}]")
+                 for i, item in enumerate(_as_list(obj.get(key), where)))
+
+
+def _parse_element_decl(obj, path: str) -> GatewayElementDecl:
+    obj = _as_dict(obj, path)
+    name = _need(obj, "name", path)
+    kind = _need(obj, "kind", path)
     try:
         if kind == ElementKind.PROPERTY.value:
             access = obj.get("access", "ro")
             if access not in ("ro", "rw"):
                 raise _fail(f"{path}.access", f"expected ro or rw, got {access!r}")
-            return property_decl(name, _value_type(_need(obj, "type", path), f"{path}.type"),
+            return property_decl(name, _need(obj, "type", path, _value_type),
                                  PropertyAccess(access))
         if kind == ElementKind.EVENT.value:
-            return event_decl(name, _value_type(_need(obj, "payload", path), f"{path}.payload"))
+            return event_decl(name, _need(obj, "payload", path, _value_type))
         if kind == ElementKind.FUNCTION.value:
-            args = [_value_type(a, f"{path}.args[{i}]")
-                    for i, a in enumerate(_as_list(obj.get("args"), f"{path}.args"))]
-            return function_decl(name, args,
-                                 _value_type(_need(obj, "result", path), f"{path}.result"))
+            return function_decl(name, _each(obj, "args", path, _value_type),
+                                 _need(obj, "result", path, _value_type))
     except ValueError as exc:
         raise _fail(path, str(exc)) from exc
     raise _fail(f"{path}.kind", f"unknown element kind {kind!r}")
 
 
-def _parse_gateway(obj: dict, path: str) -> GatewayConfig:
-    gateway_id = _as_str(_need(obj, "id", path), f"{path}.id")
-    endpoint = _as_str(_need(obj, "endpoint", path), f"{path}.endpoint")
-    elements = tuple(_parse_element_decl(_as_dict(e, f"{path}.elements[{i}]"),
-                                         f"{path}.elements[{i}]")
-                     for i, e in enumerate(_as_list(obj.get("elements"), f"{path}.elements")))
+def _parse_gateway(obj, path: str) -> GatewayConfig:
+    obj = _as_dict(obj, path)
+    gateway_id = _need(obj, "id", path)
+    endpoint = _need(obj, "endpoint", path)
+    elements = _each(obj, "elements", path, _parse_element_decl)
     try:
         descriptor = GatewayDescriptor(gateway_id=gateway_id, endpoint=endpoint,
                                        elements=elements)
@@ -228,12 +234,12 @@ def _parse_gateway(obj: dict, path: str) -> GatewayConfig:
         raise _fail(path, str(exc)) from exc
     simulate = None
     if obj.get("simulate") is not None:
-        sim = _as_dict(obj["simulate"], f"{path}.simulate")
+        sim = _need(obj, "simulate", path, _as_dict)
         step_ms = _as_int(sim.get("step_ms", 100), f"{path}.simulate.step_ms")
         if step_ms <= 0:
             raise _fail(f"{path}.simulate.step_ms", f"expected a positive integer, got {step_ms}")
         simulate = SimulatedAsset(
-            model=_as_str(_need(sim, "model", f"{path}.simulate"), f"{path}.simulate.model"),
+            model=_need(sim, "model", f"{path}.simulate"),
             step_ms=step_ms,
             seed=_as_int(sim.get("seed", 0), f"{path}.simulate.seed"),
             params=_as_dict(sim.get("params"), f"{path}.simulate.params"))
@@ -246,92 +252,85 @@ def _parse_gateway(obj: dict, path: str) -> GatewayConfig:
     return GatewayConfig(descriptor=descriptor, simulate=simulate)
 
 
-def _parse_rule(obj: dict, path: str) -> PropertyRule:
+def _parse_rule(obj, path: str) -> PropertyRule:
+    obj = _as_dict(obj, path)
     try:
         return PropertyRule(
-            rule_id=_as_str(_need(obj, "id", path), f"{path}.id"),
-            kind=_as_str(_need(obj, "kind", path), f"{path}.kind"),
-            property_name=_as_str(_need(obj, "property", path), f"{path}.property"),
-            op=_as_str(_need(obj, "op", path), f"{path}.op"),
+            rule_id=_need(obj, "id", path),
+            kind=_need(obj, "kind", path),
+            property_name=_need(obj, "property", path),
+            op=_need(obj, "op", path),
             bound=obj.get("bound"),
             other_property=obj.get("other"))
-    except Exception as exc:
-        if isinstance(exc, ConfigParseError):
-            raise
+    except IllFormedLanguage as exc:
         raise _fail(path, str(exc)) from exc
 
 
-def _parse_language(obj: dict, path: str) -> ModelingLanguage:
-    language_id = _as_str(_need(obj, "id", path), f"{path}.id")
-    kinds = _as_dict(_need(obj, "kinds", path), f"{path}.kinds")
+def _parse_language(obj, path: str) -> ModelingLanguage:
+    obj = _as_dict(obj, path)
+    language_id = _need(obj, "id", path)
+    kinds = _need(obj, "kinds", path, _as_dict)
     schemas = {}
     for kind, schema in kinds.items():
         schemas[kind] = {name: _value_type(t, f"{path}.kinds.{kind}.{name}")
                          for name, t in _as_dict(schema, f"{path}.kinds.{kind}").items()}
-    rules = tuple(_parse_rule(_as_dict(r, f"{path}.rules[{i}]"), f"{path}.rules[{i}]")
-                  for i, r in enumerate(_as_list(obj.get("rules"), f"{path}.rules")))
     return ModelingLanguage(language_id=language_id, element_kinds=frozenset(kinds),
-                            property_schemas=schemas, rules=rules)
+                            property_schemas=schemas,
+                            rules=_each(obj, "rules", path, _parse_rule))
 
 
-def _parse_manager(obj: dict, path: str) -> ManagerConfig:
-    delegations = []
-    for i, d in enumerate(_as_list(obj.get("delegations"), f"{path}.delegations")):
-        dpath = f"{path}.delegations[{i}]"
-        d = _as_dict(d, dpath)
-        delegations.append(DelegationConfig(
-            operator=_as_str(_need(d, "operator", dpath), f"{dpath}.operator"),
-            target=_as_str(_need(d, "to", dpath), f"{dpath}.to"),
-            model_pattern=str(d.get("model", "*"))))
-    return ManagerConfig(
-        manager_id=_as_str(_need(obj, "id", path), f"{path}.id"),
-        models=tuple(_as_str(m, f"{path}.models[{i}]")
-                     for i, m in enumerate(_as_list(obj.get("models"), f"{path}.models"))),
-        delegations=tuple(delegations))
+def _parse_delegation(obj, path: str) -> DelegationConfig:
+    obj = _as_dict(obj, path)
+    return DelegationConfig(operator=_need(obj, "operator", path), target=_need(obj, "to", path),
+                            model_pattern=str(obj.get("model", "*")))
 
 
-def _parse_model(obj: dict, path: str,
-                 languages: dict[str, ModelingLanguage]) -> ModelConfig:
-    model_id = _as_str(_need(obj, "id", path), f"{path}.id")
-    language_id = _as_str(_need(obj, "language", path), f"{path}.language")
+def _parse_manager(obj, path: str) -> ManagerConfig:
+    obj = _as_dict(obj, path)
+    delegations = _each(obj, "delegations", path, _parse_delegation)
+    return ManagerConfig(manager_id=_need(obj, "id", path),
+                         models=_each(obj, "models", path, _as_str), delegations=delegations)
+
+
+def _parse_element(obj, path: str, language: ModelingLanguage | None) -> ModelElement:
+    obj = _as_dict(obj, path)
+    element_id = _need(obj, "id", path)
+    kind = _need(obj, "kind", path)
+    schema = language.schema_for(kind) if language is not None else {}
+    # YAML reads 5 as an int and 5.0 as a float, whatever the schema
+    properties = {name: ModelProperty(name=name, value=fit_value(value, schema.get(name)))
+                  for name, value in _as_dict(obj.get("properties"),
+                                              f"{path}.properties").items()}
+    return ModelElement(element_id=element_id, kind=kind, properties=properties)
+
+
+def _parse_model(obj, path: str, languages: dict[str, ModelingLanguage]) -> ModelConfig:
+    obj = _as_dict(obj, path)
+    model_id = _need(obj, "id", path)
+    language_id = _need(obj, "language", path)
     mode = obj.get("mode", "online")
     if mode not in (ModelMode.ONLINE.value, ModelMode.OFFLINE.value):
         raise _fail(f"{path}.mode", f"expected online or offline, got {mode!r}")
     language = languages.get(language_id)
-    elements = []
-    for i, e in enumerate(_as_list(obj.get("elements"), f"{path}.elements")):
-        epath = f"{path}.elements[{i}]"
-        e = _as_dict(e, epath)
-        element_id = _as_str(_need(e, "id", epath), f"{epath}.id")
-        kind = _as_str(_need(e, "kind", epath), f"{epath}.kind")
-        schema = language.schema_for(kind) if language is not None else {}
-        properties = {}
-        for name, value in _as_dict(e.get("properties"), f"{epath}.properties").items():
-            # YAML reads 5 as an int and 5.0 as a float, whatever the schema
-            properties[name] = ModelProperty(name=name,
-                                             value=fit_value(value, schema.get(name)))
-        elements.append(ModelElement(element_id=element_id, kind=kind,
-                                     properties=properties))
+    elements = _each(obj, "elements", path, lambda e, p: _parse_element(e, p, language))
     return ModelConfig(model_id=model_id, language_id=language_id,
                        mode=ModelMode(mode),
                        last_update=_as_bool(obj.get("last_update", False), f"{path}.last_update"),
-                       elements=tuple(elements))
+                       elements=elements)
 
 
-def _parse_trigger(obj: dict, path: str) -> Trigger:
+def _parse_trigger(obj, path: str) -> Trigger:
+    obj = _as_dict(obj, path)
     if "event" in obj:
-        return Trigger(kind=TriggerKind.GATEWAY_EVENT,
-                       gateway_id=_as_str(_need(obj, "gateway", path), f"{path}.gateway"),
-                       element=_as_str(obj["event"], f"{path}.event"))
+        return Trigger(kind=TriggerKind.GATEWAY_EVENT, gateway_id=_need(obj, "gateway", path),
+                       element=_need(obj, "event", path))
     if "gateway" in obj:
-        return Trigger(kind=TriggerKind.GATEWAY_CHANGE,
-                       gateway_id=_as_str(obj["gateway"], f"{path}.gateway"),
-                       element=_as_str(_need(obj, "property", path), f"{path}.property"))
+        return Trigger(kind=TriggerKind.GATEWAY_CHANGE, gateway_id=_need(obj, "gateway", path),
+                       element=_need(obj, "property", path))
     if "model" in obj:
-        return Trigger(kind=TriggerKind.MODEL_CHANGE,
-                       model_id=_as_str(obj["model"], f"{path}.model"),
-                       element_id=_as_str(_need(obj, "element", path), f"{path}.element"),
-                       property_name=_as_str(_need(obj, "property", path), f"{path}.property"))
+        return Trigger(kind=TriggerKind.MODEL_CHANGE, model_id=_need(obj, "model", path),
+                       element_id=_need(obj, "element", path),
+                       property_name=_need(obj, "property", path))
     raise _fail(path, "trigger must name a gateway property, gateway event, or model property")
 
 
@@ -339,43 +338,39 @@ def _parse_trigger(obj: dict, path: str) -> Trigger:
 _IDENTITY = Transform()
 
 
-def _parse_mapping(obj: dict, path: str) -> Mapping:
-    model_side = _as_dict(_need(obj, "model", path), f"{path}.model")
-    gateway_side = _as_dict(_need(obj, "gateway", path), f"{path}.gateway")
-    direction = _as_str(_need(obj, "direction", path), f"{path}.direction")
+def _parse_mapping(obj, path: str) -> Mapping:
+    obj = _as_dict(obj, path)
+    model_side = _need(obj, "model", path, _as_dict)
+    gateway_side = _need(obj, "gateway", path, _as_dict)
+    direction = _need(obj, "direction", path)
     try:
         direction = Direction(direction)
     except ValueError:
         raise _fail(f"{path}.direction",
                     f"expected one of {[d.value for d in Direction]}, got {direction!r}") from None
-    sched = _as_dict(_need(obj, "schedule", path), f"{path}.schedule")
+    sched = _need(obj, "schedule", path, _as_dict)
     try:
         if "every" in sched:
-            schedule = Schedule(every=_as_int(sched["every"], f"{path}.schedule.every"))
+            schedule = Schedule(every=_need(sched, "every", f"{path}.schedule", _as_int))
         elif "trigger" in sched:
-            schedule = Schedule(trigger=_parse_trigger(
-                _as_dict(sched["trigger"], f"{path}.schedule.trigger"),
-                f"{path}.schedule.trigger"))
+            schedule = Schedule(trigger=_need(sched, "trigger", f"{path}.schedule",
+                                              _parse_trigger))
         else:
             raise _fail(f"{path}.schedule", "expected every or trigger")
         transform = _IDENTITY
         if obj.get("transform") is not None:
-            t = _as_dict(obj["transform"], f"{path}.transform")
+            t = _need(obj, "transform", path, _as_dict)
             transform = Transform(
                 scale=_as_number(t.get("scale", 1.0), f"{path}.transform.scale"),
                 offset=_as_number(t.get("offset", 0.0), f"{path}.transform.offset"),
                 unit=t.get("unit"))
         return Mapping(
-            mapping_id=_as_str(_need(obj, "id", path), f"{path}.id"),
-            model_id=_as_str(_need(model_side, "model", f"{path}.model"), f"{path}.model.model"),
-            element_id=_as_str(_need(model_side, "element", f"{path}.model"),
-                               f"{path}.model.element"),
-            property_name=_as_str(_need(model_side, "property", f"{path}.model"),
-                                  f"{path}.model.property"),
-            gateway_id=_as_str(_need(gateway_side, "gateway", f"{path}.gateway"),
-                               f"{path}.gateway.gateway"),
-            gateway_property=_as_str(_need(gateway_side, "property", f"{path}.gateway"),
-                                     f"{path}.gateway.property"),
+            mapping_id=_need(obj, "id", path),
+            model_id=_need(model_side, "model", f"{path}.model"),
+            element_id=_need(model_side, "element", f"{path}.model"),
+            property_name=_need(model_side, "property", f"{path}.model"),
+            gateway_id=_need(gateway_side, "gateway", f"{path}.gateway"),
+            gateway_property=_need(gateway_side, "property", f"{path}.gateway"),
             direction=direction, schedule=schedule, transform=transform,
             enabled=_as_bool(obj.get("enabled", True), f"{path}.enabled"))
     except ValueError as exc:
@@ -390,24 +385,21 @@ def _parse_hook(obj, path: str) -> Hook:
             raise _fail(path, str(exc)) from exc
     obj = _as_dict(obj, path)
     if "on-event" in obj:
-        spec = _as_dict(obj["on-event"], f"{path}.on-event")
-        return Hook("on-event",
-                    gateway_id=_as_str(_need(spec, "gateway", path), f"{path}.gateway"),
-                    event=_as_str(_need(spec, "event", path), f"{path}.event"))
+        spec = _need(obj, "on-event", path, _as_dict)
+        return Hook("on-event", gateway_id=_need(spec, "gateway", path),
+                    event=_need(spec, "event", path))
     raise _fail(path, f"unknown hook {obj!r}")
 
 
-def _parse_service(obj: dict, path: str) -> ServiceConfig:
+def _parse_service(obj, path: str) -> ServiceConfig:
+    obj = _as_dict(obj, path)
     grant = None
-    if "grant" in obj and obj["grant"] is not None:
-        items = [_as_str(g, f"{path}.grant[{i}]")
-                 for i, g in enumerate(_as_list(obj["grant"], f"{path}.grant"))]
+    if obj.get("grant") is not None:
         try:
-            grant = ServiceGrant.parse(items)
+            grant = ServiceGrant.parse(_each(obj, "grant", path, _as_str))
         except ValueError as exc:
             raise _fail(f"{path}.grant", str(exc)) from exc
-    hooks = tuple(_parse_hook(h, f"{path}.hooks[{i}]")
-                  for i, h in enumerate(_as_list(obj.get("hooks"), f"{path}.hooks")))
+    hooks = _each(obj, "hooks", path, _parse_hook)
     builtin = obj.get("builtin")
     params = _as_dict(obj.get("params"), f"{path}.params")
     if builtin in BUILTIN_SERVICE_NAMES:
@@ -417,9 +409,8 @@ def _parse_service(obj: dict, path: str) -> ServiceConfig:
             build_builtin(builtin, params)
         except ValueError as exc:
             raise _fail(path, str(exc)) from exc
-    return ServiceConfig(
-        service_id=_as_str(_need(obj, "id", path), f"{path}.id"),
-        builtin=builtin, params=params, grant=grant, hooks=hooks)
+    return ServiceConfig(service_id=_need(obj, "id", path), builtin=builtin, params=params,
+                         grant=grant, hooks=hooks)
 
 
 # libyaml parses when PyYAML was built with it, and the pure-Python parser
@@ -652,11 +643,26 @@ def _load_yaml(text: str) -> Any:
                              f"at position {exc.start}: {exc.reason}") from exc
 
 
-def loads(text: str) -> TwinConfiguration:
+def read_yaml(text: str, what: str = "") -> Any:
+    """``_load_yaml``, a YAML error raised as "invalid {what}YAML"."""
     try:
-        doc = _load_yaml(text)
+        return _load_yaml(text)
     except yaml.YAMLError as exc:
-        raise ConfigParseError(f"invalid YAML: {exc}") from exc
+        raise ConfigParseError(f"invalid {what}YAML: {exc}") from exc
+
+
+def read_file(path: str | Path, what: str = "") -> str:
+    """The UTF-8 text of the file at ``path``, which errors name "{what}{path}"."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigParseError(f"cannot read {what}{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"{what}{path} is not UTF-8: {exc}") from exc
+
+
+def loads(text: str) -> TwinConfiguration:
+    doc = read_yaml(text)
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
@@ -665,19 +671,13 @@ def loads(text: str) -> TwinConfiguration:
     if not isinstance(twin_id, str) or not twin_id:
         raise ConfigParseError("twin: expected a non-empty string")
 
-    gateways = tuple(_parse_gateway(_as_dict(g, f"gateways[{i}]"), f"gateways[{i}]")
-                     for i, g in enumerate(_as_list(doc.get("gateways"), "gateways")))
-    languages = tuple(_parse_language(_as_dict(l, f"languages[{i}]"), f"languages[{i}]")
-                      for i, l in enumerate(_as_list(doc.get("languages"), "languages")))
+    gateways = _each(doc, "gateways", "", _parse_gateway)
+    languages = _each(doc, "languages", "", _parse_language)
     lang_index = {l.language_id: l for l in languages}
-    managers = tuple(_parse_manager(_as_dict(m, f"managers[{i}]"), f"managers[{i}]")
-                     for i, m in enumerate(_as_list(doc.get("managers"), "managers")))
-    models = tuple(_parse_model(_as_dict(m, f"models[{i}]"), f"models[{i}]", lang_index)
-                   for i, m in enumerate(_as_list(doc.get("models"), "models")))
-    mappings = tuple(_parse_mapping(_as_dict(m, f"mappings[{i}]"), f"mappings[{i}]")
-                     for i, m in enumerate(_as_list(doc.get("mappings"), "mappings")))
-    services = tuple(_parse_service(_as_dict(s, f"services[{i}]"), f"services[{i}]")
-                     for i, s in enumerate(_as_list(doc.get("services"), "services")))
+    managers = _each(doc, "managers", "", _parse_manager)
+    models = _each(doc, "models", "", lambda m, path: _parse_model(m, path, lang_index))
+    mappings = _each(doc, "mappings", "", _parse_mapping)
+    services = _each(doc, "services", "", _parse_service)
     data_obj = _as_dict(doc.get("data"), "data")
     journal = data_obj.get("journal")
     data = DataConfig(
@@ -705,11 +705,4 @@ def loads(text: str) -> TwinConfiguration:
 
 
 def load(path: str | Path) -> TwinConfiguration:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigParseError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigParseError(f"{path} is not UTF-8: {exc}") from exc
-    return loads(text)
-
+    return loads(read_file(path))

@@ -13,13 +13,15 @@ configuration items involved. Both operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .config import TwinConfiguration
 from .engine import Direction, TriggerKind
-from .errors import UnresolvedReference
+from .errors import TwinError, UnresolvedReference
 from .gateway import ElementKind, PropertyAccess
+from .runtime import build_registry
 from .services import BUILTIN_SERVICE_NAMES
 
 
@@ -184,7 +186,6 @@ def _c5_gateway_capabilities(config: TwinConfiguration) -> RuleResult:
     findings: list[str] = []
     used = sorted({m.gateway_id for m in enabled if m.gateway_id in declared})
     for gateway_id in used:
-        descriptor = declared[gateway_id]
         gw_mappings = [m for m in enabled if m.gateway_id == gateway_id]
         reads = [m for m in gw_mappings
                  if m.direction in (Direction.AS_TO_DT, Direction.BIDIRECTIONAL)]
@@ -193,9 +194,8 @@ def _c5_gateway_capabilities(config: TwinConfiguration) -> RuleResult:
         if not reads:
             findings.append(f"gateway {gateway_id!r} is commanded but never read or observed")
         for mapping in writes:
-            decl = descriptor.element(mapping.gateway_property)
-            if (decl is not None and decl.kind is ElementKind.PROPERTY
-                    and decl.access is not PropertyAccess.READ_WRITE):
+            decl = _declared(declared, gateway_id, mapping.gateway_property, ElementKind.PROPERTY)
+            if decl is not None and decl.access is not PropertyAccess.READ_WRITE:
                 findings.append(f"mapping {mapping.mapping_id!r} writes read-only "
                                 f"property {gateway_id}/{mapping.gateway_property}")
     if findings:
@@ -219,12 +219,30 @@ def _c6_gated_services(config: TwinConfiguration) -> RuleResult:
 
 def _c7_closed_boundary(config: TwinConfiguration) -> RuleResult:
     title = "configuration is referentially closed with gateway/service touchpoints only"
-    findings = _closure_findings(config)
+    findings = _closure_findings(config) + _startup_findings(config)
     if findings:
         return RuleResult("C7", title, RuleStatus.VIOLATED, tuple(findings))
     return RuleResult("C7", title, RuleStatus.SATISFIED,
                       (f"all references resolve; boundary: {len(config.gateways)} gateway(s), "
                        f"{len(config.services)} service(s)",))
+
+
+def _startup_findings(config: TwinConfiguration) -> list[str]:
+    """What start-up refuses that C3 and the closure leave unnamed: the model
+    registry, built without the models they report, and a bidirectional
+    mapping on a model that keeps no last-update property."""
+    languages = {l.language_id for l in config.languages}
+    claims = Counter(model_id for m in config.managers for model_id in m.models)
+    no_last_update = {m.model_id for m in config.models if not m.last_update}
+    findings = [f"mapping {m.mapping_id!r} is bidirectional but model {m.model_id!r} "
+                f"keeps no last_update" for m in config.mappings
+                if m.direction is Direction.BIDIRECTIONAL and m.model_id in no_last_update]
+    try:
+        build_registry(replace(config, models=tuple(
+            m for m in config.models if claims[m.model_id] == 1 and m.language_id in languages)))
+    except (TwinError, ValueError) as exc:
+        findings.append(f"the model registry refuses the configuration: {exc}")
+    return findings
 
 
 def _closure_findings(config: TwinConfiguration) -> list[str]:
@@ -259,9 +277,8 @@ def _closure_findings(config: TwinConfiguration) -> list[str]:
             findings.append(f"mapping {mapping.mapping_id!r} references unresolved model "
                             f"property {mapping.model_id}/{mapping.element_id}."
                             f"{mapping.property_name}")
-        descriptor = gateways.get(mapping.gateway_id)
-        decl = descriptor.element(mapping.gateway_property) if descriptor else None
-        if decl is None or decl.kind is not ElementKind.PROPERTY:
+        if _declared(gateways, mapping.gateway_id, mapping.gateway_property,
+                     ElementKind.PROPERTY) is None:
             findings.append(f"mapping {mapping.mapping_id!r} references unresolved gateway "
                             f"property {mapping.gateway_id}/{mapping.gateway_property}")
         trigger = mapping.schedule.trigger
@@ -272,11 +289,9 @@ def _closure_findings(config: TwinConfiguration) -> list[str]:
                     findings.append(f"mapping {mapping.mapping_id!r} trigger references "
                                     f"unresolved model property")
             else:
-                descriptor = gateways.get(trigger.gateway_id)
-                decl = descriptor.element(trigger.element) if descriptor else None
                 wanted = (ElementKind.PROPERTY if trigger.kind is TriggerKind.GATEWAY_CHANGE
                           else ElementKind.EVENT)
-                if decl is None or decl.kind is not wanted:
+                if _declared(gateways, trigger.gateway_id, trigger.element, wanted) is None:
                     findings.append(f"mapping {mapping.mapping_id!r} trigger references "
                                     f"unresolved gateway element "
                                     f"{trigger.gateway_id}/{trigger.element}")
@@ -292,12 +307,10 @@ def _closure_findings(config: TwinConfiguration) -> list[str]:
                     findings.append(f"service {service.service_id!r} grant names unknown "
                                     f"gateway {target!r}")
         for hook in service.hooks:
-            if hook.kind == "on-event":
-                descriptor = gateways.get(hook.gateway_id)
-                decl = descriptor.element(hook.event) if descriptor else None
-                if decl is None or decl.kind is not ElementKind.EVENT:
-                    findings.append(f"service {service.service_id!r} hooks unresolved event "
-                                    f"{hook.gateway_id}/{hook.event}")
+            if hook.kind == "on-event" and _declared(gateways, hook.gateway_id, hook.event,
+                                                     ElementKind.EVENT) is None:
+                findings.append(f"service {service.service_id!r} hooks unresolved event "
+                                f"{hook.gateway_id}/{hook.event}")
         if service.builtin is not None:
             if service.builtin not in BUILTIN_SERVICE_NAMES:
                 findings.append(f"service {service.service_id!r} names unknown builtin "
@@ -321,9 +334,14 @@ def _builtin_param_findings(service, elements, gateways) -> list[str]:
     if service.builtin == "threshold_guard":
         gateway_id = params.get("gateway")
         function = params.get("function")
-        descriptor = gateways.get(gateway_id)
-        decl = descriptor.element(function) if descriptor and isinstance(function, str) else None
-        if decl is None or decl.kind is not ElementKind.FUNCTION:
+        if _declared(gateways, gateway_id, function, ElementKind.FUNCTION) is None:
             findings.append(f"service {service.service_id!r} commands unresolved function "
                             f"{gateway_id}/{function}")
     return findings
+
+
+def _declared(gateways: dict, gateway_id, name, kind: ElementKind):
+    """The element ``name`` of ``kind`` that gateway ``gateway_id`` declares, or None."""
+    descriptor = gateways.get(gateway_id)
+    decl = descriptor.element(name) if descriptor and isinstance(name, str) else None
+    return decl if decl is not None and decl.kind is kind else None

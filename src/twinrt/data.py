@@ -115,6 +115,13 @@ def origin_operator() -> DataProperty:
     return DataProperty(PropertyType.ORIGIN, {"source": "operator"})
 
 
+def origin_of(cause: str) -> DataProperty:
+    """The origin of what a ``cause`` ("operator" or "service:<id>") did."""
+    if cause.startswith("service:"):
+        return origin_service(cause[len("service:"):])
+    return origin_operator()
+
+
 @_shared
 def timeliness(value: str) -> DataProperty:
     return DataProperty(PropertyType.TIMELINESS, value)
@@ -429,8 +436,6 @@ class DataManager:
         return self._records[record_id - 1]
 
     def link_to_model(self, record_id: int, ref: ModelElementRef) -> None:
-        if not self.allow_linkage:
-            raise TwinError("model linkage is disabled in this configuration")
         record = self.get(record_id)
         if record.model_link == ref:
             return  # idempotent
@@ -549,9 +554,9 @@ class DataManager:
                                     model_link=link)
             except (KeyError, TypeError, ValueError, TwinError) as exc:
                 raise CorruptJournal(f"bad record entry: {exc}") from exc
-            if record.record_id != self._next_id:
+            if type(record.record_id) is not int or record.record_id != self._next_id:
                 raise CorruptJournal(
-                    f"record id {record.record_id} out of order (expected {self._next_id})")
+                    f"record id {record.record_id!r} out of order (expected {self._next_id})")
             self._records.append(record)
             self._index_tick(record)
             self._next_id += 1
@@ -561,11 +566,11 @@ class DataManager:
                 ref = ModelElementRef.from_list(entry["ref"])
             except (KeyError, TwinError) as exc:
                 raise CorruptJournal(f"bad link entry: {exc}") from exc
-            if not 1 <= rid < self._next_id:
-                raise CorruptJournal(f"link to unknown record {rid}")
-            record = self._records[rid - 1]
-            if record.model_link is not None and record.model_link != ref:
-                raise CorruptJournal(f"record {rid} linked twice with different refs")
-            self._records[rid - 1] = replace(record, model_link=self._links.setdefault(ref, ref))
+            if type(rid) is not int or not 1 <= rid < self._next_id:
+                raise CorruptJournal(f"link to unknown record {rid!r}")
+            try:
+                self.link_to_model(rid, ref)
+            except AlreadyLinkedDifferently:
+                raise CorruptJournal(f"record {rid} linked twice with different refs") from None
         else:
             raise CorruptJournal(f"unknown journal op {op!r}")

@@ -261,6 +261,7 @@ class Engine:
         self._scheduled: list[str] = []  # sorted ids of every-n-ticks mappings
         self._asset_ledger: dict[tuple[str, str], _Observation] = {}
         self._edit_ledger: dict[tuple[str, str, str], _Edit] = {}
+        # mapping id -> the recency its last sync saw; written only by syncs
         self._sync_memory: dict[str, tuple[int, int]] = {}
         self._pending_triggers: list[tuple] = []  # occurrence keys, FIFO
         self._needs_reconcile: set[str] = set()
@@ -336,7 +337,6 @@ class Engine:
         if trigger is not None:
             self._check_trigger(mapping.mapping_id, trigger)
         self._mappings[mapping.mapping_id] = mapping
-        self._sync_memory[mapping.mapping_id] = (0, 0)
         if trigger is None:
             bisect.insort(self._scheduled, mapping.mapping_id)
         else:
@@ -478,11 +478,7 @@ class Engine:
         if isinstance(request, QueryData):
             return self.data.query(request.selector)
         if isinstance(request, IngestProcessed):
-            if principal == "operator":
-                origin = data_mod.origin_operator()
-            else:
-                origin = data_mod.origin_service(principal.split(":", 1)[1])
-            props = [origin, data_mod.timeliness(request.timeliness),
+            props = [data_mod.origin_of(principal), data_mod.timeliness(request.timeliness),
                      data_mod.processing(data_mod.PROCESSED),
                      data_mod.last_update(self.effective_tick())]
             props.extend(request.extra)
@@ -574,12 +570,10 @@ class Engine:
     def sync_mapping(self, mapping: Mapping, reason: SyncReason) -> SyncDecision:
         model = self.registry.model(mapping.model_id)
         if model.mode is ModelMode.OFFLINE:
-            return self._decision(mapping, SyncAction.NO_OP, SyncReason.SUSPENDED,
-                                  "model offline")
+            return self._suspended(mapping, "model offline")
         handle = self._gateways.get(mapping.gateway_id)
         if handle is None or not handle.is_alive:
-            return self._decision(mapping, SyncAction.NO_OP, SyncReason.SUSPENDED,
-                                  "gateway unavailable")
+            return self._suspended(mapping, "gateway unavailable")
         try:
             if mapping.direction is Direction.AS_TO_DT:
                 return self._pull(mapping, reason)
@@ -587,19 +581,15 @@ class Engine:
                 return self._push(mapping, reason)
             return self._sync_bidirectional(mapping, reason)
         except Disconnected:
-            return self._decision(mapping, SyncAction.NO_OP, SyncReason.SUSPENDED,
-                                  "gateway disconnected")
+            return self._suspended(mapping, "gateway disconnected")
         except _GATEWAY_FAULTS as exc:
-            return self._decision(mapping, SyncAction.NO_OP, SyncReason.SUSPENDED,
-                                  f"gateway error: {exc}")
+            return self._suspended(mapping, f"gateway error: {exc}")
         except TransformFailure as exc:
-            return self._decision(mapping, SyncAction.NO_OP, SyncReason.SUSPENDED,
-                                  f"transform failure: {exc}")
+            return self._suspended(mapping, f"transform failure: {exc}")
         except IntegrityViolation as exc:
             # the asset persistently violates a model rule: disable, surface
             self.set_mapping_enabled(mapping.mapping_id, False)
-            return self._decision(mapping, SyncAction.NO_OP, SyncReason.SUSPENDED,
-                                  f"integrity violation, mapping disabled: {exc}")
+            return self._suspended(mapping, f"integrity violation, mapping disabled: {exc}")
 
     def _sync_bidirectional(self, mapping: Mapping, reason: SyncReason) -> SyncDecision:
         model_tick, asset_tick = self._recency(mapping)
@@ -651,14 +641,8 @@ class Engine:
                                      {"element": mapping.element_id,
                                       "property": mapping.property_name,
                                       "value": value}, cause="sync")
-        self.data.ingest(value, [
-            data_mod.origin_actual_system(mapping.gateway_id),
-            data_mod.timeliness(data_mod.LIVE),
-            data_mod.processing(data_mod.RAW),
-            data_mod.last_update(self._tick),
-        ], model_link=mapping.model_ref())
-        self._sync_memory[mapping.mapping_id] = self._recency(mapping)
-        return self._decision(mapping, SyncAction.PULL_AS_TO_DT, reason)
+        return self._synced(mapping, value, data_mod.origin_actual_system(mapping.gateway_id),
+                            SyncAction.PULL_AS_TO_DT, reason)
 
     def _push(self, mapping: Mapping, reason: SyncReason) -> SyncDecision:
         value = self.registry.property_value(mapping.model_id, mapping.element_id,
@@ -670,23 +654,27 @@ class Engine:
         handle.write_property(mapping.gateway_property, out)
         edit = self._edit_ledger.get((mapping.model_id, mapping.element_id,
                                       mapping.property_name))
-        if edit is not None and edit.cause.startswith("service:"):
-            origin = data_mod.origin_service(edit.cause.split(":", 1)[1])
-        else:
-            origin = data_mod.origin_operator()
-        self.data.ingest(out, [
-            origin,
-            data_mod.timeliness(data_mod.LIVE),
-            data_mod.processing(data_mod.RAW),
-            data_mod.last_update(self._tick),
-        ], model_link=mapping.model_ref())
+        return self._synced(mapping, out, data_mod.origin_of(edit.cause if edit else "operator"),
+                            SyncAction.PUSH_DT_TO_AS, reason)
+
+    def _synced(self, mapping: Mapping, value: Value, origin: data_mod.DataProperty,
+                action: SyncAction, reason: SyncReason) -> SyncDecision:
+        """Record the live raw ``value`` a sync moved, remember the recency it
+        saw, and decide."""
+        self.data.ingest(value, [origin, data_mod.timeliness(data_mod.LIVE),
+                                 data_mod.processing(data_mod.RAW),
+                                 data_mod.last_update(self._tick)],
+                         model_link=mapping.model_ref())
         self._sync_memory[mapping.mapping_id] = self._recency(mapping)
-        return self._decision(mapping, SyncAction.PUSH_DT_TO_AS, reason)
+        return self._decision(mapping, action, reason)
 
     def _decision(self, mapping: Mapping, action: SyncAction, reason: SyncReason,
                   detail: str = "") -> SyncDecision:
         return SyncDecision(tick=self._tick, mapping_id=mapping.mapping_id,
                             action=action, reason=reason, detail=detail)
+
+    def _suspended(self, mapping: Mapping, detail: str) -> SyncDecision:
+        return self._decision(mapping, SyncAction.NO_OP, SyncReason.SUSPENDED, detail)
 
     # --- service hooks ---
 

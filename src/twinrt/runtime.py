@@ -160,7 +160,8 @@ class TwinRuntime:
             self.serve_control()
 
     def asset_set(self, gateway_id: str, prop: str, value: Value) -> None:
-        decl = self._gateway_decl(gateway_id, prop)
+        gw = self.config.gateway(gateway_id)
+        decl = gw.descriptor.element(prop) if gw else None
         self._control(gateway_id).force_set(
             prop, fit_value(value, decl.value_type if decl is not None else None))
 
@@ -169,10 +170,6 @@ class TwinRuntime:
 
     def asset_state(self, gateway_id: str) -> dict[str, Value]:
         return self._control(gateway_id).state()
-
-    def _gateway_decl(self, gateway_id: str, element: str):
-        gw = self.config.gateway(gateway_id)
-        return gw.descriptor.element(element) if gw else None
 
     def _control(self, gateway_id: str):
         server = self._assets.get(gateway_id)

@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-import yaml
-
-from .config import _load_yaml
+from .config import read_file, read_yaml
 from .engine import SyncDecision
 from .errors import ConfigParseError, ScenarioAssertionFailed
 from .data import selector_from_dict
@@ -25,6 +23,13 @@ from .values import fit_value, value_type
 
 STEP_KINDS = ("tick", "asset-set", "asset-raise", "model-edit", "service-on",
               "service-off", "expect-model", "expect-decision", "expect-record-count")
+
+
+# the payload fields a step's runner reads without a default
+_FIELDS = {"asset-set": ("gateway", "property", "value"), "asset-raise": ("gateway", "event"),
+           "model-edit": ("manager", "operator", "model"),
+           "expect-model": ("model", "element", "property", "value"),
+           "expect-record-count": ("count",)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,10 +44,7 @@ class ScenarioScript:
 
 
 def loads(text: str) -> ScenarioScript:
-    try:
-        doc = _load_yaml(text)
-    except yaml.YAMLError as exc:
-        raise ConfigParseError(f"invalid scenario YAML: {exc}") from exc
+    doc = read_yaml(text, "scenario ")
     if isinstance(doc, dict) and "steps" in doc:
         doc = doc["steps"]
     if not isinstance(doc, list):
@@ -54,13 +56,7 @@ def loads(text: str) -> ScenarioScript:
 
 
 def load(path: str | Path) -> ScenarioScript:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigParseError(f"cannot read scenario {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigParseError(f"scenario {path} is not UTF-8: {exc}") from exc
-    return loads(text)
+    return loads(read_file(path, "scenario "))
 
 
 def _parse_step(raw: Any, index: int) -> ScenarioStep:
@@ -76,20 +72,25 @@ def _parse_step(raw: Any, index: int) -> ScenarioStep:
     if kind == "tick":
         if payload is None or payload == {}:
             payload = {"count": 1}
-        elif isinstance(payload, int):
+        elif type(payload) is int:
             payload = {"count": payload}
-        elif not (isinstance(payload, dict) and isinstance(payload.get("count"), int)):
+        elif not (isinstance(payload, dict) and type(payload.get("count")) is int):
             raise ConfigParseError(f"step {index}: tick takes an integer count")
         if payload["count"] < 1:
             raise ConfigParseError(f"step {index}: tick count must be >= 1")
     elif kind in ("service-on", "service-off"):
         if isinstance(payload, str):
             payload = {"service": payload}
-        if not isinstance(payload.get("service"), str):
+        if not (isinstance(payload, dict) and isinstance(payload.get("service"), str)):
             raise ConfigParseError(f"step {index}: {kind} names a service id")
     elif not isinstance(payload, dict):
         raise ConfigParseError(f"step {index}: {kind} takes a mapping payload")
-    elif kind == "expect-record-count":
+    missing = [name for name in _FIELDS.get(kind, ()) if name not in payload]
+    if missing:
+        raise ConfigParseError(f"step {index}: {kind} lacks {', '.join(missing)}")
+    if kind == "expect-record-count":
+        if type(payload["count"]) is not int:
+            raise ConfigParseError(f"step {index}: expect-record-count takes an integer count")
         try:
             selector_from_dict(payload.get("selector") or {})
         except ValueError as exc:
@@ -98,15 +99,9 @@ def _parse_step(raw: Any, index: int) -> ScenarioStep:
 
 
 def _match_decision(decision: SyncDecision, pattern: dict[str, Any]) -> bool:
-    if "mapping" in pattern and decision.mapping_id != pattern["mapping"]:
-        return False
-    if "action" in pattern and decision.action.value != pattern["action"]:
-        return False
-    if "reason" in pattern and decision.reason.value != pattern["reason"]:
-        return False
-    if "tick" in pattern and decision.tick != pattern["tick"]:
-        return False
-    return True
+    actual = decision.to_dict()
+    return all(actual[key] == pattern[key] for key in ("mapping", "action", "reason", "tick")
+               if key in pattern)
 
 
 class ScenarioRunner:

@@ -3,7 +3,9 @@ import itertools
 from dataclasses import replace
 
 import pytest
+import yaml
 
+from conftest import DEMO_CONFIG
 from mutants import mutate
 
 from twinrt.conformance import (
@@ -15,7 +17,13 @@ from twinrt.conformance import (
 )
 from twinrt.config import TwinConfiguration, loads
 from twinrt.engine import Direction, Mapping, Schedule
-from twinrt.errors import UnresolvedReference
+from twinrt.errors import (
+    IntegrityViolation,
+    MissingLastUpdateSupport,
+    UnknownOperator,
+    UnresolvedReference,
+)
+from twinrt.runtime import TwinRuntime
 
 MINIMAL_CONFIG = """
 twin: mini
@@ -73,6 +81,29 @@ def taxonomy_oracle(directions) -> TwinCategory:
     if has_to_dt:
         return TwinCategory.DIGITAL_SHADOW
     return TwinCategory.DIGITAL_MODEL
+
+
+def _tank(doc: dict) -> dict:
+    """The one element of the demo's tank model."""
+    return doc["models"][0]["elements"][0]
+
+
+# edits of the demo configuration that load, and the error start-up raises on each
+REFUSED_EDITS = [
+    pytest.param(lambda doc: doc["models"][0].update(last_update=False),
+                 MissingLastUpdateSupport, id="bidirectional-without-last-update"),
+    pytest.param(lambda doc: doc["managers"][0].update(
+        delegations=[{"operator": "frobnicate", "to": "plant"}]),
+                 UnknownOperator, id="delegated-unknown-operator"),
+    pytest.param(lambda doc: doc["models"][0]["elements"].append(dict(_tank(doc))),
+                 IntegrityViolation, id="second-main"),
+    pytest.param(lambda doc: _tank(doc).update(kind="Pump"),
+                 IntegrityViolation, id="undeclared-kind"),
+    pytest.param(lambda doc: _tank(doc)["properties"].update(level=20.0),
+                 IntegrityViolation, id="level-over-capacity"),
+    pytest.param(lambda doc: _tank(doc)["properties"].update(colour="red"),
+                 IntegrityViolation, id="undeclared-property"),
+]
 
 
 class TestClassify:
@@ -161,6 +192,16 @@ class TestAudit:
     def test_each_mutant_violates_exactly_its_rule(self, demo_config, conclusion):
         report = audit(mutate(demo_config, conclusion))
         assert report.violated == [conclusion]
+
+    @pytest.mark.parametrize("edit, refusal", REFUSED_EDITS)
+    def test_c7_reports_what_start_up_refuses(self, edit, refusal):
+        doc = yaml.safe_load(DEMO_CONFIG.read_text())
+        edit(doc)
+        config = loads(yaml.safe_dump(doc))
+        report = audit(config)
+        assert report.violated == ["C7"]
+        with pytest.raises(refusal):
+            TwinRuntime(config)
 
     def test_no_gateways_is_not_applicable_for_c1(self, demo_config):
         bare = replace(demo_config, gateways=(), mappings=(), services=())

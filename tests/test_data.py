@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -459,6 +461,19 @@ class TestReload:
             '"timeliness":"live"},"link":null}\n')
         with pytest.raises(CorruptJournal):
             DataManager.reload(path)
+
+    @pytest.mark.parametrize("index, rid", [(0, True), (1, 2.0), (3, "1"), (3, 1.0), (3, True)],
+                             ids=["record-true", "record-float", "link-text", "link-float",
+                                  "link-true"])
+    def test_an_id_that_is_not_an_integer_is_corrupt(self, tmp_path, index, rid):
+        path = self.write_store(tmp_path / "j.ndjson")  # records 1-3, then a link
+        entries = [json.loads(line) for line in path.read_bytes().splitlines()]
+        entries.append(dict(entries[3]))  # so that the entry under test is not the tail
+        entries[index]["id"] = rid
+        path.write_text("".join(json.dumps(entry) + "\n" for entry in entries))
+        with pytest.raises(CorruptJournal) as excinfo:
+            DataManager.reload(path)
+        assert excinfo.value.line_no == index + 1
 
 
 # --- query/oracle equivalence over random stores --------------------------------

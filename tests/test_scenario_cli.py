@@ -61,6 +61,22 @@ steps:
         with pytest.raises(ConfigParseError):
             scenario_mod.load(path)
 
+    @pytest.mark.parametrize("step", [
+        "tick: true",
+        "tick: {count: true}",
+        "asset-set: {gateway: tank01}",
+        "asset-set: {gateway: tank01, property: level}",
+        "asset-raise: {gateway: tank01}",
+        "model-edit: {manager: plant, operator: set_property}",
+        "expect-model: {model: tank, element: main, property: level}",
+        "expect-record-count: {selector: {origin: operator}}",
+        "expect-record-count: {selector: {origin: operator}, count: true}",
+        "service-on: 5",
+    ])
+    def test_a_step_is_read_strictly(self, step):
+        with pytest.raises(ConfigParseError, match=r"^step 1: "):
+            scenario_mod.loads(f"steps:\n  - tick\n  - {step}\n")
+
 
 # a bare twin with an integer model property and a simulated echo asset
 FIT_CONFIG = """
@@ -238,6 +254,12 @@ steps:
 """)
         assert main(["scenario", str(script), "--config", str(DEMO_CONFIG)]) == 4
         assert "step 1" in capsys.readouterr().err
+
+    def test_a_step_lacking_a_field_exits_2(self, capsys, tmp_path):
+        script = tmp_path / "s.yaml"
+        script.write_text("steps:\n  - asset-set: {gateway: tank01}\n")
+        assert main(["scenario", str(script), "--config", str(DEMO_CONFIG)]) == 2
+        assert "step 0: asset-set lacks property, value" in capsys.readouterr().err
 
     def test_inspect_offline(self, capsys):
         assert main(["inspect", "--config", str(DEMO_CONFIG)]) == 0
@@ -713,6 +735,23 @@ class TestRunTimerMode:
         assert (journal.read_bytes(), decisions.read_bytes()) == written
         assert fresh.read_bytes() == b""
         assert main(["history", "--journal", str(journal)]) == 0
+
+    @pytest.mark.parametrize("journal_in", ["flag", "config"])
+    def test_one_file_as_journal_and_decision_log_is_a_usage_error(
+            self, capsys, tmp_path, monkeypatch, journal_in):
+        both = tmp_path / "both.log"
+        config, flags = DEMO_CONFIG, ["--journal", str(both)]
+        if journal_in == "config":
+            config, flags = tmp_path / "twin.yaml", []
+            config.write_text(DEMO_CONFIG.read_text().replace("journal: null",
+                                                              f"journal: {both}"))
+        monkeypatch.chdir(tmp_path)  # the decision log is named relative to the journal
+        code = main(["run", "--config", str(config), *flags, "--decisions", "both.log",
+                     "--timer", "1", "--max-ticks", "3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert str(both) in captured.err and "running" not in captured.out
+        assert not both.exists()
 
     @pytest.mark.parametrize("tick_s,sleeps", [
         (0.03125, [0.125, 0.09375, 0.09375, 0.09375]),  # each tick sleeps off the rest
