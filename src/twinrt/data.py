@@ -309,6 +309,9 @@ RefResolver = Callable[[ModelElementRef], bool]
 # property sets remembered for sharing before the memo starts again
 _MAX_PROPERTY_SETS = 64
 
+# the tick bounds of a selector that a query can look up in the run index
+_TICK_BOUND = (int, float, type(None))
+
 
 def open_empty(path: Path, what: str):
     """Open ``path`` to append bytes, refusing a file that already holds some.
@@ -342,18 +345,37 @@ class DataManager:
     the store remembers the sets of the current last-update property (at
     most ``_MAX_PROPERTY_SETS``) and forgets them when that property
     changes, so the memo grows with neither ticks nor records. Records
-    linked to equal model element references hold one reference. A query
-    tests each distinct property tuple once, and tests a record's link only
-    when the selector names a model, element or property.
+    linked to equal model element references hold one reference.
+
+    Tick windows are answered from runs. A run is a maximal stretch of
+    consecutive records that hold one ``properties`` tuple with a
+    last-update property, such as the syncs of one tick; a record without
+    last-update belongs to no run and ends the one before it. The runs are
+    kept sorted by tick, and each carries a key: its properties other than
+    last-update, one tuple per distinct set of property objects (the key
+    memo, like the property-set memo, forgets what it holds at
+    ``_MAX_PROPERTY_SETS`` entries). A full scan tests each distinct
+    property tuple once, a tick window each distinct key once. Either tests
+    a record's link only when the selector names a model, element or
+    property; otherwise a tick window copies a passing run as one slice.
     """
 
     def __init__(self, journal_path: str | Path | None = None,
                  resolver: RefResolver | None = None,
                  enforce_mandatory: bool = True, allow_linkage: bool = True):
         self._records: list[DataRecord] = []
-        # record ids ordered by last-update tick, for tick-window queries
-        self._ticks: list[int] = []
-        self._tick_ids: list[int] = []
+        # the runs in tick order, one column each: the tick, the ids of the
+        # first and the last record, and the key of the other properties
+        self._run_ticks: list[int] = []
+        self._run_first: list[int] = []
+        self._run_last: list[int] = []
+        self._run_keys: list[tuple[DataProperty, ...]] = []
+        self._runs_in_id_order = True  # until a run's tick falls below the last one
+        # the properties of the run the next record may extend, and its column index
+        self._run_props: tuple[DataProperty, ...] | None = None
+        self._run_at = 0
+        # run keys by the ids of their properties
+        self._keys: dict[tuple[int, ...], tuple[DataProperty, ...]] = {}
         self._next_id = 1
         # property tuples by the ids of their properties, all of one last-update
         self._property_sets: dict[tuple[int, ...], tuple[DataProperty, ...]] = {}
@@ -389,32 +411,28 @@ class DataManager:
                               "props": {p.property_type.value: p.value for p in ordered},
                               "link": model_link.to_list() if model_link else None})
         self._records.append(record)
-        self._index_tick(record)
+        self._index_run(record)
         self._next_id += 1
         return record.record_id
 
     def query(self, selector: Selector | None = None, *, after_id: int = 0,
               limit: int | None = None) -> list[DataRecord]:
         """The records ``selector`` matches, in id order: only those with an
-        id above ``after_id``, and with a ``limit`` of 1 or more at most that
-        many. The scan starts after ``after_id`` and stops at ``limit``."""
+        id above ``after_id``, and with a ``limit`` at most that many; a
+        ``limit`` below 1 raises ValueError. The scan starts after
+        ``after_id`` and stops at ``limit``."""
+        if limit is not None and limit < 1:
+            raise ValueError(f"limit must be 1 or more, got {limit!r}")
         selector = selector or Selector()
         start, end = selector.tick_from, selector.tick_to
-        if (start is None and end is None) or not all(
-                bound is None or isinstance(bound, (int, float)) for bound in (start, end)):
-            # ids run 1, 2, ... in list order, so the record after after_id is at after_id
-            candidates = self._records[after_id:] if after_id > 0 else self._records
-        else:
-            # a tick window reads only the records whose last-update falls in it
-            lo = 0 if start is None else bisect.bisect_left(self._ticks, start)
-            hi = len(self._ticks) if end is None else bisect.bisect_right(self._ticks, end)
-            ids = sorted(self._tick_ids[lo:hi])
-            if after_id > 0:
-                ids = ids[bisect.bisect_right(ids, after_id):]
-            candidates = [self._records[rid - 1] for rid in ids]
         # matches_link passes every record when the selector names no link field
         test_link = (selector.model_id is not None or selector.element_id is not None
                      or selector.property_name is not None)
+        if ((start is not None or end is not None)
+                and isinstance(start, _TICK_BOUND) and isinstance(end, _TICK_BOUND)):
+            return self._query_runs(selector, test_link, after_id, limit)
+        # ids run 1, 2, ... in list order, so the record after after_id is at after_id
+        candidates = self._records[after_id:] if after_id > 0 else self._records
         verdicts: dict[int, bool] = {}  # by id of a properties tuple
         props = verdict = None
         found = []
@@ -474,18 +492,87 @@ class DataManager:
         self._property_sets[key] = props
         return props
 
-    def _index_tick(self, record: DataRecord) -> None:
-        tick = record.prop(PropertyType.LAST_UPDATE)
-        if tick is None:
+    def _index_run(self, record: DataRecord) -> None:
+        props = record.properties
+        if props is self._run_props:  # the record before holds the same tuple
+            self._run_last[self._run_at] = record.record_id
             return
-        if self._ticks and tick < self._ticks[-1]:
+        tick = _value(props, PropertyType.LAST_UPDATE)
+        if tick is None:
+            self._run_props = None
+            return
+        ticks = self._run_ticks
+        at = len(ticks)
+        if ticks and tick < ticks[-1]:
             # last-update usually grows with the record id; a direct ingest may not
-            at = bisect.bisect_right(self._ticks, tick)
-            self._ticks.insert(at, tick)
-            self._tick_ids.insert(at, record.record_id)
-        else:
-            self._ticks.append(tick)
-            self._tick_ids.append(record.record_id)
+            at = bisect.bisect_right(ticks, tick)
+            self._runs_in_id_order = False
+        ticks.insert(at, tick)
+        self._run_first.insert(at, record.record_id)
+        self._run_last.insert(at, record.record_id)
+        self._run_keys.insert(at, self._run_key(props))
+        self._run_props = props
+        self._run_at = at
+
+    def _run_key(self, props: tuple[DataProperty, ...]) -> tuple[DataProperty, ...]:
+        """The remembered tuple of these properties but last-update. Like a
+        property set, it keeps its properties alive, so their ids stay theirs."""
+        rest = tuple(p for p in props if p.property_type is not PropertyType.LAST_UPDATE)
+        ids = tuple(map(id, rest))
+        key = self._keys.get(ids)
+        if key is None:
+            if len(self._keys) >= _MAX_PROPERTY_SETS:
+                self._keys.clear()
+            key = self._keys[ids] = rest
+        return key
+
+    def _query_runs(self, selector: Selector, test_link: bool, after_id: int,
+                    limit: int | None) -> list[DataRecord]:
+        """``query`` for a tick window, walking its runs in id order. Each run
+        in the window meets the tick bounds, so the selector is tested once a
+        key, on the properties of the first run that holds it."""
+        tick_from, tick_to = selector.tick_from, selector.tick_to
+        ticks, firsts, lasts = self._run_ticks, self._run_first, self._run_last
+        lo = 0 if tick_from is None else bisect.bisect_left(ticks, tick_from)
+        hi = len(ticks) if tick_to is None else bisect.bisect_right(ticks, tick_to)
+        runs = (range(lo, hi) if self._runs_in_id_order
+                else sorted(range(lo, hi), key=firsts.__getitem__))
+        records, keys = self._records, self._run_keys
+        verdicts: dict[int, bool] = {}  # by id of a key
+        key = verdict = None
+        found: list[DataRecord] = []
+        copy_from = copy_to = 0  # passing runs not yet copied: records copy_from+1 to copy_to
+        for i in runs:
+            first, last = firsts[i], lasts[i]
+            if last <= after_id:
+                continue
+            if keys[i] is not key:  # the runs of one key often follow each other
+                key = keys[i]
+                verdict = verdicts.get(id(key))
+                if verdict is None:
+                    verdict = verdicts[id(key)] = selector.matches_properties(
+                        records[first - 1].properties)
+            if not verdict:
+                continue
+            if first <= after_id:
+                first = after_id + 1
+            if test_link:
+                for record in records[first - 1:last]:
+                    if selector.matches_link(record.model_link):
+                        found.append(record)
+                        if len(found) == limit:
+                            return found
+                continue
+            if first != copy_to + 1:  # runs that adjoin are copied as one slice
+                found += records[copy_from:copy_to]
+                copy_from = first - 1
+            copy_to = last
+            if limit is not None and len(found) + copy_to - copy_from >= limit:
+                break
+        found += records[copy_from:copy_to]
+        if limit is not None:
+            del found[limit:]
+        return found
 
     def _check_link(self, ref: ModelElementRef) -> None:
         if not self.allow_linkage:
@@ -558,7 +645,7 @@ class DataManager:
                 raise CorruptJournal(
                     f"record id {record.record_id!r} out of order (expected {self._next_id})")
             self._records.append(record)
-            self._index_tick(record)
+            self._index_run(record)
             self._next_id += 1
         elif op == "link":
             try:

@@ -456,6 +456,7 @@ class ModelRegistry:
         op = mgr.operators.get(operator_id)
         if op is None:
             raise UnknownOperator(f"{manager_id} has no operator {operator_id!r}")
+        self.manager(target)  # a delegation names a manager that exists
         mgr.operators[operator_id] = OperatorDef(
             op.operator_id, op.applicable_language, op.params, op.effect,
             op.delegations + (DelegationRule(model_pattern=model_pattern, target=target),))
@@ -632,8 +633,6 @@ class ModelRegistry:
             if target in visited:
                 raise DelegationCycle(
                     f"delegation for {operator_id} on {model_id} revisits {target}")
-            if target not in self._managers:
-                raise NotResponsible(f"delegation target {target!r} does not exist")
             if not chain:
                 chain.append(current.manager_id)
             chain.append(target)

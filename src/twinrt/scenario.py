@@ -142,7 +142,9 @@ class ScenarioRunner:
         actual = self.runtime.model_value(p["model"], p["element"], p["property"])
         expected = fit_value(p["value"], value_type(actual))
         tolerance = p.get("tolerance")
-        if tolerance is not None and isinstance(actual, (int, float)) \
+        if isinstance(actual, bool) or isinstance(expected, bool):
+            ok = actual is expected  # a bool equals only itself, neither 1 nor 0.05
+        elif tolerance is not None and isinstance(actual, (int, float)) \
                 and isinstance(expected, (int, float)):
             ok = abs(actual - expected) <= tolerance
         else:

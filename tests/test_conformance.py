@@ -20,6 +20,7 @@ from twinrt.engine import Direction, Mapping, Schedule
 from twinrt.errors import (
     IntegrityViolation,
     MissingLastUpdateSupport,
+    NotResponsible,
     UnknownOperator,
     UnresolvedReference,
 )
@@ -95,6 +96,9 @@ REFUSED_EDITS = [
     pytest.param(lambda doc: doc["managers"][0].update(
         delegations=[{"operator": "frobnicate", "to": "plant"}]),
                  UnknownOperator, id="delegated-unknown-operator"),
+    pytest.param(lambda doc: doc["managers"].append(
+        {"id": "ops", "models": [], "delegations": [{"operator": "set_property", "to": "nobody"}]}),
+                 NotResponsible, id="delegated-to-no-manager"),
     pytest.param(lambda doc: doc["models"][0]["elements"].append(dict(_tank(doc))),
                  IntegrityViolation, id="second-main"),
     pytest.param(lambda doc: _tank(doc).update(kind="Pump"),

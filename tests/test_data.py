@@ -164,6 +164,13 @@ class TestQuery:
         dm.query(Selector(tick_from=0))
         assert [r.to_dict() for r in dm.query()] == before
 
+    @pytest.mark.parametrize("selector", [Selector(), Selector(tick_from=1)],
+                             ids=["scan", "window"])
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_a_limit_below_one_is_refused(self, selector, limit):
+        with pytest.raises(ValueError, match=f"limit must be 1 or more, got {limit}"):
+            self.make_store().query(selector, limit=limit)
+
     def test_a_page_tests_only_the_records_it_scans(self, monkeypatch):
         dm = DataManager()
         for i in range(20_000):
@@ -185,24 +192,31 @@ class TestQuery:
     @pytest.mark.parametrize("history", [2_000, 20_000])
     def test_a_dashboard_window_tests_only_the_ticks_it_returns(self, monkeypatch, history):
         """A scale-fleet-shaped store: imported history at tick 0, then four
-        syncs a tick. A 10-tick origin query costs its ten ticks, whatever
-        the history holds."""
+        syncs a tick. A 10-tick origin query reads only its ten ticks, whatever
+        the history holds, and tests each distinct set of properties other
+        than last-update once."""
         dm = DataManager()
         imported = [origin_actual_system("g1"), timeliness(HISTORICAL), last_update(0)]
         for i in range(history):
             dm.ingest(float(i), imported, model_link=ModelElementRef("fleet", f"e{i % 1000}",
                                                                      "level"))
         for tick in range(1, 31):
+            origin = origin_actual_system("g0" if tick <= 25 else "g2")
             for element in ("e3", "e250", "e500", "e999"):
-                dm.ingest(float(tick), [origin_actual_system("g0"), timeliness(LIVE),
-                                        processing(RAW), last_update(tick)],
+                dm.ingest(float(tick), [origin, timeliness(LIVE), processing(RAW),
+                                        last_update(tick)],
                           model_link=ModelElementRef("fleet", element, "level"))
-        tuples = count_calls(monkeypatch, "matches_properties")
+        tested = count_calls(monkeypatch, "matches_properties")
         links = count_calls(monkeypatch, "matches_link")
+        found = dm.query(Selector(origin_source="actual-system", tick_from=16, tick_to=25))
+        assert [r.record_id for r in found] == list(range(history + 61, history + 101))
+        assert len(tested) == 1
+        # a window across the change of origin tests each origin's set once
         found = dm.query(Selector(origin_source="actual-system", tick_from=21, tick_to=30))
         assert [r.record_id for r in found] == list(range(history + 81, history + 121))
-        assert len(tuples) == 10 and len({id(t) for t in tuples}) == 10
+        assert len(tested) == 3
         assert links == []
+        assert dm.query(Selector(origin_id="g2", tick_from=21, tick_to=30)) == found[20:]
 
 
 class TestSharing:
@@ -493,6 +507,25 @@ record_spec = st.tuples(st.floats(allow_nan=False, allow_infinity=False, width=3
                         st.one_of(st.none(), st.integers(0, 20)), links)
 record_specs = st.lists(record_spec, max_size=60)
 
+
+def runs_of(groups: list) -> list:
+    """Record specs of groups of records that share one property list."""
+    return [(value, origin, timely, proc, tick, link)
+            for origin, timely, proc, tick, records in groups for value, link in records]
+
+
+def run_specs(min_groups: int = 0):
+    """Stores of runs: 1-5 records a run, each run's ticks drawn afresh, so
+    they often go backwards, and between them records without last-update."""
+    records = st.tuples(st.floats(allow_nan=False, allow_infinity=False, width=32), links)
+    run = st.tuples(origins, timelinesses, processings, st.integers(0, 20),
+                    st.lists(records, min_size=1, max_size=5))
+    untimed = st.tuples(origins, timelinesses, processings, st.none(),
+                        st.lists(records, min_size=1, max_size=1))
+    return st.lists(st.one_of(run, untimed), min_size=min_groups,
+                    max_size=min_groups + 15).map(runs_of)
+
+
 selectors = st.builds(
     Selector,
     origin_source=st.sampled_from([None, "actual-system", "service", "operator"]),
@@ -552,7 +585,7 @@ def oracle_filter(records, sel: Selector):
 
 
 @settings(max_examples=150, deadline=None)
-@given(record_specs, st.one_of(selectors, broad_selectors))
+@given(st.one_of(record_specs, run_specs()), st.one_of(selectors, broad_selectors))
 def test_query_equals_linear_scan_oracle(specs, selector):
     dm = DataManager()
     for value, origin, timely, proc, tick, link in specs:
@@ -567,7 +600,7 @@ def test_query_equals_linear_scan_oracle(specs, selector):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(record_spec, min_size=10, max_size=60),
+@given(st.one_of(st.lists(record_spec, min_size=10, max_size=60), run_specs(10)),
        st.one_of(selectors, broad_selectors), st.integers(1, 5), st.data())
 def test_pages_concatenate_to_the_unpaged_query(specs, selector, limit, data):
     start = data.draw(st.integers(0, len(specs)), label="after_id")
@@ -608,7 +641,7 @@ def test_durability_round_trip_under_query(tmp_path_factory, specs):
 
 
 @settings(max_examples=40, deadline=None)
-@given(record_specs, selectors)
+@given(st.one_of(record_specs, run_specs()), selectors)
 def test_reloaded_and_linked_store_answers_tick_windows_like_the_oracle(tmp_path_factory,
                                                                        specs, selector):
     path = tmp_path_factory.mktemp("journal") / "j.ndjson"
@@ -637,6 +670,20 @@ def test_tick_window_keeps_id_order_when_ticks_run_backwards():
     assert [r.record_id for r in dm.query(Selector(tick_to=3))] == [2, 4, 5]
     assert [r.record_id for r in dm.query(Selector(tick_from=6))] == [3, 6]
     assert dm.query(Selector(tick_from=6, tick_to=5)) == []
+
+
+def test_a_record_without_last_update_ends_a_run_whatever_the_memo_keeps(monkeypatch):
+    # a memo that never forgets hands the third record the first one's tuple
+    kept = {}
+    monkeypatch.setattr(DataManager, "_shared_properties",
+                        lambda self, props: kept.setdefault(tuple(map(id, props)), props))
+    dm = DataManager()
+    timed = base_props(extra=last_update(3))
+    for props in (timed, base_props(), timed):
+        dm.ingest(1.0, props)
+    assert dm.get(1).properties is dm.get(3).properties
+    assert [r.record_id for r in dm.query(Selector(tick_from=3))] == [1, 3]
+    assert [r.record_id for r in dm.query(Selector(tick_to=3), after_id=1)] == [3]
 
 
 def test_mandatory_metadata_totality():

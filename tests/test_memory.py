@@ -27,12 +27,15 @@ from helpers import start_tank
 from test_config_loader import fleet_yaml
 from twinrt.data import (
     HISTORICAL,
+    LIVE,
+    RAW,
     DataManager,
     DataRecord,
     ModelElementRef,
     PropertyType,
     last_update,
     origin_actual_system,
+    processing,
     timeliness,
 )
 from twinrt.engine import SyncDecision, SyncReason
@@ -184,22 +187,36 @@ class TestEngineGrowth:
         assert [name for name in after if after[name] > before[name]] == ["decisions"]
 
 
+def bytes_per_record(ingest, n: int = 20_000) -> float:
+    """The bytes a store retains per record after ``ingest(dm, i)`` for i < n."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dm = DataManager()
+        for i in range(n):
+            ingest(dm, i)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert dm.count() == n
+    return retained / n
+
+
 class TestRecordCost:
     def test_history_records_sharing_metadata_retain_at_most_200_bytes_each(self):
         # the shape of a primed history: one property list, and a new but
         # equal link per record for each of 1 000 elements
         props = [origin_actual_system("g1"), timeliness(HISTORICAL), last_update(0)]
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            dm = DataManager()
-            for i in range(20_000):
-                dm.ingest(i / 7, props,
-                          model_link=ModelElementRef("fleet", f"e{i % 1000:04d}", "level"))
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert retained / dm.count() <= 200
+        assert bytes_per_record(lambda dm, i: dm.ingest(
+            i / 7, props, model_link=ModelElementRef("fleet", f"e{i % 1000:04d}", "level"))) <= 200
+
+    def test_sync_records_one_per_tick_retain_at_most_330_bytes_each(self):
+        # every record starts a run of its own in the tick index
+        def sync(dm, tick):
+            dm.ingest(tick / 7, [origin_actual_system("g0"), timeliness(LIVE), processing(RAW),
+                                 last_update(tick)],
+                      model_link=ModelElementRef("tank", "main", "level"))
+        assert bytes_per_record(sync) <= 330
 
 
 class TestConfigurationCost:

@@ -245,6 +245,14 @@ class TestDelegation:
                                     {"element": "main", "property": "level",
                                      "value": 2.0})
 
+    def test_a_delegation_to_no_manager_is_refused(self):
+        registry = self.make_two_managers()
+        with pytest.raises(NotResponsible, match="'nobody'"):
+            registry.add_delegation("b", "set_property", target="nobody")
+        with pytest.raises(NotResponsible, match="declares no matching delegation"):
+            registry.apply_operator("b", "set_property", "tank",
+                                    {"element": "main", "property": "level", "value": 2.0})
+
     def test_cycle_detected(self):
         registry = ModelRegistry()
         registry.register_language(tank_language())

@@ -255,6 +255,27 @@ steps:
         assert main(["scenario", str(script), "--config", str(DEMO_CONFIG)]) == 4
         assert "step 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("property_name, value", [
+        ("level", "true"),  # level is 0.05 after one tick: a bool is no number near it
+        ("alarm", "0"),     # alarm is false: a number is no bool, however near
+    ])
+    def test_a_bool_against_a_number_fails_whatever_the_tolerance(self, capsys, tmp_path,
+                                                                   property_name, value):
+        config = tmp_path / "tank.yaml"
+        config.write_text(DEMO_CONFIG.read_text()
+                          .replace("        valve_target: real\n",
+                                   "        valve_target: real\n        alarm: boolean\n")
+                          .replace("valve_target: 0.0}", "valve_target: 0.0, alarm: false}"))
+        script = tmp_path / "s.yaml"
+        expect = "{model: tank, element: main, property: %s, value: %s, tolerance: %s}"
+        script.write_text("steps:\n  - tick: 1\n"
+                          f"  - expect-model: {expect % ('level', 0.05, 0.001)}\n"
+                          f"  - expect-model: {expect % ('alarm', 'false', 1.0)}\n"
+                          f"  - expect-model: {expect % (property_name, value, 1.0)}\n")
+        assert main(["scenario", str(script), "--config", str(config)]) == 4
+        err = capsys.readouterr().err
+        assert f"step 3: expect-model tank/main.{property_name}" in err
+
     def test_a_step_lacking_a_field_exits_2(self, capsys, tmp_path):
         script = tmp_path / "s.yaml"
         script.write_text("steps:\n  - asset-set: {gateway: tank01}\n")
@@ -347,6 +368,26 @@ steps:
         # forced past the audit, the runtime cannot build it
         assert main([*run, "--force"]) == 1
         assert "error: unknown builtin service 'nope'" in capsys.readouterr().err
+
+    def test_a_delegation_to_no_manager_is_refused_by_audit_and_at_start(self, capsys,
+                                                                         tmp_path):
+        text = DEMO_CONFIG.read_text()
+        written = "    delegations: []\n"
+        assert text.count(written) == 1
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace(written, written + "  - id: ops\n    models: []\n"
+                                    "    delegations: [{operator: set_property, to: nobody}]\n"))
+        run = ["run", "--config", str(bad), "--timer", "10", "--max-ticks", "3"]
+        assert main(["audit", "--config", str(bad)]) == 3
+        assert "unknown manager 'nobody'" in capsys.readouterr().out
+        assert main(run) == 3
+        assert ("C7: the model registry refuses the configuration: unknown manager 'nobody'"
+                in capsys.readouterr().err)
+        # forced past the audit, start-up refuses it as an error, not a crash
+        proc = subprocess.run([sys.executable, "-m", "twinrt.cli", *run, "--force"],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: unknown manager 'nobody'\n"
 
 
 class TestHistoryCli:
