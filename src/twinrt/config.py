@@ -92,12 +92,10 @@ class ServiceConfig:
     builtin: str | None = None
     params: dict = field(default_factory=dict)
     grant: ServiceGrant | None = None
-    hooks: tuple[Hook, ...] = ()
 
     def descriptor(self) -> ServiceDescriptor:
-        hooks = self.hooks
-        if self.builtin is not None and not hooks:
-            hooks = (Hook("on-tick"),)
+        """A built-in runs on every tick; any other service acts over ctl.call."""
+        hooks = (Hook("on-tick"),) if self.builtin is not None else ()
         return ServiceDescriptor(service_id=self.service_id, grant=self.grant, hooks=hooks)
 
 
@@ -180,6 +178,12 @@ def _as_number(value, path: str) -> float:
         raise _fail(path, "number out of range") from None
 
 
+def _optional(obj: dict, key: str, path: str, read=_as_str):
+    """The optional field ``key`` of ``obj`` read at ``path.key``; None if absent or null."""
+    value = obj.get(key)
+    return None if value is None else read(value, f"{path}.{key}")
+
+
 def _value_type(value, path: str) -> str:
     value = _as_str(value, path)
     if value not in VALUE_TYPES:
@@ -254,6 +258,8 @@ def _parse_gateway(obj, path: str) -> GatewayConfig:
 
 def _parse_rule(obj, path: str) -> PropertyRule:
     obj = _as_dict(obj, path)
+    if not isinstance(obj.get("bound"), (int, float, str, type(None))):  # bool is an int
+        raise _fail(f"{path}.bound", f"expected a number, text or boolean, got {obj['bound']!r}")
     try:
         return PropertyRule(
             rule_id=_need(obj, "id", path),
@@ -261,7 +267,7 @@ def _parse_rule(obj, path: str) -> PropertyRule:
             property_name=_need(obj, "property", path),
             op=_need(obj, "op", path),
             bound=obj.get("bound"),
-            other_property=obj.get("other"))
+            other_property=_optional(obj, "other", path))
     except IllFormedLanguage as exc:
         raise _fail(path, str(exc)) from exc
 
@@ -282,7 +288,7 @@ def _parse_language(obj, path: str) -> ModelingLanguage:
 def _parse_delegation(obj, path: str) -> DelegationConfig:
     obj = _as_dict(obj, path)
     return DelegationConfig(operator=_need(obj, "operator", path), target=_need(obj, "to", path),
-                            model_pattern=str(obj.get("model", "*")))
+                            model_pattern=_as_str(obj.get("model", "*"), f"{path}.model"))
 
 
 def _parse_manager(obj, path: str) -> ManagerConfig:
@@ -363,7 +369,7 @@ def _parse_mapping(obj, path: str) -> Mapping:
             transform = Transform(
                 scale=_as_number(t.get("scale", 1.0), f"{path}.transform.scale"),
                 offset=_as_number(t.get("offset", 0.0), f"{path}.transform.offset"),
-                unit=t.get("unit"))
+                unit=_optional(t, "unit", f"{path}.transform"))
         return Mapping(
             mapping_id=_need(obj, "id", path),
             model_id=_need(model_side, "model", f"{path}.model"),
@@ -377,20 +383,6 @@ def _parse_mapping(obj, path: str) -> Mapping:
         raise _fail(path, str(exc)) from exc
 
 
-def _parse_hook(obj, path: str) -> Hook:
-    if isinstance(obj, str):
-        try:
-            return Hook(obj)
-        except ValueError as exc:
-            raise _fail(path, str(exc)) from exc
-    obj = _as_dict(obj, path)
-    if "on-event" in obj:
-        spec = _need(obj, "on-event", path, _as_dict)
-        return Hook("on-event", gateway_id=_need(spec, "gateway", path),
-                    event=_need(spec, "event", path))
-    raise _fail(path, f"unknown hook {obj!r}")
-
-
 def _parse_service(obj, path: str) -> ServiceConfig:
     obj = _as_dict(obj, path)
     grant = None
@@ -399,7 +391,9 @@ def _parse_service(obj, path: str) -> ServiceConfig:
             grant = ServiceGrant.parse(_each(obj, "grant", path, _as_str))
         except ValueError as exc:
             raise _fail(f"{path}.grant", str(exc)) from exc
-    hooks = _each(obj, "hooks", path, _parse_hook)
+    if "hooks" in obj:
+        raise _fail(f"{path}.hooks", "a service declares no hooks: a builtin runs on "
+                    "every tick, any other service acts over the control socket")
     builtin = obj.get("builtin")
     params = _as_dict(obj.get("params"), f"{path}.params")
     if builtin in BUILTIN_SERVICE_NAMES:
@@ -410,7 +404,7 @@ def _parse_service(obj, path: str) -> ServiceConfig:
         except ValueError as exc:
             raise _fail(path, str(exc)) from exc
     return ServiceConfig(service_id=_need(obj, "id", path), builtin=builtin, params=params,
-                         grant=grant, hooks=hooks)
+                         grant=grant)
 
 
 # libyaml parses when PyYAML was built with it, and the pure-Python parser
@@ -679,9 +673,8 @@ def loads(text: str) -> TwinConfiguration:
     mappings = _each(doc, "mappings", "", _parse_mapping)
     services = _each(doc, "services", "", _parse_service)
     data_obj = _as_dict(doc.get("data"), "data")
-    journal = data_obj.get("journal")
     data = DataConfig(
-        journal=None if journal is None else _as_str(journal, "data.journal"),
+        journal=_optional(data_obj, "journal", "data"),
         mandatory_metadata=_as_bool(data_obj.get("mandatory_metadata", True),
                                     "data.mandatory_metadata"),
         model_linkage=_as_bool(data_obj.get("model_linkage", True), "data.model_linkage"))

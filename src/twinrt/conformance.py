@@ -306,11 +306,6 @@ def _closure_findings(config: TwinConfiguration) -> list[str]:
                 if kind in ("read-gateway", "command-gateway") and target not in gateways:
                     findings.append(f"service {service.service_id!r} grant names unknown "
                                     f"gateway {target!r}")
-        for hook in service.hooks:
-            if hook.kind == "on-event" and _declared(gateways, hook.gateway_id, hook.event,
-                                                     ElementKind.EVENT) is None:
-                findings.append(f"service {service.service_id!r} hooks unresolved event "
-                                f"{hook.gateway_id}/{hook.event}")
         if service.builtin is not None:
             if service.builtin not in BUILTIN_SERVICE_NAMES:
                 findings.append(f"service {service.service_id!r} names unknown builtin "

@@ -313,22 +313,37 @@ _MAX_PROPERTY_SETS = 64
 _TICK_BOUND = (int, float, type(None))
 
 
-def open_empty(path: Path, what: str):
-    """Open ``path`` to append bytes, refusing a file that already holds some.
+class LineLog:
+    """A run output, the journal or the decision log: one canonical JSON line
+    per append, in one unbuffered write, to a new or empty file. A file that
+    holds bytes is refused and left as it was, since a journal appended to by
+    a second run would restart its record ids. A failed or short write is a
+    StorageFailure; closing writes nothing, so it cannot fail again."""
 
-    Each run writes its outputs from the start: a journal appended to by a
-    second run would restart its record ids and no longer replay. A refused
-    file is closed and left as it was.
-    """
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(path, "ab")
-    except OSError as exc:
-        raise StorageFailure(f"cannot open {what} {path}: {exc}") from exc
-    if fh.tell():
-        fh.close()
-        raise StorageFailure(f"{what} {path} is not empty; a run needs a new or empty file")
-    return fh
+    def __init__(self, path: str | Path, what: str):
+        path = Path(path)
+        self._name = f"{what} {path}"
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fh = open(path, "ab", buffering=0)
+        except OSError as exc:
+            raise StorageFailure(f"cannot open {self._name}: {exc}") from exc
+        if fh.tell():
+            fh.close()
+            raise StorageFailure(f"{self._name} is not empty; a run needs a new or empty file")
+        self._fh = fh
+
+    def append(self, entry: dict) -> None:
+        line = (canonical_json(entry) + "\n").encode("utf-8")
+        try:
+            written = self._fh.write(line)
+        except (OSError, ValueError) as exc:  # ValueError: written after close
+            raise StorageFailure(f"cannot append to {self._name}: {exc}") from exc
+        if written != len(line):
+            raise StorageFailure(f"cannot append to {self._name}: wrote {written} of {len(line)} bytes")
+
+    def close(self) -> None:
+        self._fh.close()
 
 
 class DataManager:
@@ -384,7 +399,7 @@ class DataManager:
         self.resolver = resolver
         self.enforce_mandatory = enforce_mandatory
         self.allow_linkage = allow_linkage
-        self._journal = None if journal_path is None else open_empty(Path(journal_path), "journal")
+        self._journal = None if journal_path is None else LineLog(journal_path, "journal")
 
     # --- operations ---
 
@@ -407,9 +422,10 @@ class DataManager:
             tuple(sorted(by_type.values(), key=lambda p: p.property_type.value)))
         record = DataRecord(record_id=self._next_id, value=value,
                             properties=ordered, model_link=model_link)
-        self._append_journal({"op": "record", "id": record.record_id, "value": value,
-                              "props": {p.property_type.value: p.value for p in ordered},
-                              "link": model_link.to_list() if model_link else None})
+        if self._journal is not None:
+            self._journal.append({"op": "record", "id": record.record_id, "value": value,
+                                  "props": {p.property_type.value: p.value for p in ordered},
+                                  "link": model_link.to_list() if model_link else None})
         self._records.append(record)
         self._index_run(record)
         self._next_id += 1
@@ -461,16 +477,17 @@ class DataManager:
             raise AlreadyLinkedDifferently(
                 f"record {record_id} already linked to {record.model_link}")
         self._check_link(ref)
-        self._append_journal({"op": "link", "id": record_id, "ref": ref.to_list()})
+        if self._journal is not None:
+            self._journal.append({"op": "link", "id": record_id, "ref": ref.to_list()})
         self._records[record_id - 1] = replace(record, model_link=self._links.setdefault(ref, ref))
 
     def count(self) -> int:
         return len(self._records)
 
     def close(self) -> None:
+        """Close the journal; an ingest after close is a StorageFailure."""
         if self._journal is not None:
             self._journal.close()
-            self._journal = None
 
     # --- internals ---
 
@@ -579,15 +596,6 @@ class DataManager:
             raise TwinError("model linkage is disabled in this configuration")
         if self.resolver is not None and not self.resolver(ref):
             raise DanglingModelRef(f"{ref} does not resolve")
-
-    def _append_journal(self, entry: dict) -> None:
-        if self._journal is None:
-            return
-        try:
-            self._journal.write((canonical_json(entry) + "\n").encode("utf-8"))
-            self._journal.flush()
-        except (OSError, ValueError) as exc:
-            raise StorageFailure(f"journal append failed: {exc}") from exc
 
     # --- persistence ---
 

@@ -55,6 +55,7 @@ from .errors import (
     PermissionDenied,
     ReadOnlyTarget,
     SchemaViolation,
+    StorageFailure,
     TickSequenceError,
     TransformFailure,
     TwinError,
@@ -226,7 +227,6 @@ class _Edit:
 @dataclass(slots=True)
 class _ServiceState:
     descriptor: ServiceDescriptor
-    impl: Any
     client: ServiceClient
     enabled: bool = True
 
@@ -266,6 +266,9 @@ class Engine:
         self._pending_triggers: list[tuple] = []  # occurrence keys, FIFO
         self._needs_reconcile: set[str] = set()
         self._services: dict[str, _ServiceState] = {}
+        # (hook kind, gateway id, event) -> the (service, method) pairs the
+        # hook calls, in service-id order
+        self._hooks: dict[tuple, list[tuple[_ServiceState, Callable]]] = {}
         self.decisions: list[SyncDecision] = []
         self.sync_model_updates = 0  # model writes performed by the synchronizer
         registry.tick_supplier = self.effective_tick
@@ -410,7 +413,10 @@ class Engine:
 
     # --- services ---
 
-    def register_service(self, descriptor: ServiceDescriptor, impl: Any) -> None:
+    def register_service(self, descriptor: ServiceDescriptor, impl: Any = None) -> None:
+        """Bind each declared hook to ``impl``'s ``on_tick``, ``on_decision`` or
+        ``on_event``, if it has one: an on-tick or on-decision hook once however
+        often declared, an on-event hook each time, opening its stream."""
         if descriptor.service_id in self._services:
             raise DuplicateService(f"service {descriptor.service_id!r} already registered")
         for kind, target in descriptor.effective_grant.entries:
@@ -422,12 +428,17 @@ class Engine:
             elif kind in ("read-gateway", "command-gateway"):
                 if target not in self._gateways:
                     raise DanglingGrantTarget(f"grant names unknown gateway {target!r}")
-        self._services[descriptor.service_id] = _ServiceState(
-            descriptor=descriptor, impl=impl,
-            client=ServiceClient(self, descriptor.service_id))
+        svc = self._services[descriptor.service_id] = _ServiceState(
+            descriptor=descriptor, client=ServiceClient(self, descriptor.service_id))
         for hook in descriptor.hooks:
+            bound = self._hooks.setdefault((hook.kind, hook.gateway_id, hook.event), [])
             if hook.kind == "on-event":
                 self._open_stream(hook.gateway_id, hook.event, "subscribe_event")
+            elif any(other is svc for other, _ in bound):
+                continue
+            method = getattr(impl, hook.kind.replace("-", "_"), None)
+            if method is not None:
+                bisect.insort(bound, (svc, method), key=lambda b: b[0].descriptor.service_id)
 
     def set_service_enabled(self, service_id: str, enabled: bool) -> None:
         svc = self._services.get(service_id)
@@ -681,34 +692,25 @@ class Engine:
     def _run_hooks(self, events: list[tuple[str, str, Any]],
                    decisions: list[SyncDecision]) -> None:
         for gateway_id, event_name, occurrence in events:
-            for service_id in sorted(self._services):
-                svc = self._services[service_id]
-                if not svc.enabled:
-                    continue
-                for hook in svc.descriptor.hooks:
-                    if (hook.kind == "on-event" and hook.gateway_id == gateway_id
-                            and hook.event == event_name):
-                        self._call_hook(svc, "on_event", occurrence)
+            for svc, method in self._hooks.get(("on-event", gateway_id, event_name), ()):
+                self._call_hook(svc, method, occurrence)
         for decision in decisions:
-            for service_id in sorted(self._services):
-                svc = self._services[service_id]
-                if svc.enabled and any(h.kind == "on-decision" for h in svc.descriptor.hooks):
-                    self._call_hook(svc, "on_decision", decision)
-        for service_id in sorted(self._services):
-            svc = self._services[service_id]
-            if svc.enabled and any(h.kind == "on-tick" for h in svc.descriptor.hooks):
-                self._call_hook(svc, "on_tick")
+            for svc, method in self._hooks.get(("on-decision", None, None), ()):
+                self._call_hook(svc, method, decision)
+        for svc, method in self._hooks.get(("on-tick", None, None), ()):
+            self._call_hook(svc, method)
 
-    def _call_hook(self, svc: _ServiceState, hook_name: str, *args) -> None:
-        fn = getattr(svc.impl, hook_name, None)
-        if fn is None:
+    def _call_hook(self, svc: _ServiceState, method: Callable, *args) -> None:
+        if not svc.enabled:
             return
         try:
-            fn(svc.client, *args)
+            method(svc.client, *args)
         except PermissionDenied as exc:
             svc.enabled = False
             self._notice(service=svc.descriptor.service_id, event="disabled",
                          detail=f"permission denied: {exc.capability or exc}")
+        except StorageFailure:
+            raise  # an output that cannot be written ends the run, as in a sync
         except TwinError as exc:
             self._notice(service=svc.descriptor.service_id, event="error",
                          detail=str(exc))
@@ -730,3 +732,4 @@ class Engine:
             if mine in listeners:
                 listeners.remove(mine)
         self._services.clear()
+        self._hooks.clear()

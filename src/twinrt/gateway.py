@@ -32,7 +32,7 @@ from .errors import (
     TwinError,
     WrongKind,
 )
-from .values import Value, check_value
+from .values import Value, check_value, fit_value
 from .wire import LineChannel, Transcript, connect_channel
 
 
@@ -174,9 +174,10 @@ class Stream:
     ended stream lets go of its handle, so the two form no reference cycle.
     """
 
-    def __init__(self, element: str, kind: ElementKind, handle: "GatewayHandle"):
+    def __init__(self, element: str, kind: ElementKind, handle: "GatewayHandle", value_type: str):
         self.element = element
         self.kind = kind  # PROPERTY streams take updates, EVENT streams events
+        self.value_type = value_type  # of an update's value or an event's payload
         self._handle: GatewayHandle | None = handle
         self._items: deque = deque()
         self._end_cause: str | None = None
@@ -291,12 +292,13 @@ class GatewayHandle:
             if stream is None or stream.kind is not kind:
                 return  # nothing listens, or the push names the other kind
             if op == "update":
-                item = ValueSample(element_name=msg["element"], value=msg["value"],
-                                   asset_timestamp=msg["ts"], sequence_no=msg["seq"])
+                item = ValueSample(msg["element"], _received(msg["value"], stream.value_type),
+                                   msg["ts"], msg["seq"])
             else:
-                item = EventOccurrence(name=msg["element"], payload=msg["payload"],
-                                       asset_timestamp=msg["ts"])
-        except (KeyError, TypeError) as exc:  # a missing field, an unhashable element
+                item = EventOccurrence(msg["element"],
+                                       _received(msg["payload"], stream.value_type), msg["ts"])
+        # a missing field, an unhashable element, a value that does not fit
+        except (KeyError, TypeError, SchemaViolation) as exc:
             raise ProtocolError(f"malformed push: {exc}") from exc
         stream._items.append(item)
 
@@ -352,10 +354,10 @@ class GatewayHandle:
     # --- operations ---
 
     def read_property(self, name: str) -> ValueSample:
-        self._decl(name, ElementKind.PROPERTY)
+        decl = self._decl(name, ElementKind.PROPERTY)
         reply = self._expect(self._request({"op": "read", "element": name}), "value")
         try:
-            return ValueSample(element_name=name, value=reply["value"],
+            return ValueSample(element_name=name, value=_received(reply["value"], decl.value_type),
                                asset_timestamp=reply["ts"], sequence_no=reply["seq"])
         except KeyError as exc:
             raise ProtocolError(f"value response missing field {exc}") from exc
@@ -374,12 +376,12 @@ class GatewayHandle:
         return self._open_stream(name, ElementKind.EVENT, "subscribe")
 
     def _open_stream(self, name: str, kind: ElementKind, op: str) -> Stream:
-        self._decl(name, kind)
+        decl = self._decl(name, kind)
         if self._dead is not None:
             raise Disconnected(self._dead)
         stream = self._streams.get(name)
         if stream is None or stream.end_cause is not None:
-            stream = Stream(name, kind, self)
+            stream = Stream(name, kind, self, decl.value_type or decl.payload_type)
             # register before the request so no early push can be dropped
             self._streams[name] = stream
         try:
@@ -396,13 +398,19 @@ class GatewayHandle:
         for arg, arg_type in zip(args, decl.arg_types):
             check_value(arg, arg_type)
         reply = self._expect(self._request({"op": "invoke", "element": name, "args": args}), "result")
-        result = reply.get("value")
-        check_value(result, decl.result_type)
-        return result
+        return _received(reply.get("value"), decl.result_type)
 
     def ping(self) -> None:
         """Round-trip barrier: all pushes sent before the pong are now routed."""
         self._expect(self._request({"op": "ping"}), "pong")
+
+
+def _received(value: Value, value_type: str) -> Value:
+    """``value`` from the asset fitted to ``value_type`` and checked: JSON has no
+    int/real split, so 5 for a real is 5.0. SchemaViolation if it does not fit."""
+    value = fit_value(value, value_type)
+    check_value(value, value_type)
+    return value
 
 
 def connect(descriptor: GatewayDescriptor, timeout: float = 5.0,

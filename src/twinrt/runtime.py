@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable
 
 from .asset import AssetControl, AssetServer, build_model
 from .config import TwinConfiguration
-from .data import DataManager, DataRecord, open_empty
+from .data import DataManager, DataRecord, LineLog
 from .engine import Engine, Mapping, SyncDecision
 from .errors import ProtocolError, TwinError
 from .gateway import ValueSample, connect
@@ -25,10 +25,6 @@ from .models import ModelRegistry, OperatorOutcome
 from .services import ApplyOperator, ServiceRequest, build_builtin, request_from_wire
 from .values import Value, canonical_json, fit_value
 from .wire import LineChannel, LineServer
-
-
-class PassiveService:
-    """Placeholder implementation for configured non-builtin services."""
 
 
 def build_registry(config: TwinConfiguration) -> ModelRegistry:
@@ -118,7 +114,7 @@ class TwinRuntime:
                 self.engine.add_mapping(mapping)
             for service in config.services:
                 impl = (build_builtin(service.builtin, service.params)
-                        if service.builtin is not None else PassiveService())
+                        if service.builtin is not None else None)
                 self.engine.register_service(service.descriptor(), impl)
         except Exception:
             self.close()
@@ -304,20 +300,13 @@ def _wire_result(result) -> Any:
     return result
 
 
-class DecisionLog:
-    """Writes one canonical JSON line per decision or service notice to a
-    new or empty file; a file that holds bytes is refused, as a journal is."""
+class DecisionLog(LineLog):
+    """One line per decision or service notice, written as the journal is."""
 
     def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._fh = open_empty(self.path, "decision log")
+        super().__init__(path, "decision log")
 
-    def __call__(self, line: dict) -> None:
-        self._fh.write((canonical_json(line) + "\n").encode("utf-8"))
-        self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
+    __call__ = LineLog.append
 
 
 def render_records_json(records: list[dict]) -> str:

@@ -87,13 +87,6 @@ def closure_findings(config: TwinConfiguration) -> list[str]:
                 if kind in ("read-gateway", "command-gateway") and target not in gateways:
                     findings.append(f"service {service.service_id!r} grant names unknown "
                                     f"gateway {target!r}")
-        for hook in service.hooks:
-            if hook.kind == "on-event":
-                descriptor = gateways.get(hook.gateway_id)
-                decl = descriptor.element(hook.event) if descriptor else None
-                if decl is None or decl.kind is not ElementKind.EVENT:
-                    findings.append(f"service {service.service_id!r} hooks unresolved event "
-                                    f"{hook.gateway_id}/{hook.event}")
         if service.builtin is not None:
             if service.builtin not in BUILTIN_SERVICE_NAMES:
                 findings.append(f"service {service.service_id!r} names unknown builtin "

@@ -48,6 +48,8 @@ class TestParseDemo:
 # an otherwise valid mapping, open for its schedule and transform
 MAPPING = ("mappings:\n  - {id: m, model: {model: a, element: b, property: c}, "
            "gateway: {gateway: g, property: p}, direction: as-to-dt, ")
+# an otherwise valid rule, open for its bound or other property
+RULE = "languages:\n  - {id: l, kinds: {N: {}}, rules: [{id: r, kind: N, property: p, op: le, "
 SIMULATE = "gateways:\n  - {id: g, endpoint: 'tcp://x:1', simulate: {model: tank, "
 
 
@@ -162,7 +164,24 @@ class TestParseErrors:
         ("languages:\n  - {id: l, kinds: {N: {}}, rules: [{id: r, kind: N, property: p, op: between, bound: 1}]}",
          "unknown comparison"),
         ("services:\n  - {id: s, grant: [fly]}", "unknown capability"),
-        ("services:\n  - {id: s, hooks: [on-fire]}", "unknown hook"),
+        pytest.param("services:\n  - {id: s, hooks: [on-tick]}", "services[0].hooks",
+                     id="hooks"),
+        pytest.param("services:\n  - {id: k, builtin: kpi_monitor, hooks: [on-decision], "
+                     "params: {model: m, element: e, property: p, window: 1}}",
+                     "services[0].hooks", id="hooks-on-a-builtin"),
+        pytest.param(MAPPING + "schedule: {every: 1}, transform: {unit: [1]}}",
+                     "mappings[0].transform.unit", id="unit-list"),
+        pytest.param(MAPPING + "schedule: {every: 1}, transform: {unit: ''}}",
+                     "mappings[0].transform.unit", id="unit-empty"),
+        pytest.param("managers:\n  - {id: m, delegations: [{operator: o, to: n, model: [1]}]}",
+                     "managers[0].delegations[0].model", id="delegation-model-list"),
+        pytest.param("managers:\n  - {id: m, delegations: [{operator: o, to: n, model: 5}]}",
+                     "managers[0].delegations[0].model", id="delegation-model-int"),
+        pytest.param(RULE + "other: 5}]}", "languages[0].rules[0].other", id="other-int"),
+        pytest.param(RULE + "other: ''}]}", "languages[0].rules[0].other", id="other-empty"),
+        pytest.param(RULE + "bound: [1]}]}", "languages[0].rules[0].bound", id="bound-list"),
+        pytest.param(RULE + "bound: {a: 1}}]}", "languages[0].rules[0].bound",
+                     id="bound-mapping"),
         pytest.param(MAPPING + "schedule: {every: [1]}}", "mappings[0].schedule.every",
                      id="every-list"),
         pytest.param(MAPPING + "schedule: {every: true}}", "mappings[0].schedule.every",

@@ -526,10 +526,6 @@ def config_docs(name, loadable=True):
                   st.sampled_from(["read-model", "write-model", "read-gateway",
                                    "command-gateway"]),
                   st.one_of(st.just("*"), name)))
-    hook = st.one_of(
-        st.sampled_from(["on-tick", "on-decision"]),
-        st.fixed_dictionaries({"on-event": st.fixed_dictionaries(
-            {"gateway": name, "event": name})}))
     watched = {"model": name, "element": name, "property": name}
     if loadable:
         # a built-in's parameters are checked as the configuration loads, so
@@ -553,8 +549,7 @@ def config_docs(name, loadable=True):
     service = st.builds(
         lambda base, extra: {**base, **extra},
         st.fixed_dictionaries({"id": name},
-                              optional={"grant": st.lists(capability, max_size=3),
-                                        "hooks": st.lists(hook, max_size=2)}),
+                              optional={"grant": st.lists(capability, max_size=3)}),
         builtin)
     return st.fixed_dictionaries({
         "twin": name,

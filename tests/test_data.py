@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from twinrt.errors import (
     SchemaViolation,
     StorageFailure,
 )
+from twinrt.runtime import DecisionLog
 
 LEVEL_REF = ModelElementRef("tank", "main", "level")
 VALVE_REF = ModelElementRef("tank", "main", "valve_target")
@@ -341,6 +343,50 @@ class TestLink:
         registry.apply_operator("plant", "delete_element", "tank", {"element": "main"})
         with pytest.raises(DanglingModelRef):
             dm.link_to_model(2, LEVEL_REF)
+
+
+needs_dev_full = pytest.mark.skipif(not Path("/dev/full").exists(),
+                                    reason="no /dev/full, the device every write to fails")
+
+
+class TestFailedWrites:
+    """The journal and the decision log share one writer: a write that fails
+    is a StorageFailure naming the output, and closing does not fail again."""
+
+    @needs_dev_full
+    def test_a_failed_journal_append_keeps_no_record_and_close_does_not_raise(self):
+        dm = DataManager(journal_path="/dev/full")
+        with pytest.raises(StorageFailure, match="journal /dev/full: .*No space left"):
+            dm.ingest(1.0, base_props())
+        assert dm.count() == 0
+        dm.close()
+
+    @needs_dev_full
+    def test_a_failed_decision_append_and_close_does_not_raise(self):
+        log = DecisionLog("/dev/full")
+        with pytest.raises(StorageFailure, match="decision log /dev/full: .*No space left"):
+            log({"kind": "sync", "tick": 1})
+        log.close()
+
+    def test_a_short_write_is_a_storage_failure(self, tmp_path):
+        class ShortWrites:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                return self.fh.write(data[:-1])
+
+            def flush(self):
+                pass
+
+            def close(self):
+                self.fh.close()
+
+        log = DecisionLog(tmp_path / "d.log")
+        log._fh = ShortWrites(log._fh)
+        with pytest.raises(StorageFailure, match="d.log: wrote 7 of 8 bytes"):
+            log({"a": 1})
+        log.close()
 
 
 class TestReload:

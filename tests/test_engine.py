@@ -2,14 +2,17 @@ import pytest
 
 from helpers import (
     Rig,
+    build_registry,
     build_rig,
     late_first_reply,
     level_mapping,
     plain_reply,
     scripted_engine,
+    tank_descriptor,
     valve_mapping,
 )
 
+from twinrt.asset import AssetServer, TankModel
 from twinrt.data import DataManager, PropertyType, Selector
 from twinrt.engine import (
     Direction,
@@ -661,6 +664,46 @@ class TestGatewayFaults:
         try:
             stream = handle.observe_property("level")
             decisions = engine.tick(1)  # the ping reads the push: must return, not raise
+            assert not handle.is_alive
+            assert stream.end_cause == "protocol-error"
+            assert [(d.reason, d.detail) for d in decisions] == [
+                (SyncReason.SUSPENDED, "gateway unavailable")]
+        finally:
+            engine.close()
+            server.close()
+
+    def test_a_mistyped_read_suspends_every_sync_and_keeps_the_mapping(self):
+        class LyingTank(TankModel):
+            def state(self):
+                return dict(super().state(), level="high")
+
+        server = AssetServer(LyingTank())
+        registry = build_registry()
+        engine = Engine(registry, DataManager(resolver=registry.resolve))
+        try:
+            engine.add_gateway(connect(tank_descriptor(server.endpoint)))
+            engine.add_mapping(level_mapping())
+            for tick in range(1, 4):
+                assert [(d.reason, d.detail) for d in engine.tick(tick)] == [
+                    (SyncReason.SUSPENDED, "gateway error: expected real, got text")]
+            assert engine.mappings()[0].enabled
+            assert engine.gateway("tank01").is_alive
+            assert engine.data.count() == 0
+        finally:
+            engine.close()
+            server.close()
+
+    def test_a_mistyped_update_ends_the_connection(self):
+        def mistyped_push_before_pong(msg):
+            if msg["op"] == "ping":
+                return [{"op": "update", "element": "level", "value": "high", "ts": 0,
+                         "seq": 1}, plain_reply(msg)]
+            return plain_reply(msg)
+
+        server, handle, engine = scripted_engine(mistyped_push_before_pong)
+        try:
+            stream = handle.observe_property("level")
+            decisions = engine.tick(1)
             assert not handle.is_alive
             assert stream.end_cause == "protocol-error"
             assert [(d.reason, d.detail) for d in decisions] == [

@@ -320,6 +320,65 @@ class TestPushRouting:
             server.close()
 
 
+class TestReceivedValuesFitTheCatalog:
+    """Every value from the asset is fitted to its declared type, then checked."""
+
+    @staticmethod
+    def replying(value):
+        def respond(msg):
+            if msg["op"] == "read":
+                return dict(plain_reply(msg), value=value)
+            if msg["op"] == "ping":
+                return [{"op": "update", "element": "level", "value": value, "ts": 0,
+                         "seq": 1}, plain_reply(msg)]
+            return plain_reply(msg)
+        return respond
+
+    def test_an_integral_number_for_a_real_is_read_as_a_real(self):
+        server = start_scripted_tank(self.replying(5))
+        try:
+            handle = connect(tank_descriptor(server.endpoint))
+            sample = handle.read_property("level")
+            assert sample.value == 5.0 and type(sample.value) is float
+            stream = handle.observe_property("level")
+            handle.ping()
+            [pushed] = stream.drain()
+            assert pushed.value == 5.0 and type(pushed.value) is float
+            handle.close()
+        finally:
+            server.close()
+
+    def test_a_mistyped_read_is_a_schema_violation_and_the_handle_lives(self):
+        server = start_scripted_tank(self.replying("high"))
+        try:
+            handle = connect(tank_descriptor(server.endpoint))
+            with pytest.raises(SchemaViolation, match="expected real, got text"):
+                handle.read_property("level")
+            assert handle.is_alive
+            handle.close()
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("push", [
+        {"op": "update", "element": "level", "value": "high", "ts": 0, "seq": 1},
+        {"op": "update", "element": "level", "value": True, "ts": 0, "seq": 1},
+        {"op": "event", "element": "overflow", "payload": [9.0], "ts": 0},
+    ], ids=["update-text", "update-boolean", "event-list"])
+    def test_a_mistyped_push_is_malformed_and_kills_the_handle(self, push):
+        server = start_scripted_tank(
+            lambda msg: [push, plain_reply(msg)] if msg["op"] == "ping" else plain_reply(msg))
+        try:
+            handle = connect(tank_descriptor(server.endpoint))
+            handle.observe_property("level")
+            handle.subscribe_event("overflow")
+            with pytest.raises(ProtocolError, match="malformed push"):
+                handle.ping()
+            assert not handle.is_alive
+            handle.close()
+        finally:
+            server.close()
+
+
 class TestNoNanBoundary:
     def test_nan_from_asset_is_a_protocol_error_not_a_sample(self, echo_handle):
         # div(0, 0) computes NaN inside the asset and serializes it raw

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -344,6 +345,11 @@ steps:
                      id="args-text"),
         pytest.param("element: main, property: level, bound",
                      "element: '', property: level, bound", "services[1]", id="element-empty"),
+        pytest.param("builtin: kpi_monitor\n", "builtin: kpi_monitor\n    hooks: [on-decision]\n",
+                     "services[0].hooks", id="hooks-on-a-builtin"),
+        pytest.param("command-gateway:tank01]\n",
+                     "command-gateway:tank01]\n  - {id: probe, hooks: [on-tick]}\n",
+                     "services[2].hooks", id="hooks-on-a-service"),
     ])
     @pytest.mark.parametrize("command", [["run", "--timer", "10", "--max-ticks", "3"],
                                          ["audit"]], ids=["run", "audit"])
@@ -776,6 +782,33 @@ class TestRunTimerMode:
         assert (journal.read_bytes(), decisions.read_bytes()) == written
         assert fresh.read_bytes() == b""
         assert main(["history", "--journal", str(journal)]) == 0
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full, the device every write to fails")
+    @pytest.mark.parametrize("flag,what", [("--decisions", "decision log"),
+                                           ("--journal", "journal")])
+    def test_an_output_that_cannot_be_written_ends_the_run_with_exit_1(self, capsys,
+                                                                     flag, what):
+        code = main(["run", "--config", str(DEMO_CONFIG), "--timer", "1", "--max-ticks", "3",
+                     flag, "/dev/full"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot append to {what} /dev/full: [Errno 28] No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full, the device every write to fails")
+    def test_a_journal_a_service_cannot_write_ends_the_run_with_exit_1(self, capsys,
+                                                                      tmp_path):
+        # no mapping: the KPI monitor's record is the first journal write
+        text = DEMO_CONFIG.read_text()
+        start, end = text.index("mappings:"), text.index("services:")
+        config = tmp_path / "twin.yaml"
+        config.write_text(text[:start] + "mappings: []\n\n" + text[end:])
+        code = main(["run", "--config", str(config), "--timer", "1", "--max-ticks", "8",
+                     "--journal", "/dev/full"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: cannot append to journal /dev/full: [Errno 28] No space left on device\n")
 
     @pytest.mark.parametrize("journal_in", ["flag", "config"])
     def test_one_file_as_journal_and_decision_log_is_a_usage_error(

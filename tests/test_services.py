@@ -485,6 +485,37 @@ class TestHookOrdering:
             engine.close()
             server.close()
 
+    def test_hooks_bound_at_registration_run_as_declared(self):
+        registry, data, engine, server = make_rig(mappings=[level_mapping()],
+                                                  valve=1.0, overflow_level=0.25)
+        try:
+            log = []
+            overflow = Hook("on-event", gateway_id="tank01", event="overflow")
+            engine.register_service(
+                ServiceDescriptor("twice", ServiceGrant(),
+                                  hooks=(Hook("on-tick"), Hook("on-decision"), overflow,
+                                         Hook("on-tick"), Hook("on-decision"), overflow)),
+                Recorder(log, "twice"))
+            # no implementation: its on-event hook still opens the stream
+            engine.register_service(ServiceDescriptor("bare", ServiceGrant(), hooks=(
+                Hook("on-tick"), Hook("on-event", gateway_id="tank01", event="overflow"))))
+            for t in range(1, 5):
+                server.step(1)
+                engine.tick(t)
+            assert "overflow" in engine.gateway("tank01").streams
+            # once per tick and per decision however often declared; each
+            # on-event hook once per occurrence
+            assert sum(entry[1] == "tick" for entry in log) == 4
+            assert sum(entry[1] == "decision" for entry in log) == 4
+            assert sum(entry[1] == "event" for entry in log) == 2
+            engine.set_service_enabled("twice", False)
+            server.step(1)
+            engine.tick(5)
+            assert len(log) == 10
+        finally:
+            engine.close()
+            server.close()
+
 
 def spy_on_mediation(monkeypatch) -> list[dict]:
     """Every service request the engine mediates from now on, allowed or not,
