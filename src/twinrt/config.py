@@ -41,7 +41,6 @@ from .models import (
 )
 from .services import (
     BUILTIN_SERVICE_NAMES,
-    Hook,
     ServiceDescriptor,
     ServiceGrant,
     build_builtin,
@@ -95,8 +94,7 @@ class ServiceConfig:
 
     def descriptor(self) -> ServiceDescriptor:
         """A built-in runs on every tick; any other service acts over ctl.call."""
-        hooks = (Hook("on-tick"),) if self.builtin is not None else ()
-        return ServiceDescriptor(service_id=self.service_id, grant=self.grant, hooks=hooks)
+        return ServiceDescriptor(service_id=self.service_id, grant=self.grant)
 
 
 @dataclass(frozen=True, slots=True)

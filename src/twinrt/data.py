@@ -1,23 +1,22 @@
 """Data manager: append-only store for every value the twin ingests.
 
 Each record carries qualifying data properties (origin, timeliness,
-processing, uncertainty, precision, last update) and may be linked, once, to
-a model element. Records are immutable after ingestion; persistence is an
-append-only journal of one JSON entry per line, tolerant of a torn trailing
-entry so a crashed writer never loses committed records.
+processing, uncertainty, precision, last update) and may be linked, as it is
+ingested, to a model element. Records never change after ingestion;
+persistence is an append-only journal of one JSON entry per line, tolerant
+of a torn trailing entry so a crashed writer never loses committed records.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
 from .errors import (
-    AlreadyLinkedDifferently,
     CorruptJournal,
     DanglingModelRef,
     MissingMandatoryProperty,
@@ -353,7 +352,8 @@ class DataManager:
     thread, control requests included, so nothing locks. ``enforce_mandatory``
     and ``allow_linkage`` exist so a configuration can be audited for running
     without mandatory metadata or model linkage; production configurations
-    leave both on.
+    leave both on. A record is linked to a model element only as it is
+    ingested, and a stored record never changes.
 
     Records share what repeats, live and after a reload alike. Records
     ingested with the same property objects hold one ``properties`` tuple:
@@ -416,7 +416,10 @@ class DataManager:
                 if mandatory not in by_type:
                     raise MissingMandatoryProperty(f"record lacks {mandatory.value}")
         if model_link is not None:
-            self._check_link(model_link)
+            if not self.allow_linkage:
+                raise TwinError("model linkage is disabled in this configuration")
+            if self.resolver is not None and not self.resolver(model_link):
+                raise DanglingModelRef(f"{model_link} does not resolve")
             model_link = self._links.setdefault(model_link, model_link)
         ordered = self._shared_properties(
             tuple(sorted(by_type.values(), key=lambda p: p.property_type.value)))
@@ -468,18 +471,6 @@ class DataManager:
         if not 1 <= record_id < self._next_id:
             raise NoSuchRecord(f"no record {record_id}")
         return self._records[record_id - 1]
-
-    def link_to_model(self, record_id: int, ref: ModelElementRef) -> None:
-        record = self.get(record_id)
-        if record.model_link == ref:
-            return  # idempotent
-        if record.model_link is not None:
-            raise AlreadyLinkedDifferently(
-                f"record {record_id} already linked to {record.model_link}")
-        self._check_link(ref)
-        if self._journal is not None:
-            self._journal.append({"op": "link", "id": record_id, "ref": ref.to_list()})
-        self._records[record_id - 1] = replace(record, model_link=self._links.setdefault(ref, ref))
 
     def count(self) -> int:
         return len(self._records)
@@ -591,12 +582,6 @@ class DataManager:
             del found[limit:]
         return found
 
-    def _check_link(self, ref: ModelElementRef) -> None:
-        if not self.allow_linkage:
-            raise TwinError("model linkage is disabled in this configuration")
-        if self.resolver is not None and not self.resolver(ref):
-            raise DanglingModelRef(f"{ref} does not resolve")
-
     # --- persistence ---
 
     @classmethod
@@ -637,35 +622,22 @@ class DataManager:
         except ValueError as exc:
             raise CorruptJournal(f"unparseable entry: {exc}") from exc
         op = entry.get("op")
-        if op == "record":
-            try:
-                props = [_replayed_property(PropertyType(t), v, shared)
-                         for t, v in sorted(entry["props"].items())]
-                link = ModelElementRef.from_list(entry["link"]) if entry.get("link") else None
-                if link is not None:
-                    link = self._links.setdefault(link, link)
-                record = DataRecord(record_id=entry["id"], value=entry["value"],
-                                    properties=self._shared_properties(tuple(props)),
-                                    model_link=link)
-            except (KeyError, TypeError, ValueError, TwinError) as exc:
-                raise CorruptJournal(f"bad record entry: {exc}") from exc
-            if type(record.record_id) is not int or record.record_id != self._next_id:
-                raise CorruptJournal(
-                    f"record id {record.record_id!r} out of order (expected {self._next_id})")
-            self._records.append(record)
-            self._index_run(record)
-            self._next_id += 1
-        elif op == "link":
-            try:
-                rid = entry["id"]
-                ref = ModelElementRef.from_list(entry["ref"])
-            except (KeyError, TwinError) as exc:
-                raise CorruptJournal(f"bad link entry: {exc}") from exc
-            if type(rid) is not int or not 1 <= rid < self._next_id:
-                raise CorruptJournal(f"link to unknown record {rid!r}")
-            try:
-                self.link_to_model(rid, ref)
-            except AlreadyLinkedDifferently:
-                raise CorruptJournal(f"record {rid} linked twice with different refs") from None
-        else:
+        if op != "record":
             raise CorruptJournal(f"unknown journal op {op!r}")
+        try:
+            props = [_replayed_property(PropertyType(t), v, shared)
+                     for t, v in sorted(entry["props"].items())]
+            link = ModelElementRef.from_list(entry["link"]) if entry.get("link") else None
+            if link is not None:
+                link = self._links.setdefault(link, link)
+            record = DataRecord(record_id=entry["id"], value=entry["value"],
+                                properties=self._shared_properties(tuple(props)),
+                                model_link=link)
+        except (KeyError, TypeError, ValueError, TwinError) as exc:
+            raise CorruptJournal(f"bad record entry: {exc}") from exc
+        if type(record.record_id) is not int or record.record_id != self._next_id:
+            raise CorruptJournal(
+                f"record id {record.record_id!r} out of order (expected {self._next_id})")
+        self._records.append(record)
+        self._index_run(record)
+        self._next_id += 1

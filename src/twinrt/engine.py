@@ -266,9 +266,8 @@ class Engine:
         self._pending_triggers: list[tuple] = []  # occurrence keys, FIFO
         self._needs_reconcile: set[str] = set()
         self._services: dict[str, _ServiceState] = {}
-        # (hook kind, gateway id, event) -> the (service, method) pairs the
-        # hook calls, in service-id order
-        self._hooks: dict[tuple, list[tuple[_ServiceState, Callable]]] = {}
+        # the (service, on_tick) pairs each tick calls, in service-id order
+        self._on_tick: list[tuple[_ServiceState, Callable]] = []
         self.decisions: list[SyncDecision] = []
         self.sync_model_updates = 0  # model writes performed by the synchronizer
         registry.tick_supplier = self.effective_tick
@@ -414,9 +413,8 @@ class Engine:
     # --- services ---
 
     def register_service(self, descriptor: ServiceDescriptor, impl: Any = None) -> None:
-        """Bind each declared hook to ``impl``'s ``on_tick``, ``on_decision`` or
-        ``on_event``, if it has one: an on-tick or on-decision hook once however
-        often declared, an on-event hook each time, opening its stream."""
+        """Register a service; ``impl``'s ``on_tick``, if it has one, is bound
+        once, to run after every tick's syncs."""
         if descriptor.service_id in self._services:
             raise DuplicateService(f"service {descriptor.service_id!r} already registered")
         for kind, target in descriptor.effective_grant.entries:
@@ -430,15 +428,10 @@ class Engine:
                     raise DanglingGrantTarget(f"grant names unknown gateway {target!r}")
         svc = self._services[descriptor.service_id] = _ServiceState(
             descriptor=descriptor, client=ServiceClient(self, descriptor.service_id))
-        for hook in descriptor.hooks:
-            bound = self._hooks.setdefault((hook.kind, hook.gateway_id, hook.event), [])
-            if hook.kind == "on-event":
-                self._open_stream(hook.gateway_id, hook.event, "subscribe_event")
-            elif any(other is svc for other, _ in bound):
-                continue
-            method = getattr(impl, hook.kind.replace("-", "_"), None)
-            if method is not None:
-                bisect.insort(bound, (svc, method), key=lambda b: b[0].descriptor.service_id)
+        on_tick = getattr(impl, "on_tick", None)
+        if on_tick is not None:
+            bisect.insort(self._on_tick, (svc, on_tick),
+                          key=lambda bound: bound[0].descriptor.service_id)
 
     def set_service_enabled(self, service_id: str, enabled: bool) -> None:
         svc = self._services.get(service_id)
@@ -509,7 +502,7 @@ class Engine:
         self._tick = now_tick
         self._in_tick = True
         try:
-            events = self._drain_gateways()
+            self._drain_gateways()
             fired = self._collect_fired(now_tick)
             decisions = []
             synced: set[str] = set()
@@ -521,14 +514,14 @@ class Engine:
                 decisions.append(decision)
                 self.decisions.append(decision)
                 self._emit(decision.to_dict())
-            self._run_hooks(events, decisions)
+            for svc, on_tick in self._on_tick:
+                self._call_hook(svc, on_tick)
             return decisions
         finally:
             self._in_tick = False
 
-    def _drain_gateways(self) -> list[tuple[str, str, Any]]:
+    def _drain_gateways(self) -> None:
         """Pull everything the assets pushed since last tick, in fixed order."""
-        events: list[tuple[str, str, Any]] = []
         for gateway_id in sorted(self._gateways):
             handle = self._gateways[gateway_id]
             if handle.is_alive:
@@ -545,11 +538,9 @@ class Engine:
                         self._pending_triggers.append(
                             (TriggerKind.GATEWAY_CHANGE.value, gateway_id, name))
                 else:
-                    for occurrence in stream.drain():
+                    for _ in stream.drain():
                         self._pending_triggers.append(
                             (TriggerKind.GATEWAY_EVENT.value, gateway_id, name))
-                        events.append((gateway_id, name, occurrence))
-        return events
 
     def _collect_fired(self, now_tick: int) -> list[tuple[str, SyncReason]]:
         fired: list[tuple[str, SyncReason]] = []
@@ -675,7 +666,7 @@ class Engine:
         self.data.ingest(value, [origin, data_mod.timeliness(data_mod.LIVE),
                                  data_mod.processing(data_mod.RAW),
                                  data_mod.last_update(self._tick)],
-                         model_link=mapping.model_ref())
+                         model_link=mapping.model_ref() if self.data.allow_linkage else None)
         self._sync_memory[mapping.mapping_id] = self._recency(mapping)
         return self._decision(mapping, action, reason)
 
@@ -689,22 +680,11 @@ class Engine:
 
     # --- service hooks ---
 
-    def _run_hooks(self, events: list[tuple[str, str, Any]],
-                   decisions: list[SyncDecision]) -> None:
-        for gateway_id, event_name, occurrence in events:
-            for svc, method in self._hooks.get(("on-event", gateway_id, event_name), ()):
-                self._call_hook(svc, method, occurrence)
-        for decision in decisions:
-            for svc, method in self._hooks.get(("on-decision", None, None), ()):
-                self._call_hook(svc, method, decision)
-        for svc, method in self._hooks.get(("on-tick", None, None), ()):
-            self._call_hook(svc, method)
-
-    def _call_hook(self, svc: _ServiceState, method: Callable, *args) -> None:
+    def _call_hook(self, svc: _ServiceState, on_tick: Callable) -> None:
         if not svc.enabled:
             return
         try:
-            method(svc.client, *args)
+            on_tick(svc.client)
         except PermissionDenied as exc:
             svc.enabled = False
             self._notice(service=svc.descriptor.service_id, event="disabled",
@@ -732,4 +712,4 @@ class Engine:
             if mine in listeners:
                 listeners.remove(mine)
         self._services.clear()
-        self._hooks.clear()
+        self._on_tick.clear()

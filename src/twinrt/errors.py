@@ -71,10 +71,6 @@ class DanglingModelRef(TwinError):
     """Model element reference does not resolve."""
 
 
-class AlreadyLinkedDifferently(TwinError):
-    """Record is already linked to another model element."""
-
-
 class CorruptJournal(TwinError):
     """Non-trailing malformed journal entry."""
 

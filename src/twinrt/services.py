@@ -1,7 +1,8 @@
-"""Added-value services: registered, hooked, and permission-mediated.
+"""Added-value services: registered, ticked, and permission-mediated.
 
 A service never holds direct references to models, data, or gateways. Its
-hooks receive a client whose every call becomes a mediated request checked
+implementation's ``on_tick``, if it has one, runs after every tick's syncs
+and receives a client whose every call becomes a mediated request checked
 against the service's grant — a positive capability set; absence means
 denial. The first permission denial disables the service visibly. Two
 built-ins ship: a windowed-mean KPI monitor that ingests processed records,
@@ -56,23 +57,9 @@ class ServiceGrant:
 
 
 @dataclass(frozen=True, slots=True)
-class Hook:
-    kind: str  # "on-tick" | "on-decision" | "on-event"
-    gateway_id: str | None = None
-    event: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("on-tick", "on-decision", "on-event"):
-            raise ValueError(f"unknown hook kind {self.kind!r}")
-        if self.kind == "on-event" and not (self.gateway_id and self.event):
-            raise ValueError("on-event hook requires gateway_id and event")
-
-
-@dataclass(frozen=True, slots=True)
 class ServiceDescriptor:
     service_id: str
     grant: ServiceGrant | None = None  # None = not explicitly gated (audit flags it)
-    hooks: tuple[Hook, ...] = ()
 
     @property
     def effective_grant(self) -> ServiceGrant:

@@ -114,9 +114,9 @@ class LineChannel:
     def _take(self) -> dict[str, Any] | None:
         """The next buffered message, or None until a whole line is read."""
         line, sep, rest = self._buf.partition(b"\n")
+        if len(line) > MAX_LINE_BYTES:
+            raise ProtocolError("wire line exceeds maximum length")
         if not sep:
-            if len(self._buf) > MAX_LINE_BYTES:
-                raise ProtocolError("wire line exceeds maximum length")
             return None
         self._buf = rest
         msg = decode_message(line + sep)

@@ -5,6 +5,7 @@ from twinrt.engine import Direction, TriggerKind
 from twinrt.errors import ConfigParseError
 from twinrt.gateway import ElementKind, PropertyAccess
 from twinrt.models import ModelMode
+from twinrt.services import KpiMonitor, ServiceDescriptor, build_builtin
 
 
 class TestParseDemo:
@@ -42,7 +43,9 @@ class TestParseDemo:
         kpi = demo_config.services[0]
         assert kpi.builtin == "kpi_monitor"
         assert kpi.grant.allows("read-model", "tank")
-        assert kpi.descriptor().hooks[0].kind == "on-tick"
+        # the descriptor declares no hooks; the built-in brings its on_tick
+        assert kpi.descriptor() == ServiceDescriptor("kpi", kpi.grant)
+        assert isinstance(build_builtin(kpi.builtin, kpi.params), KpiMonitor)
 
 
 # an otherwise valid mapping, open for its schedule and transform

@@ -23,13 +23,13 @@ from twinrt.data import (
     timeliness,
 )
 from twinrt.errors import (
-    AlreadyLinkedDifferently,
     CorruptJournal,
     DanglingModelRef,
     MissingMandatoryProperty,
     NoSuchRecord,
     SchemaViolation,
     StorageFailure,
+    TwinError,
 )
 from twinrt.runtime import DecisionLog
 
@@ -122,6 +122,12 @@ class TestIngest:
         dm = DataManager()
         with pytest.raises(SchemaViolation):
             dm.ingest(float("nan"), base_props())
+
+    def test_an_unknown_record_id_is_no_such_record(self):
+        dm = DataManager()
+        dm.ingest(1.0, base_props())
+        with pytest.raises(NoSuchRecord):
+            dm.get(99)
 
 
 class TestQuery:
@@ -263,14 +269,17 @@ class TestSharing:
         assert first.properties is not second.properties
 
     def test_a_link_added_later_is_shared_too(self, tmp_path):
+        # an equal link given at a later ingest, past an unlinked record and a tick
         path = tmp_path / "j.ndjson"
         dm = DataManager(journal_path=path)
         first = dm.ingest(1.0, base_props(), model_link=ModelElementRef("tank", "main", "level"))
-        second = dm.ingest(2.0, base_props())
-        dm.link_to_model(second, ModelElementRef("tank", "main", "level"))
+        dm.ingest(2.0, base_props())
+        third = dm.ingest(3.0, base_props(last=last_update(9)),
+                          model_link=ModelElementRef("tank", "main", "level"))
         dm.close()
         for store in (dm, DataManager.reload(path)):
-            assert store.get(first).model_link is store.get(second).model_link
+            assert store.get(first).model_link is store.get(third).model_link
+            assert store.get(2).model_link is None
 
     def test_the_memo_holds_only_the_current_tick(self):
         dm = DataManager()
@@ -304,32 +313,13 @@ class TestSharing:
 
 
 class TestLink:
-    def make_manager(self, resolve=lambda ref: True):
-        dm = DataManager(resolver=resolve)
-        dm.ingest(1.0, base_props())
-        return dm
-
-    def test_link_idempotent(self):
-        dm = self.make_manager()
-        dm.link_to_model(1, LEVEL_REF)
-        dm.link_to_model(1, LEVEL_REF)
-        assert dm.get(1).model_link == LEVEL_REF
-
-    def test_link_conflict(self):
-        dm = self.make_manager()
-        dm.link_to_model(1, LEVEL_REF)
-        with pytest.raises(AlreadyLinkedDifferently):
-            dm.link_to_model(1, VALVE_REF)
-
-    def test_link_unknown_record(self):
-        dm = self.make_manager()
-        with pytest.raises(NoSuchRecord):
-            dm.link_to_model(99, LEVEL_REF)
+    """A record is linked as it is ingested, never after."""
 
     def test_dangling_ref(self):
-        dm = self.make_manager(resolve=lambda ref: False)
+        dm = DataManager(resolver=lambda ref: False)
         with pytest.raises(DanglingModelRef):
-            dm.link_to_model(1, LEVEL_REF)
+            dm.ingest(1.0, base_props(), model_link=LEVEL_REF)
+        assert dm.count() == 0
 
     def test_link_against_live_model_registry(self):
         # deleting the element makes a later link dangle
@@ -337,12 +327,17 @@ class TestLink:
 
         registry = build_registry()
         dm = DataManager(resolver=registry.resolve)
-        dm.ingest(1.0, base_props())
-        dm.ingest(2.0, base_props())
-        dm.link_to_model(1, LEVEL_REF)
+        dm.ingest(1.0, base_props(), model_link=LEVEL_REF)
         registry.apply_operator("plant", "delete_element", "tank", {"element": "main"})
         with pytest.raises(DanglingModelRef):
-            dm.link_to_model(2, LEVEL_REF)
+            dm.ingest(2.0, base_props(), model_link=LEVEL_REF)
+        assert dm.count() == 1 and dm.get(1).model_link == LEVEL_REF
+
+    def test_a_link_is_refused_when_linkage_is_off(self):
+        dm = DataManager(allow_linkage=False)
+        with pytest.raises(TwinError, match="model linkage is disabled"):
+            dm.ingest(1.0, base_props(), model_link=LEVEL_REF)
+        assert dm.ingest(2.0, base_props()) == 1
 
 
 needs_dev_full = pytest.mark.skipif(not Path("/dev/full").exists(),
@@ -391,11 +386,11 @@ class TestFailedWrites:
 
 class TestReload:
     def write_store(self, path, n=3):
+        """``n`` record entries; only the first is linked."""
         dm = DataManager(journal_path=path, resolver=lambda ref: True)
         for i in range(1, n + 1):
             dm.ingest(float(i), [origin_actual_system("tank01"), timeliness(LIVE),
-                                 last_update(i)])
-        dm.link_to_model(1, LEVEL_REF)
+                                 last_update(i)], model_link=LEVEL_REF if i == 1 else None)
         dm.close()
         return path
 
@@ -466,16 +461,16 @@ class TestReload:
     def test_any_prefix_of_a_journal_reloads(self, tmp_path):
         # append-only journals are prefix-valid: cutting the file at any byte
         # yields complete entries plus a discardable torn tail; the store
-        # holds 5 record lines followed by 1 link line
+        # holds 5 record lines, the first one linked
         path = self.write_store(tmp_path / "j.ndjson", n=5)
         blob = path.read_bytes()
         for cut in range(len(blob) + 1):
             path.write_bytes(blob[:cut])
             reloaded = DataManager.reload(path)
             lines = blob[:cut].count(b"\n")
-            assert reloaded.count() == min(lines, 5), f"offset {cut}"
-            linked = reloaded.count() >= 1 and reloaded.get(1).model_link is not None
-            assert linked == (lines == 6), f"offset {cut}"
+            assert reloaded.count() == lines, f"offset {cut}"
+            if lines:
+                assert reloaded.get(1).model_link == LEVEL_REF, f"offset {cut}"
 
     def test_truncation_at_every_offset_of_final_entry(self, tmp_path):
         path = self.write_store(tmp_path / "j.ndjson", n=3)
@@ -483,12 +478,12 @@ class TestReload:
         head, _, final_entry = blob.rstrip(b"\n").rpartition(b"\n")
         final_entry += b"\n"
         head += b"\n"
-        # final entry is the link; records before it must always survive
+        # the records before the final one must always survive, linked as written
         for cut in range(len(final_entry)):
             path.write_bytes(head + final_entry[:cut])
             reloaded = DataManager.reload(path)
-            assert reloaded.count() == 3
-            assert reloaded.get(1).model_link is None, f"offset {cut}"
+            assert reloaded.count() == 2, f"offset {cut}"
+            assert reloaded.get(1).model_link == LEVEL_REF, f"offset {cut}"
 
     @pytest.mark.parametrize("tail", [b"", b'{"op":"record","id":4,"va'])
     def test_a_start_on_a_journal_that_holds_bytes_is_refused(self, tmp_path, tail):
@@ -522,18 +517,30 @@ class TestReload:
         with pytest.raises(CorruptJournal):
             DataManager.reload(path)
 
-    @pytest.mark.parametrize("index, rid", [(0, True), (1, 2.0), (3, "1"), (3, 1.0), (3, True)],
-                             ids=["record-true", "record-float", "link-text", "link-float",
-                                  "link-true"])
+    @pytest.mark.parametrize("index, rid", [(0, True), (1, 2.0), (2, "3")],
+                             ids=["record-true", "record-float", "record-text"])
     def test_an_id_that_is_not_an_integer_is_corrupt(self, tmp_path, index, rid):
-        path = self.write_store(tmp_path / "j.ndjson")  # records 1-3, then a link
+        path = self.write_store(tmp_path / "j.ndjson")  # records 1-3
         entries = [json.loads(line) for line in path.read_bytes().splitlines()]
-        entries.append(dict(entries[3]))  # so that the entry under test is not the tail
+        entries.append(dict(entries[2]))  # so that the entry under test is not the tail
         entries[index]["id"] = rid
         path.write_text("".join(json.dumps(entry) + "\n" for entry in entries))
         with pytest.raises(CorruptJournal) as excinfo:
             DataManager.reload(path)
         assert excinfo.value.line_no == index + 1
+
+    def test_a_link_entry_is_an_unknown_op(self, tmp_path):
+        # links are given at ingest only: the journal has no entry that links later
+        path = self.write_store(tmp_path / "j.ndjson")
+        lines = path.read_bytes().splitlines(keepends=True)
+        link = b'{"id":2,"op":"link","ref":["tank","main","level"]}\n'
+        path.write_bytes(b"".join(lines[:2] + [link] + lines[2:]))
+        with pytest.raises(CorruptJournal, match="unknown journal op 'link'") as excinfo:
+            DataManager.reload(path)
+        assert excinfo.value.line_no == 3
+        path.write_bytes(b"".join(lines + [link]))  # as the last entry: dropped
+        reloaded = DataManager.reload(path)
+        assert reloaded.count() == 3 and reloaded.get(2).model_link is None
 
 
 # --- query/oracle equivalence over random stores --------------------------------
@@ -698,9 +705,8 @@ def test_reloaded_and_linked_store_answers_tick_windows_like_the_oracle(tmp_path
             props.append(processing(proc))
         if tick is not None:
             props.append(last_update(tick))
-        rid = dm.ingest(value, props)
-        if link is not None and rid % 2:
-            dm.link_to_model(rid, link)
+        # every other record is linked, so linked and unlinked ones mix
+        dm.ingest(value, props, model_link=link if dm.count() % 2 == 0 else None)
     dm.close()
     for store in (dm, DataManager.reload(path)):
         got = [r.record_id for r in store.query(selector)]

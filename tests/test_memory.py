@@ -41,7 +41,7 @@ from twinrt.data import (
 from twinrt.engine import SyncDecision, SyncReason
 from twinrt.errors import IntegrityViolation, PermissionDenied
 from twinrt.runtime import DecisionLog, TwinRuntime, build_registry, inspect_config
-from twinrt.services import Hook, ServiceDescriptor, ServiceGrant
+from twinrt.services import ServiceDescriptor, ServiceGrant
 
 
 @pytest.fixture
@@ -124,8 +124,7 @@ class TestClosedTwinIsFreed:
         runtime = TwinRuntime(config_mod.load(DEMO_CONFIG))
         keeper = KeepsItsClient()
         runtime.engine.register_service(
-            ServiceDescriptor("keeper", ServiceGrant.parse(["read-model:tank"]),
-                              hooks=(Hook("on-tick"),)), keeper)
+            ServiceDescriptor("keeper", ServiceGrant.parse(["read-model:tank"])), keeper)
         runtime.advance(1)
         assert keeper.ctx.read_model_property("tank", "main", "capacity") == 10.0
         runtime.close()

@@ -237,6 +237,26 @@ class TestCliCommands:
         assert main(["run", "--config", str(bad), "--script", str(script),
                      "--force"]) == 0
 
+    def test_a_forced_run_without_model_linkage_records_unlinked(self, capsys, tmp_path):
+        config = tmp_path / "unlinked.yaml"
+        config.write_text(DEMO_CONFIG.read_text().replace("model_linkage: true",
+                                                          "model_linkage: false"))
+        # the kpi monitor asks to link each mean, so it ingests none
+        script = tmp_path / "s.yaml"
+        script.write_text(DEMO_SCENARIO.read_text().replace(
+            "{origin: service:kpi}, count: 3}", "{origin: service:kpi}, count: 0}"))
+        journal, decisions = tmp_path / "j.ndjson", tmp_path / "d.log"
+        assert main(["run", "--config", str(config), "--script", str(script), "--force",
+                     "--journal", str(journal), "--decisions", str(decisions)]) == 0
+        assert "scenario ok (15 steps, 12 ticks)" in capsys.readouterr().out
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        assert len(records) == 14 and all(r["link"] is None for r in records)
+        notices = [json.loads(line) for line in decisions.read_text().splitlines()
+                   if '"kind":"service"' in line]
+        assert notices == [{"kind": "service", "tick": tick, "service": "kpi", "event": "error",
+                            "detail": "model linkage is disabled in this configuration"}
+                           for tick in (4, 8, 12)]
+
     def test_scenario_subcommand_runs_demo(self, capsys, tmp_path):
         code = main(["scenario", str(DEMO_SCENARIO), "--config", str(DEMO_CONFIG),
                      "--journal", str(tmp_path / "j.ndjson"),

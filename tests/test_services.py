@@ -15,7 +15,6 @@ from twinrt.gateway import connect
 from twinrt.services import (
     ALL_REQUEST_TYPES,
     ApplyOperator,
-    Hook,
     IngestProcessed,
     InvokeFunction,
     KpiMonitor,
@@ -54,7 +53,7 @@ def make_rig(tank=None, mappings=(), sink=None, **tank_params):
 
 
 class Recorder:
-    """Test service capturing every hook call."""
+    """Test service capturing every on_tick call."""
 
     def __init__(self, log, name):
         self.log = log
@@ -62,12 +61,6 @@ class Recorder:
 
     def on_tick(self, ctx):
         self.log.append((self.name, "tick"))
-
-    def on_decision(self, ctx, decision):
-        self.log.append((self.name, "decision", decision.mapping_id, decision.tick))
-
-    def on_event(self, ctx, occurrence):
-        self.log.append((self.name, "event", occurrence.name, occurrence.payload))
 
 
 class TestGrants:
@@ -114,7 +107,7 @@ class TestRegistration:
         try:
             log = []
             engine.register_service(
-                ServiceDescriptor("probe", ServiceGrant(), hooks=(Hook("on-tick"),)),
+                ServiceDescriptor("probe", ServiceGrant()),
                 Recorder(log, "probe"))
             for t in range(1, 6):
                 engine.tick(t)
@@ -256,7 +249,7 @@ class TestServiceClientReads:
     def ask_each_tick(self, engine, grant, ask, ticks=2):
         asker = Asker(ask)
         engine.register_service(ServiceDescriptor(
-            "asker", ServiceGrant.parse(grant), hooks=(Hook("on-tick"),)), asker)
+            "asker", ServiceGrant.parse(grant)), asker)
         for t in range(1, ticks + 1):
             engine.tick(t)
         return asker.answers
@@ -313,8 +306,7 @@ class TestServiceClientReads:
 class TestKpiMonitor:
     def register_kpi(self, engine, window=4, grant=("read-model:tank", "ingest-data")):
         engine.register_service(
-            ServiceDescriptor("kpi", ServiceGrant.parse(list(grant)),
-                              hooks=(Hook("on-tick"),)),
+            ServiceDescriptor("kpi", ServiceGrant.parse(list(grant))),
             KpiMonitor(window=window, ref=LEVEL_REF))
 
     def test_constant_property_yields_constant_means(self):
@@ -374,8 +366,7 @@ class TestThresholdGuard:
         registry, data, engine, server = make_rig(tank=tank,
                                                   mappings=[level_mapping()])
         engine.register_service(
-            ServiceDescriptor("guard", ServiceGrant.parse(list(grant)),
-                              hooks=(Hook("on-tick"),)),
+            ServiceDescriptor("guard", ServiceGrant.parse(list(grant))),
             ThresholdGuard(ref=LEVEL_REF, bound=bound, gateway_id="tank01",
                            function="flush"))
         return registry, data, engine, server, tank
@@ -425,8 +416,7 @@ class TestThresholdGuard:
                                                   sink=lines.append)
         engine.register_service(
             ServiceDescriptor("guard", ServiceGrant.parse(["read-model:tank",
-                                                           "command-gateway:tank01"]),
-                              hooks=(Hook("on-tick"),)),
+                                                           "command-gateway:tank01"])),
             ThresholdGuard(ref=LEVEL_REF, bound=0.0, gateway_id="tank01", function="vent"))
         try:
             server.step(1)
@@ -454,33 +444,11 @@ class TestHookOrdering:
 
             for name in ("zeta", "alpha", "mid"):
                 engine.register_service(
-                    ServiceDescriptor(name, ServiceGrant(), hooks=(Hook("on-tick"),)),
+                    ServiceDescriptor(name, ServiceGrant()),
                     SyncProbe(log, name))
             server.step(1)
             engine.tick(1)
             assert log == [("alpha", "tick", 1), ("mid", "tick", 1), ("zeta", "tick", 1)]
-        finally:
-            engine.close()
-            server.close()
-
-    def test_on_event_and_on_decision_hooks_deliver(self):
-        registry, data, engine, server = make_rig(mappings=[level_mapping()],
-                                                  valve=1.0, overflow_level=0.25)
-        try:
-            log = []
-            engine.register_service(
-                ServiceDescriptor("probe", ServiceGrant(),
-                                  hooks=(Hook("on-decision"),
-                                         Hook("on-event", gateway_id="tank01",
-                                              event="overflow"))),
-                Recorder(log, "probe"))
-            for t in range(1, 5):
-                server.step(1)
-                engine.tick(t)
-            events = [entry for entry in log if entry[1] == "event"]
-            decisions = [entry for entry in log if entry[1] == "decision"]
-            assert len(events) == 1 and events[0][2] == "overflow"
-            assert len(decisions) == 4  # one per tick from the level mapping
         finally:
             engine.close()
             server.close()
@@ -490,28 +458,36 @@ class TestHookOrdering:
                                                   valve=1.0, overflow_level=0.25)
         try:
             log = []
-            overflow = Hook("on-event", gateway_id="tank01", event="overflow")
-            engine.register_service(
-                ServiceDescriptor("twice", ServiceGrant(),
-                                  hooks=(Hook("on-tick"), Hook("on-decision"), overflow,
-                                         Hook("on-tick"), Hook("on-decision"), overflow)),
-                Recorder(log, "twice"))
-            # no implementation: its on-event hook still opens the stream
-            engine.register_service(ServiceDescriptor("bare", ServiceGrant(), hooks=(
-                Hook("on-tick"), Hook("on-event", gateway_id="tank01", event="overflow"))))
+
+            class Untickable:
+                """Methods by other names are never called."""
+
+                def on_decision(self, ctx, decision):
+                    log.append(("untickable", "decision"))
+
+                def on_event(self, ctx, occurrence):
+                    log.append(("untickable", "event"))
+
+            engine.register_service(ServiceDescriptor("ticked", ServiceGrant()),
+                                    Recorder(log, "ticked"))
+            engine.register_service(ServiceDescriptor("bare", ServiceGrant()))
+            engine.register_service(ServiceDescriptor("untickable", ServiceGrant()),
+                                    Untickable())
             for t in range(1, 5):
                 server.step(1)
                 engine.tick(t)
-            assert "overflow" in engine.gateway("tank01").streams
-            # once per tick and per decision however often declared; each
-            # on-event hook once per occurrence
-            assert sum(entry[1] == "tick" for entry in log) == 4
-            assert sum(entry[1] == "decision" for entry in log) == 4
-            assert sum(entry[1] == "event" for entry in log) == 2
-            engine.set_service_enabled("twice", False)
+            # on_tick once per tick; nothing for no implementation or none
+            # with an on_tick, and no stream for an event nothing maps
+            assert log == [("ticked", "tick")] * 4
+            assert "overflow" not in engine.gateway("tank01").streams
+            # enabled is read at each call, not at registration
+            engine.set_service_enabled("ticked", False)
             server.step(1)
             engine.tick(5)
-            assert len(log) == 10
+            engine.set_service_enabled("ticked", True)
+            server.step(1)
+            engine.tick(6)
+            assert log == [("ticked", "tick")] * 5
         finally:
             engine.close()
             server.close()

@@ -14,7 +14,6 @@ from twinrt.engine import Direction, Mapping, Schedule, Trigger, TriggerKind
 from twinrt.models import ModelMode
 from twinrt.services import (
     ApplyOperator,
-    Hook,
     KpiMonitor,
     ServiceDescriptor,
     ServiceGrant,
@@ -34,8 +33,7 @@ def run_workload(seed: int):
     rig = build_rig(mappings=[level_mapping(every=2), valve_mapping(),
                               overflow_mapping()], valve=0.4, sink=lines.append)
     rig.engine.register_service(
-        ServiceDescriptor("kpi", ServiceGrant.parse(["read-model:tank", "ingest-data"]),
-                          hooks=(Hook("on-tick"),)),
+        ServiceDescriptor("kpi", ServiceGrant.parse(["read-model:tank", "ingest-data"])),
         KpiMonitor(window=3, ref=ModelElementRef("tank", "main", "level")))
     try:
         online = True

@@ -1,3 +1,4 @@
+import socket
 import threading
 import time
 
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from twinrt.errors import ConnectFailed, Disconnected, ProtocolError
 from twinrt.wire import (
+    MAX_LINE_BYTES,
+    LineChannel,
     LineServer,
     Transcript,
     connect_channel,
@@ -111,6 +114,42 @@ def test_request_rejects_a_line_without_text_op(line):
         client.close()
         server.close()
         thread.join(timeout=5)
+
+
+def _read_one_line_of(length: int):
+    """What a LineChannel reads when its peer sends one message whose line,
+    newline excluded, is ``length`` bytes long, in one write."""
+    raw = encode_message({"op": "x", "pad": ""})
+    raw = encode_message({"op": "x", "pad": "x" * (length + 1 - len(raw))})
+    assert len(raw) == length + 1
+    ours, theirs = socket.socketpair()
+
+    def write():
+        try:
+            theirs.sendall(raw)
+        except OSError:
+            pass  # the reader refused the line and closed its end
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        return LineChannel(ours).recv(deadline=time.monotonic() + 5)
+    finally:
+        ours.close()
+        writer.join(timeout=5)
+        theirs.close()
+        assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("excess", [1, 23, 70000])
+def test_a_line_over_the_limit_is_refused_wherever_its_newline_is_read(excess):
+    # the newline of an over-long line may arrive in the read that crosses the limit
+    with pytest.raises(ProtocolError, match="exceeds maximum length"):
+        _read_one_line_of(MAX_LINE_BYTES + excess)
+
+
+def test_a_line_of_exactly_the_limit_is_read():
+    assert _read_one_line_of(MAX_LINE_BYTES)["op"] == "x"
 
 
 class TestLineServer:
