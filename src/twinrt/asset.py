@@ -44,7 +44,7 @@ from .gateway import (
     function_decl,
     property_decl,
 )
-from .values import Value, check_value
+from .values import Value, fitted
 from .wire import LineChannel, LineServer, connect_channel
 
 
@@ -88,22 +88,18 @@ class AssetModel:
         return self.state()[name]
 
     def write(self, name: str, value: Value) -> None:
-        d = self._decl(name, ElementKind.PROPERTY)
-        if d.access is not PropertyAccess.READ_WRITE:
+        if self._decl(name, ElementKind.PROPERTY).access is not PropertyAccess.READ_WRITE:
             raise ReadOnlyViolation(f"property {name!r} is read-only")
-        check_value(value, d.value_type)
-        self._set(name, value)
+        self.force_set(name, value)
 
     def force_set(self, name: str, value: Value) -> None:
         """Backdoor standing in for the physical world: ignores access mode."""
         d = self._decl(name, ElementKind.PROPERTY)
-        check_value(value, d.value_type)
-        self._set(name, value)
+        self._set(name, fitted(value, d.value_type))
 
     def raise_event(self, name: str, payload: Value) -> None:
         d = self._decl(name, ElementKind.EVENT)
-        check_value(payload, d.payload_type)
-        self._pending_events.append((name, payload))
+        self._pending_events.append((name, fitted(payload, d.payload_type)))
 
     def pop_events(self) -> list[tuple[str, Value]]:
         events, self._pending_events = self._pending_events, []
@@ -119,8 +115,7 @@ class AssetModel:
         d = self._decl(name, ElementKind.FUNCTION)
         if len(args) != len(d.arg_types):
             raise SchemaViolation(f"{name!r} takes {len(d.arg_types)} argument(s), got {len(args)}")
-        for arg, arg_type in zip(args, d.arg_types):
-            check_value(arg, arg_type)
+        args = [fitted(arg, arg_type) for arg, arg_type in zip(args, d.arg_types)]
         try:
             return self._invoke(name, args)
         except TwinError:
@@ -179,10 +174,10 @@ class TankModel(AssetModel):
     def _set(self, name: str, value: Value) -> None:
         prev = self.level
         if name == "level":
-            self.level = float(value)
+            self.level = value  # fitted to real, as every value the asset receives
             self._check_overflow(prev)
         else:
-            self.valve = float(value)
+            self.valve = value
 
     def step(self, dt: float) -> None:
         prev = self.level

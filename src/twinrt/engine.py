@@ -76,7 +76,7 @@ from .services import (
     ServiceRequest,
     required_capability,
 )
-from .values import Value, coerce_real, fit_value
+from .values import Value, coerce_real
 
 
 class Direction(str, Enum):
@@ -573,6 +573,8 @@ class Engine:
         model = self.registry.model(mapping.model_id)
         if model.mode is ModelMode.OFFLINE:
             return self._suspended(mapping, "model offline")
+        if not self.registry.resolve(mapping.model_ref()):
+            return self._suspended(mapping, "model side unresolved")
         handle = self._gateways.get(mapping.gateway_id)
         if handle is None or not handle.is_alive:
             return self._suspended(mapping, "gateway unavailable")
@@ -635,25 +637,20 @@ class Engine:
         return sample.value
 
     def _pull(self, mapping: Mapping, reason: SyncReason) -> SyncDecision:
-        value = fit_value(mapping.transform.apply(self._asset_value(mapping)),
-                          self.registry.declared_type(mapping.model_id, mapping.element_id,
-                                                      mapping.property_name))
-        owner = self.registry.owner_of(mapping.model_id)
-        self.registry.apply_operator(owner, "set_property", mapping.model_id,
-                                     {"element": mapping.element_id,
-                                      "property": mapping.property_name,
-                                      "value": value}, cause="sync")
+        args = {"element": mapping.element_id, "property": mapping.property_name,
+                "value": mapping.transform.apply(self._asset_value(mapping))}
+        self.registry.apply_operator(self.registry.owner_of(mapping.model_id), "set_property",
+                                     mapping.model_id, args, cause="sync")
+        value = self.registry.property_value(mapping.model_id, mapping.element_id,
+                                             mapping.property_name)  # as fitted and committed
         return self._synced(mapping, value, data_mod.origin_actual_system(mapping.gateway_id),
                             SyncAction.PULL_AS_TO_DT, reason)
 
     def _push(self, mapping: Mapping, reason: SyncReason) -> SyncDecision:
         value = self.registry.property_value(mapping.model_id, mapping.element_id,
                                              mapping.property_name)
-        out = mapping.transform.invert(value)
-        handle = self.gateway(mapping.gateway_id)
-        decl = handle.descriptor.element(mapping.gateway_property)
-        out = fit_value(out, decl.value_type if decl else None)
-        handle.write_property(mapping.gateway_property, out)
+        out = self.gateway(mapping.gateway_id).write_property(
+            mapping.gateway_property, mapping.transform.invert(value))
         edit = self._edit_ledger.get((mapping.model_id, mapping.element_id,
                                       mapping.property_name))
         return self._synced(mapping, out, data_mod.origin_of(edit.cause if edit else "operator"),

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Any, Mapping
@@ -32,7 +32,7 @@ from .errors import (
     TwinError,
     WrongKind,
 )
-from .values import Value, check_value, fit_value
+from .values import Value, fitted
 from .wire import LineChannel, Transcript, connect_channel
 
 
@@ -65,8 +65,8 @@ class GatewayElementDecl:
     result_type: str | None = None
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("element name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"element name must be non-empty text, got {self.name!r}")
         if self.kind is ElementKind.PROPERTY:
             ok = (self.value_type is not None and self.access is not None
                   and self.payload_type is None and self.arg_types is None
@@ -130,21 +130,18 @@ class GatewayDescriptor:
     gateway_id: str
     endpoint: str
     elements: tuple[GatewayElementDecl, ...] = ()
+    _by_name: dict[str, GatewayElementDecl] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.gateway_id:
             raise ValueError("gateway_id must be non-empty")
-        names = [e.name for e in self.elements]
-        if len(names) != len(set(names)):
+        object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "_by_name", {e.name: e for e in self.elements})
+        if len(self._by_name) != len(self.elements):
             raise ValueError(f"gateway {self.gateway_id}: duplicate element names")
-        if not isinstance(self.elements, tuple):
-            object.__setattr__(self, "elements", tuple(self.elements))
 
     def element(self, name: str) -> GatewayElementDecl | None:
-        for decl in self.elements:
-            if decl.name == name:
-                return decl
-        return None
+        return self._by_name.get(name) if isinstance(name, str) else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,11 +289,11 @@ class GatewayHandle:
             if stream is None or stream.kind is not kind:
                 return  # nothing listens, or the push names the other kind
             if op == "update":
-                item = ValueSample(msg["element"], _received(msg["value"], stream.value_type),
+                item = ValueSample(msg["element"], fitted(msg["value"], stream.value_type),
                                    msg["ts"], msg["seq"])
             else:
                 item = EventOccurrence(msg["element"],
-                                       _received(msg["payload"], stream.value_type), msg["ts"])
+                                       fitted(msg["payload"], stream.value_type), msg["ts"])
         # a missing field, an unhashable element, a value that does not fit
         except (KeyError, TypeError, SchemaViolation) as exc:
             raise ProtocolError(f"malformed push: {exc}") from exc
@@ -357,17 +354,19 @@ class GatewayHandle:
         decl = self._decl(name, ElementKind.PROPERTY)
         reply = self._expect(self._request({"op": "read", "element": name}), "value")
         try:
-            return ValueSample(element_name=name, value=_received(reply["value"], decl.value_type),
+            return ValueSample(element_name=name, value=fitted(reply["value"], decl.value_type),
                                asset_timestamp=reply["ts"], sequence_no=reply["seq"])
         except KeyError as exc:
             raise ProtocolError(f"value response missing field {exc}") from exc
 
-    def write_property(self, name: str, value: Value) -> None:
+    def write_property(self, name: str, value: Value) -> Value:
+        """Write ``value`` fitted to the property's type; returns the value written."""
         decl = self._decl(name, ElementKind.PROPERTY)
         if decl.access is not PropertyAccess.READ_WRITE:
             raise ReadOnlyViolation(f"{self.gateway_id}: property {name!r} is read-only")
-        check_value(value, decl.value_type)
+        value = fitted(value, decl.value_type)
         self._expect(self._request({"op": "write", "element": name, "value": value}), "ack")
+        return value
 
     def observe_property(self, name: str) -> Stream:
         return self._open_stream(name, ElementKind.PROPERTY, "observe")
@@ -395,22 +394,13 @@ class GatewayHandle:
         decl = self._decl(name, ElementKind.FUNCTION)
         if len(args) != len(decl.arg_types):
             raise SchemaViolation(f"{name!r} takes {len(decl.arg_types)} argument(s), got {len(args)}")
-        for arg, arg_type in zip(args, decl.arg_types):
-            check_value(arg, arg_type)
+        args = [fitted(arg, arg_type) for arg, arg_type in zip(args, decl.arg_types)]
         reply = self._expect(self._request({"op": "invoke", "element": name, "args": args}), "result")
-        return _received(reply.get("value"), decl.result_type)
+        return fitted(reply.get("value"), decl.result_type)
 
     def ping(self) -> None:
         """Round-trip barrier: all pushes sent before the pong are now routed."""
         self._expect(self._request({"op": "ping"}), "pong")
-
-
-def _received(value: Value, value_type: str) -> Value:
-    """``value`` from the asset fitted to ``value_type`` and checked: JSON has no
-    int/real split, so 5 for a real is 5.0. SchemaViolation if it does not fit."""
-    value = fit_value(value, value_type)
-    check_value(value, value_type)
-    return value
 
 
 def connect(descriptor: GatewayDescriptor, timeout: float = 5.0,
@@ -432,7 +422,7 @@ def connect(descriptor: GatewayDescriptor, timeout: float = 5.0,
         if check_reply(reply).get("op") != "hello-ack":
             raise ProtocolError(f"unexpected handshake response {reply.get('op')!r}")
         advertised = [GatewayElementDecl.from_wire(e) for e in reply.get("catalog", [])]
-        differences = _catalog_diff(descriptor.elements, advertised)
+        differences = _catalog_diff(descriptor._by_name, advertised)
         if differences:
             raise CatalogMismatch(
                 f"{descriptor.gateway_id}: catalog differs from descriptor "
@@ -443,10 +433,10 @@ def connect(descriptor: GatewayDescriptor, timeout: float = 5.0,
     return GatewayHandle(descriptor, channel)
 
 
-def _catalog_diff(declared, advertised) -> list[str]:
-    declared_by_name = {d.name: d for d in declared}
+def _catalog_diff(declared_by_name, advertised) -> list[str]:
     advertised_by_name = {d.name: d for d in advertised}
-    diffs = []
+    diffs = [f"asset advertises {name!r} more than once"
+             for name, count in sorted(Counter(d.name for d in advertised).items()) if count > 1]
     for name in sorted(set(declared_by_name) - set(advertised_by_name)):
         diffs.append(f"asset does not advertise {name!r}")
     for name in sorted(set(advertised_by_name) - set(declared_by_name)):

@@ -8,9 +8,10 @@ snapshot restore. Operator application is transactional: either the
 transformed model satisfies every integrity rule and is committed, or the
 model is left untouched. A transaction copies only the elements its operator
 touches and re-checks only those, so its cost follows what changed, not the
-size of the model. Managers may delegate operator applications to peers
-along declared per-operator rules; a request never visits the same manager
-twice.
+size of the model; before the check, it fits each of their properties and
+each typed operator argument to its declared type (5 for a real is 5.0).
+Managers may delegate operator applications to peers along declared
+per-operator rules; a request never visits the same manager twice.
 """
 
 from __future__ import annotations
@@ -36,7 +37,16 @@ from .errors import (
     UnknownModel,
     UnknownOperator,
 )
-from .values import VALUE_TYPES, Value, canonical_json, check_value, digest, validate_value
+from .values import (
+    VALUE_TYPES,
+    Value,
+    canonical_json,
+    check_value,
+    digest,
+    fit_value,
+    fitted,
+    validate_value,
+)
 
 MODE_PROPERTY = "mode"
 LAST_UPDATE_PROPERTY = "last-update"
@@ -519,19 +529,6 @@ class ModelRegistry:
             raise UnknownModel(f"{model_id}/{element_id}.{name} does not resolve")
         return element.properties[name].value
 
-    def declared_type(self, model_id: str, element_id: str, name: str) -> str | None:
-        """The value type the model's language declares for ``name`` on the
-        element's kind; None when the model or element does not resolve or
-        an id is not text."""
-        if not (isinstance(model_id, str) and isinstance(element_id, str)
-                and isinstance(name, str)):
-            return None
-        model = self._models.get(model_id)
-        element = model.elements.get(element_id) if model is not None else None
-        if element is None:
-            return None
-        return self.language(model.language_id).schema_for(element.kind).get(name)
-
     def digest(self, model_id: str) -> str:
         return self.model(model_id).digest()
 
@@ -550,13 +547,19 @@ class ModelRegistry:
         if operator.applicable_language not in ("*", model.language_id):
             raise UnknownOperator(
                 f"operator {operator_id!r} does not apply to language {model.language_id!r}")
-        self._check_args(operator, args)
+        args = self._check_args(operator, args)
 
         elements = _CopyOnAccess(model.elements)
         view = Model(model_id, model.language_id, elements, dict(model.model_properties))
         operator.effect(view, args)
         candidate = Model(model_id, model.language_id, elements.merged(), view.model_properties)
         language = self.language(model.language_id)
+        for eid in elements.surviving():  # fitted into new elements: no shared one is written
+            element = candidate.elements[eid]
+            schema = language.schema_for(element.kind)
+            candidate.elements[eid] = ModelElement(element.element_id, element.kind, {
+                name: ModelProperty(p.name, fit_value(p.value, schema.get(name)), p.property_type)
+                for name, p in element.properties.items()})
         self._validate(candidate, language, owner=self._owner.get(model_id),
                        element_ids=elements.surviving())
         changed = _diff_elements(model.elements, candidate.elements, elements.touched())
@@ -640,7 +643,8 @@ class ModelRegistry:
             current = self._managers[target]
 
     @staticmethod
-    def _check_args(operator: OperatorDef, args: dict[str, Value]) -> None:
+    def _check_args(operator: OperatorDef, args: dict[str, Value]) -> dict[str, Value]:
+        """``args`` with each typed one fitted; ArgumentMismatch if they do not match."""
         if not isinstance(args, dict):
             raise ArgumentMismatch("operator arguments must be a mapping")
         optional = _OPTIONAL_ARGS.get(operator.operator_id, set())
@@ -648,6 +652,7 @@ class ModelRegistry:
         unknown = set(args) - declared
         if unknown:
             raise ArgumentMismatch(f"unknown argument(s) {sorted(unknown)}")
+        checked = dict(args)
         for name, vtype in operator.params:
             if name not in args:
                 if name in optional:
@@ -657,9 +662,10 @@ class ModelRegistry:
                 if vtype == "any":
                     validate_value(args[name])
                 else:
-                    check_value(args[name], vtype)
+                    checked[name] = fitted(args[name], vtype)
             except SchemaViolation as exc:
                 raise ArgumentMismatch(f"argument {name!r}: {exc}") from exc
+        return checked
 
     def _validate(self, model: Model, language: ModelingLanguage, owner: str | None = None,
                   element_ids: Iterable[str] | None = None) -> None:

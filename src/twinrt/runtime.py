@@ -23,7 +23,7 @@ from .errors import ProtocolError, TwinError
 from .gateway import ValueSample, connect
 from .models import ModelRegistry, OperatorOutcome
 from .services import ApplyOperator, ServiceRequest, build_builtin, request_from_wire
-from .values import Value, canonical_json, fit_value
+from .values import Value, canonical_json
 from .wire import LineChannel, LineServer
 
 
@@ -156,10 +156,7 @@ class TwinRuntime:
             self.serve_control()
 
     def asset_set(self, gateway_id: str, prop: str, value: Value) -> None:
-        gw = self.config.gateway(gateway_id)
-        decl = gw.descriptor.element(prop) if gw else None
-        self._control(gateway_id).force_set(
-            prop, fit_value(value, decl.value_type if decl is not None else None))
+        self._control(gateway_id).force_set(prop, value)
 
     def asset_raise(self, gateway_id: str, event: str, payload: Value) -> None:
         self._control(gateway_id).raise_event(event, payload)
@@ -187,12 +184,6 @@ class TwinRuntime:
 
     def model_edit(self, manager_id: str, operator_id: str, model_id: str,
                    args: dict[str, Value]):
-        if operator_id == "set_property" and isinstance(args, dict) and "value" in args:
-            # argument checks stay with the registry: a bad element or
-            # property fits to nothing and is refused there
-            vtype = self.registry.declared_type(model_id, args.get("element"),
-                                                args.get("property"))
-            args = dict(args, value=fit_value(args["value"], vtype))
         return self.mediate_operator(ApplyOperator(manager_id, operator_id, model_id, args))
 
     def model_value(self, model_id: str, element_id: str, prop: str) -> Value:

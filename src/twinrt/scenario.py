@@ -25,7 +25,8 @@ STEP_KINDS = ("tick", "asset-set", "asset-raise", "model-edit", "service-on",
               "service-off", "expect-model", "expect-decision", "expect-record-count")
 
 
-# the payload fields a step's runner reads without a default
+# the payload fields a step's runner reads without a default; all but a value
+# or a count name something, as non-empty text
 _FIELDS = {"asset-set": ("gateway", "property", "value"), "asset-raise": ("gateway", "event"),
            "model-edit": ("manager", "operator", "model"),
            "expect-model": ("model", "element", "property", "value"),
@@ -88,6 +89,15 @@ def _parse_step(raw: Any, index: int) -> ScenarioStep:
     missing = [name for name in _FIELDS.get(kind, ()) if name not in payload]
     if missing:
         raise ConfigParseError(f"step {index}: {kind} lacks {', '.join(missing)}")
+    for name in _FIELDS.get(kind, ()):
+        value = payload[name]
+        if name not in ("value", "count") and not (isinstance(value, str) and value):
+            raise ConfigParseError(f"step {index}: {kind} {name} must be non-empty text, "
+                                   f"got {value!r}")
+    tolerance = payload.get("tolerance", 0) if kind == "expect-model" else 0
+    if not (type(tolerance) in (int, float) and tolerance >= 0):
+        raise ConfigParseError(f"step {index}: expect-model tolerance must be a number >= 0, "
+                               f"got {tolerance!r}")
     if kind == "expect-record-count":
         if type(payload["count"]) is not int:
             raise ConfigParseError(f"step {index}: expect-record-count takes an integer count")

@@ -81,6 +81,13 @@ def fit_value(value: Value, target_type: str | None) -> Value:
     return value
 
 
+def fitted(value: Value, expected: str) -> Value:
+    """``value`` fitted to the type ``expected`` and checked: SchemaViolation unless it fits."""
+    value = fit_value(value, expected)
+    check_value(value, expected)
+    return value
+
+
 def coerce_real(value: Value) -> float:
     """Return ``value`` as a float for arithmetic; rejects non-numeric values."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -89,17 +89,19 @@ def late_first_reply() -> Callable[[dict], dict]:
 
 
 def start_scripted_tank(respond: Callable[[dict], dict | list[dict]] = plain_reply,
-                        requests: Counter | None = None) -> LineServer:
+                        requests: Counter | None = None,
+                        catalog: list | None = None) -> LineServer:
     """A fake tank asset that answers each request with ``respond(request)``.
 
-    It advertises the tank catalog in the handshake and pushes only what
-    ``respond`` scripts: a list is sent message by message, so pushes can
-    precede the reply. A test can make single replies late, wrong or
-    failing. If ``requests`` is given, it counts the requests after the
-    handshake by op. The server's loop runs on a thread of its own until
+    It advertises ``catalog`` (by default the tank's) in the handshake and
+    pushes only what ``respond`` scripts: a list is sent message by message,
+    so pushes can precede the reply. A test can make single replies late,
+    wrong or failing. If ``requests`` is given, it counts the requests after
+    the handshake by op. The server's loop runs on a thread of its own until
     ``close()``.
     """
-    catalog = [decl.to_wire() for decl in TANK_ELEMENTS]
+    if catalog is None:
+        catalog = [decl.to_wire() for decl in TANK_ELEMENTS]
 
     def answer(channel: LineChannel, msg: dict) -> None:
         if msg["op"] == "hello":

@@ -2,11 +2,11 @@
 
 This is operator application done the obvious way: copy the whole model
 through ``Model.from_dict(model.to_dict())``, run the effect on the copy,
-check every element against the language and every rule, diff every element,
-and commit. It costs three passes over the model per write, which is why the
-registry copies and checks only what the effect touches; the two must agree
-on every outcome, and the property tests in test_transactions.py hold them
-to it.
+fit every property to its declared type, check every element against the
+language and every rule, diff every element, and commit. It costs four
+passes over the model per write, which is why the registry copies, fits and
+checks only what the effect touches; the two must agree on every outcome,
+and the property tests in test_transactions.py hold them to it.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ from twinrt.errors import IntegrityViolation, SchemaViolation, UnknownOperator
 from twinrt.models import (
     LAST_UPDATE_PROPERTY,
     Model,
+    ModelElement,
     ModelingLanguage,
     ModelProperty,
     ModelRegistry,
     OperatorOutcome,
     RuleContext,
 )
-from twinrt.values import check_value
+from twinrt.values import check_value, fit_value
 
 
 def apply_full_copy(registry: ModelRegistry, manager_id: str, operator_id: str,
@@ -36,11 +37,17 @@ def apply_full_copy(registry: ModelRegistry, manager_id: str, operator_id: str,
     if operator.applicable_language not in ("*", model.language_id):
         raise UnknownOperator(
             f"operator {operator_id!r} does not apply to language {model.language_id!r}")
-    registry._check_args(operator, args)
+    args = registry._check_args(operator, args)
 
     candidate = Model.from_dict(model.to_dict())
     operator.effect(candidate, args)
     language = registry.language(model.language_id)
+    for eid, element in candidate.elements.items():
+        schema = language.schema_for(element.kind)
+        candidate.elements[eid] = ModelElement(element.element_id, element.kind, {
+            name: ModelProperty(prop.name, fit_value(prop.value, schema.get(name)),
+                                prop.property_type)
+            for name, prop in element.properties.items()})
     validate_full(registry, candidate, language, owner=registry._owner.get(model_id))
     changed = diff_full(model, candidate)
     tick = registry.tick_supplier()

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from helpers import (
+    TANK_ELEMENTS,
     echo_descriptor,
     late_first_reply,
     plain_reply,
@@ -12,6 +13,7 @@ from helpers import (
     tank_descriptor,
 )
 
+import twinrt.gateway as gateway_mod
 from twinrt.errors import (
     CatalogMismatch,
     ConnectFailed,
@@ -77,6 +79,47 @@ class TestConnect:
         elements[0] = property_decl("level", "real", PropertyAccess.READ_WRITE)
         with pytest.raises(CatalogMismatch):
             connect(GatewayDescriptor("tank01", tank_server.endpoint, tuple(elements)))
+
+    @pytest.fixture
+    def channels(self, monkeypatch):
+        """Every channel ``connect`` opens."""
+        opened = []
+        real = gateway_mod.connect_channel
+        monkeypatch.setattr(gateway_mod, "connect_channel",
+                            lambda *args, **kwargs: opened.append(real(*args, **kwargs))
+                            or opened[-1])
+        return opened
+
+    @pytest.mark.parametrize("name", [[1], {"a": 1}, 5, ""])
+    def test_a_catalog_name_that_is_not_text_is_a_protocol_error(self, channels, name):
+        catalog = [decl.to_wire() for decl in TANK_ELEMENTS]
+        catalog[0]["name"] = name
+        server = start_scripted_tank(catalog=catalog)
+        try:
+            with pytest.raises(ProtocolError, match="name must be non-empty text"):
+                connect(tank_descriptor(server.endpoint))
+            [channel] = channels
+            assert channel._sock.fileno() == -1  # closed, not left to the collector
+        finally:
+            server.close()
+
+    def test_a_name_advertised_twice_is_a_catalog_mismatch(self, channels):
+        catalog = [decl.to_wire() for decl in TANK_ELEMENTS]
+        server = start_scripted_tank(catalog=catalog + catalog[:1])
+        try:
+            with pytest.raises(CatalogMismatch) as excinfo:
+                connect(tank_descriptor(server.endpoint))
+            assert excinfo.value.differences == ["asset advertises 'level' more than once"]
+            [channel] = channels
+            assert channel._sock.fileno() == -1
+        finally:
+            server.close()
+
+    def test_a_descriptor_looks_up_only_text_names(self):
+        descriptor = tank_descriptor("tcp://127.0.0.1:1")
+        assert descriptor.element("level") is TANK_ELEMENTS[0]
+        assert [descriptor.element(name) for name in ("pressure", ["level"], {"a": 1}, 5)] \
+            == [None] * 4
 
     def test_unreachable_endpoint(self):
         with pytest.raises(ConnectFailed):

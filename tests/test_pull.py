@@ -32,7 +32,6 @@ from twinrt.engine import (
     Mapping,
     Schedule,
     SyncAction,
-    SyncReason,
     Trigger,
     TriggerKind,
 )

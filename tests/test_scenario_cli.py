@@ -78,6 +78,33 @@ steps:
         with pytest.raises(ConfigParseError, match=r"^step 1: "):
             scenario_mod.loads(f"steps:\n  - tick\n  - {step}\n")
 
+    @pytest.mark.parametrize("step, field", [
+        ("asset-set: {gateway: [1], property: level, value: 1}", "asset-set gateway"),
+        ("asset-set: {gateway: tank01, property: '', value: 1}", "asset-set property"),
+        ("asset-raise: {gateway: tank01, event: 5}", "asset-raise event"),
+        ("model-edit: {manager: [1], operator: set_property, model: tank}", "model-edit manager"),
+        ("model-edit: {manager: plant, operator: {a: 1}, model: tank}", "model-edit operator"),
+        ("expect-model: {model: [1], element: main, property: level, value: 0}",
+         "expect-model model"),
+        ("expect-model: {model: tank, element: null, property: level, value: 0}",
+         "expect-model element"),
+        ("expect-model: {model: tank, element: main, property: level, value: 0, "
+         "tolerance: x}", "expect-model tolerance"),
+        ("expect-model: {model: tank, element: main, property: level, value: 0, "
+         "tolerance: true}", "expect-model tolerance"),
+        ("expect-model: {model: tank, element: main, property: level, value: 0, "
+         "tolerance: -0.1}", "expect-model tolerance"),
+    ])
+    def test_a_step_field_of_the_wrong_type_names_step_and_field(self, step, field):
+        with pytest.raises(ConfigParseError, match=rf"^step 1: {field} must be "):
+            scenario_mod.loads(f"steps:\n  - tick\n  - {step}\n")
+
+    def test_a_non_text_id_exits_2(self, capsys, tmp_path):
+        script = tmp_path / "s.yaml"
+        script.write_text("steps:\n  - asset-set: {gateway: [1], property: level, value: 1}\n")
+        assert main(["scenario", str(script), "--config", str(DEMO_CONFIG)]) == 2
+        assert "step 0: asset-set gateway must be non-empty text" in capsys.readouterr().err
+
 
 # a bare twin with an integer model property and a simulated echo asset
 FIT_CONFIG = """
@@ -168,6 +195,24 @@ steps:
                           f"model: tank, args: {args}}}\n")
         assert main(["scenario", str(script), "--config", str(DEMO_CONFIG)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_deleting_a_mapped_element_suspends_its_syncs_until_it_is_made_again(self):
+        runtime, _ = self.run_steps("""
+steps:
+  - tick
+  - model-edit: {manager: plant, operator: delete_element, model: tank,
+                 args: {element: main}}
+  - tick: 2
+  - expect-decision: {mapping: m-level, action: no-op, reason: suspended}
+  - model-edit: {manager: plant, operator: create_element, model: tank,
+                 args: {element: main, kind: Tank,
+                        properties: {level: 0, capacity: 10, valve_target: 0}}}
+  - tick
+  - expect-decision: {mapping: m-level, action: pull-as-to-dt, reason: scheduled}
+""")
+        details = {d.detail for d in runtime.engine.decisions if d.tick in (2, 3)}
+        assert details == {"model side unresolved"}
+        assert runtime.model_value("tank", "main", "level") == 0.2  # 4 ticks of 0.05
 
     def test_service_off_stops_hooks(self):
         runtime, _ = self.run_steps("""
