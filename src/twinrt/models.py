@@ -8,8 +8,8 @@ snapshot restore. Operator application is transactional: either the
 transformed model satisfies every integrity rule and is committed, or the
 model is left untouched. A transaction copies only the elements its operator
 touches and re-checks only those, so its cost follows what changed, not the
-size of the model; before the check, it fits each of their properties and
-each typed operator argument to its declared type (5 for a real is 5.0).
+size of the model; the check fits each of their properties and each typed
+operator argument to its declared type first (5 for a real is 5.0).
 Managers may delegate operator applications to peers along declared
 per-operator rules; a request never visits the same manager twice.
 """
@@ -37,16 +37,7 @@ from .errors import (
     UnknownModel,
     UnknownOperator,
 )
-from .values import (
-    VALUE_TYPES,
-    Value,
-    canonical_json,
-    check_value,
-    digest,
-    fit_value,
-    fitted,
-    validate_value,
-)
+from .values import VALUE_TYPES, Value, canonical_json, digest, fitted, validate_value
 
 MODE_PROPERTY = "mode"
 LAST_UPDATE_PROPERTY = "last-update"
@@ -554,12 +545,6 @@ class ModelRegistry:
         operator.effect(view, args)
         candidate = Model(model_id, model.language_id, elements.merged(), view.model_properties)
         language = self.language(model.language_id)
-        for eid in elements.surviving():  # fitted into new elements: no shared one is written
-            element = candidate.elements[eid]
-            schema = language.schema_for(element.kind)
-            candidate.elements[eid] = ModelElement(element.element_id, element.kind, {
-                name: ModelProperty(p.name, fit_value(p.value, schema.get(name)), p.property_type)
-                for name, p in element.properties.items()})
         self._validate(candidate, language, owner=self._owner.get(model_id),
                        element_ids=elements.surviving())
         changed = _diff_elements(model.elements, candidate.elements, elements.touched())
@@ -671,29 +656,39 @@ class ModelRegistry:
                   element_ids: Iterable[str] | None = None) -> None:
         """Check ``model`` against ``language``, raising IntegrityViolation.
 
-        ``element_ids`` limits the kind, schema and PropertyRule checks to
-        those elements, in that order; the rest are unchanged since they last
-        passed. CallableRules always see the whole model and its peers.
+        Each checked property is first fitted to its declared type; an
+        element with a fitted value is replaced in ``model.elements`` by a
+        new one, so no element object is ever written. ``element_ids`` limits
+        the kind, schema and PropertyRule checks to those elements, in that
+        order; the rest are unchanged since they last passed. CallableRules
+        always see the whole model and its peers.
         """
-        elements = (list(model.elements.values()) if element_ids is None
-                    else [model.elements[eid] for eid in element_ids])
-        for element in elements:
+        elements: list[ModelElement] = []
+        for eid in list(model.elements) if element_ids is None else element_ids:
+            element = model.elements[eid]
             if element.kind not in language.element_kinds:
                 raise IntegrityViolation(
                     f"element {element.element_id!r} has undeclared kind {element.kind!r}",
                     failed_rules=["kind-declared"])
             schema = language.schema_for(element.kind)
+            fits: dict[str, ModelProperty] = {}
             for name, prop in element.properties.items():
                 if name not in schema:
                     raise IntegrityViolation(
                         f"property {element.element_id}.{name} not declared for kind "
                         f"{element.kind!r}", failed_rules=["property-declared"])
                 try:
-                    check_value(prop.value, schema[name])
+                    value = fitted(prop.value, schema[name])
                 except SchemaViolation as exc:
                     raise IntegrityViolation(
                         f"property {element.element_id}.{name}: {exc}",
                         failed_rules=["property-typed"]) from exc
+                if value is not prop.value:
+                    fits[name] = ModelProperty(prop.name, value, prop.property_type)
+            if fits:
+                element = model.elements[eid] = ModelElement(
+                    element.element_id, element.kind, {**element.properties, **fits})
+            elements.append(element)
         context = RuleContext(self._peer_models(model, owner))
         failed: list[str] = []
         messages: list[str] = []

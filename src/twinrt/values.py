@@ -71,10 +71,11 @@ def check_value(value: Value, expected: str) -> None:
 
 
 def fit_value(value: Value, target_type: str | None) -> Value:
-    """Fit a number losslessly to a declared schema type: an int to a real,
-    an integral real to an integer. Anything else is returned as it is, for
-    the schema check to judge."""
-    if target_type == "real" and isinstance(value, int) and not isinstance(value, bool):
+    """Fit a number losslessly to a declared schema type: a 64-bit int to a
+    real, an integral real to an integer. Anything else is returned as it
+    is, for the schema check to judge."""
+    if (target_type == "real" and isinstance(value, int) and not isinstance(value, bool)
+            and INT64_MIN <= value <= INT64_MAX):
         return float(value)
     if target_type == "integer" and isinstance(value, float) and value.is_integer():
         return int(value)

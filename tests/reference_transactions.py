@@ -2,10 +2,10 @@
 
 This is operator application done the obvious way: copy the whole model
 through ``Model.from_dict(model.to_dict())``, run the effect on the copy,
-fit every property to its declared type, check every element against the
-language and every rule, diff every element, and commit. It costs four
-passes over the model per write, which is why the registry copies, fits and
-checks only what the effect touches; the two must agree on every outcome,
+check every element against the language, fitting each property to its
+declared type, then every rule, diff every element, and commit. It costs
+three passes over the model per write, which is why the registry copies,
+fits and checks only what the effect touches; the two must agree on every outcome,
 and the property tests in test_transactions.py hold them to it.
 """
 
@@ -23,7 +23,7 @@ from twinrt.models import (
     OperatorOutcome,
     RuleContext,
 )
-from twinrt.values import check_value, fit_value
+from twinrt.values import fitted
 
 
 def apply_full_copy(registry: ModelRegistry, manager_id: str, operator_id: str,
@@ -42,12 +42,6 @@ def apply_full_copy(registry: ModelRegistry, manager_id: str, operator_id: str,
     candidate = Model.from_dict(model.to_dict())
     operator.effect(candidate, args)
     language = registry.language(model.language_id)
-    for eid, element in candidate.elements.items():
-        schema = language.schema_for(element.kind)
-        candidate.elements[eid] = ModelElement(element.element_id, element.kind, {
-            name: ModelProperty(prop.name, fit_value(prop.value, schema.get(name)),
-                                prop.property_type)
-            for name, prop in element.properties.items()})
     validate_full(registry, candidate, language, owner=registry._owner.get(model_id))
     changed = diff_full(model, candidate)
     tick = registry.tick_supplier()
@@ -65,24 +59,29 @@ def apply_full_copy(registry: ModelRegistry, manager_id: str, operator_id: str,
 
 def validate_full(registry: ModelRegistry, model: Model, language: ModelingLanguage,
                   owner: str | None = None) -> None:
-    """Every element against the language, then every rule over the whole model."""
-    for element in model.elements.values():
+    """Every element against the language, each property fitted to its
+    declared type in a new copy of the element, then every rule over the
+    whole model."""
+    for eid, element in list(model.elements.items()):
         if element.kind not in language.element_kinds:
             raise IntegrityViolation(
                 f"element {element.element_id!r} has undeclared kind {element.kind!r}",
                 failed_rules=["kind-declared"])
         schema = language.schema_for(element.kind)
+        properties: dict[str, ModelProperty] = {}
         for name, prop in element.properties.items():
             if name not in schema:
                 raise IntegrityViolation(
                     f"property {element.element_id}.{name} not declared for kind "
                     f"{element.kind!r}", failed_rules=["property-declared"])
             try:
-                check_value(prop.value, schema[name])
+                value = fitted(prop.value, schema[name])
             except SchemaViolation as exc:
                 raise IntegrityViolation(
                     f"property {element.element_id}.{name}: {exc}",
                     failed_rules=["property-typed"]) from exc
+            properties[name] = ModelProperty(prop.name, value, prop.property_type)
+        model.elements[eid] = ModelElement(element.element_id, element.kind, properties)
     context = RuleContext(registry._peer_models(model, owner))
     failed: list[str] = []
     messages: list[str] = []

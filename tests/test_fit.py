@@ -118,12 +118,13 @@ def bare_registry(*operators: OperatorDef) -> ModelRegistry:
 
 class TestModelRoutes:
     def test_ctl_call_apply_operator(self, twin):
+        # an integer beyond 64 bits is an error reply, and the next call is answered
         replies = control(twin, *[
             {"op": "ctl.call", "service": "editor", "request": {
                 "kind": "apply-operator", "manager": "m", "operator": "set_property",
                 "model": "mdl", "args": {"element": "e", "property": prop, "value": value}}}
-            for prop, value in (("x", 1), ("n", 2.0))])
-        assert [reply["op"] for reply in replies] == ["result", "result"], replies
+            for prop, value in (("x", 10**309), ("x", 1), ("n", 2.0))])
+        assert [reply["op"] for reply in replies] == ["error", "result", "result"], replies
         assert typed(twin.model_value("mdl", "e", "x")) == (1.0, float)
         assert typed(twin.model_value("mdl", "e", "n")) == (2, int)
 
@@ -165,7 +166,8 @@ class TestModelRoutes:
             (2.0, float), (3, int), (4, int)]
         assert args == {"delta": 2, "times": 3.0, "note": 4}  # the caller's dict is kept
         for bad in ({"delta": "2", "times": 3, "note": 0}, {"delta": 2, "times": 1.5, "note": 0},
-                    {"delta": 2, "times": True, "note": 0}):
+                    {"delta": 2, "times": True, "note": 0},
+                    {"delta": 10**309, "times": 3, "note": 0}):
             with pytest.raises(ArgumentMismatch):
                 registry.apply_operator("m", "nudge", "mdl", bad)
 
@@ -214,9 +216,9 @@ class TestGatewayRoutes:
         assert typed(echo_handle.invoke_function("sum", [2, 3])) == (5.0, float)
 
     @pytest.mark.parametrize("prop, value", [("count", 1.5), ("lit", 1), ("gain", "2"),
-                                             ("count", True)],
+                                             ("count", True), ("gain", 10**309)],
                              ids=["fraction-for-integer", "one-for-boolean", "text-for-real",
-                                  "boolean-for-integer"])
+                                  "boolean-for-integer", "too-large-for-real"])
     def test_a_handle_write_that_does_not_fit_is_still_refused(self, echo_handle, prop, value):
         with pytest.raises(SchemaViolation):
             echo_handle.write_property(prop, value)
@@ -246,9 +248,13 @@ class TestAssetRoutes:
             assert typed(state["gain"]) == (2.0, float) and typed(state["count"]) == (3, int)
             for msg in ({"op": "write", "element": "count", "value": 1.5},
                         {"op": "ctl.set", "element": "lit", "value": 1},
-                        {"op": "invoke", "element": "sum", "args": ["2", 3]}):
+                        {"op": "invoke", "element": "sum", "args": ["2", 3]},
+                        {"op": "write", "element": "gain", "value": 10**309},
+                        {"op": "ctl.set", "element": "gain", "value": -(10**309)},
+                        {"op": "invoke", "element": "sum", "args": [10**309, 1]}):
                 reply = channel.request(dict(msg, id=2), 5)
                 assert (reply["op"], reply["code"]) == ("error", "SCHEMA")
+            ask({"op": "read", "element": "gain"})  # the asset still serves
         finally:
             channel.close()
             server.close()
