@@ -381,8 +381,6 @@ class AssetServer:
             if msg.get("proto") != "twin/1":
                 raise ProtocolError(f"unsupported protocol {msg.get('proto')!r}")
             return {"op": "hello-ack", "catalog": [d.to_wire() for d in model.catalog]}
-        if op == "list":
-            return {"op": "catalog", "catalog": [d.to_wire() for d in model.catalog]}
         if op == "ping":
             return {"op": "pong"}
         if op == "read":

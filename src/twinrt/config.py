@@ -278,9 +278,12 @@ def _parse_language(obj, path: str) -> ModelingLanguage:
     for kind, schema in kinds.items():
         schemas[kind] = {name: _value_type(t, f"{path}.kinds.{kind}.{name}")
                          for name, t in _as_dict(schema, f"{path}.kinds.{kind}").items()}
-    return ModelingLanguage(language_id=language_id, element_kinds=frozenset(kinds),
-                            property_schemas=schemas,
-                            rules=_each(obj, "rules", path, _parse_rule))
+    rules = _each(obj, "rules", path, _parse_rule)
+    try:
+        return ModelingLanguage(language_id=language_id, element_kinds=frozenset(kinds),
+                                property_schemas=schemas, rules=rules)
+    except IllFormedLanguage as exc:
+        raise _fail(path, str(exc)) from exc
 
 
 def _parse_delegation(obj, path: str) -> DelegationConfig:

@@ -20,7 +20,6 @@ from .errors import (
     CorruptJournal,
     DanglingModelRef,
     MissingMandatoryProperty,
-    NoSuchRecord,
     SchemaViolation,
     StorageFailure,
     TwinError,
@@ -203,9 +202,6 @@ class Selector:
     property_name: str | None = None
     tick_from: int | None = None
     tick_to: int | None = None
-
-    def matches(self, record: DataRecord) -> bool:
-        return self.matches_properties(record.properties) and self.matches_link(record.model_link)
 
     def matches_properties(self, properties: tuple[DataProperty, ...]) -> bool:
         """The origin, timeliness, processing and tick-window part of the test."""
@@ -467,11 +463,6 @@ class DataManager:
                     break
         return found
 
-    def get(self, record_id: int) -> DataRecord:
-        if not 1 <= record_id < self._next_id:
-            raise NoSuchRecord(f"no record {record_id}")
-        return self._records[record_id - 1]
-
     def count(self) -> int:
         return len(self._records)
 
@@ -588,9 +579,10 @@ class DataManager:
     def reload(cls, journal_path: str | Path) -> "DataManager":
         """Rebuild an in-memory manager by replaying a journal.
 
-        Every complete (newline-terminated, well-formed) entry is applied; a
-        torn trailing entry is discarded. Malformation anywhere before the
-        tail raises CorruptJournal.
+        Every complete (newline-terminated, well-formed) entry is ingested,
+        its value checked as a live ingest checks it; a torn trailing entry
+        is discarded. Malformation anywhere before the tail raises
+        CorruptJournal.
         """
         path = Path(journal_path)
         try:
@@ -600,7 +592,8 @@ class DataManager:
 
         # everything after the final newline is an unterminated tail: discard
         lines = blob.split(b"\n")[:-1]
-        manager = cls()
+        # a journal written without mandatory metadata reloads as it was written
+        manager = cls(enforce_mandatory=False)
         shared: dict = {}
         last = len(lines) - 1
         for i, line in enumerate(lines):
@@ -614,9 +607,9 @@ class DataManager:
         return manager
 
     def _replay(self, line: bytes, shared: dict) -> None:
-        """Apply one journal entry. ``shared`` holds the properties replayed so
-        far, so equal ones are one object and records share property tuples
-        and links as in the live store."""
+        """Ingest one journal entry. ``shared`` holds the properties replayed
+        so far, so equal ones are one object and records share property
+        tuples as in the live store."""
         try:
             entry = strict_loads(line)
         except ValueError as exc:
@@ -624,20 +617,16 @@ class DataManager:
         op = entry.get("op")
         if op != "record":
             raise CorruptJournal(f"unknown journal op {op!r}")
+        record_id = entry.get("id")
+        if type(record_id) is not int or record_id != self._next_id:
+            raise CorruptJournal(f"record id {record_id!r} out of order (expected {self._next_id})")
         try:
             props = [_replayed_property(PropertyType(t), v, shared)
-                     for t, v in sorted(entry["props"].items())]
-            link = ModelElementRef.from_list(entry["link"]) if entry.get("link") else None
+                     for t, v in entry["props"].items()]
+            link = entry.get("link")
             if link is not None:
-                link = self._links.setdefault(link, link)
-            record = DataRecord(record_id=entry["id"], value=entry["value"],
-                                properties=self._shared_properties(tuple(props)),
-                                model_link=link)
-        except (KeyError, TypeError, ValueError, TwinError) as exc:
+                link = ModelElementRef.from_list(link)
+            value = entry["value"]
+        except (AttributeError, KeyError, TypeError, ValueError, TwinError) as exc:
             raise CorruptJournal(f"bad record entry: {exc}") from exc
-        if type(record.record_id) is not int or record.record_id != self._next_id:
-            raise CorruptJournal(
-                f"record id {record.record_id!r} out of order (expected {self._next_id})")
-        self._records.append(record)
-        self._index_run(record)
-        self._next_id += 1
+        self.ingest(value, props, model_link=link)

@@ -63,10 +63,6 @@ class StorageFailure(TwinError):
     """A run output could not be opened, or a journal append or flush failed."""
 
 
-class NoSuchRecord(TwinError):
-    """record_id does not exist."""
-
-
 class DanglingModelRef(TwinError):
     """Model element reference does not resolve."""
 

@@ -337,11 +337,6 @@ class GatewayHandle:
             raise WrongKind(f"{self.gateway_id}: {name!r} is a {decl.kind.value}, not a {kind.value}")
         return decl
 
-    def catalog(self) -> list[GatewayElementDecl]:
-        """Re-list the asset's element catalog over the wire."""
-        reply = self._expect(self._request({"op": "list"}), "catalog")
-        return [GatewayElementDecl.from_wire(e) for e in reply["catalog"]]
-
     @staticmethod
     def _expect(reply: dict[str, Any], op: str) -> dict[str, Any]:
         if reply.get("op") != op:
@@ -407,8 +402,10 @@ def connect(descriptor: GatewayDescriptor, timeout: float = 5.0,
             transcript: Transcript | None = None) -> GatewayHandle:
     """Connect to the asset behind ``descriptor`` and verify its catalog.
 
-    The handshake exchanges the element catalog; any difference in names,
-    kinds, schemas, or access fails the connect with CatalogMismatch.
+    The handshake is the one exchange of the element catalog: a hello-ack
+    whose catalog is not a list of element objects fails the connect with
+    ProtocolError, and any difference in names, kinds, schemas, or access
+    with CatalogMismatch. Either closes the channel.
     """
     try:
         channel = connect_channel(descriptor.endpoint, timeout=timeout, transcript=transcript)
@@ -421,7 +418,10 @@ def connect(descriptor: GatewayDescriptor, timeout: float = 5.0,
     try:
         if check_reply(reply).get("op") != "hello-ack":
             raise ProtocolError(f"unexpected handshake response {reply.get('op')!r}")
-        advertised = [GatewayElementDecl.from_wire(e) for e in reply.get("catalog", [])]
+        catalog = reply.get("catalog")
+        if not isinstance(catalog, list):
+            raise ProtocolError(f"hello-ack catalog must be a list, got {catalog!r}")
+        advertised = [GatewayElementDecl.from_wire(e) for e in catalog]
         differences = _catalog_diff(descriptor._by_name, advertised)
         if differences:
             raise CatalogMismatch(

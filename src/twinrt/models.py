@@ -197,6 +197,19 @@ class ModelingLanguage:
     property_schemas: dict[str, dict[str, str]]
     rules: tuple = ()
 
+    def __post_init__(self):
+        # a YAML key such as `on` reads as a boolean, not as text
+        for kind in (*self.element_kinds, *self.property_schemas):
+            if not isinstance(kind, str) or not kind:
+                raise IllFormedLanguage(f"language {self.language_id!r}: "
+                                        f"kind name must be non-empty text, got {kind!r}")
+        for kind, schema in self.property_schemas.items():
+            for name in schema:
+                if not isinstance(name, str) or not name:
+                    raise IllFormedLanguage(
+                        f"language {self.language_id!r}: property name of kind {kind!r} "
+                        f"must be non-empty text, got {name!r}")
+
     def schema_for(self, kind: str) -> dict[str, str]:
         return self.property_schemas.get(kind, {})
 
@@ -425,9 +438,6 @@ class ModelRegistry:
             raise UnknownLanguage(f"language {language_id!r} not registered")
         return lang
 
-    def languages(self) -> list[str]:
-        return sorted(self._languages)
-
     # --- managers ---
 
     def create_manager(self, manager_id: str) -> ModelManager:
@@ -444,9 +454,6 @@ class ModelRegistry:
         if mgr is None:
             raise NotResponsible(f"unknown manager {manager_id!r}")
         return mgr
-
-    def managers(self) -> list[str]:
-        return sorted(self._managers)
 
     def register_operator(self, manager_id: str, operator: OperatorDef) -> None:
         self.manager(manager_id).operators[operator.operator_id] = operator

@@ -6,7 +6,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from twinrt.asset import AssetServer, EchoModel, TankModel
 from twinrt.data import DataManager
@@ -88,12 +88,17 @@ def late_first_reply() -> Callable[[dict], dict]:
     return respond
 
 
+# a start_scripted_tank catalog: the hello-ack carries no catalog field
+NO_CATALOG = object()
+
+
 def start_scripted_tank(respond: Callable[[dict], dict | list[dict]] = plain_reply,
                         requests: Counter | None = None,
-                        catalog: list | None = None) -> LineServer:
+                        catalog: Any = None) -> LineServer:
     """A fake tank asset that answers each request with ``respond(request)``.
 
-    It advertises ``catalog`` (by default the tank's) in the handshake and
+    It advertises ``catalog`` (by default the tank's; any JSON value, or
+    NO_CATALOG for none) in the handshake and
     pushes only what ``respond`` scripts: a list is sent message by message,
     so pushes can precede the reply. A test can make single replies late,
     wrong or failing. If ``requests`` is given, it counts the requests after
@@ -105,7 +110,10 @@ def start_scripted_tank(respond: Callable[[dict], dict | list[dict]] = plain_rep
 
     def answer(channel: LineChannel, msg: dict) -> None:
         if msg["op"] == "hello":
-            channel.send({"op": "hello-ack", "id": msg["id"], "catalog": catalog})
+            ack = {"op": "hello-ack", "id": msg["id"]}
+            if catalog is not NO_CATALOG:
+                ack["catalog"] = catalog
+            channel.send(ack)
             return
         if requests is not None:
             requests[msg["op"]] += 1

@@ -216,6 +216,18 @@ class TestRequestWithoutTextOp:
             channel.close()
 
 
+class TestNoCatalogRequest:
+    def test_a_list_request_gets_a_protocol_error(self, tank_server):
+        # the hello-ack is the one place a catalog crosses the wire
+        channel = LineChannel(socket.create_connection(parse_endpoint(tank_server.endpoint)))
+        try:
+            reply = channel.request({"op": "list", "id": 1}, timeout=5)
+            assert (reply["op"], reply["code"], reply["id"]) == ("error", "PROTOCOL", 1)
+            assert reply["message"] == "unknown op 'list'"
+        finally:
+            channel.close()
+
+
 class TestTimestamps:
     def test_timestamp_is_steps_times_step_ms(self):
         server = start_tank(step_ms=250)

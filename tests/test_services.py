@@ -218,7 +218,7 @@ class TestMediation:
         try:
             self.grant_service(engine, ["ingest-data"])
             rid = engine.mediate_service_call("svc", IngestProcessed(2.5, link=LEVEL_REF))
-            record = data.get(rid)
+            record = data.query()[rid - 1]
             from twinrt.data import PropertyType
 
             assert record.prop(PropertyType.ORIGIN) == {"source": "service", "id": "svc"}
