@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 import time
@@ -34,7 +33,7 @@ from .runtime import (
     render_records_table,
 )
 from .scenario import ScenarioRunner
-from .values import canonical_json
+from .values import canonical_json, json_value
 from .wire import LineChannel, connect_channel
 
 EXIT_OK = 0
@@ -234,8 +233,8 @@ def _history_pages(args, selector_spec: dict) -> list[dict]:
 
 def _parse_invoke_arg(text: str):
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
+        return json_value(text)
+    except ValueError:
         return text
 
 

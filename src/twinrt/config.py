@@ -10,7 +10,6 @@ configuration can still be loaded and reported on.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Hashable
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import GeneratorType
@@ -45,7 +44,7 @@ from .services import (
     ServiceGrant,
     build_builtin,
 )
-from .values import VALUE_TYPES, fit_value
+from .values import MAX_DEPTH, VALUE_TYPES, fit_value
 
 
 @dataclass(frozen=True, slots=True)
@@ -418,44 +417,33 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _TAG = "tag:yaml.org,2002:"
 _STR, _SEQ, _MAP, _MERGE, _VALUE = (
     _TAG + name for name in ("str", "seq", "map", "merge", "value"))
-# what a `<<` key is built as, so that the mapping holding it merges its value
-_MERGE_KEY = object()
-_UNBUILT = object()
-# the immutable scalars that `_Values` builds once per text and shares
-_SHARED_TYPES = (str, int, float, bool, type(None))
+# the scalars that `_Values` builds once per text and shares (None is one object anyway)
+_SHARED_TYPES = (str, int, float, bool)
+
+
+def _not_a_tree(what: str, mark) -> ComposerError:
+    return ComposerError(None, None, f"found {what}: a configuration is a tree, so "
+                         "write each value out in full", mark)
 
 
 class _Values:
     """Builds the value of a one-document YAML stream straight from its events.
 
-    It builds lists, dicts and scalars only, the shapes of the twin's value
-    union: a sequence is a list and a mapping a dict, so a collection tagged
-    anything else (`!!set`, `!!omap`, `!!pairs`, a local tag) is a
-    ConstructorError at its start.
+    The value is a tree of lists, dicts and scalars, the shapes of the
+    twin's value union, nested at most MAX_DEPTH deep. An anchor, an alias,
+    a merge key (`<<`) or a deeper collection is a ComposerError at its
+    mark, so a few hundred bytes cannot stand for millions of values. A
+    collection tagged anything else (`!!set`, `!!omap`, `!!str`, a local
+    tag) or used as a key, which is unhashable, is a ConstructorError.
 
-    Otherwise the result equals SafeConstructor's, sharing included: an
-    anchor names the object built for it, and a collection is registered
-    before it is filled, so an alias inside it gives the collection itself.
-    Beyond that, equal plain scalars (untagged, unanchored, built as text, a
-    number, a boolean or null) are one object, so a configuration that
-    repeats a name or number thousands of times holds it once.
-    As with SafeConstructor, an error in building a value is raised only once
-    the whole stream has been read, so a syntax or alias error later in the
-    text wins.
-
-    Where SafeConstructor would build something odd, this refuses instead:
-    a merge key takes only mappings and lists of mappings, and not one that
-    is still being filled; a collection under a scalar tag (`!!str {=: x}`)
-    is an error; so is a `=` value that an alias also uses as a key, which
-    SafeConstructor builds or not depending on the order it builds the
-    nodes in.
-    With two values in a document that cannot be built, the one named may
-    differ, since SafeConstructor builds breadth-first.
-
-    A scalar that its tag's constructor cannot read (`!!int x`, `!!bool
-    maybe`, `!!timestamp nope`) is a ConstructorError at that scalar, where
+    Otherwise the result equals SafeConstructor's, but equal plain scalars
+    are one object, so a configuration that repeats a name thousands of
+    times holds it once. As with SafeConstructor, an error in building a
+    value is raised only once the whole stream has been read, so a syntax
+    error later in the text wins. A scalar that its tag's constructor
+    cannot read (`!!int x`) is a ConstructorError at that scalar, where
     SafeConstructor lets the constructor's own ValueError, KeyError,
-    AttributeError or IndexError escape: every YAML error is a YAMLError.
+    AttributeError or IndexError escape.
     """
 
     def __init__(self, loader):
@@ -463,9 +451,8 @@ class _Values:
         self.get_event = loader.get_event
         self.resolve = loader.resolve
         self.constructors = loader.yaml_constructors
-        self.anchors: dict[str, Any] = {}
-        self.filling: set[int] = set()  # ids of the lists and dicts being filled
-        # (text, implicit flags) -> the value built for a plain scalar
+        self.room = MAX_DEPTH  # how much deeper a collection may open
+        # (text, implicit flags, anchor) -> the value built for a plain scalar
         self.scalars: dict[tuple, Any] = {}
         self.error: Exception | None = None
 
@@ -492,73 +479,68 @@ class _Values:
         if self.error is None:
             self.error = error
 
-    def register(self, event, data):
-        anchor = event.anchor
-        if anchor is not None:
-            if anchor in self.anchors:
-                raise ComposerError(None, None, f"found duplicate anchor {anchor!r}",
-                                    event.start_mark)
-            self.anchors[anchor] = data
-        return data
-
-    def alias(self, event):
-        try:
-            return self.anchors[event.anchor]
-        except KeyError:
-            raise ComposerError(None, None, f"found undefined alias {event.anchor!r}",
-                                event.start_mark) from None
-
     def node(self, event):
         """The value of the node that ``event`` starts."""
         cls = event.__class__
         if cls is yaml.ScalarEvent:
             return self.scalar(event, False)
         if cls is yaml.AliasEvent:
-            data = self.alias(event)
-            if data is _MERGE_KEY:
-                self.unbuilt(ConstructorError(None, None, "a merge key is not a value",
-                                              event.start_mark))
-                return None
-            return data
+            raise _not_a_tree(f"alias *{event.anchor}", event.start_mark)
+        if event.anchor is not None:
+            raise _not_a_tree(f"anchor &{event.anchor}", event.start_mark)
+        if not self.room:
+            raise ComposerError(None, None, f"found a collection nested deeper than "
+                                f"{MAX_DEPTH} levels", event.start_mark)
         sequence = cls is yaml.SequenceStartEvent
         tag = event.tag
         if tag is None or tag == "!":
             tag = self.resolve(yaml.SequenceNode if sequence else yaml.MappingNode,
                                None, event.implicit)
-        data = self.register(event, [] if sequence else {})
         if tag != (_SEQ if sequence else _MAP):
             kind = "sequence" if sequence else "mapping"
             self.unbuilt(ConstructorError(
                 None, None, f"cannot build a {kind} tagged {tag!r}", event.start_mark))
-        self.filling.add(id(data))
+        self.room -= 1
+        get_event, node = self.get_event, self.node
         if sequence:
-            get_event, node = self.get_event, self.node
+            data = []
             while (item := get_event()).__class__ is not yaml.SequenceEndEvent:
                 data.append(node(item))
         else:
-            self.mapping(event, data)
-        self.filling.discard(id(data))
+            data = {}
+            while (key := get_event()).__class__ is not yaml.MappingEndEvent:
+                if key.__class__ is yaml.ScalarEvent:
+                    data[self.scalar(key, True)] = node(get_event())
+                    continue
+                node(key)
+                self.unbuilt(ConstructorError("while constructing a mapping",
+                                              event.start_mark, "found unhashable key",
+                                              key.start_mark))
+                node(get_event())
+        self.room += 1
         return data
 
     def scalar(self, event, key: bool):
         value, tag = event.value, event.tag
         shared = None
         if tag is None or tag == "!":
-            if event.anchor is None:
-                # with no path resolvers, the tag and so the value depend on
-                # the text and flags alone: equal plain scalars are one object
-                shared = (value, event.implicit)
-                data = self.scalars.get(shared, _UNBUILT)
-                if data is not _UNBUILT:
-                    return data
+            # with no path resolvers, the tag and so the value depend on the
+            # text and flags alone: equal plain scalars are one object. An
+            # anchored one is refused below, so its key never matches
+            shared = (value, event.implicit, event.anchor)
+            data = self.scalars.get(shared)
+            if data is not None:
+                return data
             tag = self.resolve(yaml.ScalarNode, value, event.implicit)
+        if event.anchor is not None:
+            raise _not_a_tree(f"anchor &{event.anchor}", event.start_mark)
         if key and tag == _VALUE:
             tag = _STR  # SafeConstructor reads a `=` key as text
             shared = None
         if tag == _STR:
             data = value  # what construct_yaml_str returns
         elif key and tag == _MERGE:
-            data = _MERGE_KEY
+            raise _not_a_tree("merge key <<", event.start_mark)
         else:
             constructor = self.constructors.get(tag, self.constructors[None])
             try:
@@ -570,57 +552,15 @@ class _Values:
                                            event.start_mark)
             except yaml.YAMLError as exc:
                 self.unbuilt(exc)
-                return self.register(event, None)
+                return None
             except Exception:  # the text does not fit its tag
                 self.unbuilt(ConstructorError(
                     None, None, f"cannot read {value!r} as {tag.replace(_TAG, '!!')}",
                     event.start_mark))
-                return self.register(event, None)
+                return None
         if shared is not None and data.__class__ in _SHARED_TYPES:
             self.scalars[shared] = data
-        return self.register(event, data)
-
-    def mapping(self, start, data: dict) -> None:
-        """Fill ``data`` up to the mapping's end, merge keys applied."""
-        get_event, node = self.get_event, self.node
-        merged: list[dict] = []
-        while (event := get_event()).__class__ is not yaml.MappingEndEvent:
-            if event.__class__ is yaml.ScalarEvent:
-                key = self.scalar(event, True)
-            else:
-                key = self.alias(event) if event.__class__ is yaml.AliasEvent else node(event)
-                if key is not _MERGE_KEY and not isinstance(key, Hashable):
-                    self.unbuilt(ConstructorError("while constructing a mapping",
-                                                  start.start_mark, "found unhashable key",
-                                                  event.start_mark))
-                    node(get_event())
-                    continue
-            if key is _MERGE_KEY:
-                self.merge(start, get_event(), merged)
-            else:
-                data[key] = node(get_event())
-        if merged:
-            # a later merge key wins over an earlier one, and the mapping's own keys over all
-            own = dict(data)
-            data.clear()
-            for source in merged:
-                data.update(source)
-            data.update(own)
-
-    def merge(self, start, event, merged: list[dict]) -> None:
-        value = self.node(event)
-        # of a list of mappings, the first wins
-        sources = value[::-1] if isinstance(value, list) else [value]
-        if not all(isinstance(source, dict) for source in sources):
-            self.unbuilt(ConstructorError(
-                "while constructing a mapping", start.start_mark,
-                "expected a mapping or list of mappings for merging", event.start_mark))
-        elif any(id(v) in self.filling for v in [value, *sources]):
-            self.unbuilt(ConstructorError(
-                "while constructing a mapping", start.start_mark,
-                "found a merge of a collection that is still being filled", event.start_mark))
-        else:
-            merged += sources
+        return data
 
 
 def _load_yaml(text: str) -> Any:

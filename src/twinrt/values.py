@@ -22,6 +22,11 @@ VALUE_TYPES = ("boolean", "integer", "real", "text", "record", "list")
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
+# How deep a value, a wire line, a journal entry or a YAML document may nest
+# (a list or record is one level deeper than its deepest item): far below
+# Python's 1 000-frame limit, so no recursive walk of one exhausts the stack.
+MAX_DEPTH = 64
+
 
 def value_type(value: Value) -> str:
     """Return the union tag for ``value``; raise SchemaViolation if outside it."""
@@ -42,7 +47,11 @@ def value_type(value: Value) -> str:
 
 
 def validate_value(value: Value) -> None:
-    """Recursively check that ``value`` lies within the union and its bounds."""
+    """Check that ``value`` lies within the union and its bounds, MAX_DEPTH included."""
+    _validate(value, MAX_DEPTH)
+
+
+def _validate(value: Value, room: int) -> None:
     tag = value_type(value)
     if tag == "integer":
         if not (INT64_MIN <= value <= INT64_MAX):
@@ -50,14 +59,13 @@ def validate_value(value: Value) -> None:
     elif tag == "real":
         if value != value or value in (float("inf"), float("-inf")):
             raise SchemaViolation("real value must be finite")
-    elif tag == "record":
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise SchemaViolation("record keys must be text")
-            validate_value(item)
-    elif tag == "list":
-        for item in value:
-            validate_value(item)
+    elif tag == "record" or tag == "list":
+        if not room:
+            raise SchemaViolation(f"value nests deeper than {MAX_DEPTH} levels")
+        if tag == "record" and not all(isinstance(key, str) for key in value):
+            raise SchemaViolation("record keys must be text")
+        for item in (value.values() if tag == "record" else value):
+            _validate(item, room - 1)
 
 
 def check_value(value: Value, expected: str) -> None:
@@ -106,11 +114,34 @@ def _refuse_constant(name: str) -> float:
     raise ValueError(f"non-finite number {name!r}")
 
 
+def _nests_deeper(value: Value) -> bool:
+    """Whether ``value`` nests deeper than MAX_DEPTH, walked level by level."""
+    level = [value]
+    for _ in range(MAX_DEPTH):
+        level = [item for c in level for item in (c.values() if isinstance(c, dict) else c)
+                 if isinstance(item, (dict, list))]
+    return bool(level)
+
+
+def json_value(text: str) -> Value:
+    """Parse one JSON value. Bad JSON, NaN, ±Infinity and nesting deeper than
+    MAX_DEPTH raise ValueError."""
+    try:
+        value = json.loads(text, parse_constant=_refuse_constant)
+        # a text with no more brackets than the bound cannot nest past it
+        deep = text.count("[") + text.count("{") > MAX_DEPTH and _nests_deeper(value)
+    except RecursionError:  # the decoder's own limit, far past the bound
+        deep = True
+    if deep:
+        raise ValueError(f"nests deeper than {MAX_DEPTH} levels")
+    return value
+
+
 def strict_loads(raw: bytes) -> dict[str, Any]:
-    """Parse one UTF-8 JSON object: the one decoder for wire lines and
-    journal entries. Bad UTF-8 or JSON, NaN, ±Infinity and any value that is
-    not an object raise ValueError; each caller maps it to its own error."""
-    obj = json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant)
+    """Parse one UTF-8 JSON object: the one decoder for wire lines and journal
+    entries. Bad UTF-8, what ``json_value`` refuses and any value that is not
+    an object raise ValueError; each caller maps it to its own error."""
+    obj = json_value(raw.decode("utf-8"))
     if not isinstance(obj, dict):
         raise ValueError("not an object")
     return obj

@@ -65,6 +65,22 @@ def start_echo(step_ms: int = 100) -> AssetServer:
     return AssetServer(EchoModel(), step_ms=step_ms)
 
 
+def nested(depth: int) -> list:
+    """A list that nests ``depth`` levels deep, built without recursion."""
+    value: list = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+def deep_line(depth: int,
+              fields: bytes = b'"element":"level","op":"update","seq":1,"ts":0') -> bytes:
+    """A wire line of ``fields`` and a ``value`` that nests so that the line
+    is ``depth`` levels deep, its object included: by default an update push."""
+    inner = b"[" * (depth - 1) + b"]" * (depth - 1)
+    return b"{" + fields + b',"value":' + inner + b"}\n"
+
+
 def plain_reply(msg: dict) -> dict:
     """What a quiet tank answers: level 0.0 to reads, pong to pings, ack otherwise."""
     if msg["op"] == "read":
@@ -100,10 +116,10 @@ def start_scripted_tank(respond: Callable[[dict], dict | list[dict]] = plain_rep
     It advertises ``catalog`` (by default the tank's; any JSON value, or
     NO_CATALOG for none) in the handshake and
     pushes only what ``respond`` scripts: a list is sent message by message,
-    so pushes can precede the reply. A test can make single replies late,
-    wrong or failing. If ``requests`` is given, it counts the requests after
-    the handshake by op. The server's loop runs on a thread of its own until
-    ``close()``.
+    so pushes can precede the reply, and bytes are sent as they are. A test
+    can make single replies late, wrong or failing. If ``requests`` is
+    given, it counts the requests after the handshake by op. The server's
+    loop runs on a thread of its own until ``close()``.
     """
     if catalog is None:
         catalog = [decl.to_wire() for decl in TANK_ELEMENTS]
@@ -119,7 +135,10 @@ def start_scripted_tank(respond: Callable[[dict], dict | list[dict]] = plain_rep
             requests[msg["op"]] += 1
         reply = respond(msg)
         for out in reply if isinstance(reply, list) else [reply]:
-            channel.send(out)
+            if isinstance(out, bytes):
+                channel.send_raw(out)
+            else:
+                channel.send(out)
 
     server = LineServer("tcp://127.0.0.1:0", answer)
     threading.Thread(target=server.serve, daemon=True).start()

@@ -3,13 +3,20 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
-from helpers import start_tank, tank_descriptor
+from helpers import deep_line, start_tank, tank_descriptor
 
 from twinrt.asset import AssetControl, EchoModel, TankModel, build_model, parse_param
-from twinrt.errors import NoSuchElement, ReadOnlyViolation, SchemaViolation, TwinError
+from twinrt.errors import (
+    Disconnected,
+    NoSuchElement,
+    ReadOnlyViolation,
+    SchemaViolation,
+    TwinError,
+)
 from twinrt.gateway import connect
 from twinrt.wire import LineChannel, parse_endpoint
 
@@ -214,6 +221,22 @@ class TestRequestWithoutTextOp:
             assert channel.request({"op": "ping", "id": 4}, timeout=5) == {"op": "pong", "id": 4}
         finally:
             channel.close()
+
+
+class TestLineNestedTooDeep:
+    def test_it_closes_that_session_alone(self, tank_server):
+        endpoint = parse_endpoint(tank_server.endpoint)
+        deep = LineChannel(socket.create_connection(endpoint))
+        other = LineChannel(socket.create_connection(endpoint))
+        try:
+            assert other.request({"op": "ping", "id": 1}, timeout=5) == {"op": "pong", "id": 1}
+            deep.send_raw(deep_line(3000, b'"id":1,"op":"ping"'))
+            with pytest.raises(Disconnected):
+                deep.recv(time.monotonic() + 5)
+            assert other.request({"op": "ping", "id": 2}, timeout=5) == {"op": "pong", "id": 2}
+        finally:
+            deep.close()
+            other.close()
 
 
 class TestNoCatalogRequest:

@@ -4,13 +4,15 @@
 and the pure-Python ``SafeLoader`` otherwise; both must give the same
 configurations and scenarios. ``config._load_yaml`` builds values straight
 from either loader's parser events; ``yaml.load`` with ``SafeLoader`` is its
-oracle. The closure check of the conformance audit and the duplicate-id
-check of ``config.loads`` use indexes; the linear versions in
-reference_config.py are their oracles.
+oracle for documents without anchors, aliases or merge keys, which it
+refuses at their line and column. The closure check of the conformance
+audit and the duplicate-id check of ``config.loads`` use indexes; the
+linear versions in reference_config.py are their oracles.
 """
 
 from __future__ import annotations
 
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +21,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from yaml.composer import ComposerError
 from yaml.constructor import ConstructorError
 
 import reference_config
@@ -26,6 +29,7 @@ import twinrt.config as config_mod
 import twinrt.scenario as scenario_mod
 from twinrt.conformance import _closure_findings
 from twinrt.errors import ConfigParseError
+from twinrt.values import MAX_DEPTH
 
 REPO_ROOT = Path(__file__).parent.parent
 C_LOADER = getattr(yaml, "CSafeLoader", None)
@@ -153,21 +157,12 @@ class TestMalformedYaml:
 # --- values built from events, held to yaml.load --------------------------------
 
 
-def shape(value, seen=None):
-    """``value`` as nested tuples that also record which collections are one object.
-
-    Each list and dict is numbered where it is first met; meeting it
-    again gives ``("same", n)``, so shared and recursive collections compare
-    by identity. Scalars compare by type and repr, so NaN equals NaN.
-    """
-    seen = {} if seen is None else seen
-    if isinstance(value, (list, dict)):
-        if id(value) in seen:
-            return ("same", seen[id(value)])
-        seen[id(value)] = len(seen)
-        if isinstance(value, list):
-            return ("list", [shape(v, seen) for v in value])
-        return ("dict", [(shape(k, seen), shape(v, seen)) for k, v in value.items()])
+def shape(value):
+    """``value`` as nested tuples. Scalars compare by type and repr, so NaN equals NaN."""
+    if isinstance(value, list):
+        return ("list", [shape(v) for v in value])
+    if isinstance(value, dict):
+        return ("dict", [(shape(k), shape(v)) for k, v in value.items()])
     return (type(value).__name__, repr(value))
 
 
@@ -185,19 +180,6 @@ def assert_builds_as_yaml_load(loader, text: str):
 
 
 ORACLE_TABLE = {
-    "alias": "- &a [1, {b: 2}]\n- *a\n- {k: *a}\n",
-    "scalar-alias": "{a: &s text, b: *s}",
-    "recursive-sequence": "&r [1, *r]",
-    "recursive-mapping": "&r {self: *r, list: [*r]}",
-    "alias-as-key": "{a: &k key, *k : v}",
-    "merge-one": "- &base {x: 1, y: 2}\n- {<<: *base, z: 3}\n",
-    "merge-list": "- &p {a: 1, b: 1}\n- &q {b: 2, c: 2}\n- {<<: [*p, *q], d: 4}\n",
-    "merge-override": "- &base {x: 1, y: 2}\n- {y: 9, <<: *base}\n- {<<: *base, y: 8}\n",
-    "merge-inline": "{<<: [{a: 1}, {a: 2, b: 2}], <<: {c: 3}, c: 4}",
-    "merge-shares-values": "- &base {list: [1]}\n- {<<: *base}\n",
-    "merge-of-merged": "- &a {x: 1}\n- &b {<<: *a, y: 2}\n- {<<: *b}\n",
-    "merge-not-a-mapping": "{<<: 5}",
-    "merge-list-of-scalars": "{<<: [5]}",
     "str": "[!!str 1, !!str true, '2', \"3\"]",
     "int": "[!!int '3', 0x1f, 017, 0b11, 1_000, 190:20:30, -2]",
     "float": "[!!float 1, 1.5e3, .inf, -.Inf, .nan, 1_0.5]",
@@ -206,9 +188,6 @@ ORACLE_TABLE = {
     "timestamp": "[!!timestamp '2001-12-14 21:59:43.10 -5', 2001-12-14, 2001-12-14t21:59:43Z]",
     "omap-two-pairs": "!!omap [{a: 1, b: 2}]",
     "omap-not-a-mapping": "!!omap [1]",
-    "omap-alias-two-pairs": "- &x {a: 1, a: 2}\n- !!omap [*x]\n",
-    "omap-alias-of-scalar": "- &s 1\n- !!omap [*s]\n",
-    "omap-anchored-entry-unhashable-aliased": "[!!omap [&x {[1]: 2}], *x]",
     "map": "!!map {a: 1}",
     "seq": "!!seq [a, 1]",
     "seq-of-scalar": "!!seq text",
@@ -223,13 +202,8 @@ ORACLE_TABLE = {
     "local-tag-mapping": "!foo {a: 1}",
     "python-tag": "!!python/tuple [1]",
     "unhashable-key": "{[1, 2]: 3}",
-    "unhashable-alias-key": "- &m {a: 1}\n- {*m : 2}\n",
-    "self-key": "&r {*r : 1}",
-    "duplicate-anchor": "[&a 1, &a 2]",
-    "undefined-alias": "[*nope]",
     "two-documents": "a: 1\n---\nb: 2\n",
     "two-documents-one-bad": "a: !foo x\n---\nb: 2\n",
-    "bad-value-then-undefined-alias": "[!foo x, *nope]",
     "empty": "",
     "comment-only": "# nothing\n",
     "empty-document": "---\n",
@@ -250,10 +224,8 @@ SHARED_SCALARS = {
     "key-and-value": "{level: level, 0: 0, ~: ~, true: true}",
     "equals-key-then-value": "- {=: 1}\n- {=: 2}\n- =\n",
     "equals-value-then-key": "- =\n- {=: 1}\n",
-    "merge-key-then-value": "- {<<: {a: 1}}\n- {<<: {b: 2}}\n- <<\n",
-    "anchored-and-plain": "[&a 1000, 1000, *a, &b x y, x y, *b, 1000]",
-    "merge-of-shared": "- &m {k: v}\n- {<<: *m, v: k}\n- {k: v}\n",
-    "unbuildable-twice-then-alias": "[=, =, *nope]",
+    "merge-value-twice": "- <<\n- <<\n",
+    "unbuildable-twice": "[=, =, 2001-13-45]",
 }
 
 
@@ -298,9 +270,7 @@ def test_equal_plain_scalars_are_one_object(loader):
 
 
 @pytest.mark.parametrize("loader", LOADERS)
-def test_anchored_tagged_and_quoted_scalars_keep_their_own_objects(loader):
-    data = under(loader, config_mod._load_yaml, SHARED_SCALARS["anchored-and-plain"])
-    assert data[1] is data[6] and data[0] is data[2] and data[3] is data[5]
+def test_tagged_and_quoted_scalars_keep_their_own_objects(loader):
     data = under(loader, config_mod._load_yaml, SHARED_SCALARS["quoted-and-tagged"])
     assert data[0] is data[4] and data[1] is data[5] and type(data[3]) is str
 
@@ -312,22 +282,6 @@ def test_an_unreadable_plain_scalar_is_refused_where_it_first_appears(loader):
         under(loader, config_mod._load_yaml, "- 2001-12-14\n- 2001-13-45\n- 2001-13-45\n")
 
 
-# SafeConstructor builds these, but whether it would build them depends on the
-# order it happens to build nodes in, so `_load_yaml` refuses them
-REFUSED = {
-    "merge-of-open-mapping": "&a {x: {<<: *a}}",
-    "equals-value-aliased-as-key": "{a: &e =, *e : 1}",
-}
-
-
-@pytest.mark.parametrize("loader", LOADERS)
-@pytest.mark.parametrize("text", REFUSED.values(), ids=REFUSED.keys())
-def test_refuses_what_safe_constructor_builds_in_some_orders(loader, text):
-    yaml.load(text, yaml.SafeLoader)
-    with pytest.raises(ConstructorError):
-        under(loader, config_mod._load_yaml, text)
-
-
 # SafeConstructor builds these as a set or a list of tuples, which lie outside
 # the value union, so `_load_yaml` refuses each at its collection's tag
 REFUSED_TAGS = {
@@ -335,13 +289,7 @@ REFUSED_TAGS = {
     "omap": "!!omap [{a: 1}, {b: [2]}, {a: 3}]",
     "pairs": "!!pairs [{a: 1}, {a: 2}]",
     "omap-unhashable-key": "!!omap [{[1]: 2}]",
-    "omap-alias-of-open-mapping": "&a {0: !!omap [*a]}",
-    "pairs-alias": "!!pairs [&x {a: 1}, *x]",
-    "omap-alias-of-set": "- &s !!set {a}\n- !!omap [*s]\n",
-    "omap-anchored-entry-unhashable": "!!omap [&x {[1]: 2}]",
-    "omap-anchored-entry-tagged": "!!omap [&x !foo {a: 1}]",
-    "omap-entry-merged": "- &x {<<: {a: 1}}\n- !!omap [*x]\n",
-    "omap-entry-equals-key": "- &x {=: 1}\n- !!omap [*x]\n",
+    "omap-entry-tagged": "!!omap [!foo {a: 1}]",
 }
 
 
@@ -377,77 +325,57 @@ FLOW_KEYS = [
 # these values cannot be built: SafeConstructor raises a ConstructorError for each
 FLOW_SCALARS = FLOW_KEYS + ["!foo x", "<<"]
 KEY_SCALARS = [text for text in FLOW_SCALARS if text not in ("=", "<<")]
+# what `flow_documents` writes where it leaves its hole, and so what a load refuses there
+HOLE = "\x00"
+INSERTS = {"anchor": "&a ", "alias": "*a", "merge": "<<: {}, "}
 
 
 @st.composite
-def flow_documents(draw):
-    """Flow-style YAML text with anchors, aliases, merge keys and tags.
+def flow_documents(draw, hole: str | None = None):
+    """Flow-style YAML text with tags: a tree without anchors or aliases.
 
-    An alias names an anchor met earlier, possibly one of a collection still
-    open, which makes the value recursive. `_load_yaml` refuses on purpose
-    what SafeConstructor builds only in some orders, so the text holds none
-    of it: a merge key takes only plain mappings that are complete, and a
-    key written as a node is never `<<`, `=` or an alias of a `=` value.
+    A key written as a node is never `<<` or `=`. With a ``hole`` from
+    INSERTS, the text is one line with one ``HOLE`` in it: before a node
+    for an anchor, in place of a node for an alias, and at the start of a
+    mapping's entries for a merge key.
     """
-    complete_mappings: set[str] = set()
-    anchors: list[str] = []
-    equals_values: set[str] = set()
+    target = draw(st.integers(0, 3))
+    seen = [0]  # nodes met, or mappings met when the hole is a merge key
 
-    def anchor() -> str | None:
-        if draw(st.integers(0, 3)):
-            return None
-        name = f"a{len(anchors)}"
-        if anchors and draw(st.integers(0, 9)) == 0:
-            name = draw(st.sampled_from(anchors))  # a duplicate anchor
-        anchors.append(name)
-        return name
+    def here(counts: bool) -> bool:
+        if not counts:
+            return False
+        seen[0] += 1
+        return seen[0] - 1 == target
 
     def node(depth: int, key: bool = False) -> str:
-        choice = draw(st.integers(0, 5 if depth < 3 else 1))
-        names = [name for name in anchors if name not in equals_values or not key]
-        if choice == 0 and names:
-            return "*" + draw(st.sampled_from(names))
+        if here(hole in ("anchor", "alias")):
+            if hole == "alias":
+                return HOLE
+            return HOLE + node(depth, key)
+        choice = draw(st.integers(1, 5 if depth < 3 else 1))
         if choice <= 1:
-            name = anchor()
-            text = draw(st.sampled_from(KEY_SCALARS if key else FLOW_SCALARS))
-            if name and text == "=":
-                equals_values.add(name)
-            return (f"&{name} " if name else "") + text
+            return draw(st.sampled_from(KEY_SCALARS if key else FLOW_SCALARS))
         if choice <= 3:
             tag = draw(st.sampled_from(["", "", "", "!!seq ", "!!str "]))
-            name = anchor()
             items = [node(depth + 1) for _ in range(draw(st.integers(0, 3)))]
-            return (f"&{name} " if name else "") + tag + "[" + ", ".join(items) + "]"
-        return mapping(depth, draw(st.sampled_from(["", "", "!!map ", "! "])))
-
-    def mapping(depth: int, tag: str = "") -> str:
-        name = anchor()
+            return tag + "[" + ", ".join(items) + "]"
+        tag = draw(st.sampled_from(["", "", "!!map ", "! "]))
+        merge = HOLE if here(hole == "merge") else ""
         items = []
         for _ in range(draw(st.integers(0, 3))):
-            if draw(st.integers(0, 2)) == 0:
-                items.append("<<: " + merge_source(depth))
-            else:
-                key = node(depth + 1, key=True) if draw(st.integers(0, 5)) == 0 else draw(
-                    st.sampled_from(FLOW_KEYS))
-                items.append(f"{key} : {node(depth + 1)}")
-        if name:
-            complete_mappings.add(name)
-        return (f"&{name} " if name else "") + tag + "{" + ", ".join(items) + "}"
+            key = node(depth + 1, key=True) if draw(st.integers(0, 5)) == 0 else draw(
+                st.sampled_from(FLOW_KEYS))
+            items.append(f"{key} : {node(depth + 1)}")
+        return tag + "{" + merge + ", ".join(items) + "}"
 
-    def merge_source(depth: int) -> str:
-        def one():
-            if complete_mappings and draw(st.booleans()):
-                return "*" + draw(st.sampled_from(sorted(complete_mappings)))
-            return mapping(depth + 1)
-        if draw(st.booleans()):
-            return one()
-        return "[" + ", ".join(one() for _ in range(draw(st.integers(0, 3)))) + "]"
-
-    if draw(st.integers(0, 9)) == 0:
+    if hole is None and draw(st.integers(0, 9)) == 0:
         return ""
     text = node(0)
-    if draw(st.integers(0, 9)) == 0:
+    if hole is None and draw(st.integers(0, 9)) == 0:
         text += "\n---\n" + node(0)
+    if hole is not None and HOLE not in text:
+        text = HOLE + text if hole == "anchor" else "{" + HOLE + f"k : {text}" + "}"
     return text + "\n"
 
 
@@ -456,6 +384,109 @@ def flow_documents(draw):
 @given(text=flow_documents())
 def test_flow_documents_build_as_yaml_load_builds_them(loader, text):
     assert_builds_as_yaml_load(loader, text)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("hole", INSERTS)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_an_anchor_alias_or_merge_key_fails_the_load_where_it_stands(loader, hole, data):
+    text = data.draw(flow_documents(hole))
+    column = text.index(HOLE)
+    text = text.replace(HOLE, INSERTS[hole])
+    with pytest.raises(ComposerError, match="a configuration is a tree") as raised:
+        under(loader, config_mod._load_yaml, text)
+    mark = raised.value.problem_mark
+    assert (mark.line, mark.column) == (0, column)
+
+
+# a configuration is a tree: each of these is refused at the first anchor,
+# alias or merge key, which is named with its line and column
+NOT_A_TREE = {
+    "alias": ("- &a [1, {b: 2}]\n- *a\n- {k: *a}\n", "anchor &a", 1, 3),
+    "scalar-alias": ("{a: &s text, b: *s}", "anchor &s", 1, 5),
+    "recursive-sequence": ("&r [1, *r]", "anchor &r", 1, 1),
+    "recursive-mapping": ("&r {self: *r, list: [*r]}", "anchor &r", 1, 1),
+    "alias-as-key": ("{a: &k key, *k : v}", "anchor &k", 1, 5),
+    "anchored-key": ("{&k key: v}", "anchor &k", 1, 2),
+    "anchor-without-alias": ("twin: t\ngateways:\n  - &g\n    id: g\n", "anchor &g", 3, 5),
+    "anchored-after-plain": ("[1000, &a 1000]", "anchor &a", 1, 8),
+    "duplicate-anchor": ("[&a 1, &a 2]", "anchor &a", 1, 2),
+    "undefined-alias": ("[*nope]", "alias \\*nope", 1, 2),
+    "bad-value-then-alias": ("[!foo x, *nope]", "alias \\*nope", 1, 10),
+    "self-key": ("&r {*r : 1}", "anchor &r", 1, 1),
+    "merge-one": ("- &base {x: 1, y: 2}\n- {<<: *base, z: 3}\n", "anchor &base", 1, 3),
+    "merge-inline": ("{<<: [{a: 1}, {a: 2, b: 2}], <<: {c: 3}, c: 4}", "merge key <<", 1, 2),
+    "merge-override": ("- {y: 9, <<: {x: 1, y: 2}}\n", "merge key <<", 1, 10),
+    "merge-block": ("twin: t\ndata:\n  <<: {journal: j}\n", "merge key <<", 3, 3),
+    "merge-not-a-mapping": ("{<<: 5}", "merge key <<", 1, 2),
+    "merge-list-of-scalars": ("{<<: [5]}", "merge key <<", 1, 2),
+    "merge-tagged": ("{!!merge x: {a: 1}}", "merge key <<", 1, 2),
+    "merge-of-open-mapping": ("&a {x: {<<: *a}}", "anchor &a", 1, 1),
+    "equals-value-aliased-as-key": ("{a: &e =, *e : 1}", "anchor &e", 1, 5),
+    "omap-alias-of-open-mapping": ("&a {0: !!omap [*a]}", "anchor &a", 1, 1),
+    "pairs-alias": ("!!pairs [&x {a: 1}, *x]", "anchor &x", 1, 10),
+    "omap-anchored-entry": ("!!omap [&x {[1]: 2}]", "anchor &x", 1, 9),
+}
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("text, what, line, column", NOT_A_TREE.values(),
+                         ids=NOT_A_TREE.keys())
+def test_an_anchor_alias_or_merge_key_is_refused_at_its_mark(loader, text, what, line, column):
+    for load, prefix in ((config_mod.loads, "invalid YAML: "),
+                         (scenario_mod.loads, "invalid scenario YAML: ")):
+        with pytest.raises(ConfigParseError,
+                           match=f"^{prefix}found {what}: a configuration is a tree") as raised:
+            under(loader, load, text)
+        assert f"line {line}, column {column}" in str(raised.value)
+
+
+def laughs(levels: int) -> str:
+    """The "billion laughs": ``levels`` lines, each naming nine aliases of the one above."""
+    lines = ['a0: &a0 ["lol","lol","lol","lol","lol","lol","lol","lol","lol"]\n']
+    lines += [f"a{i}: &a{i} [" + ",".join([f"*a{i - 1}"] * 9) + "]\n" for i in range(1, levels)]
+    return "".join(lines)
+
+
+HOSTILE = {
+    # 9 ** 9 "lol"s in 600 bytes, as a property every check walks
+    "alias-bomb": (laughs(9) + "twin: t\nlanguages: [{id: l, kinds: {N: {x: list}}}]\n"
+                   "models: [{id: m, language: l, elements: [{id: e, kind: N, "
+                   "properties: {x: *a8}}]}]\n", "line 1, column 5"),
+    "self-referencing-alias": ("twin: t\ndata: &d {journal: *d}\n", "line 2, column 7"),
+    "merge-key": ("twin: t\n<<: {data: {journal: j.ndjson}}\n", "line 2, column 1"),
+    "nested-too-deep": ("x: " + "[" * 3000 + "]" * 3000 + "\n",
+                        f"line 1, column {3 + MAX_DEPTH}"),
+}
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("text, mark", HOSTILE.values(), ids=HOSTILE.keys())
+def test_hostile_documents_are_refused_at_once(loader, text, mark):
+    for load in (config_mod.loads, scenario_mod.loads):
+        start = time.perf_counter()
+        with pytest.raises(ConfigParseError, match="invalid (scenario )?YAML: found") as raised:
+            under(loader, load, text)
+        assert time.perf_counter() - start < 1.0
+        assert mark in str(raised.value)
+
+
+def nested(depth: int) -> str:
+    """A flow mapping holding one key whose value nests ``depth`` levels in all."""
+    inner = "[" * (depth - 1) + "]" * (depth - 1)
+    return "{x: " + inner + "}\n"
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_a_document_nests_at_most_max_depth(loader):
+    assert under(loader, config_mod.loads, nested(MAX_DEPTH)).twin_id == "twin"
+    with pytest.raises(ConfigParseError, match=f"nested deeper than {MAX_DEPTH} levels") as raised:
+        under(loader, config_mod.loads, nested(MAX_DEPTH + 1))
+    assert f"line 1, column {4 + MAX_DEPTH}" in str(raised.value)
+    block = "".join("  " * i + "-\n" for i in range(MAX_DEPTH + 1))
+    with pytest.raises(ConfigParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+        under(loader, scenario_mod.loads, block)
 
 
 def test_load_keeps_no_node_tree():
@@ -493,12 +524,12 @@ def config_docs(name, loadable=True):
         st.fixed_dictionaries({"name": name, "kind": st.just("event"),
                                "payload": st.just("real")}),
         st.fixed_dictionaries({"name": name, "kind": st.just("function"),
-                               "args": st.just([]), "result": st.just("boolean")}))
+                               "args": st.builds(list), "result": st.just("boolean")}))
     gateway = st.fixed_dictionaries({
         "id": name, "endpoint": st.just("tcp://127.0.0.1:0"),
         "elements": st.lists(decl, max_size=3, unique_by=lambda d: d["name"])})
     language = st.fixed_dictionaries({
-        "id": name, "kinds": st.just({"N": {"x": "real", "y": "integer"}})})
+        "id": name, "kinds": st.builds(lambda: {"N": {"x": "real", "y": "integer"}})})
     manager = st.fixed_dictionaries({"id": name, "models": st.lists(name, max_size=2)})
     element = st.fixed_dictionaries({
         "id": name, "kind": st.just("N"),

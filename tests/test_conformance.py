@@ -99,7 +99,7 @@ REFUSED_EDITS = [
     pytest.param(lambda doc: doc["managers"].append(
         {"id": "ops", "models": [], "delegations": [{"operator": "set_property", "to": "nobody"}]}),
                  NotResponsible, id="delegated-to-no-manager"),
-    pytest.param(lambda doc: doc["models"][0]["elements"].append(dict(_tank(doc))),
+    pytest.param(lambda doc: doc["models"][0]["elements"].append(copy.deepcopy(_tank(doc))),
                  IntegrityViolation, id="second-main"),
     pytest.param(lambda doc: _tank(doc).update(kind="Pump"),
                  IntegrityViolation, id="undeclared-kind"),

@@ -4,6 +4,7 @@ from helpers import (
     Rig,
     build_registry,
     build_rig,
+    deep_line,
     late_first_reply,
     level_mapping,
     plain_reply,
@@ -661,6 +662,24 @@ class TestGatewayFaults:
             return plain_reply(msg)
 
         server, handle, engine = scripted_engine(bad_push_before_pong)
+        try:
+            stream = handle.observe_property("level")
+            decisions = engine.tick(1)  # the ping reads the push: must return, not raise
+            assert not handle.is_alive
+            assert stream.end_cause == "protocol-error"
+            assert [(d.reason, d.detail) for d in decisions] == [
+                (SyncReason.SUSPENDED, "gateway unavailable")]
+        finally:
+            engine.close()
+            server.close()
+
+    def test_a_push_nested_too_deep_suspends_the_sync(self):
+        def deep_push_before_pong(msg):
+            if msg["op"] == "ping":
+                return [deep_line(3000), plain_reply(msg)]
+            return plain_reply(msg)
+
+        server, handle, engine = scripted_engine(deep_push_before_pong)
         try:
             stream = handle.observe_property("level")
             decisions = engine.tick(1)  # the ping reads the push: must return, not raise

@@ -9,13 +9,14 @@ import pytest
 import yaml
 
 from conftest import DEMO_CONFIG, DEMO_SCENARIO
+from helpers import deep_line
 
 import twinrt.cli as cli_mod
 import twinrt.config as config_mod
 import twinrt.scenario as scenario_mod
 from twinrt.cli import main
 from twinrt.engine import SyncReason
-from twinrt.errors import ConfigParseError, ScenarioAssertionFailed
+from twinrt.errors import ConfigParseError, Disconnected, ScenarioAssertionFailed
 from twinrt.runtime import TwinRuntime, inspect_config
 from twinrt.scenario import ScenarioRunner
 
@@ -253,6 +254,19 @@ class TestCliCommands:
         assert proc.returncode == 2
         assert "invalid YAML: cannot read 'x' as !!int" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("text, refusal", [
+        ("twin: t\ndata: &d {journal: j.ndjson}\nspare: *d\n", "found anchor &d"),
+        ("twin: t\n<<: {data: {journal: j.ndjson}}\n", "found merge key <<"),
+        ("twin: t\nx: " + "[" * 3000 + "]" * 3000 + "\n", "found a collection nested deeper"),
+    ], ids=["alias", "merge-key", "nested-3000-deep"])
+    def test_a_configuration_that_is_not_a_shallow_tree_exits_2(self, capsys, tmp_path,
+                                                                 text, refusal):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        for command in (["audit"], ["run", "--timer", "10", "--max-ticks", "1"]):
+            assert main([*command, "--config", str(bad)]) == 2
+            assert f"invalid YAML: {refusal}" in capsys.readouterr().err
 
     def test_audit_json_format(self, capsys):
         assert main(["audit", "--config", str(DEMO_CONFIG), "--format", "json"]) == 0
@@ -494,6 +508,15 @@ class TestHistoryCli:
         out = capsys.readouterr().out
         assert "actual-system:tank01" in out
 
+    def test_a_journal_entry_nested_too_deep_is_an_error(self, capsys, journal):
+        lines = journal.read_bytes().split(b"\n")
+        lines[1] = b'{"deep":' + b"[" * 3000 + b"]" * 3000 + b"," + lines[1][1:]
+        journal.write_bytes(b"\n".join(lines))
+        assert main(["history", "--journal", str(journal)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: journal entry 2 is malformed: ")
+        assert "deeper than" in err
+
     def test_history_needs_a_source(self, capsys, monkeypatch):
         monkeypatch.delenv("TWIN_CONTROL_ADDR", raising=False)
         assert main(["history"]) == 1
@@ -520,6 +543,21 @@ class TestControlSocket:
         ticker.set()
         thread.join(timeout=5)
         runtime.close()
+
+    def test_a_line_nested_too_deep_closes_that_connection_alone(self, running_twin):
+        from twinrt.wire import connect_channel
+
+        _, endpoint = running_twin
+        deep, other = connect_channel(endpoint), connect_channel(endpoint)
+        try:
+            deep.send_raw(deep_line(3000, b'"id":1,"op":"ctl.status"'))
+            with pytest.raises(Disconnected):
+                deep.recv(time.monotonic() + 5)
+            status = other.request({"op": "ctl.status", "id": 2}, timeout=5)
+            assert status["op"] == "status" and status["twin"] == "demo-tank"
+        finally:
+            deep.close()
+            other.close()
 
     def test_invoke_flush_prints_true(self, capsys, running_twin):
         _, endpoint = running_twin

@@ -4,14 +4,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import nested
+
 from twinrt.errors import SchemaViolation
 from twinrt.values import (
     INT64_MAX,
     INT64_MIN,
+    MAX_DEPTH,
     canonical_json,
     check_value,
     coerce_real,
     digest,
+    json_value,
+    strict_loads,
     validate_value,
     value_type,
 )
@@ -115,3 +120,24 @@ json_values = st.recursive(
 def test_every_union_value_validates_and_serializes(value):
     validate_value(value)
     assert not math.isnan(hash(canonical_json(value)))
+
+
+def test_a_value_nests_at_most_max_depth():
+    validate_value(nested(MAX_DEPTH))
+    validate_value({"k": nested(MAX_DEPTH - 1)})
+    for deep in (nested(MAX_DEPTH + 1), {"k": nested(MAX_DEPTH)}, nested(5000)):
+        with pytest.raises(SchemaViolation, match=f"deeper than {MAX_DEPTH} levels"):
+            validate_value(deep)
+
+
+def test_json_nests_at_most_max_depth():
+    assert json_value(canonical_json(nested(MAX_DEPTH))) == nested(MAX_DEPTH)
+    assert strict_loads(b'{"k":' + canonical_json(nested(MAX_DEPTH - 1)).encode() + b"}")
+    # what the decoder itself cannot nest is refused alike
+    for text in (canonical_json(nested(MAX_DEPTH + 1)), "[" * 5000 + "]" * 5000):
+        with pytest.raises(ValueError, match=f"deeper than {MAX_DEPTH} levels"):
+            json_value(text)
+    with pytest.raises(ValueError, match=f"deeper than {MAX_DEPTH} levels"):
+        strict_loads(b'{"k":' + canonical_json(nested(MAX_DEPTH)).encode() + b"}")
+    # brackets in text nest nothing
+    assert json_value(f'["{"[" * 200}", {{"k": "{"{" * 200}"}}]') == ["[" * 200, {"k": "{" * 200}]

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import deep_line
+
 from twinrt.errors import ConnectFailed, Disconnected, ProtocolError
+from twinrt.values import MAX_DEPTH
 from twinrt.wire import (
     MAX_LINE_BYTES,
     LineChannel,
@@ -40,6 +43,13 @@ def test_round_trip():
 def test_decode_rejects(line):
     with pytest.raises(ProtocolError):
         decode_message(line)
+
+
+def test_a_line_nests_at_most_max_depth():
+    assert decode_message(deep_line(MAX_DEPTH))["op"] == "update"
+    for depth in (MAX_DEPTH + 1, 3000):
+        with pytest.raises(ProtocolError, match=f"malformed message: .*deeper than {MAX_DEPTH}"):
+            decode_message(deep_line(depth))
 
 
 def test_encode_rejects_nan():
