@@ -62,7 +62,6 @@ class AssetModel:
     once, and every instance serves the same ones.
     """
 
-    model_name = "base"
     catalog: tuple[GatewayElementDecl, ...] = ()
     _decls: dict[str, GatewayElementDecl] = {}  # catalog by element name
 
@@ -146,8 +145,6 @@ class TankModel(AssetModel):
     level uses the seeded generator.
     """
 
-    model_name = "tank"
-
     def __init__(self, level: float = 0.0, valve: float = 0.0, capacity: float = 10.0,
                  inflow: float = 1.0, outflow: float = 0.0, overflow_level: float = 8.0,
                  noise: float = 0.0, seed: int = 0):
@@ -203,8 +200,6 @@ class EchoModel(AssetModel):
     ``div`` performs an unguarded float division, so div(0, 0) or div(x, 0)
     puts NaN or Infinity on the wire — the gateway must refuse it.
     """
-
-    model_name = "echo"
 
     def __init__(self, seed: int = 0):
         super().__init__()

@@ -76,39 +76,22 @@ class DataProperty:
         _check_property_value(self.property_type, self.value)
 
 
-def _shared(build: Callable[..., DataProperty]) -> Callable[..., DataProperty]:
-    """Build each property once per argument and hand out the same instance.
+# The builders below hand out one instance per argument. Sync records repeat
+# the same few origin, timeliness and processing properties; sharing them
+# saves building and validating four per record. Shared values are never
+# mutated: ``DataRecord.to_dict`` copies them.
 
-    Sync records repeat the same few origin, timeliness and processing
-    properties; sharing them saves building and validating four per record.
-    Shared values are never mutated: ``DataRecord.to_dict`` copies them.
-    """
-    cache: dict[tuple, DataProperty] = {}
-
-    @functools.wraps(build)
-    def get(*args):
-        try:
-            return cache[args]
-        except KeyError:
-            prop = cache[args] = build(*args)
-            return prop
-        except TypeError:  # unhashable argument: validation rejects it
-            return build(*args)
-
-    return get
-
-
-@_shared
+@functools.cache
 def origin_actual_system(gateway_id: str) -> DataProperty:
     return DataProperty(PropertyType.ORIGIN, {"source": "actual-system", "id": gateway_id})
 
 
-@_shared
+@functools.cache
 def origin_service(service_id: str) -> DataProperty:
     return DataProperty(PropertyType.ORIGIN, {"source": "service", "id": service_id})
 
 
-@_shared
+@functools.cache
 def origin_operator() -> DataProperty:
     return DataProperty(PropertyType.ORIGIN, {"source": "operator"})
 
@@ -120,28 +103,22 @@ def origin_of(cause: str) -> DataProperty:
     return origin_operator()
 
 
-@_shared
+@functools.cache
 def timeliness(value: str) -> DataProperty:
     return DataProperty(PropertyType.TIMELINESS, value)
 
 
-@_shared
+@functools.cache
 def processing(value: str) -> DataProperty:
     return DataProperty(PropertyType.PROCESSING, value)
 
 
-_last_update: DataProperty | None = None  # the one last-update property handed out last
-
-
+@functools.lru_cache(maxsize=1, typed=True)
 def last_update(tick: int) -> DataProperty:
     """The last-update property of ``tick``; calls for the same tick in a row
     get the same instance, so the records of one tick can share a property
     tuple (see ``DataManager``)."""
-    global _last_update
-    prop = _last_update
-    if type(tick) is not int or prop is None or prop.value != tick:
-        prop = _last_update = DataProperty(PropertyType.LAST_UPDATE, tick)
-    return prop
+    return DataProperty(PropertyType.LAST_UPDATE, tick)
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,7 +181,9 @@ class Selector:
     tick_to: int | None = None
 
     def matches_properties(self, properties: tuple[DataProperty, ...]) -> bool:
-        """The origin, timeliness, processing and tick-window part of the test."""
+        """The origin, timeliness and processing part of the test. It reads
+        no tick: ``DataManager.query`` answers a tick window from its runs,
+        each of which lies inside the window or outside it as a whole."""
         if self.origin_source is not None or self.origin_id is not None:
             origin = _value(properties, PropertyType.ORIGIN) or {}
             if self.origin_source is not None and origin.get("source") != self.origin_source:
@@ -217,14 +196,6 @@ class Selector:
         if (self.processing is not None
                 and _value(properties, PropertyType.PROCESSING) != self.processing):
             return False
-        if self.tick_from is not None or self.tick_to is not None:
-            tick = _value(properties, PropertyType.LAST_UPDATE)
-            if tick is None:
-                return False
-            if self.tick_from is not None and tick < self.tick_from:
-                return False
-            if self.tick_to is not None and tick > self.tick_to:
-                return False
         return True
 
     def matches_link(self, link: ModelElementRef | None) -> bool:
@@ -304,9 +275,6 @@ RefResolver = Callable[[ModelElementRef], bool]
 # property sets remembered for sharing before the memo starts again
 _MAX_PROPERTY_SETS = 64
 
-# the tick bounds of a selector that a query can look up in the run index
-_TICK_BOUND = (int, float, type(None))
-
 
 class LineLog:
     """A run output, the journal or the decision log: one canonical JSON line
@@ -358,13 +326,14 @@ class DataManager:
     changes, so the memo grows with neither ticks nor records. Records
     linked to equal model element references hold one reference.
 
-    Tick windows are answered from runs. A run is a maximal stretch of
-    consecutive records that hold one ``properties`` tuple with a
-    last-update property, such as the syncs of one tick; a record without
-    last-update belongs to no run and ends the one before it. The runs are
-    kept sorted by tick, and each carries a key: its properties other than
-    last-update, one tuple per distinct set of property objects (the key
-    memo, like the property-set memo, forgets what it holds at
+    Every selector with a tick bound is answered from runs, and only the
+    runs apply its bounds. A run is a maximal stretch of consecutive
+    records that hold one ``properties`` tuple with a last-update property,
+    such as the syncs of one tick; a record without last-update belongs to
+    no run, so no tick window holds it, and it ends the run before it. The
+    runs are kept sorted by tick, and each carries a key: its properties
+    other than last-update, one tuple per distinct set of property objects
+    (the key memo, like the property-set memo, forgets what it holds at
     ``_MAX_PROPERTY_SETS`` entries). A full scan tests each distinct
     property tuple once, a tick window each distinct key once. Either tests
     a record's link only when the selector names a model, element or
@@ -439,12 +408,10 @@ class DataManager:
         if limit is not None and limit < 1:
             raise ValueError(f"limit must be 1 or more, got {limit!r}")
         selector = selector or Selector()
-        start, end = selector.tick_from, selector.tick_to
         # matches_link passes every record when the selector names no link field
         test_link = (selector.model_id is not None or selector.element_id is not None
                      or selector.property_name is not None)
-        if ((start is not None or end is not None)
-                and isinstance(start, _TICK_BOUND) and isinstance(end, _TICK_BOUND)):
+        if selector.tick_from is not None or selector.tick_to is not None:
             return self._query_runs(selector, test_link, after_id, limit)
         # ids run 1, 2, ... in list order, so the record after after_id is at after_id
         candidates = self._records[after_id:] if after_id > 0 else self._records

@@ -698,10 +698,7 @@ class Engine:
         holds the engine: it is freed with its last reference. A service
         client called after close is refused like an unregistered service."""
         for handle in self._gateways.values():
-            try:
-                handle.close()
-            except TwinError:
-                pass
+            handle.close()
         registry = self.registry
         registry.tick_supplier = lambda: 0  # as in a registry no engine drives
         for listeners, mine in ((registry.change_listeners, self._on_model_change),

@@ -552,7 +552,7 @@ class ModelRegistry:
         operator.effect(view, args)
         candidate = Model(model_id, model.language_id, elements.merged(), view.model_properties)
         language = self.language(model.language_id)
-        self._validate(candidate, language, owner=self._owner.get(model_id),
+        self._validate(candidate, language, owner=self._owner[model_id],
                        element_ids=elements.surviving())
         changed = _diff_elements(model.elements, candidate.elements, elements.touched())
         tick = self.tick_supplier()
@@ -659,7 +659,7 @@ class ModelRegistry:
                 raise ArgumentMismatch(f"argument {name!r}: {exc}") from exc
         return checked
 
-    def _validate(self, model: Model, language: ModelingLanguage, owner: str | None = None,
+    def _validate(self, model: Model, language: ModelingLanguage, owner: str,
                   element_ids: Iterable[str] | None = None) -> None:
         """Check ``model`` against ``language``, raising IntegrityViolation.
 
@@ -711,13 +711,9 @@ class ModelRegistry:
         if failed:
             raise IntegrityViolation("; ".join(messages), failed_rules=failed)
 
-    def _peer_models(self, model: Model, owner: str | None) -> dict[str, Model]:
-        if owner is None:
-            owner = self._owner.get(model.model_id)
-        if owner is None or owner not in self._managers:
-            return {model.model_id: model}
-        peers = {mid: self._models[mid]
-                 for mid in self._managers[owner].managed if mid in self._models}
+    def _peer_models(self, model: Model, owner: str) -> dict[str, Model]:
+        # a manager manages a model only once it is registered
+        peers = {mid: self._models[mid] for mid in self._managers[owner].managed}
         # the candidate stands in for its committed state during validation
         peers[model.model_id] = model
         return peers

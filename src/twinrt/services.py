@@ -146,7 +146,7 @@ def request_from_wire(obj: dict) -> ServiceRequest:
             link = obj.get("link")
             return IngestProcessed(
                 obj["value"], timeliness=_field(obj, "timeliness", str, HISTORICAL),
-                link=ModelElementRef.from_list(link) if link else None)
+                link=None if link is None else ModelElementRef.from_list(link))
         if kind == "read-gateway-property":
             return ReadGatewayProperty(_field(obj, "gateway", str), _field(obj, "property", str))
         if kind == "invoke-function":

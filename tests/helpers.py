@@ -28,7 +28,7 @@ from twinrt.models import (
     ModelRegistry,
     PropertyRule,
 )
-from twinrt.wire import LineChannel, LineServer
+from twinrt.wire import LineChannel, LineServer, connect_channel
 
 TANK_ELEMENTS = (
     property_decl("level", "real", PropertyAccess.READ_ONLY),
@@ -236,3 +236,18 @@ def scripted_engine(respond: Callable[[dict], dict] = plain_reply,
     for mapping in mappings if mappings is not None else [level_mapping()]:
         engine.add_mapping(mapping)
     return server, handle, engine
+
+
+def control(runtime, *msgs) -> list[dict]:
+    """Send control requests to ``runtime`` and answer them on this thread;
+    returns the replies."""
+    channel = connect_channel(runtime.start_control("tcp://127.0.0.1:0"))
+    try:
+        replies = []
+        for msg in msgs:
+            channel.send(dict(msg, id=1))
+            runtime.serve_control(0.2)
+            replies.append(channel.recv(time.monotonic() + 5))
+        return replies
+    finally:
+        channel.close()

@@ -42,7 +42,7 @@ def apply_full_copy(registry: ModelRegistry, manager_id: str, operator_id: str,
     candidate = Model.from_dict(model.to_dict())
     operator.effect(candidate, args)
     language = registry.language(model.language_id)
-    validate_full(registry, candidate, language, owner=registry._owner.get(model_id))
+    validate_full(registry, candidate, language, owner=registry._owner[model_id])
     changed = diff_full(model, candidate)
     tick = registry.tick_supplier()
     if candidate.supports_last_update:
@@ -58,7 +58,7 @@ def apply_full_copy(registry: ModelRegistry, manager_id: str, operator_id: str,
 
 
 def validate_full(registry: ModelRegistry, model: Model, language: ModelingLanguage,
-                  owner: str | None = None) -> None:
+                  owner: str) -> None:
     """Every element against the language, each property fitted to its
     declared type in a new copy of the element, then every rule over the
     whole model."""

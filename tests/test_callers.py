@@ -2,11 +2,13 @@
 
 The check reads each file with the standard library's ``ast``. A function
 or method (dunders aside) has a caller if its name appears somewhere in
-``src/twinrt``, ``perfbench`` or ``demo`` outside its own definition: as a
-name, as an attribute, or as a string, since the engine looks up a service's
-``on_tick`` and a handle's stream methods with ``getattr``. Tests do not
-count as callers. A function nothing calls must be on ``ALLOWED``, with the
-reason it is kept.
+``src/twinrt``, ``perfbench`` or ``demo`` outside its own definition: as an
+attribute, or as a string, since the engine looks up a service's
+``on_tick`` and a handle's stream methods with ``getattr``. A function
+also has a caller where its name appears as a bare name; a method does not,
+since a bare name there is a local variable or a parameter that shares the
+method's name. Tests do not count as callers. A function nothing calls
+must be on ``ALLOWED``, with the reason it is kept.
 
 The check matches by name only, so a dead method that shares its name with
 a live one passes unseen: a ``DataManager.get`` would pass on the strength of
@@ -24,6 +26,10 @@ CALLERS = (DEFINED, ROOT / "perfbench", ROOT / "demo")
 
 # functions that nothing in CALLERS calls, by qualified name, and why each stays
 ALLOWED = {
+    "DataRecord.prop": "documented API: how a service reads one property of a record "
+                       "that query_data returned",
+    "ModelRegistry.snapshot": "documented API: takes the snapshot that restore makes "
+                              "an offline copy of",
     "ModelRegistry.register_operator": "documented API: an operator with its own effect "
                                        "is registered from Python",
     "ModelRegistry.restore": "documented API: restores a model snapshot as an offline copy",
@@ -34,29 +40,32 @@ ALLOWED = {
 }
 
 
-def _names(node: ast.AST) -> Counter:
-    """Each name, attribute and string constant under ``node``, counted."""
-    found: Counter = Counter()
+def _names(node: ast.AST) -> tuple[Counter, Counter]:
+    """Under ``node``: each bare name, and each attribute and string
+    constant, counted."""
+    bare: Counter = Counter()
+    members: Counter = Counter()
     for part in ast.walk(node):
         if isinstance(part, ast.Name):
-            found[part.id] += 1
+            bare[part.id] += 1
         elif isinstance(part, ast.Attribute):
-            found[part.attr] += 1
+            members[part.attr] += 1
         elif isinstance(part, ast.Constant) and isinstance(part.value, str):
-            found[part.value] += 1
-    return found
+            members[part.value] += 1
+    return bare, members
 
 
 def _definitions(tree: ast.Module):
-    """``(qualified name, node)`` of each function and method, nested ones too."""
-    def walk(body, prefix):
+    """``(qualified name, node, is a method)`` of each function and method,
+    nested ones too."""
+    def walk(body, prefix, in_class):
         for node in body:
             if isinstance(node, ast.ClassDef):
-                yield from walk(node.body, f"{prefix}{node.name}.")
+                yield from walk(node.body, f"{prefix}{node.name}.", True)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield f"{prefix}{node.name}", node
-                yield from walk(node.body, f"{prefix}{node.name}.")
-    return walk(tree.body, "")
+                yield f"{prefix}{node.name}", node, in_class
+                yield from walk(node.body, f"{prefix}{node.name}.", False)
+    return walk(tree.body, "", False)
 
 
 def uncalled(defined: Path = DEFINED, callers=CALLERS) -> list[str]:
@@ -64,13 +73,23 @@ def uncalled(defined: Path = DEFINED, callers=CALLERS) -> list[str]:
     under ``callers`` names outside their own definition."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for root in callers for path in sorted(root.rglob("*.py"))}
-    uses = sum((_names(tree) for tree in trees.values()), Counter())
+    bare: Counter = Counter()
+    members: Counter = Counter()
+    for tree in trees.values():
+        tree_bare, tree_members = _names(tree)
+        bare += tree_bare
+        members += tree_members
     dead = []
     for path in sorted(defined.rglob("*.py")):
-        for qualname, node in _definitions(trees[path]):
-            if node.name.startswith("__") and node.name.endswith("__"):
+        for qualname, node, method in _definitions(trees[path]):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
                 continue
-            if uses[node.name] - _names(node)[node.name] <= 0:
+            own_bare, own_members = _names(node)
+            calls = members[name] - own_members[name]
+            if not method:
+                calls += bare[name] - own_bare[name]
+            if calls <= 0:
                 dead.append(qualname)
     return dead
 
@@ -87,3 +106,13 @@ def test_the_check_sees_a_function_with_no_caller(tmp_path):
         "    def looked_up(self):\n        return 1\n\n"
         "    def lonely(self):\n        pass\n")
     assert uncalled(tmp_path, (tmp_path,)) == ["recursive", "Box.lonely"]
+
+
+def test_a_local_variable_does_not_call_a_method(tmp_path):
+    # outside their definitions, both names appear only as bare names: that
+    # calls the function helper, but not the method Record.prop
+    (tmp_path / "mod.py").write_text(
+        "def helper():\n    return 1\n\n"
+        "prop = helper\n\n"
+        "class Record:\n    def prop(self):\n        return prop()\n")
+    assert uncalled(tmp_path, (tmp_path,)) == ["Record.prop"]

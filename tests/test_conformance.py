@@ -21,6 +21,7 @@ from twinrt.errors import (
     IntegrityViolation,
     MissingLastUpdateSupport,
     NotResponsible,
+    ReadOnlyTarget,
     UnknownOperator,
     UnresolvedReference,
 )
@@ -205,6 +206,20 @@ class TestAudit:
         report = audit(config)
         assert report.violated == ["C7"]
         with pytest.raises(refusal):
+            TwinRuntime(config)
+
+    def test_a_mapping_that_writes_a_read_only_property_violates_c5(self):
+        doc = yaml.safe_load(DEMO_CONFIG.read_text())
+        doc["mappings"].append({
+            "id": "m-x", "model": {"model": "tank", "element": "main", "property": "valve_target"},
+            "gateway": {"gateway": "tank01", "property": "level"},
+            "direction": "dt-to-as", "schedule": {"every": 1}})
+        config = loads(yaml.safe_dump(doc))
+        report = audit(config)
+        assert report.violated == ["C5"]
+        assert report.result("C5").findings == (
+            "mapping 'm-x' writes read-only property tank01/level",)
+        with pytest.raises(ReadOnlyTarget):
             TwinRuntime(config)
 
     def test_no_gateways_is_not_applicable_for_c1(self, demo_config):

@@ -637,6 +637,23 @@ class TestGatewayFaults:
             engine.close()
             server.close()
 
+    def test_a_connection_that_dies_before_a_read_suspends_the_sync(self):
+        def hang_up_on_reads(msg):
+            if msg["op"] == "read":
+                raise Disconnected("the asset hangs up")  # closes the connection
+            return plain_reply(msg)
+
+        server, handle, engine = scripted_engine(hang_up_on_reads)
+        try:
+            first, second = engine.tick(1), engine.tick(2)  # neither raises
+        finally:
+            engine.close()
+            server.close()
+        assert [(d.reason, d.detail) for d in first] == [
+            (SyncReason.SUSPENDED, "gateway disconnected")]
+        assert [(d.reason, d.detail) for d in second] == [
+            (SyncReason.SUSPENDED, "gateway unavailable")]
+
     def test_asset_error_reply_suspends_the_sync(self):
         def failing_reads(msg):
             if msg["op"] == "read":

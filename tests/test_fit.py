@@ -8,11 +8,9 @@ writes and every typed operator argument. Each route below gets an integer
 for a real and an integral real for an integer; no caller fits first.
 """
 
-import time
-
 import pytest
 
-from helpers import ECHO_ELEMENTS, start_echo
+from helpers import ECHO_ELEMENTS, control, start_echo
 
 import twinrt.config as config_mod
 from twinrt.asset import EchoModel
@@ -84,20 +82,6 @@ def twin(sink):
 
 def service_notices(sink) -> list[dict]:
     return [line for line in sink if line.get("kind") == "service"]
-
-
-def control(runtime, *msgs) -> list[dict]:
-    """Send control requests and answer them on this thread; returns the replies."""
-    channel = connect_channel(runtime.start_control("tcp://127.0.0.1:0"))
-    try:
-        replies = []
-        for msg in msgs:
-            channel.send(dict(msg, id=1))
-            runtime.serve_control(0.2)
-            replies.append(channel.recv(time.monotonic() + 5))
-        return replies
-    finally:
-        channel.close()
 
 
 def typed(value):

@@ -9,12 +9,13 @@ import pytest
 import yaml
 
 from conftest import DEMO_CONFIG, DEMO_SCENARIO
-from helpers import deep_line
+from helpers import control, deep_line
 
 import twinrt.cli as cli_mod
 import twinrt.config as config_mod
 import twinrt.scenario as scenario_mod
 from twinrt.cli import main
+from twinrt.data import PropertyType, Selector
 from twinrt.engine import SyncReason
 from twinrt.errors import ConfigParseError, Disconnected, ScenarioAssertionFailed
 from twinrt.runtime import TwinRuntime, inspect_config
@@ -223,6 +224,32 @@ steps:
   - tick: 8
   - expect-record-count: {selector: {origin: service:kpi}, count: 0}
 """)
+
+    def test_asset_raise_triggers_a_mapping_and_service_on_resumes_a_service(self):
+        # m-level pulls only when the tank raises overflow
+        doc = yaml.safe_load(DEMO_CONFIG.read_text())
+        doc["mappings"][0]["schedule"] = {"trigger": {"gateway": "tank01", "event": "overflow"}}
+        runtime = TwinRuntime(config_mod.loads(yaml.safe_dump(doc)))
+        try:
+            ScenarioRunner(runtime).run(scenario_mod.loads("""
+steps:
+  - service-off: kpi
+  - tick: 4
+  - expect-record-count: {selector: {origin: service:kpi}, count: 0}
+  - service-on: kpi
+  - tick: 4
+  - expect-record-count: {selector: {origin: service:kpi}, count: 1}
+  - expect-model: {model: tank, element: main, property: level, value: 0.0}
+  - asset-raise: {gateway: tank01, event: overflow, payload: 9.0}
+  - tick
+  - expect-decision: {mapping: m-level, action: pull-as-to-dt, reason: triggered}
+  - expect-model: {model: tank, element: main, property: level, value: 0.45, tolerance: 1.0e-9}
+"""))
+            pulls = [(d.tick, d.reason) for d in runtime.engine.decisions
+                     if d.mapping_id == "m-level"]
+        finally:
+            runtime.close()
+        assert pulls == [(9, SyncReason.TRIGGERED)]
 
 
 class TestCliCommands:
@@ -767,6 +794,57 @@ class TestControlBetweenTicks:
         finally:
             out, err = proc.communicate(timeout=30)
         assert proc.returncode == 0, err
+
+
+def probe_config():
+    """The demo with an external service ``probe`` that may read records
+    and the tank's gateway and ingest records of its own."""
+    doc = yaml.safe_load(DEMO_CONFIG.read_text())
+    doc["services"].append(
+        {"id": "probe", "grant": ["read-data", "ingest-data", "read-gateway:tank01"]})
+    return config_mod.loads(yaml.safe_dump(doc))
+
+
+class TestServiceCallReplies:
+    @pytest.fixture()
+    def twin(self):
+        runtime = TwinRuntime(probe_config())
+        yield runtime
+        runtime.close()
+
+    @staticmethod
+    def call(runtime, **request) -> dict:
+        return control(runtime, {"op": "ctl.call", "service": "probe", "request": request})[0]
+
+    @pytest.mark.parametrize("link", [[], 0, "", False], ids=["list", "zero", "text", "false"])
+    def test_a_falsy_link_is_refused_and_ingests_nothing(self, twin, link):
+        reply = self.call(twin, kind="ingest-processed", value=1.0, link=link)
+        assert (reply["op"], reply["code"]) == ("error", "SchemaViolation"), reply
+        assert twin.data.count() == 0
+
+    @pytest.mark.parametrize("link", [{"link": None}, {}], ids=["null", "absent"])
+    def test_no_link_ingests_an_unlinked_record(self, twin, link):
+        reply = self.call(twin, kind="ingest-processed", value=1.0, **link)
+        assert reply["op"] == "result", reply
+        [record] = twin.data.query()
+        assert (record.value, record.model_link) == (1.0, None)
+        assert record.prop(PropertyType.ORIGIN) == {"source": "service", "id": "probe"}
+
+    def test_read_gateway_property_replies_with_the_sample(self, twin):
+        twin.advance(3)
+        reply = self.call(twin, kind="read-gateway-property", gateway="tank01", property="level")
+        sample = twin.engine.gateway("tank01").read_property("level")  # the next read
+        assert reply == {"op": "result", "id": 1, "value": {
+            "value": sample.value, "ts": sample.asset_timestamp, "seq": sample.sequence_no - 1}}
+        assert sample.value > 0
+
+    def test_query_data_replies_with_the_records(self, twin):
+        twin.advance(5)
+        reply = self.call(twin, kind="query-data", selector={"origin": "actual-system",
+                                                             "tick_from": 2, "tick_to": 4})
+        records = twin.data.query(Selector(origin_source="actual-system", tick_from=2, tick_to=4))
+        assert len(records) == 3
+        assert reply == {"op": "result", "id": 1, "value": [r.to_dict() for r in records]}
 
 
 class TestListenFailures:
