@@ -21,6 +21,7 @@ import argparse
 import itertools
 import json
 import random
+import sys
 import threading
 from typing import Any, Callable
 
@@ -98,7 +99,7 @@ class AssetModel:
 
     def raise_event(self, name: str, payload: Value) -> None:
         d = self._decl(name, ElementKind.EVENT)
-        self._pending_events.append((name, fitted(payload, d.payload_type)))
+        self._pending_events.append((name, fitted(payload, d.value_type)))
 
     def pop_events(self) -> list[tuple[str, Value]]:
         events, self._pending_events = self._pending_events, []
@@ -130,9 +131,11 @@ class AssetModel:
 
 
 def _number(name: str, value) -> float:
-    """A model parameter as written: an int or a float, never a bool or text."""
+    """A model parameter as written: a finite int or float, never a bool or text."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"parameter {name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, ±inf, or an int no float holds
+        raise ValueError(f"parameter {name} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -239,8 +242,9 @@ MODELS = {"tank": TankModel, "echo": EchoModel}
 class _Session:
     def __init__(self, channel: LineChannel):
         self.channel = channel
-        self.observed: set[str] = set()
-        self.subscribed: set[str] = set()
+        # the properties it observes and the events it subscribes to; catalog
+        # names are unique across kinds
+        self.listening: set[str] = set()
         self._seqs: dict[str, int] = {}
 
     def next_seq(self, element: str) -> int:
@@ -331,13 +335,13 @@ class AssetServer:
         for name in sorted(after):
             if after[name] != before.get(name):
                 for session in list(self._sessions.values()):
-                    if name in session.observed:
+                    if name in session.listening:
                         self._push(session, {"op": "update", "element": name,
                                              "value": after[name], "ts": self.timestamp,
                                              "seq": session.next_seq(name)})
         for event_name, payload in self._model.pop_events():
             for session in list(self._sessions.values()):
-                if event_name in session.subscribed:
+                if event_name in session.listening:
                     self._push(session, {"op": "event", "element": event_name,
                                          "payload": payload, "ts": self.timestamp})
 
@@ -390,12 +394,12 @@ class AssetServer:
         if op == "observe":
             name = msg.get("element", "")
             model._decl(name, ElementKind.PROPERTY)
-            session.observed.add(name)
+            session.listening.add(name)
             return {"op": "ack", "ts": self.timestamp}
         if op == "subscribe":
             name = msg.get("element", "")
             model._decl(name, ElementKind.EVENT)
-            session.subscribed.add(name)
+            session.listening.add(name)
             return {"op": "ack", "ts": self.timestamp}
         if op == "invoke":
             name = _element_of(msg)

@@ -9,6 +9,7 @@ configuration can still be loaded and reported on.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -163,16 +164,17 @@ def _as_int(value, path: str) -> int:
 
 
 def _as_number(value, path: str) -> float:
-    # YAML 1.1 reads an exponent without a dot (`1e-3`) as a string, so a
-    # string is taken when it reads as a number
+    """A finite number. YAML 1.1 reads an exponent without a dot (`1e-3`)
+    as a string, so a string is taken when it reads as a number."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise _fail(path, f"expected a number, got {value!r}")
     try:
-        return float(value)
-    except ValueError:
-        raise _fail(path, f"expected a number, got {value!r}") from None
-    except OverflowError:
-        raise _fail(path, "number out of range") from None
+        number = float(value)
+    except (ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise _fail(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _optional(obj: dict, key: str, path: str, read=_as_str):

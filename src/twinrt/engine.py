@@ -39,6 +39,8 @@ model edit that caused them.
 from __future__ import annotations
 
 import bisect
+import heapq
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable
@@ -141,7 +143,8 @@ class Transform:
     model_value = scale * gateway_value + offset; the inverse is used when
     pushing DT to AS, which is why scale may not be zero. The identity
     transform passes any value type through; a non-identity transform
-    requires numeric values.
+    requires numeric values, and a result that is not finite is a
+    TransformFailure.
     """
 
     scale: float = 1.0
@@ -159,18 +162,24 @@ class Transform:
     def apply(self, value: Value) -> Value:
         if self.is_identity:
             return value
-        try:
-            return self.scale * coerce_real(value) + self.offset
-        except SchemaViolation as exc:
-            raise TransformFailure(str(exc)) from exc
+        return _affine(lambda x: self.scale * x + self.offset, value)
 
     def invert(self, value: Value) -> Value:
         if self.is_identity:
             return value
-        try:
-            return (coerce_real(value) - self.offset) / self.scale
-        except SchemaViolation as exc:
-            raise TransformFailure(str(exc)) from exc
+        return _affine(lambda x: (x - self.offset) / self.scale, value)
+
+
+def _affine(map_: Callable[[float], float], value: Value) -> float:
+    """``map_`` of ``value``: TransformFailure unless it is a number and the
+    result is finite."""
+    try:
+        result = map_(coerce_real(value))
+    except SchemaViolation as exc:
+        raise TransformFailure(str(exc)) from exc
+    if not math.isfinite(result):
+        raise TransformFailure(f"result {result} is not finite")
+    return result
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,7 +267,8 @@ class Engine:
         self._gateways: dict[str, GatewayHandle] = {}
         self._mappings: dict[str, Mapping] = {}
         self._by_trigger: dict[tuple, list[str]] = {}  # trigger key -> sorted mapping ids
-        self._scheduled: list[str] = []  # sorted ids of every-n-ticks mappings
+        # period -> sorted ids of the mappings scheduled every that many ticks
+        self._scheduled: dict[int, list[str]] = {}
         self._asset_ledger: dict[tuple[str, str], _Observation] = {}
         self._edit_ledger: dict[tuple[str, str, str], _Edit] = {}
         # mapping id -> the recency its last sync saw; written only by syncs
@@ -340,7 +350,8 @@ class Engine:
             self._check_trigger(mapping.mapping_id, trigger)
         self._mappings[mapping.mapping_id] = mapping
         if trigger is None:
-            bisect.insort(self._scheduled, mapping.mapping_id)
+            bisect.insort(self._scheduled.setdefault(mapping.schedule.every, []),
+                          mapping.mapping_id)
         else:
             bisect.insort(self._by_trigger.setdefault(trigger.key(), []), mapping.mapping_id)
         self._subscribe_mapping(mapping)
@@ -503,14 +514,12 @@ class Engine:
         self._in_tick = True
         try:
             self._drain_gateways()
-            fired = self._collect_fired(now_tick)
             decisions = []
-            synced: set[str] = set()
-            for mapping_id, reason in fired:
-                if mapping_id in synced:
+            for mapping_id, reason in self._collect_fired(now_tick).items():
+                mapping = self._mappings[mapping_id]
+                if not mapping.enabled:
                     continue
-                synced.add(mapping_id)
-                decision = self.sync_mapping(self._mappings[mapping_id], reason)
+                decision = self.sync_mapping(mapping, reason)
                 decisions.append(decision)
                 self.decisions.append(decision)
                 self._emit(decision.to_dict())
@@ -542,29 +551,20 @@ class Engine:
                         self._pending_triggers.append(
                             (TriggerKind.GATEWAY_EVENT.value, gateway_id, name))
 
-    def _collect_fired(self, now_tick: int) -> list[tuple[str, SyncReason]]:
-        fired: list[tuple[str, SyncReason]] = []
-        # triggered work first: queued occurrences in FIFO order, coalesced
+    def _collect_fired(self, now_tick: int) -> dict[str, SyncReason]:
+        """The mappings due, in sync order, each with its first reason: triggers
+        in occurrence order, then reconciles sorted, then schedules by id."""
+        fired: dict[str, SyncReason] = {}
         pending, self._pending_triggers = self._pending_triggers, []
-        seen: set[tuple] = set()
-        for occurrence in pending:
-            if occurrence in seen:
-                continue
-            seen.add(occurrence)
+        for occurrence in dict.fromkeys(pending):
             for mapping_id in self._by_trigger.get(occurrence, ()):
-                if self._mappings[mapping_id].enabled:
-                    fired.append((mapping_id, SyncReason.TRIGGERED))
-        # reconciliation after a model came back online
+                fired.setdefault(mapping_id, SyncReason.TRIGGERED)
         reconcile, self._needs_reconcile = self._needs_reconcile, set()
         for mapping_id in sorted(reconcile):
-            mapping = self._mappings.get(mapping_id)
-            if mapping is not None and mapping.enabled:
-                fired.append((mapping_id, SyncReason.TRIGGERED))
-        # scheduled work
-        for mapping_id in self._scheduled:
-            mapping = self._mappings[mapping_id]
-            if mapping.enabled and now_tick % mapping.schedule.every == 0:
-                fired.append((mapping_id, SyncReason.SCHEDULED))
+            fired.setdefault(mapping_id, SyncReason.TRIGGERED)
+        due = [ids for every, ids in self._scheduled.items() if now_tick % every == 0]
+        for mapping_id in heapq.merge(*due):
+            fired.setdefault(mapping_id, SyncReason.SCHEDULED)
         return fired
 
     # --- synchronization ---

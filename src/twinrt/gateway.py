@@ -7,7 +7,10 @@ Connecting performs a handshake that must confirm the declared element
 catalog exactly; afterwards the handle serializes requests and, while each
 request reads its reply, routes asset-pushed samples and events into
 per-element streams. The handle's stream table is the only record of what
-the twin listens to on that gateway: the engine keeps none of its own.
+the twin listens to on that gateway: the engine keeps none of its own. A
+stream ends when its handle dies, and the handle keeps why. Each element
+declares the one type it carries: a property's value, an event's payload or
+a function's result.
 """
 
 from __future__ import annotations
@@ -51,35 +54,23 @@ class PropertyAccess(str, Enum):
 class GatewayElementDecl:
     """Declaration of one gateway element.
 
-    The populated schema fields depend on the kind: properties carry
-    ``value_type`` and ``access``; events carry ``payload_type``; functions
-    carry ``arg_types`` and ``result_type``.
+    ``value_type`` is the type the element carries: a property's value, an
+    event's payload or a function's result. Properties also carry
+    ``access``, and functions ``arg_types``.
     """
 
     name: str
     kind: ElementKind
-    value_type: str | None = None
+    value_type: str
     access: PropertyAccess | None = None
-    payload_type: str | None = None
     arg_types: tuple[str, ...] | None = None
-    result_type: str | None = None
 
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise ValueError(f"element name must be non-empty text, got {self.name!r}")
-        if self.kind is ElementKind.PROPERTY:
-            ok = (self.value_type is not None and self.access is not None
-                  and self.payload_type is None and self.arg_types is None
-                  and self.result_type is None)
-        elif self.kind is ElementKind.EVENT:
-            ok = (self.payload_type is not None and self.value_type is None
-                  and self.access is None and self.arg_types is None
-                  and self.result_type is None)
-        else:
-            ok = (self.arg_types is not None and self.result_type is not None
-                  and self.value_type is None and self.access is None
-                  and self.payload_type is None)
-        if not ok:
+        if (self.value_type is None
+                or (self.access is None) == (self.kind is ElementKind.PROPERTY)
+                or (self.arg_types is None) == (self.kind is ElementKind.FUNCTION)):
             raise ValueError(f"element {self.name!r}: schema fields do not match kind {self.kind.value}")
 
     def to_wire(self) -> dict[str, Any]:
@@ -89,9 +80,9 @@ class GatewayElementDecl:
                     "value_schema": schema, "access": self.access.value}
         if self.kind is ElementKind.EVENT:
             return {"name": self.name, "kind": self.kind.value,
-                    "value_schema": {"payload": self.payload_type}}
+                    "value_schema": {"payload": self.value_type}}
         return {"name": self.name, "kind": self.kind.value,
-                "value_schema": {"args": list(self.arg_types), "result": self.result_type}}
+                "value_schema": {"args": list(self.arg_types), "result": self.value_type}}
 
     @classmethod
     def from_wire(cls, obj: dict[str, Any]) -> "GatewayElementDecl":
@@ -102,9 +93,9 @@ class GatewayElementDecl:
                 return cls(name=obj["name"], kind=kind, value_type=schema["type"],
                            access=PropertyAccess(obj["access"]))
             if kind is ElementKind.EVENT:
-                return cls(name=obj["name"], kind=kind, payload_type=schema["payload"])
-            return cls(name=obj["name"], kind=kind,
-                       arg_types=tuple(schema["args"]), result_type=schema["result"])
+                return cls(name=obj["name"], kind=kind, value_type=schema["payload"])
+            return cls(name=obj["name"], kind=kind, value_type=schema["result"],
+                       arg_types=tuple(schema["args"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed catalog entry: {exc}") from exc
 
@@ -116,13 +107,13 @@ def property_decl(name: str, value_type: str,
 
 
 def event_decl(name: str, payload_type: str) -> GatewayElementDecl:
-    return GatewayElementDecl(name=name, kind=ElementKind.EVENT, payload_type=payload_type)
+    return GatewayElementDecl(name=name, kind=ElementKind.EVENT, value_type=payload_type)
 
 
 def function_decl(name: str, arg_types: tuple[str, ...] | list[str],
                   result_type: str) -> GatewayElementDecl:
     return GatewayElementDecl(name=name, kind=ElementKind.FUNCTION,
-                              arg_types=tuple(arg_types), result_type=result_type)
+                              value_type=result_type, arg_types=tuple(arg_types))
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,9 +157,10 @@ class Stream:
     only inside its own calls: a request routes every push that arrives
     before its reply. ``drain`` and ``empty`` look only at what has been
     routed so far; ``get`` waits for the next push by reading through the
-    handle. When the connection dies the stream terminates and ``end_cause``
-    distinguishes why ("disconnected", "protocol-error" or "closed"). An
-    ended stream lets go of its handle, so the two form no reference cycle.
+    handle. A stream ends when its handle dies: the handle's ``is_alive``
+    says so, and its next call raises ``Disconnected`` with the fault's
+    message. The dead handle lets go of its streams' references to it, so
+    the two form no reference cycle.
     """
 
     def __init__(self, element: str, kind: ElementKind, handle: "GatewayHandle", value_type: str):
@@ -177,16 +169,6 @@ class Stream:
         self.value_type = value_type  # of an update's value or an event's payload
         self._handle: GatewayHandle | None = handle
         self._items: deque = deque()
-        self._end_cause: str | None = None
-
-    def _end(self, cause: str) -> None:
-        if self._end_cause is None:
-            self._end_cause = cause
-        self._handle = None
-
-    @property
-    def end_cause(self) -> str | None:
-        return self._end_cause
 
     @property
     def empty(self) -> bool:
@@ -265,17 +247,15 @@ class GatewayHandle:
         return self._dead is None
 
     def close(self) -> None:
-        self._kill(Disconnected("handle closed"), cause="closed")
+        self._kill(Disconnected("handle closed"))
 
-    def _kill(self, error: TwinError, cause: str | None = None) -> TwinError:
-        """Mark the handle dead, end its streams and drop the connection;
-        returns ``error``."""
+    def _kill(self, error: TwinError) -> TwinError:
+        """Mark the handle dead, which ends its streams, release the streams'
+        references to it and drop the connection; returns ``error``."""
         if self._dead is None:
             self._dead = str(error)
-            if cause is None:
-                cause = "protocol-error" if isinstance(error, ProtocolError) else "disconnected"
             for stream in self._streams.values():
-                stream._end(cause)
+                stream._handle = None
         self._channel.close()
         return error
 
@@ -373,11 +353,8 @@ class GatewayHandle:
         decl = self._decl(name, kind)
         if self._dead is not None:
             raise Disconnected(self._dead)
-        stream = self._streams.get(name)
-        if stream is None or stream.end_cause is not None:
-            stream = Stream(name, kind, self, decl.value_type or decl.payload_type)
-            # register before the request so no early push can be dropped
-            self._streams[name] = stream
+        # register before the request so no early push can be dropped
+        stream = self._streams.setdefault(name, Stream(name, kind, self, decl.value_type))
         try:
             self._expect(self._request({"op": op, "element": name}), "ack")
         except TwinError:
@@ -391,7 +368,7 @@ class GatewayHandle:
             raise SchemaViolation(f"{name!r} takes {len(decl.arg_types)} argument(s), got {len(args)}")
         args = [fitted(arg, arg_type) for arg, arg_type in zip(args, decl.arg_types)]
         reply = self._expect(self._request({"op": "invoke", "element": name, "args": args}), "result")
-        return fitted(reply.get("value"), decl.result_type)
+        return fitted(reply.get("value"), decl.value_type)
 
     def ping(self) -> None:
         """Round-trip barrier: all pushes sent before the pong are now routed."""

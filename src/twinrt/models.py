@@ -7,9 +7,11 @@ create/delete/set plus registered custom operators), mode switching, and
 snapshot restore. Operator application is transactional: either the
 transformed model satisfies every integrity rule and is committed, or the
 model is left untouched. A transaction copies only the elements its operator
-touches and re-checks only those, so its cost follows what changed, not the
-size of the model; the check fits each of their properties and each typed
-operator argument to its declared type first (5 for a real is 5.0).
+touches and re-checks only those; the check fits each of their properties
+and each typed operator argument to its declared type first (5 for a real is
+5.0). Its commit still copies the whole element dict (``_CopyOnAccess.merged``),
+so one ``set_property`` took 17.6, 23.4 and 51.2 µs at 50, 1 000 and 5 000
+elements (Python 3.11, 2 vCPUs); ROADMAP direction 9 removes that copy.
 Managers may delegate operator applications to peers along declared
 per-operator rules; a request never visits the same manager twice.
 """

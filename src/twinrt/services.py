@@ -11,6 +11,7 @@ and a threshold guard that invokes a gateway function once per excursion.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -254,11 +255,10 @@ class ThresholdGuard:
                  function: str, args: tuple[Value, ...] = ()):
         if isinstance(bound, bool) or not isinstance(bound, (int, float)):
             raise ValueError(f"bound must be a number, got {bound!r}")
+        if not abs(bound) <= sys.float_info.max:  # NaN, ±inf, or an int no float holds
+            raise ValueError(f"bound must be a finite number, got {bound!r}")
         self.ref = ref
-        try:
-            self.bound = float(bound)
-        except OverflowError:
-            raise ValueError(f"bound out of range: {bound!r}") from None
+        self.bound = float(bound)
         self.gateway_id = gateway_id
         self.function = function
         self.args = tuple(args)

@@ -151,6 +151,12 @@ class TestParams:
         with pytest.raises(ValueError, match=f"parameter {name} must be a number"):
             build_model("tank", seed=0, params={name: bad})
 
+    @pytest.mark.parametrize("name, bad", [("valve", float("nan")), ("capacity", float("inf")),
+                                           ("level", float("-inf")), ("inflow", 10 ** 400)])
+    def test_tank_parameters_are_finite(self, name, bad):
+        with pytest.raises(ValueError, match=f"parameter {name} must be a finite number"):
+            build_model("tank", seed=0, params={name: bad})
+
     def test_echo_takes_no_parameters(self):
         assert isinstance(build_model("echo", seed=3, params={}), EchoModel)
         with pytest.raises(TypeError, match="whatever"):
@@ -344,6 +350,10 @@ class TestAssetProcess:
     def test_bad_param_is_a_usage_error(self):
         for args, fragment in ((["--param", "thrust=9000"], "thrust"),
                                (["--param", "valve=open"], "valve"),
+                               (["--param", "valve=nan", "--param", "capacity=inf"],
+                                "parameter valve must be a finite number, got nan"),
+                               (["--param", "capacity=-inf"],
+                                "parameter capacity must be a finite number, got -inf"),
                                (["--step-ms", "0"], "step_ms")):
             proc = subprocess.run(
                 [sys.executable, "-m", "twinrt.asset", "--listen", "tcp://127.0.0.1:0",
@@ -371,5 +381,7 @@ class TestAssetProcess:
         proc.kill()
         proc.communicate(timeout=5)
         assert stream.get(timeout=5) is None  # reads until the connection dies
-        assert stream.end_cause == "disconnected"
+        assert not handle.is_alive
+        with pytest.raises(Disconnected, match="peer closed the connection|recv failed"):
+            handle.ping()
         handle.close()

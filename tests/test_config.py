@@ -20,7 +20,7 @@ class TestParseDemo:
         assert level.access is PropertyAccess.READ_ONLY
         flush = gw.descriptor.element("flush")
         assert flush.kind is ElementKind.FUNCTION
-        assert flush.arg_types == () and flush.result_type == "boolean"
+        assert flush.arg_types == () and flush.value_type == "boolean"
 
     def test_language_and_model(self, demo_config):
         lang = demo_config.languages[0]
@@ -54,6 +54,9 @@ MAPPING = ("mappings:\n  - {id: m, model: {model: a, element: b, property: c}, "
 # an otherwise valid rule, open for its bound or other property
 RULE = "languages:\n  - {id: l, kinds: {N: {}}, rules: [{id: r, kind: N, property: p, op: le, "
 SIMULATE = "gateways:\n  - {id: g, endpoint: 'tcp://x:1', simulate: {model: tank, "
+# an otherwise valid threshold guard, open for its bound
+GUARD = ("services:\n  - {id: s, builtin: threshold_guard, params: {model: a, element: b, "
+         "property: c, gateway: g, function: f, ")
 
 
 class TestParseForms:
@@ -212,6 +215,31 @@ class TestParseErrors:
                      "mappings[0].transform.offset", id="offset-text"),
         pytest.param(MAPPING + "schedule: {every: 1}, transform: {offset: 1" + "0" * 400 + "}}",
                      "mappings[0].transform.offset", id="offset-out-of-range"),
+        pytest.param(MAPPING + "schedule: {every: 1}, transform: {scale: .nan}}",
+                     "mappings[0].transform.scale: expected a finite number, got nan",
+                     id="scale-nan"),
+        pytest.param(MAPPING + "schedule: {every: 1}, transform: {scale: .inf}}",
+                     "mappings[0].transform.scale: expected a finite number, got inf",
+                     id="scale-inf"),
+        pytest.param(MAPPING + "schedule: {every: 1}, transform: {offset: -.inf}}",
+                     "mappings[0].transform.offset: expected a finite number, got -inf",
+                     id="offset-minus-inf"),
+        pytest.param(MAPPING + "schedule: {every: 1}, transform: {scale: 1e999}}",
+                     "mappings[0].transform.scale: expected a finite number, got '1e999'",
+                     id="scale-text-overflowing"),
+        pytest.param(SIMULATE + "params: {valve: .nan}}}",
+                     "gateways[0].simulate: parameter valve must be a finite number, got nan",
+                     id="param-nan"),
+        pytest.param(SIMULATE + "params: {capacity: .inf}}}",
+                     "gateways[0].simulate: parameter capacity must be a finite number",
+                     id="param-inf"),
+        pytest.param(SIMULATE + "params: {level: 1" + "0" * 400 + "}}}",
+                     "gateways[0].simulate: parameter level must be a finite number",
+                     id="param-out-of-range"),
+        pytest.param(GUARD + "bound: .nan}}", "services[0]: bound must be a finite number",
+                     id="guard-bound-nan"),
+        pytest.param(GUARD + "bound: -.inf}}", "services[0]: bound must be a finite number",
+                     id="guard-bound-minus-inf"),
         pytest.param(SIMULATE + "step_ms: [1]}}", "gateways[0].simulate.step_ms",
                      id="step-ms-list"),
         pytest.param(SIMULATE + "step_ms: true}}", "gateways[0].simulate.step_ms",

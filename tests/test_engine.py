@@ -32,6 +32,7 @@ from twinrt.errors import (
     MissingLastUpdateSupport,
     ReadOnlyTarget,
     TickSequenceError,
+    TransformFailure,
     UnresolvedGatewaySide,
     UnresolvedModelSide,
 )
@@ -141,6 +142,35 @@ class TestTick:
                 for d in rig.tick():
                     fired_at.append(d.tick)
             assert fired_at == [2, 4]
+        finally:
+            rig.close()
+
+    def test_scheduled_syncs_run_in_id_order_across_periods(self):
+        mappings = [Mapping(f"m-{name}", "tank", "main", "level", "tank01", "level",
+                            Direction.AS_TO_DT, Schedule(every=every),
+                            enabled=name != "e")
+                    for name, every in (("d", 6), ("c", 2), ("e", 2), ("a", 3), ("b", 1))]
+        rig = build_rig(mappings=mappings)
+        try:
+            due = {tick: [d.mapping_id for d in rig.tick()] for tick in range(1, 7)}
+            # the disabled m-e is skipped whenever it is due
+            assert due == {1: ["m-b"], 2: ["m-b", "m-c"], 3: ["m-a", "m-b"],
+                           4: ["m-b", "m-c"], 5: ["m-b"], 6: ["m-a", "m-b", "m-c", "m-d"]}
+        finally:
+            rig.close()
+
+    def test_a_mapping_due_for_several_reasons_syncs_once_with_the_first(self):
+        # m-change is triggered and reconciled; m-level is reconciled and scheduled
+        rig = build_rig(mappings=[level_mapping(), change_trigger_mapping()])
+        try:
+            rig.tick(step_asset=False)
+            rig.registry.set_mode("plant", "tank", ModelMode.OFFLINE)
+            rig.registry.set_mode("plant", "tank", ModelMode.ONLINE)
+            rig.server.force_set("level", 1.0)
+            assert [(d.mapping_id, d.reason) for d in rig.tick(step_asset=False)] == [
+                ("m-change", SyncReason.TRIGGERED), ("m-level", SyncReason.TRIGGERED)]
+            assert [(d.mapping_id, d.reason) for d in rig.tick(step_asset=False)] == [
+                ("m-level", SyncReason.SCHEDULED)]
         finally:
             rig.close()
 
@@ -419,13 +449,34 @@ class TestTransform:
 
     def test_non_identity_rejects_non_numeric(self):
         t = Transform(scale=2.0)
-        from twinrt.errors import TransformFailure
-
         for value in ("text", True, {"a": 1}, [1]):
             with pytest.raises(TransformFailure):
                 t.apply(value)
             with pytest.raises(TransformFailure):
                 t.invert(value)
+
+    def test_a_result_that_is_not_finite_is_a_transform_failure(self):
+        t = Transform(scale=1.0e308, offset=1.7e308)
+        assert t.apply(0.0) == 1.7e308
+        with pytest.raises(TransformFailure, match="result inf is not finite"):
+            t.apply(2.0)
+        with pytest.raises(TransformFailure, match="result -inf is not finite"):
+            Transform(scale=1.0e-308).invert(-5.0)
+
+    def test_a_transform_that_overflows_suspends_its_sync_and_the_run_goes_on(self):
+        mapping = valve_mapping(Direction.AS_TO_DT,
+                                transform=Transform(scale=1.0e308, offset=1.7e308))
+        rig = build_rig(mappings=[mapping])
+        try:
+            assert [d.reason for d in rig.tick(step_asset=False)] == [SyncReason.SCHEDULED]
+            rig.server.force_set("valve", 2.0)
+            assert [(d.reason, d.detail) for d in rig.tick(step_asset=False)] == [
+                (SyncReason.SUSPENDED, "transform failure: result inf is not finite")]
+            rig.server.force_set("valve", 0.0)
+            assert [d.reason for d in rig.tick(step_asset=False)] == [SyncReason.SCHEDULED]
+            assert rig.registry.property_value("tank", "main", "valve_target") == 1.7e308
+        finally:
+            rig.close()
 
 
 class TestBidirectional:
@@ -680,10 +731,11 @@ class TestGatewayFaults:
 
         server, handle, engine = scripted_engine(bad_push_before_pong)
         try:
-            stream = handle.observe_property("level")
+            handle.observe_property("level")
             decisions = engine.tick(1)  # the ping reads the push: must return, not raise
             assert not handle.is_alive
-            assert stream.end_cause == "protocol-error"
+            with pytest.raises(Disconnected, match="malformed push: unhashable"):
+                handle.ping()
             assert [(d.reason, d.detail) for d in decisions] == [
                 (SyncReason.SUSPENDED, "gateway unavailable")]
         finally:
@@ -698,10 +750,11 @@ class TestGatewayFaults:
 
         server, handle, engine = scripted_engine(deep_push_before_pong)
         try:
-            stream = handle.observe_property("level")
+            handle.observe_property("level")
             decisions = engine.tick(1)  # the ping reads the push: must return, not raise
             assert not handle.is_alive
-            assert stream.end_cause == "protocol-error"
+            with pytest.raises(Disconnected, match="malformed message: nests deeper"):
+                handle.ping()
             assert [(d.reason, d.detail) for d in decisions] == [
                 (SyncReason.SUSPENDED, "gateway unavailable")]
         finally:
@@ -738,10 +791,11 @@ class TestGatewayFaults:
 
         server, handle, engine = scripted_engine(mistyped_push_before_pong)
         try:
-            stream = handle.observe_property("level")
+            handle.observe_property("level")
             decisions = engine.tick(1)
             assert not handle.is_alive
-            assert stream.end_cause == "protocol-error"
+            with pytest.raises(Disconnected, match="malformed push"):
+                handle.ping()
             assert [(d.reason, d.detail) for d in decisions] == [
                 (SyncReason.SUSPENDED, "gateway unavailable")]
         finally:

@@ -28,9 +28,9 @@ from twinrt.wire import connect_channel
 
 ECHO_YAML = "\n".join(
     f"      - {{name: {d.name}, kind: {d.kind.value}, "
-    + (f"type: {d.value_type}, access: {d.access.value}}}" if d.value_type
-       else f"payload: {d.payload_type}}}" if d.payload_type
-       else f"args: [{', '.join(d.arg_types)}], result: {d.result_type}}}")
+    + (f"type: {d.value_type}, access: {d.access.value}}}" if d.access
+       else f"args: [{', '.join(d.arg_types)}], result: {d.value_type}}}" if d.arg_types is not None
+       else f"payload: {d.value_type}}}")
     for d in ECHO_ELEMENTS)
 
 # a real, an integer and a boolean model property, an echo asset whose

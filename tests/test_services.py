@@ -587,6 +587,10 @@ GUARD_PARAMS = {"model": "tank", "element": "main", "property": "level", "bound"
     ("kpi_monitor", KPI_PARAMS, {"window": "4"}, "window must be an integer >= 1"),
     ("threshold_guard", GUARD_PARAMS, {"bound": "8"}, "bound must be a number"),
     ("threshold_guard", GUARD_PARAMS, {"bound": False}, "bound must be a number"),
+    ("threshold_guard", GUARD_PARAMS, {"bound": float("nan")}, "bound must be a finite number"),
+    ("threshold_guard", GUARD_PARAMS, {"bound": float("inf")}, "bound must be a finite number"),
+    ("threshold_guard", GUARD_PARAMS, {"bound": float("-inf")},
+     "bound must be a finite number"),
     ("threshold_guard", GUARD_PARAMS, {"args": "ab"}, "args must be a list"),
     ("threshold_guard", GUARD_PARAMS, {"args": ("a",)}, "args must be a list"),
     *[(name, params, {key: bad}, f"{key} must be non-empty text")

@@ -1,19 +1,30 @@
 """A tick's work follows what changed, not what is configured.
 
 The scale-fleet shape at two sizes: one model of N tank elements, one
-AS->DT mapping per element on a gateway-change trigger, four of them
-following a moving tank and the rest an idle one, and one kpi_monitor.
-Each tick's work is counted, not timed, so the check is exact on any host:
-syncs, elements checked against a property rule, trigger keys built,
-service hooks called, and gateway requests by gateway and op.
+AS->DT mapping per element, four of them following a moving tank and the
+rest an idle one, and one kpi_monitor. In the triggered shape each mapping
+fires on a gateway-change trigger; in the scheduled shape the four run
+every one or two ticks and the idle ones every 1 000 000. Each tick's work
+is counted, not timed, so the check is exact on any host: syncs, entries
+read from the engine's mapping table, elements checked against a property
+rule, trigger keys built, service hooks called, and gateway requests by
+gateway and op. So is a tick-window query's: the records whose link it
+tests, over two sizes of history.
+
+A check that cannot fail shows nothing, so each count test is also run
+against a mutant that does the work of the whole configuration or history,
+and must fail there.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import twinrt.config as config_mod
-from twinrt.engine import Engine, Trigger
+from twinrt import data as data_mod
+from twinrt.data import DataManager, ModelElementRef, Selector
+from twinrt.engine import Engine, SyncReason, Trigger
 from twinrt.gateway import GatewayHandle
 from twinrt.models import PropertyRule
 from twinrt.runtime import TwinRuntime
@@ -37,9 +48,11 @@ def active_elements(n: int) -> list[int]:
     return [0, n // 3, 2 * n // 3, n - 1]
 
 
-def fleet_yaml(n: int) -> str:
-    """The scale-fleet configuration with ``n`` elements: g0 moves, g1 is idle."""
-    active = set(active_elements(n))
+def fleet_yaml(n: int, scheduled: bool = False) -> str:
+    """The scale-fleet configuration with ``n`` elements: g0 moves, g1 is
+    idle. With ``scheduled``, the mappings on g0 run every 1, 2, 1 and 2
+    ticks and those on g1 every 1 000 000, instead of on a trigger."""
+    active = active_elements(n)
     out = ["twin: fleet\n", "gateways:\n",
            _TANK.format(gateway="g0", valve=0.5), _TANK.format(gateway="g1", valve=0.0),
            "languages:\n",
@@ -58,15 +71,47 @@ def fleet_yaml(n: int) -> str:
     out.append("mappings:\n")
     for i in range(n):
         gw = "g0" if i in active else "g1"
+        if not scheduled:
+            schedule = f"{{trigger: {{gateway: {gw}, property: level}}}}"
+        else:
+            schedule = f"{{every: {1 + active.index(i) % 2 if i in active else 1000000}}}"
         out.append(f"  - {{id: m{i}, model: {{model: fleet, element: e{i}, property: level}}, "
                    f"gateway: {{gateway: {gw}, property: level}}, direction: as-to-dt, "
-                   f"schedule: {{trigger: {{gateway: {gw}, property: level}}}}}}\n")
+                   f"schedule: {schedule}}}\n")
     out += ["services:\n",
             "  - id: kpi\n",
             "    builtin: kpi_monitor\n",
             "    params: {window: 4, model: fleet, element: e0, property: level}\n",
             "    grant: [read-model:fleet, ingest-data]\n"]
     return "".join(out)
+
+
+class CountedTable(dict):
+    """A mapping table that counts each entry read from it, by key or by
+    walking it."""
+
+    def __init__(self, table: dict, counts: Counter):
+        super().__init__(table)
+        self._counts = counts
+
+    def __getitem__(self, key):
+        self._counts["mapping lookup"] += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self._counts["mapping lookup"] += 1
+        return super().get(key, default)
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self._counts["mapping lookup"] += 1
+            yield key
+
+    def values(self):
+        return (self[key] for key in super().__iter__())
+
+    def items(self):
+        return ((key, self[key]) for key in super().__iter__())
 
 
 def count_work(monkeypatch, counts: Counter) -> None:
@@ -88,19 +133,27 @@ def count_work(monkeypatch, counts: Counter) -> None:
             key=lambda handle, msg, *_: ("request", handle.gateway_id, msg["op"]))
 
 
-def work_per_tick(monkeypatch, n: int, ticks: int = 8) -> list[Counter]:
-    runtime = TwinRuntime(config_mod.loads(fleet_yaml(n)))
+def work_per_tick(monkeypatch, n: int, scheduled: bool = False,
+                  ticks: int = 8) -> list[Counter]:
+    """The work of each of ``ticks`` ticks after a warm-up tick."""
+    runtime = TwinRuntime(config_mod.loads(fleet_yaml(n, scheduled)))
     try:
         runtime.advance()  # warm-up: each observed property is read once
         counts: Counter = Counter()
         with monkeypatch.context() as patch:
             count_work(patch, counts)
+            patch.setattr(runtime.engine, "_mappings",
+                          CountedTable(runtime.engine._mappings, counts))
             per_tick = []
             for _ in range(ticks):
                 runtime.advance()
                 per_tick.append(+counts)
                 counts.clear()
-        assert runtime.data.count() == 4 * (ticks + 1) + (ticks + 1) // 4
+        # each of the ticks + 1 ticks syncs 4 mappings, but in the scheduled
+        # shape two of them skip the (ticks + 2) // 2 odd ticks; the kpi
+        # records its mean every 4 ticks
+        syncs = 4 * (ticks + 1) - (2 * ((ticks + 2) // 2) if scheduled else 0)
+        assert runtime.data.count() == syncs + (ticks + 1) // 4
         return per_tick
     finally:
         runtime.close()
@@ -114,6 +167,8 @@ def test_a_ticks_work_is_the_same_at_50_and_1000_mappings(monkeypatch):
         assert counts == Counter({
             # the four mappings of the moving tank sync; the idle ones do not
             "sync_mapping": 4,
+            # the table is read once for each sync
+            "mapping lookup": 4,
             # each sync checks its one element; the kpi's mean is a record
             "check_element": 4,
             # triggers are matched by key lookup, with no key built per tick
@@ -126,3 +181,100 @@ def test_a_ticks_work_is_the_same_at_50_and_1000_mappings(monkeypatch):
             ("request", "g0", "ping"): 1,
             ("request", "g1", "ping"): 1,
         }), f"tick {tick}"
+
+
+def scan_every_scheduled_mapping(engine: Engine, now_tick: int) -> dict[str, SyncReason]:
+    """A mutant of ``Engine._collect_fired`` that finds the scheduled
+    mappings due by testing the period of each on every tick."""
+    scheduled, engine._scheduled = engine._scheduled, {}
+    try:
+        fired = _COLLECT_FIRED(engine, now_tick)
+    finally:
+        engine._scheduled = scheduled
+    for mapping_id in sorted(m for ids in scheduled.values() for m in ids):
+        if now_tick % engine._mappings[mapping_id].schedule.every == 0:
+            fired.setdefault(mapping_id, SyncReason.SCHEDULED)
+    return fired
+
+
+_COLLECT_FIRED = Engine._collect_fired
+
+
+def scheduled_work_is_flat(monkeypatch) -> bool:
+    """Whether each tick's work in the scheduled shape is the same at 50
+    and 1 000 mappings."""
+    small = work_per_tick(monkeypatch, 50, scheduled=True)
+    large = work_per_tick(monkeypatch, 1000, scheduled=True)
+    assert [c["sync_mapping"] for c in small] == [c["sync_mapping"] for c in large]
+    return small == large
+
+
+def test_a_ticks_work_is_the_same_at_50_and_1000_scheduled_mappings(monkeypatch):
+    assert scheduled_work_is_flat(monkeypatch)
+    for tick, counts in enumerate(work_per_tick(monkeypatch, 50, scheduled=True), start=2):
+        due = 4 if tick % 2 == 0 else 2  # two mappings every tick, two every other
+        assert counts == Counter({
+            "sync_mapping": due, "mapping lookup": due, "check_element": due,
+            "_call_hook": 1,
+            # nothing observes a scheduled mapping's property, so each sync reads it
+            ("request", "g0", "ping"): 1, ("request", "g0", "read"): due,
+            ("request", "g1", "ping"): 1,
+        }), f"tick {tick}"
+
+
+def test_the_check_sees_a_scan_of_every_scheduled_mapping(monkeypatch):
+    monkeypatch.setattr(Engine, "_collect_fired", scan_every_scheduled_mapping)
+    assert not scheduled_work_is_flat(monkeypatch)
+
+
+def history(records: int, per_tick: int = 4) -> DataManager:
+    """A store of ``records`` synced records, ``per_tick`` a tick, each linked
+    to the level of one of ``per_tick`` fleet elements."""
+    data = DataManager()
+    origin, live, raw = (data_mod.origin_actual_system("g0"),
+                         data_mod.timeliness(data_mod.LIVE), data_mod.processing(data_mod.RAW))
+    for i in range(records):
+        tick, element = divmod(i, per_tick)
+        data.ingest(float(i), [origin, live, raw, data_mod.last_update(tick + 1)],
+                    model_link=ModelElementRef("fleet", f"e{element}", "level"))
+    return data
+
+
+def links_tested(monkeypatch, records: int) -> int:
+    """How many records a last-10-ticks query for one element tests the link
+    of, over a history of ``records`` records."""
+    data = history(records)
+    last = records // 4
+    selector = Selector(model_id="fleet", element_id="e1", tick_from=last - 9, tick_to=last)
+    counts: Counter = Counter()
+    matches_link = Selector.matches_link
+
+    def counted(self, link):
+        counts["matches_link"] += 1
+        return matches_link(self, link)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Selector, "matches_link", counted)
+        found = data.query(selector)
+    assert [r.value for r in found] == [float(4 * tick + 1) for tick in range(last - 10, last)]
+    return counts["matches_link"]
+
+
+def scan_every_record(self: DataManager, selector: Selector, test_link: bool,
+                      after_id: int, limit: int | None) -> list:
+    """A mutant of ``DataManager._query_runs`` that answers a tick window by
+    a full scan of the history, then keeps the records inside the window."""
+    scanned = self.query(replace(selector, tick_from=None, tick_to=None), after_id=after_id)
+    return [r for r in scanned
+            if selector.tick_from <= r.prop(data_mod.PropertyType.LAST_UPDATE)
+            <= selector.tick_to][:limit]
+
+
+def test_a_tick_window_reads_the_same_records_over_1000_and_20000(monkeypatch):
+    # 10 ticks of 4 records each
+    assert links_tested(monkeypatch, 1000) == links_tested(monkeypatch, 20000) == 40
+
+
+def test_the_check_sees_a_tick_window_answered_by_a_full_scan(monkeypatch):
+    monkeypatch.setattr(DataManager, "_query_runs", scan_every_record)
+    assert links_tested(monkeypatch, 1000) != links_tested(monkeypatch, 20000)
