@@ -31,7 +31,6 @@ from .errors import (
     NoSuchElement,
     ProtocolError,
     ReadOnlyViolation,
-    SchemaViolation,
     TwinError,
     WrongKind,
 )
@@ -112,10 +111,7 @@ class AssetModel:
         raise NotImplementedError
 
     def invoke(self, name: str, args: list[Value]) -> Value:
-        d = self._decl(name, ElementKind.FUNCTION)
-        if len(args) != len(d.arg_types):
-            raise SchemaViolation(f"{name!r} takes {len(d.arg_types)} argument(s), got {len(args)}")
-        args = [fitted(arg, arg_type) for arg, arg_type in zip(args, d.arg_types)]
+        args = self._decl(name, ElementKind.FUNCTION).fitted_args(args)
         try:
             return self._invoke(name, args)
         except TwinError:

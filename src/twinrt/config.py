@@ -86,18 +86,6 @@ class ModelConfig:
 
 
 @dataclass(frozen=True, slots=True)
-class ServiceConfig:
-    service_id: str
-    builtin: str | None = None
-    params: dict = field(default_factory=dict)
-    grant: ServiceGrant | None = None
-
-    def descriptor(self) -> ServiceDescriptor:
-        """A built-in runs on every tick; any other service acts over ctl.call."""
-        return ServiceDescriptor(service_id=self.service_id, grant=self.grant)
-
-
-@dataclass(frozen=True, slots=True)
 class DataConfig:
     journal: str | None = None
     mandatory_metadata: bool = True
@@ -112,7 +100,7 @@ class TwinConfiguration:
     managers: tuple[ManagerConfig, ...] = ()
     models: tuple[ModelConfig, ...] = ()
     mappings: tuple[Mapping, ...] = ()
-    services: tuple[ServiceConfig, ...] = ()
+    services: tuple[ServiceDescriptor, ...] = ()
     data: DataConfig = DataConfig()
 
     def gateway(self, gateway_id: str) -> GatewayConfig | None:
@@ -385,7 +373,7 @@ def _parse_mapping(obj, path: str) -> Mapping:
         raise _fail(path, str(exc)) from exc
 
 
-def _parse_service(obj, path: str) -> ServiceConfig:
+def _parse_service(obj, path: str) -> ServiceDescriptor:
     obj = _as_dict(obj, path)
     grant = None
     if obj.get("grant") is not None:
@@ -405,8 +393,8 @@ def _parse_service(obj, path: str) -> ServiceConfig:
             build_builtin(builtin, params)
         except ValueError as exc:
             raise _fail(path, str(exc)) from exc
-    return ServiceConfig(service_id=_need(obj, "id", path), builtin=builtin, params=params,
-                         grant=grant)
+    return ServiceDescriptor(service_id=_need(obj, "id", path), grant=grant, builtin=builtin,
+                             params=params)
 
 
 # libyaml parses when PyYAML was built with it, and the pure-Python parser

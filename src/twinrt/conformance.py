@@ -8,7 +8,10 @@ flows outside the configuration have no representation and cannot count.
 
 The audit evaluates seven structural rules (C1..C7) and reports each as
 satisfied, violated, or not applicable, with findings naming the
-configuration items involved. Both operations are pure.
+configuration items involved. Both operations are pure. Each mapping and
+built-in service is judged by ``engine.wiring_findings``, as start-up
+judges it: sides that resolve, declared types that meet, a writable
+target (C5), last-update, trigger kinds, and a guard's function and args.
 """
 
 from __future__ import annotations
@@ -18,11 +21,17 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .config import TwinConfiguration
-from .engine import Direction, TriggerKind
-from .errors import TwinError, UnresolvedReference
-from .gateway import ElementKind, PropertyAccess
+from .engine import Direction, Mapping, wiring_findings
+from .errors import (
+    ReadOnlyTarget,
+    TwinError,
+    UnresolvedGatewaySide,
+    UnresolvedModelSide,
+    UnresolvedReference,
+)
+from .models import ModelRegistry
 from .runtime import build_registry
-from .services import BUILTIN_SERVICE_NAMES
+from .services import ServiceDescriptor
 
 
 class TwinCategory(str, Enum):
@@ -88,7 +97,7 @@ def classify(config: TwinConfiguration) -> Classification:
     Disabled mappings count as absent. Raises UnresolvedReference if the
     configuration is not referentially closed.
     """
-    dangling = _closure_findings(config)
+    dangling = _closure_findings(config, _wiring(config)[1])
     if dangling:
         raise UnresolvedReference("; ".join(dangling))
     enabled = [m for m in config.mappings if m.enabled]
@@ -106,14 +115,15 @@ def classify(config: TwinConfiguration) -> Classification:
 
 def audit(config: TwinConfiguration) -> ConformanceReport:
     """Evaluate the seven conformance rules against a configuration."""
+    refusals, faults = _wiring(config)
     return ConformanceReport(results=(
         _c1_asset_interfaces(config),
         _c2_abstraction_levels(config),
         _c3_managed_models(config),
         _c4_data_metadata(config),
-        _c5_gateway_capabilities(config),
+        _c5_gateway_capabilities(config, faults),
         _c6_gated_services(config),
-        _c7_closed_boundary(config),
+        _c7_closed_boundary(config, refusals, faults),
     ))
 
 
@@ -176,30 +186,19 @@ def _c4_data_metadata(config: TwinConfiguration) -> RuleResult:
                       ("records require origin and timeliness; model linkage enabled",))
 
 
-def _c5_gateway_capabilities(config: TwinConfiguration) -> RuleResult:
+def _c5_gateway_capabilities(config: TwinConfiguration, faults: list[TwinError]) -> RuleResult:
     title = "used gateways are read/observed; commanded gateways are writable"
     enabled = [m for m in config.mappings if m.enabled]
+    used = sorted({m.gateway_id for m in enabled} & {gw.descriptor.gateway_id for gw in config.gateways})
+    read = {m.gateway_id for m in enabled if m.direction is not Direction.DT_TO_AS}
+    findings = [f"gateway {gateway_id!r} is commanded but never read or observed"
+                for gateway_id in used if gateway_id not in read]
+    findings += [str(fault) for fault in faults if isinstance(fault, ReadOnlyTarget)]
+    if findings:
+        return RuleResult("C5", title, RuleStatus.VIOLATED, tuple(findings))
     if not enabled:
         return RuleResult("C5", title, RuleStatus.NOT_APPLICABLE,
                           ("no enabled mappings; no gateway is exercised",))
-    declared = {gw.descriptor.gateway_id: gw.descriptor for gw in config.gateways}
-    findings: list[str] = []
-    used = sorted({m.gateway_id for m in enabled if m.gateway_id in declared})
-    for gateway_id in used:
-        gw_mappings = [m for m in enabled if m.gateway_id == gateway_id]
-        reads = [m for m in gw_mappings
-                 if m.direction in (Direction.AS_TO_DT, Direction.BIDIRECTIONAL)]
-        writes = [m for m in gw_mappings
-                  if m.direction in (Direction.DT_TO_AS, Direction.BIDIRECTIONAL)]
-        if not reads:
-            findings.append(f"gateway {gateway_id!r} is commanded but never read or observed")
-        for mapping in writes:
-            decl = _declared(declared, gateway_id, mapping.gateway_property, ElementKind.PROPERTY)
-            if decl is not None and decl.access is not PropertyAccess.READ_WRITE:
-                findings.append(f"mapping {mapping.mapping_id!r} writes read-only "
-                                f"property {gateway_id}/{mapping.gateway_property}")
-    if findings:
-        return RuleResult("C5", title, RuleStatus.VIOLATED, tuple(findings))
     return RuleResult("C5", title, RuleStatus.SATISFIED,
                       (f"{len(used)} gateway(s) exercised with read/observe flows",))
 
@@ -217,9 +216,12 @@ def _c6_gated_services(config: TwinConfiguration) -> RuleResult:
                       (f"{len(config.services)} service(s), all explicitly gated",))
 
 
-def _c7_closed_boundary(config: TwinConfiguration) -> RuleResult:
+def _c7_closed_boundary(config: TwinConfiguration, refusals: list[str],
+                        faults: list[TwinError]) -> RuleResult:
     title = "configuration is referentially closed with gateway/service touchpoints only"
-    findings = _closure_findings(config) + _startup_findings(config)
+    findings = (_closure_findings(config, faults) + refusals
+                + [str(fault) for fault in faults
+                   if not isinstance(fault, (*_DANGLING, ReadOnlyTarget))])
     if findings:
         return RuleResult("C7", title, RuleStatus.VIOLATED, tuple(findings))
     return RuleResult("C7", title, RuleStatus.SATISFIED,
@@ -227,42 +229,44 @@ def _c7_closed_boundary(config: TwinConfiguration) -> RuleResult:
                        f"{len(config.services)} service(s)",))
 
 
-def _startup_findings(config: TwinConfiguration) -> list[str]:
-    """What start-up refuses that C3 and the closure leave unnamed: the model
-    registry, built without the models they report, and a bidirectional
-    mapping on a model that keeps no last-update property."""
+_DANGLING = (UnresolvedModelSide, UnresolvedGatewaySide, UnresolvedReference)  # refer to nothing
+
+
+def _wiring(config: TwinConfiguration) -> tuple[list[str], list[TwinError]]:
+    """From one registry build, without the models C3 and the closure report:
+    its refusal, and each wiring fault of the mappings and built-ins. An
+    item naming a model the registry lacks is not judged: C3, the closure or
+    the refusal names that model."""
     languages = {l.language_id for l in config.languages}
     claims = Counter(model_id for m in config.managers for model_id in m.models)
-    no_last_update = {m.model_id for m in config.models if not m.last_update}
-    findings = [f"mapping {m.mapping_id!r} is bidirectional but model {m.model_id!r} "
-                f"keeps no last_update" for m in config.mappings
-                if m.direction is Direction.BIDIRECTIONAL and m.model_id in no_last_update]
+    refusals = []
     try:
-        build_registry(replace(config, models=tuple(
+        registry = build_registry(replace(config, models=tuple(
             m for m in config.models if claims[m.model_id] == 1 and m.language_id in languages)))
     except (TwinError, ValueError) as exc:
-        findings.append(f"the model registry refuses the configuration: {exc}")
-    return findings
-
-
-def _closure_findings(config: TwinConfiguration) -> list[str]:
-    findings: list[str] = []
+        registry = ModelRegistry()
+        refusals.append(f"the model registry refuses the configuration: {exc}")
+    held = set(registry.models())
+    unheld = {model_id for model_id, count in Counter(m.model_id for m in config.models).items()
+              if count > 1 or model_id not in held}
     gateways = {gw.descriptor.gateway_id: gw.descriptor for gw in config.gateways}
-    models = {m.model_id: m for m in config.models}
+    return refusals, [fault for item in (*config.mappings, *config.services)
+                      if not (unheld and _names_unheld(item, unheld))
+                      for fault in wiring_findings(item, registry, gateways)]
+
+
+def _names_unheld(item: Mapping | ServiceDescriptor, unheld: set[str]) -> bool:
+    model_ids = ([item.params.get("model")] if isinstance(item, ServiceDescriptor)
+                 else [item.model_id, item.schedule.trigger and item.schedule.trigger.model_id])
+    return any(isinstance(model_id, str) and model_id in unheld for model_id in model_ids)
+
+
+def _closure_findings(config: TwinConfiguration, faults: list[TwinError]) -> list[str]:
+    """The references to nothing: the configuration's own, and the wiring's."""
+    models = {m.model_id for m in config.models}
+    gateways = {gw.descriptor.gateway_id for gw in config.gateways}
     languages = {l.language_id for l in config.languages}
-
-    # (model id, element id) -> element; the first element with an id wins
-    elements = {}
-    for model in models.values():
-        for element in model.elements:
-            elements.setdefault((model.model_id, element.element_id), element)
-
-    def model_ref_ok(model_id: str, element_id: str, property_name: str | None) -> bool:
-        element = elements.get((model_id, element_id))
-        if element is None:
-            return False
-        return property_name is None or property_name in element.properties
-
+    findings = [str(fault) for fault in faults if isinstance(fault, _DANGLING)]
     for model in config.models:
         if model.language_id not in languages:
             findings.append(f"model {model.model_id!r} uses unknown language "
@@ -272,71 +276,12 @@ def _closure_findings(config: TwinConfiguration) -> list[str]:
             if model_id not in models:
                 findings.append(f"manager {manager.manager_id!r} claims unknown model "
                                 f"{model_id!r}")
-    for mapping in config.mappings:
-        if not model_ref_ok(mapping.model_id, mapping.element_id, mapping.property_name):
-            findings.append(f"mapping {mapping.mapping_id!r} references unresolved model "
-                            f"property {mapping.model_id}/{mapping.element_id}."
-                            f"{mapping.property_name}")
-        if _declared(gateways, mapping.gateway_id, mapping.gateway_property,
-                     ElementKind.PROPERTY) is None:
-            findings.append(f"mapping {mapping.mapping_id!r} references unresolved gateway "
-                            f"property {mapping.gateway_id}/{mapping.gateway_property}")
-        trigger = mapping.schedule.trigger
-        if trigger is not None:
-            if trigger.kind is TriggerKind.MODEL_CHANGE:
-                if not model_ref_ok(trigger.model_id, trigger.element_id,
-                                    trigger.property_name):
-                    findings.append(f"mapping {mapping.mapping_id!r} trigger references "
-                                    f"unresolved model property")
-            else:
-                wanted = (ElementKind.PROPERTY if trigger.kind is TriggerKind.GATEWAY_CHANGE
-                          else ElementKind.EVENT)
-                if _declared(gateways, trigger.gateway_id, trigger.element, wanted) is None:
-                    findings.append(f"mapping {mapping.mapping_id!r} trigger references "
-                                    f"unresolved gateway element "
-                                    f"{trigger.gateway_id}/{trigger.element}")
     for service in config.services:
-        if service.grant is not None:
-            for kind, target in sorted(service.grant.entries):
-                if target == "*":
-                    continue
-                if kind in ("read-model", "write-model") and target not in models:
-                    findings.append(f"service {service.service_id!r} grant names unknown "
-                                    f"model {target!r}")
-                if kind in ("read-gateway", "command-gateway") and target not in gateways:
-                    findings.append(f"service {service.service_id!r} grant names unknown "
-                                    f"gateway {target!r}")
-        if service.builtin is not None:
-            if service.builtin not in BUILTIN_SERVICE_NAMES:
-                findings.append(f"service {service.service_id!r} names unknown builtin "
-                                f"{service.builtin!r}")
-            else:
-                findings.extend(_builtin_param_findings(service, elements, gateways))
+        for kind, target in sorted(service.grant.entries) if service.grant else ():
+            # read-data and ingest-data always target "*"
+            what, known = (("model", models) if kind in ("read-model", "write-model")
+                           else ("gateway", gateways))
+            if target != "*" and target not in known:
+                findings.append(f"service {service.service_id!r} grant names unknown "
+                                f"{what} {target!r}")
     return sorted(findings)
-
-
-def _builtin_param_findings(service, elements, gateways) -> list[str]:
-    findings = []
-    params = service.params
-    ref = (params.get("model"), params.get("element"), params.get("property"))
-    if all(isinstance(part, str) for part in ref):
-        element = elements.get((ref[0], ref[1]))
-        if element is None or ref[2] not in element.properties:
-            findings.append(f"service {service.service_id!r} watches unresolved model "
-                            f"property {ref[0]}/{ref[1]}.{ref[2]}")
-    else:
-        findings.append(f"service {service.service_id!r} params lack a model property ref")
-    if service.builtin == "threshold_guard":
-        gateway_id = params.get("gateway")
-        function = params.get("function")
-        if _declared(gateways, gateway_id, function, ElementKind.FUNCTION) is None:
-            findings.append(f"service {service.service_id!r} commands unresolved function "
-                            f"{gateway_id}/{function}")
-    return findings
-
-
-def _declared(gateways: dict, gateway_id, name, kind: ElementKind):
-    """The element ``name`` of ``kind`` that gateway ``gateway_id`` declares, or None."""
-    descriptor = gateways.get(gateway_id)
-    decl = descriptor.element(name) if descriptor and isinstance(name, str) else None
-    return decl if decl is not None and decl.kind is kind else None

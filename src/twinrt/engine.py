@@ -43,7 +43,7 @@ import heapq
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from . import data as data_mod
 from .data import DataManager, ModelElementRef
@@ -63,10 +63,12 @@ from .errors import (
     TwinError,
     UnresolvedGatewaySide,
     UnresolvedModelSide,
+    UnresolvedReference,
 )
-from .gateway import ERROR_CODES, ElementKind, GatewayHandle, PropertyAccess, Stream
+from .gateway import ERROR_CODES, ElementKind, GatewayDescriptor, GatewayHandle, PropertyAccess, Stream
 from .models import ModelMode, ModelRegistry
 from .services import (
+    BUILTIN_SERVICE_NAMES,
     ApplyOperator,
     IngestProcessed,
     InvokeFunction,
@@ -249,6 +251,90 @@ def _drain_order(stream: Stream) -> tuple[bool, str]:
     return stream.kind is not ElementKind.PROPERTY, stream.element
 
 
+def wiring_findings(item: Mapping | ServiceDescriptor, registry: ModelRegistry,
+                    gateways: dict[str, GatewayDescriptor]) -> Iterator[TwinError]:
+    """Each fault in how ``item``, a mapping or a built-in service, is wired to
+    the models of ``registry`` and the gateway descriptors ``gateways`` holds
+    by id, as the error that start-up raises first and the audit reports.
+    A mapping's two sides must resolve and their declared types meet: be
+    equal, or both numbers, as ``values.fit_value`` fits them; a transform
+    that is not the identity needs numbers on both sides.
+    """
+    if not isinstance(item, Mapping):
+        yield from _builtin_findings(item, registry, gateways)
+        return
+    name = f"mapping {item.mapping_id!r}"
+    prop = f"{item.model_id}/{item.element_id}.{item.property_name}"
+    model_type = registry.declared_type(item.model_ref())
+    if model_type is None:
+        yield UnresolvedModelSide(f"{name} references unresolved model property {prop}")
+    target = f"{item.gateway_id}/{item.gateway_property}"
+    decl = _declared(gateways, item.gateway_id, item.gateway_property, ElementKind.PROPERTY)
+    if decl is None:
+        yield UnresolvedGatewaySide(f"{name} references unresolved gateway property {target}")
+    elif (item.direction is not Direction.AS_TO_DT
+          and decl.access is not PropertyAccess.READ_WRITE):
+        yield ReadOnlyTarget(f"{name} writes read-only property {target}")
+    if model_type is not None:
+        if (item.direction is Direction.BIDIRECTIONAL
+                and not registry.model(item.model_id).supports_last_update):
+            yield MissingLastUpdateSupport(f"{name} is bidirectional but model "
+                                           f"{item.model_id!r} keeps no last_update")
+        if (decl is not None and (model_type != decl.value_type or not item.transform.is_identity)
+                and not {model_type, decl.value_type} <= {"integer", "real"}):
+            yield SchemaViolation(f"{name} joins {model_type} model property {prop} to "
+                                  f"{decl.value_type} gateway property {target}"
+                                  + (" through a transform" if model_type == decl.value_type
+                                     else ""))
+    trigger = item.schedule.trigger
+    if trigger is not None and trigger.kind is TriggerKind.MODEL_CHANGE:
+        if not registry.resolve(ModelElementRef(trigger.model_id, trigger.element_id,
+                                                trigger.property_name)):
+            yield UnresolvedModelSide(f"{name} trigger references unresolved model property")
+    elif trigger is not None and _declared(
+            gateways, trigger.gateway_id, trigger.element,
+            ElementKind.PROPERTY if trigger.kind is TriggerKind.GATEWAY_CHANGE
+            else ElementKind.EVENT) is None:
+        yield UnresolvedGatewaySide(f"{name} trigger references unresolved gateway element "
+                                    f"{trigger.gateway_id}/{trigger.element}")
+
+
+def _builtin_findings(service: ServiceDescriptor, registry: ModelRegistry,
+                      gateways: dict[str, GatewayDescriptor]) -> Iterator[TwinError]:
+    name = f"service {service.service_id!r}"
+    if service.builtin is None:
+        return  # it runs nothing inside the twin
+    if service.builtin not in BUILTIN_SERVICE_NAMES:
+        yield UnresolvedReference(f"{name} names unknown builtin {service.builtin!r}")
+        return
+    params = service.params
+    ref = (params.get("model"), params.get("element"), params.get("property"))
+    if not all(isinstance(part, str) for part in ref):
+        yield UnresolvedModelSide(f"{name} params lack a model property ref")
+    elif registry.declared_type(ModelElementRef(*ref)) is None:
+        yield UnresolvedModelSide(f"{name} watches unresolved model property "
+                                  f"{ref[0]}/{ref[1]}.{ref[2]}")
+    if service.builtin != "threshold_guard":
+        return
+    function = f"{params.get('gateway')}/{params.get('function')}"
+    decl = _declared(gateways, params.get("gateway"), params.get("function"),
+                     ElementKind.FUNCTION)
+    if decl is None:
+        yield UnresolvedGatewaySide(f"{name} commands unresolved function {function}")
+    elif isinstance(params.get("args", []), list):  # build_builtin refuses other args
+        try:
+            decl.fitted_args(params.get("args", []))
+        except SchemaViolation as exc:
+            yield SchemaViolation(f"{name} calls {function}: {exc}")
+
+
+def _declared(gateways: dict[str, GatewayDescriptor], gateway_id, element, kind: ElementKind):
+    """The element of ``kind`` that gateway ``gateway_id`` declares as ``element``, or None."""
+    descriptor = gateways.get(gateway_id)
+    decl = descriptor.element(element) if descriptor is not None else None
+    return decl if decl is not None and decl.kind is kind else None
+
+
 class Engine:
     """Owns mappings and runs the synchronizer over a deterministic tick loop.
 
@@ -265,6 +351,7 @@ class Engine:
         self._tick = 0
         self._in_tick = False
         self._gateways: dict[str, GatewayHandle] = {}
+        self._descriptors: dict[str, GatewayDescriptor] = {}  # what each gateway declares
         self._mappings: dict[str, Mapping] = {}
         self._by_trigger: dict[tuple, list[str]] = {}  # trigger key -> sorted mapping ids
         # period -> sorted ids of the mappings scheduled every that many ticks
@@ -307,6 +394,7 @@ class Engine:
         if handle.gateway_id in self._gateways:
             raise ValueError(f"gateway {handle.gateway_id!r} already attached")
         self._gateways[handle.gateway_id] = handle
+        self._descriptors[handle.gateway_id] = handle.descriptor
 
     def gateway(self, gateway_id: str) -> GatewayHandle:
         handle = self._gateways.get(gateway_id)
@@ -323,57 +411,16 @@ class Engine:
     def add_mapping(self, mapping: Mapping) -> None:
         if mapping.mapping_id in self._mappings:
             raise DuplicateMapping(f"mapping {mapping.mapping_id!r} already exists")
-        if not self.registry.resolve(mapping.model_ref()):
-            raise UnresolvedModelSide(
-                f"{mapping.mapping_id}: {mapping.model_id}/{mapping.element_id}."
-                f"{mapping.property_name} does not resolve")
-        handle = self._gateways.get(mapping.gateway_id)
-        if handle is None:
-            raise UnresolvedGatewaySide(
-                f"{mapping.mapping_id}: gateway {mapping.gateway_id!r} is not attached")
-        decl = handle.descriptor.element(mapping.gateway_property)
-        if decl is None or decl.kind is not ElementKind.PROPERTY:
-            raise UnresolvedGatewaySide(
-                f"{mapping.mapping_id}: {mapping.gateway_id} has no property "
-                f"{mapping.gateway_property!r}")
-        if mapping.direction in (Direction.DT_TO_AS, Direction.BIDIRECTIONAL):
-            if decl.access is not PropertyAccess.READ_WRITE:
-                raise ReadOnlyTarget(
-                    f"{mapping.mapping_id}: {mapping.gateway_property!r} is read-only")
-        if mapping.direction is Direction.BIDIRECTIONAL:
-            if not self.registry.model(mapping.model_id).supports_last_update:
-                raise MissingLastUpdateSupport(
-                    f"{mapping.mapping_id}: model {mapping.model_id!r} does not "
-                    f"maintain a last-update property")
-        trigger = mapping.schedule.trigger
-        if trigger is not None:
-            self._check_trigger(mapping.mapping_id, trigger)
+        for fault in wiring_findings(mapping, self.registry, self._descriptors):
+            raise fault
         self._mappings[mapping.mapping_id] = mapping
+        trigger = mapping.schedule.trigger
         if trigger is None:
             bisect.insort(self._scheduled.setdefault(mapping.schedule.every, []),
                           mapping.mapping_id)
         else:
             bisect.insort(self._by_trigger.setdefault(trigger.key(), []), mapping.mapping_id)
         self._subscribe_mapping(mapping)
-
-    def _check_trigger(self, mapping_id: str, trigger: Trigger) -> None:
-        if trigger.kind is TriggerKind.MODEL_CHANGE:
-            ref = ModelElementRef(trigger.model_id, trigger.element_id, trigger.property_name)
-            if not self.registry.resolve(ref):
-                raise UnresolvedModelSide(f"{mapping_id}: trigger {ref} does not resolve")
-            return
-        handle = self._gateways.get(trigger.gateway_id)
-        decl = handle.descriptor.element(trigger.element) if handle else None
-        if decl is None:
-            raise UnresolvedGatewaySide(
-                f"{mapping_id}: trigger element {trigger.gateway_id}/{trigger.element} "
-                f"does not resolve")
-        wanted = (ElementKind.PROPERTY if trigger.kind is TriggerKind.GATEWAY_CHANGE
-                  else ElementKind.EVENT)
-        if decl.kind is not wanted:
-            raise UnresolvedGatewaySide(
-                f"{mapping_id}: trigger element {trigger.element!r} is a "
-                f"{decl.kind.value}, expected {wanted.value}")
 
     def set_mapping_enabled(self, mapping_id: str, enabled: bool) -> None:
         mapping = self._mappings.get(mapping_id)
@@ -425,7 +472,7 @@ class Engine:
 
     def register_service(self, descriptor: ServiceDescriptor, impl: Any = None) -> None:
         """Register a service; ``impl``'s ``on_tick``, if it has one, is bound
-        once, to run after every tick's syncs."""
+        once, to run after every tick's syncs. A built-in must be wired right."""
         if descriptor.service_id in self._services:
             raise DuplicateService(f"service {descriptor.service_id!r} already registered")
         for kind, target in descriptor.effective_grant.entries:
@@ -437,6 +484,8 @@ class Engine:
             elif kind in ("read-gateway", "command-gateway"):
                 if target not in self._gateways:
                     raise DanglingGrantTarget(f"grant names unknown gateway {target!r}")
+        for fault in wiring_findings(descriptor, self.registry, self._descriptors):
+            raise fault
         svc = self._services[descriptor.service_id] = _ServiceState(
             descriptor=descriptor, client=ServiceClient(self, descriptor.service_id))
         on_tick = getattr(impl, "on_tick", None)

@@ -73,6 +73,12 @@ class GatewayElementDecl:
                 or (self.arg_types is None) == (self.kind is ElementKind.FUNCTION)):
             raise ValueError(f"element {self.name!r}: schema fields do not match kind {self.kind.value}")
 
+    def fitted_args(self, args: list[Value]) -> list[Value]:
+        """A function's ``args``, each fitted to its type: SchemaViolation unless they fit."""
+        if len(args) != len(self.arg_types):
+            raise SchemaViolation(f"{self.name!r} takes {len(self.arg_types)} argument(s), got {len(args)}")
+        return [fitted(arg, arg_type) for arg, arg_type in zip(args, self.arg_types)]
+
     def to_wire(self) -> dict[str, Any]:
         if self.kind is ElementKind.PROPERTY:
             schema: dict[str, Any] = {"type": self.value_type}
@@ -364,9 +370,7 @@ class GatewayHandle:
 
     def invoke_function(self, name: str, args: list[Value]) -> Value:
         decl = self._decl(name, ElementKind.FUNCTION)
-        if len(args) != len(decl.arg_types):
-            raise SchemaViolation(f"{name!r} takes {len(decl.arg_types)} argument(s), got {len(args)}")
-        args = [fitted(arg, arg_type) for arg, arg_type in zip(args, decl.arg_types)]
+        args = decl.fitted_args(args)
         reply = self._expect(self._request({"op": "invoke", "element": name, "args": args}), "result")
         return fitted(reply.get("value"), decl.value_type)
 

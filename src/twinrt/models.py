@@ -427,11 +427,17 @@ class ModelRegistry:
                     raise IllFormedLanguage(
                         f"language {language.language_id!r}: property {kind}.{name} "
                         f"has unknown type {vtype!r}")
-        for rule in language.rules:
-            if isinstance(rule, PropertyRule) and rule.kind not in language.element_kinds:
+        for rule in (r for r in language.rules if isinstance(r, PropertyRule)):
+            if rule.kind not in language.element_kinds:
                 raise IllFormedLanguage(
                     f"language {language.language_id!r}: rule {rule.rule_id!r} "
                     f"references undeclared kind {rule.kind!r}")
+            # a rule that reads an undeclared property would pass every element
+            for name in (rule.property_name, rule.other_property):
+                if name is not None and name not in language.schema_for(rule.kind):
+                    raise IllFormedLanguage(
+                        f"language {language.language_id!r}: rule {rule.rule_id!r} "
+                        f"reads undeclared property {rule.kind}.{name}")
         self._languages[language.language_id] = language
 
     def language(self, language_id: str) -> ModelingLanguage:
@@ -515,12 +521,18 @@ class ModelRegistry:
     def resolve(self, ref: ModelElementRef) -> bool:
         """Resolver hook for the data manager's model links."""
         model = self._models.get(ref.model_id)
-        if model is None:
-            return False
-        element = model.elements.get(ref.element_id)
-        if element is None:
-            return False
-        return ref.property_name is None or ref.property_name in element.properties
+        element = model.elements.get(ref.element_id) if model is not None else None
+        return element is not None and (ref.property_name is None
+                                        or ref.property_name in element.properties)
+
+    def declared_type(self, ref: ModelElementRef) -> str | None:
+        """The type the language declares for the property ``ref`` names, or
+        None if ``ref`` names no property of a model element."""
+        model = self._models.get(ref.model_id)
+        element = model.elements.get(ref.element_id) if model is not None else None
+        if element is None or ref.property_name not in element.properties:
+            return None
+        return self._languages[model.language_id].schema_for(element.kind)[ref.property_name]
 
     def property_value(self, model_id: str, element_id: str, name: str) -> Value:
         model = self.model(model_id)

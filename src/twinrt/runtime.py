@@ -115,7 +115,7 @@ class TwinRuntime:
             for service in config.services:
                 impl = (build_builtin(service.builtin, service.params)
                         if service.builtin is not None else None)
-                self.engine.register_service(service.descriptor(), impl)
+                self.engine.register_service(service, impl)
         except Exception:
             self.close()
             raise

@@ -59,8 +59,12 @@ class ServiceGrant:
 
 @dataclass(frozen=True, slots=True)
 class ServiceDescriptor:
+    """A built-in (named by ``builtin``) runs on every tick; any other service acts over ctl.call."""
+
     service_id: str
     grant: ServiceGrant | None = None  # None = not explicitly gated (audit flags it)
+    builtin: str | None = None
+    params: dict = field(default_factory=dict)
 
     @property
     def effective_grant(self) -> ServiceGrant:

@@ -104,10 +104,12 @@ def coerce_real(value: Value) -> float:
     return float(value)
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+
+
 def canonical_json(obj: Any) -> str:
     """Deterministic single-line JSON: sorted keys, no spaces, no NaN."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False, allow_nan=False)
+    return _CANONICAL.encode(obj)
 
 
 def _refuse_constant(name: str) -> float:

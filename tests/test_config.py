@@ -44,7 +44,8 @@ class TestParseDemo:
         assert kpi.builtin == "kpi_monitor"
         assert kpi.grant.allows("read-model", "tank")
         # the descriptor declares no hooks; the built-in brings its on_tick
-        assert kpi.descriptor() == ServiceDescriptor("kpi", kpi.grant)
+        assert kpi == ServiceDescriptor("kpi", kpi.grant, "kpi_monitor", {
+            "window": 4, "model": "tank", "element": "main", "property": "level"})
         assert isinstance(build_builtin(kpi.builtin, kpi.params), KpiMonitor)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,10 +26,14 @@ from yaml.composer import ComposerError
 from yaml.constructor import ConstructorError
 
 import reference_config
+import twinrt.conformance as conformance
 import twinrt.config as config_mod
 import twinrt.scenario as scenario_mod
-from twinrt.conformance import _closure_findings
-from twinrt.errors import ConfigParseError
+from twinrt.asset import AssetModel, AssetServer
+from twinrt.conformance import audit
+from twinrt.errors import ConfigParseError, TwinError
+from twinrt.gateway import ElementKind
+from twinrt.runtime import TwinRuntime, build_registry
 from twinrt.values import MAX_DEPTH
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -507,37 +512,50 @@ def test_load_keeps_no_node_tree():
 # --- config-shaped documents ---------------------------------------------------
 
 
+# the value types the generated languages and catalogs declare, and each one's zero
+ZEROS = {"boolean": False, "integer": 0, "real": 0.0, "text": ""}
+
+
 def config_docs(name, loadable=True):
     """Documents shaped like a configuration, with ids and names drawn from ``name``.
 
     Every document parses; ids may repeat within a section, and references
-    may point at anything. Unless ``loadable``, a built-in service's
-    parameters are any subset of the ones it reads, as a configuration built
-    in code may hold, which ``loads`` refuses.
+    may point at anything. A model property is ``x``, ``y`` or a name, so
+    references into models resolve, and the types that languages and
+    catalogs declare vary. Transform offsets are integral, so that a
+    transform of a pulled zero can land on an integer property. Unless
+    ``loadable``, a built-in service's parameters are any subset of the
+    ones it reads, as a configuration built in code may hold, which
+    ``loads`` refuses.
     """
     number = st.one_of(st.integers(-5, 5),
                        st.floats(allow_nan=False, allow_infinity=False, width=32))
+    value_type = st.sampled_from(sorted(ZEROS))
+    value = st.one_of(number, st.booleans(), name)
+    prop = st.one_of(st.sampled_from(["x", "y"]), name)
     decl = st.one_of(
         st.fixed_dictionaries({"name": name, "kind": st.just("property"),
-                               "type": st.sampled_from(["real", "integer"]),
+                               "type": value_type,
                                "access": st.sampled_from(["ro", "rw"])}),
         st.fixed_dictionaries({"name": name, "kind": st.just("event"),
-                               "payload": st.just("real")}),
+                               "payload": value_type}),
         st.fixed_dictionaries({"name": name, "kind": st.just("function"),
-                               "args": st.builds(list), "result": st.just("boolean")}))
+                               "args": st.lists(value_type, max_size=2),
+                               "result": st.just("boolean")}))
     gateway = st.fixed_dictionaries({
         "id": name, "endpoint": st.just("tcp://127.0.0.1:0"),
         "elements": st.lists(decl, max_size=3, unique_by=lambda d: d["name"])})
     language = st.fixed_dictionaries({
-        "id": name, "kinds": st.builds(lambda: {"N": {"x": "real", "y": "integer"}})})
+        "id": name, "kinds": st.fixed_dictionaries(
+            {"N": st.fixed_dictionaries({"x": value_type, "y": value_type})})})
     manager = st.fixed_dictionaries({"id": name, "models": st.lists(name, max_size=2)})
     element = st.fixed_dictionaries({
         "id": name, "kind": st.just("N"),
-        "properties": st.dictionaries(name, number, max_size=2)})
+        "properties": st.dictionaries(prop, value, max_size=2)})
     model = st.fixed_dictionaries({
         "id": name, "language": name, "last_update": st.booleans(),
         "elements": st.lists(element, max_size=4)})
-    model_ref = st.fixed_dictionaries({"model": name, "element": name, "property": name})
+    model_ref = st.fixed_dictionaries({"model": name, "element": name, "property": prop})
     trigger = st.one_of(
         model_ref,
         st.fixed_dictionaries({"gateway": name, "property": name}),
@@ -549,7 +567,7 @@ def config_docs(name, loadable=True):
          "schedule": st.one_of(st.fixed_dictionaries({"every": st.integers(1, 3)}),
                                st.fixed_dictionaries({"trigger": trigger}))},
         optional={"transform": st.fixed_dictionaries(
-            {"scale": st.sampled_from([2, 0.5, -1.25]), "offset": number}),
+            {"scale": st.sampled_from([2, 0.5, -1.25]), "offset": st.integers(-5, 5)}),
             "enabled": st.booleans()})
     capability = st.one_of(
         st.sampled_from(["read-data", "ingest-data"]),
@@ -557,7 +575,8 @@ def config_docs(name, loadable=True):
                   st.sampled_from(["read-model", "write-model", "read-gateway",
                                    "command-gateway"]),
                   st.one_of(st.just("*"), name)))
-    watched = {"model": name, "element": name, "property": name}
+    watched = {"model": name, "element": name, "property": prop}
+    args = st.lists(value, max_size=2)
     if loadable:
         # a built-in's parameters are checked as the configuration loads, so
         # the two built-ins get whole parameter sets; an unknown one gets any
@@ -569,14 +588,14 @@ def config_docs(name, loadable=True):
             st.fixed_dictionaries({"builtin": st.just("threshold_guard"),
                                    "params": st.fixed_dictionaries(
                                        {**watched, "bound": number, "gateway": name,
-                                        "function": name})}),
+                                        "function": name}, optional={"args": args})}),
             st.fixed_dictionaries({"builtin": st.just("nope")}, optional={
                 "params": st.fixed_dictionaries({}, optional={**watched, "gateway": name})}))
     else:
         builtin = st.fixed_dictionaries({}, optional={
             "builtin": st.sampled_from(["kpi_monitor", "threshold_guard", "nope"]),
             "params": st.fixed_dictionaries(
-                {}, optional={**watched, "gateway": name, "function": name})})
+                {}, optional={**watched, "gateway": name, "function": name, "args": args})})
     service = st.builds(
         lambda base, extra: {**base, **extra},
         st.fixed_dictionaries({"id": name},
@@ -655,8 +674,163 @@ def test_duplicate_id_check_matches_reference(doc):
         assert result == ("error", expected)
 
 
+def judged(config: config_mod.TwinConfiguration) -> config_mod.TwinConfiguration:
+    """``config`` with only the mappings and built-ins the audit judges the
+    wiring of: those that name no model the registry leaves out. The
+    registry holds the models claimed once and of a declared language, if
+    it builds them all; it leaves out a model declared twice."""
+    declared = Counter(m.model_id for m in config.models)
+    claims = Counter(model_id for m in config.managers for model_id in m.models)
+    languages = {lang.language_id for lang in config.languages}
+    try:
+        held = set(build_registry(replace(config, models=tuple(
+            m for m in config.models
+            if claims[m.model_id] == 1 and m.language_id in languages))).models())
+    except (TwinError, ValueError):
+        held = set()
+    left_out = {model_id for model_id, count in declared.items()
+                if count > 1 or model_id not in held}
+
+    def named(model_id) -> bool:
+        return isinstance(model_id, str) and model_id in left_out
+
+    return replace(
+        config,
+        mappings=tuple(m for m in config.mappings if not named(m.model_id) and not (
+            m.schedule.trigger is not None and named(m.schedule.trigger.model_id))),
+        services=tuple(replace(s, builtin=None) if named(s.params.get("model")) else s
+                       for s in config.services))
+
+
 @settings(max_examples=300, deadline=None)
 @given(doc=config_docs(POOL_NAMES, loadable=False))
 def test_closure_findings_match_reference(doc):
     config = config_from_doc(doc)
-    assert _closure_findings(config) == reference_config.closure_findings(config)
+    closure = conformance._closure_findings(config, conformance._wiring(config)[1])
+    assert closure == reference_config.closure_findings(judged(config))
+
+
+class Served(AssetModel):
+    """An asset that serves a catalog given to a subclass: each property holds
+    its type's zero until it is written, and each function returns its
+    result type's zero."""
+
+    def __init__(self):
+        super().__init__()
+        self._values = {d.name: ZEROS[d.value_type] for d in self.catalog
+                        if d.kind is ElementKind.PROPERTY}
+
+    def state(self) -> dict:
+        return dict(self._values)
+
+    def _set(self, name: str, value) -> None:
+        self._values[name] = value
+
+    def _invoke(self, name: str, args: list):
+        return ZEROS[self._decls[name].value_type]
+
+
+def unique_ids(doc: dict) -> dict:
+    """``doc`` with only the first item of each id in each section."""
+    out = dict(doc)
+    for key in ("gateways", "languages", "managers", "models", "mappings", "services"):
+        first: dict = {}
+        for item in doc[key]:
+            first.setdefault(item["id"], item)
+        out[key] = list(first.values())
+    return out
+
+
+@st.composite
+def wired_docs(draw):
+    """Configurations whose every reference resolves, but whose wiring may
+    still be wrong: the declared types, access, last-update, directions,
+    transforms, trigger kinds and a guard's function and ``args`` vary."""
+    value_type = st.sampled_from(sorted(ZEROS))
+    schema = {"x": draw(value_type), "y": draw(value_type)}
+    # a gateway property's type is often one of the model's
+    elements = [{"name": name, "kind": "property",
+                 "type": draw(st.one_of(st.sampled_from(sorted(set(schema.values()))),
+                                        value_type)),
+                 "access": draw(st.sampled_from(["ro", "rw", "rw"]))} for name in ("p", "q")]
+    arg_types = draw(st.lists(value_type, max_size=2))
+    elements += [{"name": "e", "kind": "event", "payload": draw(value_type)},
+                 {"name": "f", "kind": "function", "args": arg_types,
+                  "result": draw(value_type)}]
+    model_ref = st.fixed_dictionaries({"model": st.just("m"), "element": st.just("n"),
+                                       "property": st.sampled_from(["x", "y"])})
+    trigger = st.one_of(model_ref,
+                        st.fixed_dictionaries({"gateway": st.just("g"),
+                                               "property": st.sampled_from(["p", "q", "e"])}),
+                        st.fixed_dictionaries({"gateway": st.just("g"),
+                                               "event": st.sampled_from(["e", "f"])}))
+    mappings = draw(st.lists(st.fixed_dictionaries(
+        {"model": model_ref,
+         "gateway": st.fixed_dictionaries({"gateway": st.just("g"),
+                                           "property": st.sampled_from(["p", "q"])}),
+         "direction": st.sampled_from(["as-to-dt", "dt-to-as", "bidirectional"]),
+         "schedule": st.one_of(st.fixed_dictionaries({"every": st.integers(1, 3)}),
+                               st.fixed_dictionaries({"trigger": trigger}))},
+        optional={"transform": st.fixed_dictionaries(
+            {"scale": st.sampled_from([2, 0.5]), "offset": st.integers(-5, 5)}),
+            "enabled": st.booleans()}), min_size=1, max_size=3))
+    watched = {"model": "m", "element": "n", "property": draw(st.sampled_from(["x", "y"]))}
+    services = draw(st.lists(st.one_of(
+        st.builds(lambda: {"builtin": "kpi_monitor", "params": {**watched, "window": 2}}),
+        st.fixed_dictionaries({"builtin": st.just("threshold_guard"), "params": st.builds(
+            lambda function, args: {**watched, "bound": 0.5, "gateway": "g",
+                                    "function": function, "args": list(args)},
+            st.sampled_from(["f", "p"]),
+            st.one_of(st.just([ZEROS[t] for t in arg_types]),
+                      st.lists(st.sampled_from(list(ZEROS.values())), max_size=2)))})),
+        max_size=2))
+    return {
+        "twin": "t",
+        "gateways": [{"id": "g", "endpoint": "tcp://127.0.0.1:0", "elements": elements}],
+        "languages": [{"id": "l", "kinds": {"N": schema}}],
+        "managers": [{"id": "mm", "models": ["m"]}],
+        "models": [{"id": "m", "language": "l",
+                    "last_update": draw(st.sampled_from([True, True, False])),
+                    "elements": [{"id": "n", "kind": "N", "properties": {
+                        name: ZEROS[vtype] for name, vtype in schema.items()}}]}],
+        "mappings": [{"id": f"m{i}", **m} for i, m in enumerate(mappings)],
+        "services": [{"id": f"s{i}", **svc,
+                      "grant": ["read-model:m", "ingest-data", "command-gateway:g"]}
+                     for i, svc in enumerate(services)],
+        "data": {"journal": None, "mandatory_metadata": True, "model_linkage": True},
+    }
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=st.one_of(config_docs(POOL_NAMES), wired_docs()))
+def test_a_configuration_the_audit_passes_starts_and_keeps_its_mappings(doc):
+    """If C3, C5 and C7 are clean, the twin starts against assets serving
+    its declared catalogs, and its first 3 ticks disable no mapping. So if
+    start-up refuses, the audit violates one of the three."""
+    config = config_mod.loads(yaml.safe_dump(unique_ids(doc)))
+    clean = not {"C3", "C5", "C7"} & set(audit(config).violated)
+    servers = []
+    try:
+        gateways = []
+        for gw in config.gateways:
+            servers.append(AssetServer(type("Asset", (Served,), {
+                "catalog": gw.descriptor.elements})()))
+            gateways.append(replace(gw, descriptor=replace(
+                gw.descriptor, endpoint=servers[-1].endpoint)))
+        try:
+            runtime = TwinRuntime(replace(config, gateways=tuple(gateways)))
+        except (TwinError, ValueError) as exc:
+            assert not clean, f"the audit passes what start-up refuses: {exc!r}"
+            return
+        try:
+            enabled = [m.mapping_id for m in runtime.engine.mappings() if m.enabled]
+            for _ in range(3):
+                runtime.tick()
+            kept = [m.mapping_id for m in runtime.engine.mappings() if m.enabled]
+        finally:
+            runtime.close()
+        if clean:
+            assert kept == enabled, [d.to_dict() for d in runtime.engine.decisions]
+    finally:
+        for server in servers:
+            server.close()

@@ -15,13 +15,15 @@ from twinrt.conformance import (
     audit,
     classify,
 )
-from twinrt.config import TwinConfiguration, loads
+from twinrt.cli import main as cli_main
+from twinrt.config import TwinConfiguration, load, loads
 from twinrt.engine import Direction, Mapping, Schedule
 from twinrt.errors import (
     IntegrityViolation,
     MissingLastUpdateSupport,
     NotResponsible,
     ReadOnlyTarget,
+    TwinError,
     UnknownOperator,
     UnresolvedReference,
 )
@@ -108,6 +110,33 @@ REFUSED_EDITS = [
                  IntegrityViolation, id="level-over-capacity"),
     pytest.param(lambda doc: _tank(doc)["properties"].update(colour="red"),
                  IntegrityViolation, id="undeclared-property"),
+]
+
+
+def _text_level(doc: dict) -> None:
+    doc["languages"][0]["kinds"]["Tank"]["level"] = "text"
+    doc["languages"][0]["rules"] = []
+    _tank(doc)["properties"]["level"] = "x"
+    doc["services"] = []
+
+
+def _guard_args(doc: dict) -> None:
+    doc["services"][1]["params"].update(args=[1, 2], bound=0.01)
+
+
+def _misspelt_rule(doc: dict) -> None:
+    doc["languages"][0]["rules"][0]["other"] = "capacty"
+
+
+# edits of the demo configuration that load and run at the parent, and the
+# finding the audit reports and start-up raises for each
+MISWIRED_EDITS = [
+    pytest.param(_text_level, "mapping 'm-level' joins text model property tank/main.level "
+                 "to real gateway property tank01/level", id="text-level"),
+    pytest.param(_guard_args, "service 'guard' calls tank01/flush: 'flush' takes 0 "
+                 "argument(s), got 2", id="guard-args"),
+    pytest.param(_misspelt_rule, "rule 'level-within-capacity' reads undeclared property "
+                 "Tank.capacty", id="misspelt-rule"),
 ]
 
 
@@ -207,6 +236,18 @@ class TestAudit:
         assert report.violated == ["C7"]
         with pytest.raises(refusal):
             TwinRuntime(config)
+
+    @pytest.mark.parametrize("edit, finding", MISWIRED_EDITS)
+    def test_audit_and_start_up_refuse_a_miswired_demo(self, edit, finding, tmp_path, capsys):
+        doc = yaml.safe_load(DEMO_CONFIG.read_text())
+        edit(doc)
+        path = tmp_path / "miswired.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert cli_main(["audit", "--config", str(path)]) == 3
+        assert finding in capsys.readouterr().out
+        with pytest.raises(TwinError) as refused:
+            TwinRuntime(load(path))
+        assert finding in str(refused.value)
 
     def test_a_mapping_that_writes_a_read_only_property_violates_c5(self):
         doc = yaml.safe_load(DEMO_CONFIG.read_text())

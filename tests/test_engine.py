@@ -31,6 +31,7 @@ from twinrt.errors import (
     DuplicateMapping,
     MissingLastUpdateSupport,
     ReadOnlyTarget,
+    SchemaViolation,
     TickSequenceError,
     TransformFailure,
     UnresolvedGatewaySide,
@@ -390,7 +391,7 @@ class TestSyncAsToDt:
         finally:
             rig.close()
 
-    def test_transform_failure_is_suspended_not_fatal(self):
+    def test_a_transform_of_text_is_refused_when_the_mapping_is_added(self):
         from twinrt.asset import AssetServer, EchoModel
         from helpers import echo_descriptor
         from twinrt.models import (ModelElement, ModelingLanguage, ModelProperty,
@@ -411,12 +412,10 @@ class TestSyncAsToDt:
         try:
             mapping = Mapping("m-text", "pads", "p", "text", "echo01", "pad",
                               Direction.AS_TO_DT, Schedule(every=1),
-                              Transform(scale=2.0))  # scaling text fails
-            engine.add_mapping(mapping)
-            decisions = engine.tick(1)
-            assert decisions[0].reason is SyncReason.SUSPENDED
-            assert "transform" in decisions[0].detail
-            assert data.count() == 0
+                              Transform(scale=2.0))  # scaling text cannot work
+            with pytest.raises(SchemaViolation, match="'m-text' joins text .* through a transform"):
+                engine.add_mapping(mapping)
+            assert engine.mappings() == []
         finally:
             engine.close()
             server.close()

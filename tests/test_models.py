@@ -77,6 +77,19 @@ class TestLanguages:
         with pytest.raises(IllFormedLanguage):
             registry.register_language(lang)
 
+    @pytest.mark.parametrize("rule, name", [
+        pytest.param(PropertyRule("r", "Tank", "levl", "le", bound=1), "levl", id="property"),
+        pytest.param(PropertyRule("r", "Tank", "level", "le", other_property="capacty"),
+                     "capacty", id="other"),
+    ])
+    def test_rule_reading_an_undeclared_property(self, rule, name):
+        # it would pass every element, so it could never fire
+        lang = ModelingLanguage("bad", frozenset({"Tank"}),
+                                {"Tank": {"level": "real", "capacity": "real"}}, rules=(rule,))
+        with pytest.raises(IllFormedLanguage,
+                           match=f"rule 'r' reads undeclared property Tank.{name}"):
+            ModelRegistry().register_language(lang)
+
     def test_rule_requires_exactly_one_comparand(self):
         with pytest.raises(IllFormedLanguage):
             PropertyRule("r", "Tank", "level", "le")
