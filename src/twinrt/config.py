@@ -84,6 +84,10 @@ class ModelConfig:
     last_update: bool = False
     elements: tuple[ModelElement, ...] = ()
 
+    @property
+    def supports_last_update(self) -> bool:  # as the registry's Model answers it
+        return self.last_update
+
 
 @dataclass(frozen=True, slots=True)
 class DataConfig:

@@ -9,9 +9,12 @@ flows outside the configuration have no representation and cannot count.
 The audit evaluates seven structural rules (C1..C7) and reports each as
 satisfied, violated, or not applicable, with findings naming the
 configuration items involved. Both operations are pure. Each mapping and
-built-in service is judged by ``engine.wiring_findings``, as start-up
-judges it: sides that resolve, declared types that meet, a writable
-target (C5), last-update, trigger kinds, and a guard's function and args.
+service is judged by ``engine.wiring_findings``, as start-up judges it:
+sides that resolve, declared types that meet, transforms that write no
+fraction to an integer, a writable target (C5), last-update, trigger
+kinds, grant targets, and a guard's function and args. The audit judges
+them against the models as configured, so it names these faults even
+where the model registry refuses the configuration.
 """
 
 from __future__ import annotations
@@ -20,18 +23,18 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .config import TwinConfiguration
-from .engine import Direction, Mapping, wiring_findings
+from .config import ModelConfig, TwinConfiguration
+from .data import ModelElementRef
+from .engine import Direction, wiring_findings
 from .errors import (
+    DanglingGrantTarget,
     ReadOnlyTarget,
     TwinError,
     UnresolvedGatewaySide,
     UnresolvedModelSide,
     UnresolvedReference,
 )
-from .models import ModelRegistry
 from .runtime import build_registry
-from .services import ServiceDescriptor
 
 
 class TwinCategory(str, Enum):
@@ -97,7 +100,7 @@ def classify(config: TwinConfiguration) -> Classification:
     Disabled mappings count as absent. Raises UnresolvedReference if the
     configuration is not referentially closed.
     """
-    dangling = _closure_findings(config, _wiring(config)[1])
+    dangling = _closure_findings(config, _faults(config))
     if dangling:
         raise UnresolvedReference("; ".join(dangling))
     enabled = [m for m in config.mappings if m.enabled]
@@ -115,7 +118,7 @@ def classify(config: TwinConfiguration) -> Classification:
 
 def audit(config: TwinConfiguration) -> ConformanceReport:
     """Evaluate the seven conformance rules against a configuration."""
-    refusals, faults = _wiring(config)
+    faults = _faults(config)
     return ConformanceReport(results=(
         _c1_asset_interfaces(config),
         _c2_abstraction_levels(config),
@@ -123,7 +126,7 @@ def audit(config: TwinConfiguration) -> ConformanceReport:
         _c4_data_metadata(config),
         _c5_gateway_capabilities(config, faults),
         _c6_gated_services(config),
-        _c7_closed_boundary(config, refusals, faults),
+        _c7_closed_boundary(config, faults),
     ))
 
 
@@ -216,10 +219,9 @@ def _c6_gated_services(config: TwinConfiguration) -> RuleResult:
                       (f"{len(config.services)} service(s), all explicitly gated",))
 
 
-def _c7_closed_boundary(config: TwinConfiguration, refusals: list[str],
-                        faults: list[TwinError]) -> RuleResult:
+def _c7_closed_boundary(config: TwinConfiguration, faults: list[TwinError]) -> RuleResult:
     title = "configuration is referentially closed with gateway/service touchpoints only"
-    findings = (_closure_findings(config, faults) + refusals
+    findings = (_closure_findings(config, faults) + _refusal(config)
                 + [str(fault) for fault in faults
                    if not isinstance(fault, (*_DANGLING, ReadOnlyTarget))])
     if findings:
@@ -229,42 +231,67 @@ def _c7_closed_boundary(config: TwinConfiguration, refusals: list[str],
                        f"{len(config.services)} service(s)",))
 
 
-_DANGLING = (UnresolvedModelSide, UnresolvedGatewaySide, UnresolvedReference)  # refer to nothing
+# the faults that refer to nothing
+_DANGLING = (UnresolvedModelSide, UnresolvedGatewaySide, UnresolvedReference, DanglingGrantTarget)
 
 
-def _wiring(config: TwinConfiguration) -> tuple[list[str], list[TwinError]]:
-    """From one registry build, without the models C3 and the closure report:
-    its refusal, and each wiring fault of the mappings and built-ins. An
-    item naming a model the registry lacks is not judged: C3, the closure or
-    the refusal names that model."""
+def _refusal(config: TwinConfiguration) -> list[str]:
+    """The model registry's refusal, built without the models C3 and the
+    closure report."""
     languages = {l.language_id for l in config.languages}
     claims = Counter(model_id for m in config.managers for model_id in m.models)
-    refusals = []
     try:
-        registry = build_registry(replace(config, models=tuple(
+        build_registry(replace(config, models=tuple(
             m for m in config.models if claims[m.model_id] == 1 and m.language_id in languages)))
     except (TwinError, ValueError) as exc:
-        registry = ModelRegistry()
-        refusals.append(f"the model registry refuses the configuration: {exc}")
-    held = set(registry.models())
-    unheld = {model_id for model_id, count in Counter(m.model_id for m in config.models).items()
-              if count > 1 or model_id not in held}
-    gateways = {gw.descriptor.gateway_id: gw.descriptor for gw in config.gateways}
-    return refusals, [fault for item in (*config.mappings, *config.services)
-                      if not (unheld and _names_unheld(item, unheld))
-                      for fault in wiring_findings(item, registry, gateways)]
+        return [f"the model registry refuses the configuration: {exc}"]
+    return []
 
 
-def _names_unheld(item: Mapping | ServiceDescriptor, unheld: set[str]) -> bool:
-    model_ids = ([item.params.get("model")] if isinstance(item, ServiceDescriptor)
-                 else [item.model_id, item.schedule.trigger and item.schedule.trigger.model_id])
-    return any(isinstance(model_id, str) and model_id in unheld for model_id in model_ids)
+def _faults(config: TwinConfiguration) -> list[TwinError]:
+    """Each wiring fault of the mappings and services, judged against the
+    models and gateways as configured, whether or not the registry builds."""
+    models = _ConfiguredModels(config)
+    gateways = {gw.descriptor.gateway_id: gw for gw in config.gateways}
+    return [fault for item in (*config.mappings, *config.services)
+            for fault in wiring_findings(item, models, gateways)]
+
+
+class _ConfiguredModels:
+    """The configured models, answering ``wiring_findings`` as the registry
+    would: an element's first declaration wins, and a property that no
+    language declares resolves without a type."""
+
+    def __init__(self, config: TwinConfiguration):
+        languages = {l.language_id: l for l in config.languages}
+        self._models = {m.model_id: m for m in config.models}
+        self._elements = {  # (model id, element id) -> (element, its kind's schema)
+            (model.model_id, element.element_id): (
+                element, languages[model.language_id].schema_for(element.kind)
+                if model.language_id in languages else {})
+            for model in self._models.values() for element in reversed(model.elements)}
+
+    def resolve(self, ref: ModelElementRef) -> bool:
+        element, _ = self._elements.get((ref.model_id, ref.element_id), (None, None))
+        return element is not None and (ref.property_name is None
+                                        or ref.property_name in element.properties)
+
+    def declared_type(self, ref: ModelElementRef) -> str | None:
+        element, schema = self._elements.get((ref.model_id, ref.element_id), (None, None))
+        if element is None or ref.property_name not in element.properties:
+            return None
+        return schema.get(ref.property_name)
+
+    def model(self, model_id: str) -> ModelConfig:
+        return self._models[model_id]
+
+    def models(self) -> list[str]:
+        return list(self._models)
 
 
 def _closure_findings(config: TwinConfiguration, faults: list[TwinError]) -> list[str]:
     """The references to nothing: the configuration's own, and the wiring's."""
     models = {m.model_id for m in config.models}
-    gateways = {gw.descriptor.gateway_id for gw in config.gateways}
     languages = {l.language_id for l in config.languages}
     findings = [str(fault) for fault in faults if isinstance(fault, _DANGLING)]
     for model in config.models:
@@ -276,12 +303,4 @@ def _closure_findings(config: TwinConfiguration, faults: list[TwinError]) -> lis
             if model_id not in models:
                 findings.append(f"manager {manager.manager_id!r} claims unknown model "
                                 f"{model_id!r}")
-    for service in config.services:
-        for kind, target in sorted(service.grant.entries) if service.grant else ():
-            # read-data and ingest-data always target "*"
-            what, known = (("model", models) if kind in ("read-model", "write-model")
-                           else ("gateway", gateways))
-            if target != "*" and target not in known:
-                findings.append(f"service {service.service_id!r} grant names unknown "
-                                f"{what} {target!r}")
     return sorted(findings)

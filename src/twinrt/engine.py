@@ -65,7 +65,7 @@ from .errors import (
     UnresolvedModelSide,
     UnresolvedReference,
 )
-from .gateway import ERROR_CODES, ElementKind, GatewayDescriptor, GatewayHandle, PropertyAccess, Stream
+from .gateway import ERROR_CODES, ElementKind, GatewayHandle, PropertyAccess, Stream
 from .models import ModelMode, ModelRegistry
 from .services import (
     BUILTIN_SERVICE_NAMES,
@@ -161,6 +161,12 @@ class Transform:
     def is_identity(self) -> bool:
         return self.scale == 1.0 and self.offset == 0.0
 
+    def keeps_integers(self, inverse: bool = False) -> bool:
+        """Whether ``apply``, or ``invert`` if ``inverse``, takes every integer to one."""
+        scale, offset = (1 / self.scale, -self.offset / self.scale) if inverse else (
+            self.scale, self.offset)
+        return float(scale).is_integer() and float(offset).is_integer()
+
     def apply(self, value: Value) -> Value:
         if self.is_identity:
             return value
@@ -251,22 +257,26 @@ def _drain_order(stream: Stream) -> tuple[bool, str]:
     return stream.kind is not ElementKind.PROPERTY, stream.element
 
 
-def wiring_findings(item: Mapping | ServiceDescriptor, registry: ModelRegistry,
-                    gateways: dict[str, GatewayDescriptor]) -> Iterator[TwinError]:
-    """Each fault in how ``item``, a mapping or a built-in service, is wired to
-    the models of ``registry`` and the gateway descriptors ``gateways`` holds
-    by id, as the error that start-up raises first and the audit reports.
-    A mapping's two sides must resolve and their declared types meet: be
-    equal, or both numbers, as ``values.fit_value`` fits them; a transform
-    that is not the identity needs numbers on both sides.
+def wiring_findings(item: Mapping | ServiceDescriptor, models: ModelRegistry,
+                    gateways: dict[str, Any]) -> Iterator[TwinError]:
+    """Each fault in how ``item``, a mapping or a service, is wired, as the
+    error that start-up raises first and the audit reports. ``models`` is
+    the registry, or a view of the configured models that answers its
+    ``resolve``, ``declared_type``, ``model`` and ``models`` alike;
+    ``gateways`` holds by id anything with a ``descriptor``. A service's
+    grant must name what exists. A mapping's sides must resolve and their
+    declared types meet: be equal, or both numbers, as ``values.fit_value``
+    fits them. A transform that is not the identity needs numbers on both
+    sides, and must take integers to integers where it writes an integer.
     """
     if not isinstance(item, Mapping):
-        yield from _builtin_findings(item, registry, gateways)
+        yield from _service_findings(item, models, gateways)
         return
     name = f"mapping {item.mapping_id!r}"
     prop = f"{item.model_id}/{item.element_id}.{item.property_name}"
-    model_type = registry.declared_type(item.model_ref())
-    if model_type is None:
+    model_type = models.declared_type(item.model_ref())  # None if no language declares it
+    resolved = model_type is not None or models.resolve(item.model_ref())
+    if not resolved:
         yield UnresolvedModelSide(f"{name} references unresolved model property {prop}")
     target = f"{item.gateway_id}/{item.gateway_property}"
     decl = _declared(gateways, item.gateway_id, item.gateway_property, ElementKind.PROPERTY)
@@ -275,21 +285,27 @@ def wiring_findings(item: Mapping | ServiceDescriptor, registry: ModelRegistry,
     elif (item.direction is not Direction.AS_TO_DT
           and decl.access is not PropertyAccess.READ_WRITE):
         yield ReadOnlyTarget(f"{name} writes read-only property {target}")
-    if model_type is not None:
-        if (item.direction is Direction.BIDIRECTIONAL
-                and not registry.model(item.model_id).supports_last_update):
-            yield MissingLastUpdateSupport(f"{name} is bidirectional but model "
-                                           f"{item.model_id!r} keeps no last_update")
-        if (decl is not None and (model_type != decl.value_type or not item.transform.is_identity)
-                and not {model_type, decl.value_type} <= {"integer", "real"}):
+    if (resolved and item.direction is Direction.BIDIRECTIONAL
+            and not models.model(item.model_id).supports_last_update):
+        yield MissingLastUpdateSupport(f"{name} is bidirectional but model "
+                                       f"{item.model_id!r} keeps no last_update")
+    if (model_type is not None and decl is not None
+            and (model_type != decl.value_type or not item.transform.is_identity)):
+        if not {model_type, decl.value_type} <= {"integer", "real"}:
             yield SchemaViolation(f"{name} joins {model_type} model property {prop} to "
                                   f"{decl.value_type} gateway property {target}"
                                   + (" through a transform" if model_type == decl.value_type
                                      else ""))
+        for side_type, where, writes, inverse in (
+                (model_type, prop, item.direction is not Direction.DT_TO_AS, False),
+                (decl.value_type, target, item.direction is not Direction.AS_TO_DT, True)):
+            if writes and side_type == "integer" and not item.transform.keeps_integers(inverse):
+                yield SchemaViolation(f"{name} can write a fraction to integer property "
+                                      f"{where} through its transform")
     trigger = item.schedule.trigger
     if trigger is not None and trigger.kind is TriggerKind.MODEL_CHANGE:
-        if not registry.resolve(ModelElementRef(trigger.model_id, trigger.element_id,
-                                                trigger.property_name)):
+        if not models.resolve(ModelElementRef(trigger.model_id, trigger.element_id,
+                                              trigger.property_name)):
             yield UnresolvedModelSide(f"{name} trigger references unresolved model property")
     elif trigger is not None and _declared(
             gateways, trigger.gateway_id, trigger.element,
@@ -299,9 +315,15 @@ def wiring_findings(item: Mapping | ServiceDescriptor, registry: ModelRegistry,
                                     f"{trigger.gateway_id}/{trigger.element}")
 
 
-def _builtin_findings(service: ServiceDescriptor, registry: ModelRegistry,
-                      gateways: dict[str, GatewayDescriptor]) -> Iterator[TwinError]:
+def _service_findings(service: ServiceDescriptor, models: ModelRegistry,
+                      gateways: dict[str, Any]) -> Iterator[TwinError]:
     name = f"service {service.service_id!r}"
+    for kind, target in sorted(service.effective_grant.entries):
+        # read-data and ingest-data always target "*"
+        what, known = (("model", models.models()) if kind in ("read-model", "write-model")
+                       else ("gateway", gateways))
+        if target != "*" and target not in known:
+            yield DanglingGrantTarget(f"{name} grant names unknown {what} {target!r}")
     if service.builtin is None:
         return  # it runs nothing inside the twin
     if service.builtin not in BUILTIN_SERVICE_NAMES:
@@ -311,7 +333,7 @@ def _builtin_findings(service: ServiceDescriptor, registry: ModelRegistry,
     ref = (params.get("model"), params.get("element"), params.get("property"))
     if not all(isinstance(part, str) for part in ref):
         yield UnresolvedModelSide(f"{name} params lack a model property ref")
-    elif registry.declared_type(ModelElementRef(*ref)) is None:
+    elif not models.resolve(ModelElementRef(*ref)):
         yield UnresolvedModelSide(f"{name} watches unresolved model property "
                                   f"{ref[0]}/{ref[1]}.{ref[2]}")
     if service.builtin != "threshold_guard":
@@ -328,10 +350,10 @@ def _builtin_findings(service: ServiceDescriptor, registry: ModelRegistry,
             yield SchemaViolation(f"{name} calls {function}: {exc}")
 
 
-def _declared(gateways: dict[str, GatewayDescriptor], gateway_id, element, kind: ElementKind):
+def _declared(gateways: dict[str, Any], gateway_id, element, kind: ElementKind):
     """The element of ``kind`` that gateway ``gateway_id`` declares as ``element``, or None."""
-    descriptor = gateways.get(gateway_id)
-    decl = descriptor.element(element) if descriptor is not None else None
+    gateway = gateways.get(gateway_id)
+    decl = gateway.descriptor.element(element) if gateway is not None else None
     return decl if decl is not None and decl.kind is kind else None
 
 
@@ -351,7 +373,6 @@ class Engine:
         self._tick = 0
         self._in_tick = False
         self._gateways: dict[str, GatewayHandle] = {}
-        self._descriptors: dict[str, GatewayDescriptor] = {}  # what each gateway declares
         self._mappings: dict[str, Mapping] = {}
         self._by_trigger: dict[tuple, list[str]] = {}  # trigger key -> sorted mapping ids
         # period -> sorted ids of the mappings scheduled every that many ticks
@@ -394,7 +415,6 @@ class Engine:
         if handle.gateway_id in self._gateways:
             raise ValueError(f"gateway {handle.gateway_id!r} already attached")
         self._gateways[handle.gateway_id] = handle
-        self._descriptors[handle.gateway_id] = handle.descriptor
 
     def gateway(self, gateway_id: str) -> GatewayHandle:
         handle = self._gateways.get(gateway_id)
@@ -411,7 +431,7 @@ class Engine:
     def add_mapping(self, mapping: Mapping) -> None:
         if mapping.mapping_id in self._mappings:
             raise DuplicateMapping(f"mapping {mapping.mapping_id!r} already exists")
-        for fault in wiring_findings(mapping, self.registry, self._descriptors):
+        for fault in wiring_findings(mapping, self.registry, self._gateways):
             raise fault
         self._mappings[mapping.mapping_id] = mapping
         trigger = mapping.schedule.trigger
@@ -472,19 +492,10 @@ class Engine:
 
     def register_service(self, descriptor: ServiceDescriptor, impl: Any = None) -> None:
         """Register a service; ``impl``'s ``on_tick``, if it has one, is bound
-        once, to run after every tick's syncs. A built-in must be wired right."""
+        once, to run after every tick's syncs. It must be wired right."""
         if descriptor.service_id in self._services:
             raise DuplicateService(f"service {descriptor.service_id!r} already registered")
-        for kind, target in descriptor.effective_grant.entries:
-            if target == "*":
-                continue
-            if kind in ("read-model", "write-model"):
-                if target not in self.registry.models():
-                    raise DanglingGrantTarget(f"grant names unknown model {target!r}")
-            elif kind in ("read-gateway", "command-gateway"):
-                if target not in self._gateways:
-                    raise DanglingGrantTarget(f"grant names unknown gateway {target!r}")
-        for fault in wiring_findings(descriptor, self.registry, self._descriptors):
+        for fault in wiring_findings(descriptor, self.registry, self._gateways):
             raise fault
         svc = self._services[descriptor.service_id] = _ServiceState(
             descriptor=descriptor, client=ServiceClient(self, descriptor.service_id))

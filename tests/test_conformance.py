@@ -128,6 +128,12 @@ def _misspelt_rule(doc: dict) -> None:
     doc["languages"][0]["rules"][0]["other"] = "capacty"
 
 
+def _fraction_onto_integer(doc: dict) -> None:
+    doc["languages"][0]["kinds"]["Tank"]["level"] = "integer"
+    _tank(doc)["properties"]["level"] = 0
+    doc["mappings"][0]["transform"] = {"scale": 1.0, "offset": 0.5}
+
+
 # edits of the demo configuration that load and run at the parent, and the
 # finding the audit reports and start-up raises for each
 MISWIRED_EDITS = [
@@ -137,6 +143,8 @@ MISWIRED_EDITS = [
                  "argument(s), got 2", id="guard-args"),
     pytest.param(_misspelt_rule, "rule 'level-within-capacity' reads undeclared property "
                  "Tank.capacty", id="misspelt-rule"),
+    pytest.param(_fraction_onto_integer, "mapping 'm-level' can write a fraction to integer "
+                 "property tank/main.level through its transform", id="fraction-onto-integer"),
 ]
 
 
@@ -248,6 +256,29 @@ class TestAudit:
         with pytest.raises(TwinError) as refused:
             TwinRuntime(load(path))
         assert finding in str(refused.value)
+
+    def test_wiring_is_judged_when_the_model_registry_refuses(self):
+        # the misspelt rule makes the registry refuse every model; the
+        # dangling and read-only mappings are still named, and classify raises
+        doc = yaml.safe_load(DEMO_CONFIG.read_text())
+        _misspelt_rule(doc)
+        doc["mappings"][0]["gateway"]["property"] = "nope"
+        doc["mappings"].append({
+            "id": "m-x", "model": {"model": "tank", "element": "main", "property": "valve_target"},
+            "gateway": {"gateway": "tank01", "property": "level"},
+            "direction": "dt-to-as", "schedule": {"every": 1}})
+        config = loads(yaml.safe_dump(doc))
+        dangling = "mapping 'm-level' references unresolved gateway property tank01/nope"
+        with pytest.raises(UnresolvedReference, match=dangling):
+            classify(config)
+        report = audit(config)
+        assert report.violated == ["C5", "C7"]
+        assert report.result("C5").findings == (
+            "mapping 'm-x' writes read-only property tank01/level",)
+        c7 = report.result("C7").findings
+        assert c7[0] == dangling
+        assert c7[1].startswith("the model registry refuses the configuration: ")
+        assert "Tank.capacty" in c7[1]
 
     def test_a_mapping_that_writes_a_read_only_property_violates_c5(self):
         doc = yaml.safe_load(DEMO_CONFIG.read_text())

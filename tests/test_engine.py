@@ -454,6 +454,14 @@ class TestTransform:
             with pytest.raises(TransformFailure):
                 t.invert(value)
 
+    def test_keeps_integers_forward_and_inverse(self):
+        assert Transform().keeps_integers() and Transform().keeps_integers(inverse=True)
+        assert Transform(scale=2.0, offset=-3.0).keeps_integers()
+        assert not Transform(scale=2.0, offset=-3.0).keeps_integers(inverse=True)
+        assert Transform(scale=0.5, offset=1.0).keeps_integers(inverse=True)
+        assert not Transform(scale=0.5).keeps_integers()
+        assert not Transform(offset=0.5).keeps_integers(inverse=True)
+
     def test_a_result_that_is_not_finite_is_a_transform_failure(self):
         t = Transform(scale=1.0e308, offset=1.7e308)
         assert t.apply(0.0) == 1.7e308
