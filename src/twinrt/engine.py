@@ -333,9 +333,13 @@ def _service_findings(service: ServiceDescriptor, models: ModelRegistry,
     ref = (params.get("model"), params.get("element"), params.get("property"))
     if not all(isinstance(part, str) for part in ref):
         yield UnresolvedModelSide(f"{name} params lack a model property ref")
-    elif not models.resolve(ModelElementRef(*ref)):
+    elif not models.resolve(watched := ModelElementRef(*ref)):
         yield UnresolvedModelSide(f"{name} watches unresolved model property "
                                   f"{ref[0]}/{ref[1]}.{ref[2]}")
+    # the built-ins read a number; None, no language declares it, is C3's finding
+    elif (value_type := models.declared_type(watched)) not in (None, "integer", "real"):
+        yield SchemaViolation(f"{name} watches {value_type} model property "
+                              f"{ref[0]}/{ref[1]}.{ref[2]}, not a number")
     if service.builtin != "threshold_guard":
         return
     function = f"{params.get('gateway')}/{params.get('function')}"

@@ -16,7 +16,6 @@ a function's result.
 from __future__ import annotations
 
 import itertools
-import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -36,7 +35,7 @@ from .errors import (
     WrongKind,
 )
 from .values import Value, fitted
-from .wire import LineChannel, Transcript, connect_channel
+from .wire import LineChannel, connect_channel
 
 
 class ElementKind(str, Enum):
@@ -160,34 +159,23 @@ class Stream:
     """Ordered stream of samples or event occurrences pushed by the asset.
 
     The handle appends pushes while it reads its connection, which it does
-    only inside its own calls: a request routes every push that arrives
+    only inside its own requests: a request routes every push that arrives
     before its reply. ``drain`` and ``empty`` look only at what has been
-    routed so far; ``get`` waits for the next push by reading through the
-    handle. A stream ends when its handle dies: the handle's ``is_alive``
-    says so, and its next call raises ``Disconnected`` with the fault's
-    message. The dead handle lets go of its streams' references to it, so
-    the two form no reference cycle.
+    routed so far. A stream ends when its handle dies: the handle's
+    ``is_alive`` says so, and its next call raises ``Disconnected`` with the
+    fault's message.
     """
 
-    def __init__(self, element: str, kind: ElementKind, handle: "GatewayHandle", value_type: str):
+    def __init__(self, element: str, kind: ElementKind, value_type: str):
         self.element = element
         self.kind = kind  # PROPERTY streams take updates, EVENT streams events
         self.value_type = value_type  # of an update's value or an event's payload
-        self._handle: GatewayHandle | None = handle
         self._items: deque = deque()
 
     @property
     def empty(self) -> bool:
         """Nothing has been routed here since the last ``drain``."""
         return not self._items
-
-    def get(self, timeout: float | None = None):
-        """Next item, or None if the stream ended or the timeout elapsed."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self._items:
-            if self._handle is None or not self._handle._read_push(deadline):
-                return None
-        return self._items.popleft()
 
     def drain(self) -> list:
         """All items routed so far; reads nothing from the connection."""
@@ -228,12 +216,11 @@ class GatewayHandle:
 
     No thread reads the connection on the handle's behalf: each request
     reads its own reply and routes the pushes that arrive before it into
-    the streams, and ``Stream.get`` reads when it waits. Pushes sent while
-    nothing reads wait in the kernel's socket buffers, so a dead
-    connection is seen by the next call that reads. Once disconnected the
-    handle is dead and must be re-created. A dead handle keeps only the
-    message of the fault that killed it: the fault's traceback holds frames
-    that hold the handle.
+    the streams. Pushes sent between requests wait in the kernel's socket
+    buffers, so a dead connection is seen by the next request. Once
+    disconnected the handle is dead and must be re-created. A dead handle
+    keeps only the message of the fault that killed it: the fault's
+    traceback holds frames that hold the handle.
     """
 
     def __init__(self, descriptor: GatewayDescriptor, channel: LineChannel):
@@ -256,12 +243,10 @@ class GatewayHandle:
         self._kill(Disconnected("handle closed"))
 
     def _kill(self, error: TwinError) -> TwinError:
-        """Mark the handle dead, which ends its streams, release the streams'
-        references to it and drop the connection; returns ``error``."""
+        """Mark the handle dead, which ends its streams, and drop the
+        connection; returns ``error``."""
         if self._dead is None:
             self._dead = str(error)
-            for stream in self._streams.values():
-                stream._handle = None
         self._channel.close()
         return error
 
@@ -284,25 +269,6 @@ class GatewayHandle:
         except (KeyError, TypeError, SchemaViolation) as exc:
             raise ProtocolError(f"malformed push: {exc}") from exc
         stream._items.append(item)
-
-    def _read_push(self, deadline: float | None) -> bool:
-        """Read one push with no request outstanding and route it.
-
-        False when the deadline passed or the handle is dead.
-        """
-        if self._dead is not None:
-            return False
-        try:
-            msg = self._channel.recv(deadline)
-            if "id" in msg:
-                raise ProtocolError(f"response id {msg['id']} answers no request")
-            self._route(msg)
-        except TimeoutError:
-            return False
-        except (Disconnected, ProtocolError) as exc:
-            self._kill(exc)
-            return False
-        return True
 
     def _request(self, msg: dict[str, Any], timeout: float = 10.0) -> dict[str, Any]:
         if self._dead is not None:
@@ -360,7 +326,7 @@ class GatewayHandle:
         if self._dead is not None:
             raise Disconnected(self._dead)
         # register before the request so no early push can be dropped
-        stream = self._streams.setdefault(name, Stream(name, kind, self, decl.value_type))
+        stream = self._streams.setdefault(name, Stream(name, kind, decl.value_type))
         try:
             self._expect(self._request({"op": op, "element": name}), "ack")
         except TwinError:
@@ -379,8 +345,7 @@ class GatewayHandle:
         self._expect(self._request({"op": "ping"}), "pong")
 
 
-def connect(descriptor: GatewayDescriptor, timeout: float = 5.0,
-            transcript: Transcript | None = None) -> GatewayHandle:
+def connect(descriptor: GatewayDescriptor, timeout: float = 5.0) -> GatewayHandle:
     """Connect to the asset behind ``descriptor`` and verify its catalog.
 
     The handshake is the one exchange of the element catalog: a hello-ack
@@ -389,7 +354,7 @@ def connect(descriptor: GatewayDescriptor, timeout: float = 5.0,
     with CatalogMismatch. Either closes the channel.
     """
     try:
-        channel = connect_channel(descriptor.endpoint, timeout=timeout, transcript=transcript)
+        channel = connect_channel(descriptor.endpoint, timeout=timeout)
     except ConnectionError as exc:
         raise ConnectFailed(str(exc)) from exc
     try:

@@ -60,26 +60,6 @@ def format_endpoint(host: str, port: int) -> str:
     return f"tcp://{host}:{port}"
 
 
-class Transcript:
-    """Records raw wire lines for golden-file comparison.
-
-    Lines are tagged with the direction seen from the recording side:
-    ``C`` for client-sent bytes, ``S`` for server-sent bytes.
-    """
-
-    def __init__(self) -> None:
-        self.lines: list[tuple[str, bytes]] = []
-
-    def record(self, direction: str, raw: bytes) -> None:
-        self.lines.append((direction, raw))
-
-    def render(self) -> str:
-        out = []
-        for direction, raw in self.lines:
-            out.append(f"{direction}: {raw.decode('utf-8').rstrip()}")
-        return "\n".join(out) + "\n" if out else ""
-
-
 class LineChannel:
     """Blocking line-oriented channel over a TCP socket.
 
@@ -87,17 +67,14 @@ class LineChannel:
     time. EOF or transport errors surface as Disconnected.
     """
 
-    def __init__(self, sock: socket.socket, transcript: Transcript | None = None):
+    def __init__(self, sock: socket.socket):
         self._sock = sock
         self._buf = b""
-        self._transcript = transcript  # recorded from the client side
 
     def send(self, msg: dict[str, Any]) -> None:
         self.send_raw(encode_message(msg))
 
     def send_raw(self, raw: bytes) -> None:
-        if self._transcript is not None:
-            self._transcript.record("C", raw)
         try:
             self._sock.sendall(raw)
         except OSError as exc:
@@ -119,10 +96,7 @@ class LineChannel:
         if not sep:
             return None
         self._buf = rest
-        msg = decode_message(line + sep)
-        if self._transcript is not None:
-            self._transcript.record("S", line + sep)
-        return msg
+        return decode_message(line + sep)
 
     def _read(self, deadline: float | None) -> None:
         timeout = None if deadline is None else deadline - time.monotonic()
@@ -182,8 +156,7 @@ class LineChannel:
         self._sock.close()
 
 
-def connect_channel(endpoint: str, timeout: float = 5.0,
-                    transcript: Transcript | None = None) -> LineChannel:
+def connect_channel(endpoint: str, timeout: float = 5.0) -> LineChannel:
     """Open a client LineChannel to ``endpoint`` (tcp://host:port)."""
     host, port = parse_endpoint(endpoint)
     try:
@@ -191,7 +164,7 @@ def connect_channel(endpoint: str, timeout: float = 5.0,
     except OSError as exc:
         raise ConnectionError(f"cannot connect to {endpoint}: {exc}") from exc
     sock.settimeout(timeout)
-    return LineChannel(sock, transcript=transcript)
+    return LineChannel(sock)
 
 
 def _drop(*_args) -> None:

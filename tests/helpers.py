@@ -5,9 +5,13 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable
 
+import pytest
+
+from twinrt import gateway
 from twinrt.asset import AssetServer, EchoModel, TankModel
 from twinrt.data import DataManager
 from twinrt.engine import Direction, Engine, Mapping, Schedule, Transform
@@ -143,6 +147,51 @@ def start_scripted_tank(respond: Callable[[dict], dict | list[dict]] = plain_rep
     server = LineServer("tcp://127.0.0.1:0", answer)
     threading.Thread(target=server.serve, daemon=True).start()
     return server
+
+
+class RecordingSocket:
+    """A client socket that records its traffic for a golden transcript:
+    each line it sends as ``C`` (a channel sends a message with one
+    ``sendall``) and each complete line it receives as ``S``."""
+
+    def __init__(self, sock, lines: list[tuple[str, bytes]]):
+        self._sock = sock
+        self._lines = lines
+        self._partial = b""  # received bytes not yet ended by a newline
+
+    def sendall(self, data: bytes) -> None:
+        self._lines.append(("C", data))
+        self._sock.sendall(data)
+
+    def recv(self, size: int) -> bytes:
+        chunk = self._sock.recv(size)
+        *whole, self._partial = (self._partial + chunk).split(b"\n")
+        self._lines.extend(("S", line + b"\n") for line in whole)
+        return chunk
+
+    def __getattr__(self, name):  # settimeout, shutdown, close
+        return getattr(self._sock, name)
+
+
+@contextmanager
+def recorded_gateways():
+    """Within the block, every gateway connection records its traffic
+    into the list this yields."""
+    lines: list[tuple[str, bytes]] = []
+
+    def connect_recording(endpoint: str, timeout: float = 5.0) -> LineChannel:
+        channel = connect_channel(endpoint, timeout)
+        channel._sock = RecordingSocket(channel._sock, lines)
+        return channel
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gateway, "connect_channel", connect_recording)
+        yield lines
+
+
+def render_transcript(lines: list[tuple[str, bytes]]) -> str:
+    """One ``C: ...`` or ``S: ...`` text line per recorded wire line."""
+    return "".join(f"{direction}: {raw.decode('utf-8').rstrip()}\n" for direction, raw in lines)
 
 
 def tank_language() -> ModelingLanguage:

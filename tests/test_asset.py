@@ -380,8 +380,10 @@ class TestAssetProcess:
         stream = handle.observe_property("level")
         proc.kill()
         proc.communicate(timeout=5)
-        assert stream.get(timeout=5) is None  # reads until the connection dies
+        with pytest.raises(Disconnected, match="peer closed the connection|recv failed"):
+            handle.ping()  # reads until the connection dies
         assert not handle.is_alive
+        assert stream.drain() == []
         with pytest.raises(Disconnected, match="peer closed the connection|recv failed"):
             handle.ping()
         handle.close()

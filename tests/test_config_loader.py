@@ -714,14 +714,26 @@ def unique_ids(doc: dict) -> dict:
 def wired_docs(draw):
     """Configurations whose every reference resolves, but whose wiring may
     still be wrong: the declared types, access, last-update, directions,
-    transforms, trigger kinds and a guard's function and ``args`` vary."""
+    transforms, trigger kinds and a guard's function and ``args`` vary.
+
+    Each choice is mostly one that can be wired, so that about a third of
+    the configurations pass the audit and one wrong choice among right ones
+    is common: gateway property ``p`` mostly has the type of model property
+    ``x`` and ``q`` that of ``y``, a mapping mostly joins the two, and a
+    transform is mostly drawn only between numbers. Model properties lean
+    to integers and mappings to pulling, since a pull through a transform
+    is where a fraction meets an integer in the first ticks."""
+    def right() -> bool:
+        """True seven times in eight."""
+        return draw(st.sampled_from([True] * 7 + [False]))
+
     value_type = st.sampled_from(sorted(ZEROS))
-    schema = {"x": draw(value_type), "y": draw(value_type)}
-    # a gateway property's type is often one of the model's
-    elements = [{"name": name, "kind": "property",
-                 "type": draw(st.one_of(st.sampled_from(sorted(set(schema.values()))),
-                                        value_type)),
-                 "access": draw(st.sampled_from(["ro", "rw", "rw"]))} for name in ("p", "q")]
+    model_type = st.sampled_from(["integer", "integer", "real", "boolean", "text"])
+    schema = {"x": draw(model_type), "y": draw(model_type)}
+    joins = {"p": "x", "q": "y"}
+    types = {name: schema[prop] if right() else draw(value_type) for name, prop in joins.items()}
+    elements = [{"name": name, "kind": "property", "type": types[name],
+                 "access": "rw" if right() else "ro"} for name in joins]
     arg_types = draw(st.lists(value_type, max_size=2))
     elements += [{"name": "e", "kind": "event", "payload": draw(value_type)},
                  {"name": "f", "kind": "function", "args": arg_types,
@@ -733,33 +745,42 @@ def wired_docs(draw):
                                                "property": st.sampled_from(["p", "q", "e"])}),
                         st.fixed_dictionaries({"gateway": st.just("g"),
                                                "event": st.sampled_from(["e", "f"])}))
-    mappings = draw(st.lists(st.fixed_dictionaries(
-        {"model": model_ref,
-         "gateway": st.fixed_dictionaries({"gateway": st.just("g"),
-                                           "property": st.sampled_from(["p", "q"])}),
-         "direction": st.sampled_from(["as-to-dt", "dt-to-as", "bidirectional"]),
-         "schedule": st.one_of(st.fixed_dictionaries({"every": st.integers(1, 3)}),
-                               st.fixed_dictionaries({"trigger": trigger}))},
-        optional={"transform": st.fixed_dictionaries(
-            {"scale": st.sampled_from([2, 0.5, -1]), "offset": st.sampled_from([0, 3, 0.5])}),
-            "enabled": st.booleans()}), min_size=1, max_size=3))
-    watched = {"model": "m", "element": "n", "property": draw(st.sampled_from(["x", "y"]))}
-    services = draw(st.lists(st.one_of(
-        st.builds(lambda: {"builtin": "kpi_monitor", "params": {**watched, "window": 2}}),
-        st.fixed_dictionaries({"builtin": st.just("threshold_guard"), "params": st.builds(
-            lambda function, args: {**watched, "bound": 0.5, "gateway": "g",
-                                    "function": function, "args": list(args)},
-            st.sampled_from(["f", "p"]),
-            st.one_of(st.just([ZEROS[t] for t in arg_types]),
-                      st.lists(st.sampled_from(list(ZEROS.values())), max_size=2)))})),
-        max_size=2))
+    mappings = []
+    for _ in range(draw(st.integers(1, 2))):
+        name = draw(st.sampled_from(sorted(joins)))
+        prop = joins[name] if right() else draw(st.sampled_from(["x", "y"]))
+        mapping = {"model": {"model": "m", "element": "n", "property": prop},
+                   "gateway": {"gateway": "g", "property": name},
+                   "direction": draw(st.sampled_from(["as-to-dt", "as-to-dt", "dt-to-as",
+                                                      "bidirectional"])),
+                   "schedule": {"every": draw(st.integers(1, 3))} if right() else {
+                       "trigger": draw(trigger)},
+                   "enabled": right()}
+        if {schema[prop], types[name]} <= {"integer", "real"}:
+            transformed = draw(st.sampled_from([True] * 3 + [False]))
+        else:
+            transformed = not right()
+        if transformed:
+            mapping["transform"] = {"scale": draw(st.sampled_from([2, 0.5, -1])),
+                                    "offset": draw(st.sampled_from([0, 3, 0.5]))}
+        mappings.append(mapping)
+    services = []
+    for builtin in draw(st.lists(st.sampled_from(["kpi_monitor", "threshold_guard"]),
+                                 max_size=2)):
+        params = {"model": "m", "element": "n", "property": draw(st.sampled_from(["x", "y"]))}
+        if builtin == "kpi_monitor":
+            params["window"] = 2
+        else:
+            params.update(bound=0.5, gateway="g", function="f" if right() else "p", args=(
+                [ZEROS[t] for t in arg_types] if right() else
+                draw(st.lists(st.sampled_from(list(ZEROS.values())), max_size=2))))
+        services.append({"builtin": builtin, "params": params})
     return {
         "twin": "t",
         "gateways": [{"id": "g", "endpoint": "tcp://127.0.0.1:0", "elements": elements}],
         "languages": [{"id": "l", "kinds": {"N": schema}}],
         "managers": [{"id": "mm", "models": ["m"]}],
-        "models": [{"id": "m", "language": "l",
-                    "last_update": draw(st.sampled_from([True, True, False])),
+        "models": [{"id": "m", "language": "l", "last_update": right(),
                     "elements": [{"id": "n", "kind": "N", "properties": {
                         name: ZEROS[vtype] for name, vtype in schema.items()}}]}],
         "mappings": [{"id": f"m{i}", **m} for i, m in enumerate(mappings)],
@@ -774,8 +795,9 @@ def wired_docs(draw):
 @given(doc=st.one_of(config_docs(POOL_NAMES), wired_docs()))
 def test_a_configuration_the_audit_passes_starts_and_keeps_its_mappings(doc):
     """If C3, C5 and C7 are clean, the twin starts against assets serving
-    its declared catalogs, and its first 3 ticks disable no mapping. So if
-    start-up refuses, the audit violates one of the three."""
+    its declared catalogs, and its first 3 ticks disable no mapping and
+    give no built-in service an error. So if start-up refuses, the audit
+    violates one of the three."""
     config = config_mod.loads(yaml.safe_dump(unique_ids(doc)))
     clean = not {"C3", "C5", "C7"} & set(audit(config).violated)
     servers = []
@@ -786,8 +808,10 @@ def test_a_configuration_the_audit_passes_starts_and_keeps_its_mappings(doc):
                 "catalog": gw.descriptor.elements})()))
             gateways.append(replace(gw, descriptor=replace(
                 gw.descriptor, endpoint=servers[-1].endpoint)))
+        notices: list[dict] = []
         try:
-            runtime = TwinRuntime(replace(config, gateways=tuple(gateways)))
+            runtime = TwinRuntime(replace(config, gateways=tuple(gateways)),
+                                  decision_sink=notices.append)
         except (TwinError, ValueError) as exc:
             assert not clean, f"the audit passes what start-up refuses: {exc!r}"
             return
@@ -800,6 +824,7 @@ def test_a_configuration_the_audit_passes_starts_and_keeps_its_mappings(doc):
             runtime.close()
         if clean:
             assert kept == enabled, [d.to_dict() for d in runtime.engine.decisions]
+            assert [n for n in notices if n["kind"] == "service" and n["event"] == "error"] == []
     finally:
         for server in servers:
             server.close()

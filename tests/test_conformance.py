@@ -134,8 +134,14 @@ def _fraction_onto_integer(doc: dict) -> None:
     doc["mappings"][0]["transform"] = {"scale": 1.0, "offset": 0.5}
 
 
-# edits of the demo configuration that load and run at the parent, and the
-# finding the audit reports and start-up raises for each
+def _kpi_on_text(doc: dict) -> None:
+    doc["languages"][0]["kinds"]["Tank"]["label"] = "text"
+    _tank(doc)["properties"]["label"] = "x"
+    doc["services"][0]["params"]["property"] = "label"
+
+
+# edits of the demo configuration that load, and the finding the audit
+# reports under C7 and start-up raises for each
 MISWIRED_EDITS = [
     pytest.param(_text_level, "mapping 'm-level' joins text model property tank/main.level "
                  "to real gateway property tank01/level", id="text-level"),
@@ -145,6 +151,8 @@ MISWIRED_EDITS = [
                  "Tank.capacty", id="misspelt-rule"),
     pytest.param(_fraction_onto_integer, "mapping 'm-level' can write a fraction to integer "
                  "property tank/main.level through its transform", id="fraction-onto-integer"),
+    pytest.param(_kpi_on_text, "service 'kpi' watches text model property tank/main.label, "
+                 "not a number", id="kpi-on-text"),
 ]
 
 
@@ -253,6 +261,7 @@ class TestAudit:
         path.write_text(yaml.safe_dump(doc))
         assert cli_main(["audit", "--config", str(path)]) == 3
         assert finding in capsys.readouterr().out
+        assert audit(load(path)).violated == ["C7"]
         with pytest.raises(TwinError) as refused:
             TwinRuntime(load(path))
         assert finding in str(refused.value)

@@ -220,9 +220,10 @@ class TestObserve:
     def test_asset_death_terminates_stream_with_cause(self, tank_server, tank_handle):
         stream = tank_handle.observe_property("level")
         tank_server.close()
-        assert stream.get(timeout=5) is None  # reads until the connection dies
+        with pytest.raises(Disconnected, match="peer closed the connection|recv failed"):
+            tank_handle.ping()  # reads until the connection dies
         assert not tank_handle.is_alive
-        assert stream.get(timeout=0.1) is None
+        assert stream.drain() == []
         with pytest.raises(Disconnected, match="peer closed the connection|recv failed"):
             tank_handle.read_property("level")
 
@@ -458,7 +459,8 @@ class TestNoNanBoundary:
             # corrupt the asset state directly: the physical side misbehaves
             server.model.level = float("nan")
             server.force_set("valve", 0.125)  # triggers a flush of changed props
-            assert stream.get(timeout=5) is None  # the NaN update kills the connection
+            with pytest.raises(ProtocolError, match="malformed message"):
+                handle.ping()  # the NaN update kills the connection
             assert not handle.is_alive
             with pytest.raises(Disconnected, match="malformed message"):
                 handle.ping()
@@ -540,19 +542,23 @@ class TestMessagesWithoutTextOp:
         finally:
             server.close()
 
-    @pytest.mark.parametrize("push", [
-        {"element": "level", "value": 1.0, "ts": 0, "seq": 1},
-        {"op": 5, "element": "level", "value": 1.0, "ts": 0, "seq": 1},
-    ], ids=["no-op", "op-integer"])
-    def test_a_push_without_text_op_read_by_a_stream_kills_the_handle(self, push):
-        # the push follows the observe reply, so the stream's own read meets it
+    @pytest.mark.parametrize("push, cause", [
+        ({"element": "level", "value": 1.0, "ts": 0, "seq": 1}, "lacks an op"),
+        ({"op": 5, "element": "level", "value": 1.0, "ts": 0, "seq": 1}, "lacks an op"),
+        ({"op": "pong", "element": "level", "value": 1.0, "ts": 0, "seq": 1},
+         "unexpected push op 'pong'"),
+    ], ids=["no-op", "op-integer", "op-not-a-push"])
+    def test_a_push_without_a_push_op_between_requests_kills_the_handle(self, push, cause):
+        # the push follows the observe reply, so the next request reads it
         server = start_scripted_tank(lambda msg: [plain_reply(msg), push])
         try:
             handle = connect(tank_descriptor(server.endpoint))
             stream = handle.observe_property("level")
-            assert stream.get(timeout=5) is None
+            with pytest.raises(ProtocolError, match=cause):
+                handle.ping()
             assert not handle.is_alive
-            with pytest.raises(Disconnected, match="unexpected push op"):
+            assert stream.drain() == []
+            with pytest.raises(Disconnected, match=cause):
                 handle.ping()
             handle.close()
         finally:

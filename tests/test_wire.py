@@ -14,7 +14,6 @@ from twinrt.wire import (
     MAX_LINE_BYTES,
     LineChannel,
     LineServer,
-    Transcript,
     connect_channel,
     decode_message,
     encode_message,
@@ -66,13 +65,6 @@ def test_parse_endpoint():
         parse_endpoint("tcp://127.0.0.1")
     with pytest.raises(ProtocolError):
         parse_endpoint("tcp://:77")
-
-
-def test_transcript_render():
-    t = Transcript()
-    t.record("C", b'{"op":"hello"}\n')
-    t.record("S", b'{"op":"hello-ack"}\n')
-    assert t.render() == 'C: {"op":"hello"}\nS: {"op":"hello-ack"}\n'
 
 
 messages = st.fixed_dictionaries(
