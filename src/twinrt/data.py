@@ -326,34 +326,36 @@ class DataManager:
     changes, so the memo grows with neither ticks nor records. Records
     linked to equal model element references hold one reference.
 
-    Every selector with a tick bound is answered from runs, and only the
-    runs apply its bounds. A run is a maximal stretch of consecutive
-    records that hold one ``properties`` tuple with a last-update property,
-    such as the syncs of one tick; a record without last-update belongs to
-    no run, so no tick window holds it, and it ends the run before it. The
-    runs are kept sorted by tick, and each carries a key: its properties
-    other than last-update, one tuple per distinct set of property objects
-    (the key memo, like the property-set memo, forgets what it holds at
-    ``_MAX_PROPERTY_SETS`` entries). A full scan tests each distinct
-    property tuple once, a tick window each distinct key once. Either tests
-    a record's link only when the selector names a model, element or
-    property; otherwise a tick window copies a passing run as one slice.
+    Every query walks the runs: a run-length encoding of the properties
+    column, appended in id order and never moved. A run is a maximal
+    stretch of consecutive records that hold one ``properties`` tuple, such
+    as the syncs of one tick, and carries the tuple's last-update as its
+    tick; a run without one has no tick, and no tick window holds it. A
+    run's key is its properties other than last-update, one tuple per
+    distinct set of property objects (a memo that, like the property-set
+    memo, forgets what it holds at ``_MAX_PROPERTY_SETS`` entries). A query
+    bisects to the first run after its ``after_id``. While no tick falls
+    below the one before, as the runtime writes them, a tick window bisects
+    to its runs; otherwise the walk skips the runs outside it. The walk
+    tests the selector once per distinct key, and a record's link only when
+    the selector names a model, element or property; otherwise it copies
+    passing runs that adjoin as one slice.
     """
 
     def __init__(self, journal_path: str | Path | None = None,
                  resolver: RefResolver | None = None,
                  enforce_mandatory: bool = True, allow_linkage: bool = True):
         self._records: list[DataRecord] = []
-        # the runs in tick order, one column each: the tick, the ids of the
+        # the runs in id order, one column each: the tick, the ids of the
         # first and the last record, and the key of the other properties
-        self._run_ticks: list[int] = []
+        self._run_ticks: list[int | None] = []
         self._run_first: list[int] = []
         self._run_last: list[int] = []
         self._run_keys: list[tuple[DataProperty, ...]] = []
-        self._runs_in_id_order = True  # until a run's tick falls below the last one
-        # the properties of the run the next record may extend, and its column index
+        # until a run has no tick or a tick below the one before
+        self._ticks_sorted = True
+        # the properties of the last run, which the next record may extend
         self._run_props: tuple[DataProperty, ...] | None = None
-        self._run_at = 0
         # run keys by the ids of their properties
         self._keys: dict[tuple[int, ...], tuple[DataProperty, ...]] = {}
         self._next_id = 1
@@ -403,31 +405,63 @@ class DataManager:
               limit: int | None = None) -> list[DataRecord]:
         """The records ``selector`` matches, in id order: only those with an
         id above ``after_id``, and with a ``limit`` at most that many; a
-        ``limit`` below 1 raises ValueError. The scan starts after
-        ``after_id`` and stops at ``limit``."""
+        ``limit`` below 1 raises ValueError. The walk starts at the run
+        after ``after_id`` and stops at ``limit``."""
         if limit is not None and limit < 1:
             raise ValueError(f"limit must be 1 or more, got {limit!r}")
         selector = selector or Selector()
         # matches_link passes every record when the selector names no link field
         test_link = (selector.model_id is not None or selector.element_id is not None
                      or selector.property_name is not None)
-        if selector.tick_from is not None or selector.tick_to is not None:
-            return self._query_runs(selector, test_link, after_id, limit)
-        # ids run 1, 2, ... in list order, so the record after after_id is at after_id
-        candidates = self._records[after_id:] if after_id > 0 else self._records
-        verdicts: dict[int, bool] = {}  # by id of a properties tuple
-        props = verdict = None
-        found = []
-        for record in candidates:
-            if record.properties is not props:  # records of one tick sit together
-                props = record.properties
-                verdict = verdicts.get(id(props))
+        tick_from, tick_to = selector.tick_from, selector.tick_to
+        ticks, firsts, lasts = self._run_ticks, self._run_first, self._run_last
+        lo = bisect.bisect_right(lasts, after_id) if after_id > 0 else 0
+        hi = len(lasts)
+        # a window the ticks are bisected to needs no test of its own
+        windowed = tick_from is not None or tick_to is not None
+        if windowed and self._ticks_sorted:
+            if tick_from is not None:
+                lo = bisect.bisect_left(ticks, tick_from, lo)
+            if tick_to is not None:
+                hi = bisect.bisect_right(ticks, tick_to, lo)
+            windowed = False
+        records, keys = self._records, self._run_keys
+        verdicts: dict[int, bool] = {}  # by id of a key
+        key = verdict = None
+        found: list[DataRecord] = []
+        copy_from = copy_to = 0  # passing runs not yet copied: records copy_from+1 to copy_to
+        for i in range(lo, hi):
+            if windowed:
+                tick = ticks[i]
+                if (tick is None or (tick_from is not None and tick < tick_from)
+                        or (tick_to is not None and tick > tick_to)):
+                    continue
+            if keys[i] is not key:  # the runs of one key often follow each other
+                key = keys[i]
+                verdict = verdicts.get(id(key))
                 if verdict is None:
-                    verdict = verdicts[id(props)] = selector.matches_properties(props)
-            if verdict and (not test_link or selector.matches_link(record.model_link)):
-                found.append(record)
-                if len(found) == limit:
-                    break
+                    verdict = verdicts[id(key)] = selector.matches_properties(
+                        records[firsts[i] - 1].properties)
+            if not verdict:
+                continue
+            first, last = firsts[i], lasts[i]
+            if first <= after_id:
+                first = after_id + 1
+            if test_link:
+                for record in records[first - 1:last]:
+                    if selector.matches_link(record.model_link):
+                        found.append(record)
+                        if len(found) == limit:
+                            return found
+                continue
+            if first != copy_to + 1:  # runs that adjoin are copied as one slice
+                found += records[copy_from:copy_to]
+                copy_from = first - 1
+            copy_to = last
+            if limit is not None and len(found) + copy_to - copy_from >= limit:
+                copy_to = copy_from + limit - len(found)
+                break
+        found += records[copy_from:copy_to]
         return found
 
     def count(self) -> int:
@@ -461,24 +495,18 @@ class DataManager:
     def _index_run(self, record: DataRecord) -> None:
         props = record.properties
         if props is self._run_props:  # the record before holds the same tuple
-            self._run_last[self._run_at] = record.record_id
+            self._run_last[-1] = record.record_id
             return
         tick = _value(props, PropertyType.LAST_UPDATE)
-        if tick is None:
-            self._run_props = None
-            return
         ticks = self._run_ticks
-        at = len(ticks)
-        if ticks and tick < ticks[-1]:
-            # last-update usually grows with the record id; a direct ingest may not
-            at = bisect.bisect_right(ticks, tick)
-            self._runs_in_id_order = False
-        ticks.insert(at, tick)
-        self._run_first.insert(at, record.record_id)
-        self._run_last.insert(at, record.record_id)
-        self._run_keys.insert(at, self._run_key(props))
+        # last-update grows with the record id as the runtime writes; a direct ingest may not
+        if self._ticks_sorted and (tick is None or (ticks and tick < ticks[-1])):
+            self._ticks_sorted = False
+        ticks.append(tick)
+        self._run_first.append(record.record_id)
+        self._run_last.append(record.record_id)
+        self._run_keys.append(self._run_key(props))
         self._run_props = props
-        self._run_at = at
 
     def _run_key(self, props: tuple[DataProperty, ...]) -> tuple[DataProperty, ...]:
         """The remembered tuple of these properties but last-update. Like a
@@ -491,54 +519,6 @@ class DataManager:
                 self._keys.clear()
             key = self._keys[ids] = rest
         return key
-
-    def _query_runs(self, selector: Selector, test_link: bool, after_id: int,
-                    limit: int | None) -> list[DataRecord]:
-        """``query`` for a tick window, walking its runs in id order. Each run
-        in the window meets the tick bounds, so the selector is tested once a
-        key, on the properties of the first run that holds it."""
-        tick_from, tick_to = selector.tick_from, selector.tick_to
-        ticks, firsts, lasts = self._run_ticks, self._run_first, self._run_last
-        lo = 0 if tick_from is None else bisect.bisect_left(ticks, tick_from)
-        hi = len(ticks) if tick_to is None else bisect.bisect_right(ticks, tick_to)
-        runs = (range(lo, hi) if self._runs_in_id_order
-                else sorted(range(lo, hi), key=firsts.__getitem__))
-        records, keys = self._records, self._run_keys
-        verdicts: dict[int, bool] = {}  # by id of a key
-        key = verdict = None
-        found: list[DataRecord] = []
-        copy_from = copy_to = 0  # passing runs not yet copied: records copy_from+1 to copy_to
-        for i in runs:
-            first, last = firsts[i], lasts[i]
-            if last <= after_id:
-                continue
-            if keys[i] is not key:  # the runs of one key often follow each other
-                key = keys[i]
-                verdict = verdicts.get(id(key))
-                if verdict is None:
-                    verdict = verdicts[id(key)] = selector.matches_properties(
-                        records[first - 1].properties)
-            if not verdict:
-                continue
-            if first <= after_id:
-                first = after_id + 1
-            if test_link:
-                for record in records[first - 1:last]:
-                    if selector.matches_link(record.model_link):
-                        found.append(record)
-                        if len(found) == limit:
-                            return found
-                continue
-            if first != copy_to + 1:  # runs that adjoin are copied as one slice
-                found += records[copy_from:copy_to]
-                copy_from = first - 1
-            copy_to = last
-            if limit is not None and len(found) + copy_to - copy_from >= limit:
-                break
-        found += records[copy_from:copy_to]
-        if limit is not None:
-            del found[limit:]
-        return found
 
     # --- persistence ---
 
