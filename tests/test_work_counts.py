@@ -260,11 +260,15 @@ def links_tested(monkeypatch, records: int) -> int:
     return counts["matches_link"]
 
 
-def scan_every_record(self: DataManager, selector: Selector, test_link: bool,
-                      after_id: int, limit: int | None) -> list:
-    """A mutant of ``DataManager._query_runs`` that answers a tick window by
-    a full scan of the history, then keeps the records inside the window."""
-    scanned = self.query(replace(selector, tick_from=None, tick_to=None), after_id=after_id)
+_QUERY = DataManager.query
+
+
+def scan_every_record(self: DataManager, selector: Selector, *, after_id: int = 0,
+                      limit: int | None = None) -> list:
+    """A mutant of ``DataManager.query`` that answers a tick window by a
+    query without its bounds, over the whole history, then keeps the records
+    whose last-update lies inside the window."""
+    scanned = _QUERY(self, replace(selector, tick_from=None, tick_to=None), after_id=after_id)
     return [r for r in scanned
             if selector.tick_from <= r.prop(data_mod.PropertyType.LAST_UPDATE)
             <= selector.tick_to][:limit]
@@ -276,5 +280,5 @@ def test_a_tick_window_reads_the_same_records_over_1000_and_20000(monkeypatch):
 
 
 def test_the_check_sees_a_tick_window_answered_by_a_full_scan(monkeypatch):
-    monkeypatch.setattr(DataManager, "_query_runs", scan_every_record)
+    monkeypatch.setattr(DataManager, "query", scan_every_record)
     assert links_tested(monkeypatch, 1000) != links_tested(monkeypatch, 20000)
