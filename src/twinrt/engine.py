@@ -212,6 +212,20 @@ class Mapping:
     def model_ref(self) -> ModelElementRef:
         return self._model_ref
 
+    def streams(self) -> list[tuple[str, str, str]]:
+        """The gateway streams this mapping must hear about, as (gateway,
+        element, handle method): its property when bidirectional, and a
+        gateway trigger's element."""
+        streams = []
+        if self.direction is Direction.BIDIRECTIONAL:
+            streams.append((self.gateway_id, self.gateway_property, "observe_property"))
+        trigger = self.schedule.trigger
+        if trigger is not None and trigger.kind is TriggerKind.GATEWAY_CHANGE:
+            streams.append((trigger.gateway_id, trigger.element, "observe_property"))
+        elif trigger is not None and trigger.kind is TriggerKind.GATEWAY_EVENT:
+            streams.append((trigger.gateway_id, trigger.element, "subscribe_event"))
+        return streams
+
 
 @dataclass(frozen=True, slots=True)
 class SyncDecision:
@@ -454,15 +468,8 @@ class Engine:
 
     def _subscribe_mapping(self, mapping: Mapping) -> None:
         """Observe/subscribe the gateway elements one mapping must hear about."""
-        if mapping.direction is Direction.BIDIRECTIONAL:
-            self._open_stream(mapping.gateway_id, mapping.gateway_property, "observe_property")
-        trigger = mapping.schedule.trigger
-        if trigger is None:
-            return
-        if trigger.kind is TriggerKind.GATEWAY_CHANGE:
-            self._open_stream(trigger.gateway_id, trigger.element, "observe_property")
-        elif trigger.kind is TriggerKind.GATEWAY_EVENT:
-            self._open_stream(trigger.gateway_id, trigger.element, "subscribe_event")
+        for gateway_id, element, method in mapping.streams():
+            self._open_stream(gateway_id, element, method)
 
     def _open_stream(self, gateway_id: str, name: str, method: str) -> None:
         """Open one element's stream by calling ``method`` on its gateway handle,

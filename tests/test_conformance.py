@@ -303,6 +303,34 @@ class TestAudit:
         with pytest.raises(ReadOnlyTarget):
             TwinRuntime(config)
 
+    @pytest.mark.parametrize("trigger, stream", [
+        ({"gateway": "tank01", "property": "valve"}, "valve"),
+        ({"gateway": "tank01", "event": "overflow"}, "overflow"),
+    ], ids=["gateway-change", "gateway-event"])
+    def test_a_gateway_that_only_a_trigger_observes_satisfies_c5(self, trigger, stream,
+                                                                 tmp_path):
+        # the demo's one mapping commands the valve, fired by what the engine observes
+        doc = yaml.safe_load(DEMO_CONFIG.read_text())
+        doc["mappings"] = [dict(doc["mappings"][1], direction="dt-to-as",
+                                schedule={"trigger": trigger})]
+        path = tmp_path / "triggered.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert audit(load(path)).result("C5").status is RuleStatus.SATISFIED
+        assert cli_main(["audit", "--config", str(path)]) == 0
+        runtime = TwinRuntime(load(path))
+        try:
+            assert stream in runtime.engine.gateway("tank01").streams
+        finally:
+            runtime.close()
+
+    def test_a_gateway_only_commanded_on_a_schedule_violates_c5(self):
+        doc = yaml.safe_load(DEMO_CONFIG.read_text())
+        doc["mappings"] = [dict(doc["mappings"][1], direction="dt-to-as")]
+        report = audit(loads(yaml.safe_dump(doc)))
+        assert report.violated == ["C5"]
+        assert report.result("C5").findings == (
+            "gateway 'tank01' is commanded but never read or observed",)
+
     def test_no_gateways_is_not_applicable_for_c1(self, demo_config):
         bare = replace(demo_config, gateways=(), mappings=(), services=())
         report = audit(bare)
