@@ -793,6 +793,27 @@ def test_tick_window_keeps_id_order_when_ticks_run_backwards():
     assert dm.query(Selector(tick_from=6, tick_to=5)) == []
 
 
+@pytest.mark.parametrize("props", [base_props(extra=last_update(2)), base_props()],
+                         ids=["backwards-tick", "no-last-update"])
+def test_a_direct_ingest_out_of_tick_order_leaves_windows_right(props):
+    # the runtime writes ticks in order, so windows bisect to their runs;
+    # one direct ingest out of that order makes them skip the runs outside
+    dm = DataManager()
+    for tick in range(1, 9):
+        if tick == 5:
+            dm.ingest(9.0, props)
+        for gateway in ("tank01", "pump02", "tank01"):
+            dm.ingest(float(tick), [origin_actual_system(gateway), timeliness(LIVE),
+                                    last_update(tick)])
+        assert dm._ticks_sorted == (tick < 5)
+    for selector in (Selector(tick_from=2, tick_to=4), Selector(tick_from=5),
+                     Selector(tick_to=2), Selector(origin_id="pump02", tick_from=2, tick_to=6)):
+        got = [r.record_id for r in dm.query(selector)]
+        assert got == oracle_filter(dm.query(), selector)
+        assert [r.record_id for r in dm.query(selector, after_id=13, limit=4)] == [
+            i for i in got if i > 13][:4]
+
+
 def test_a_record_without_last_update_ends_a_run_whatever_the_memo_keeps(monkeypatch):
     # a memo that never forgets hands the third record the first one's tuple
     kept = {}

@@ -15,7 +15,7 @@ import twinrt.cli as cli_mod
 import twinrt.config as config_mod
 import twinrt.scenario as scenario_mod
 from twinrt.cli import main
-from twinrt.data import PropertyType, Selector
+from twinrt.data import DataManager, PropertyType, Selector
 from twinrt.engine import SyncReason
 from twinrt.errors import ConfigParseError, Disconnected, ScenarioAssertionFailed
 from twinrt.runtime import TwinRuntime, inspect_config
@@ -803,6 +803,29 @@ def probe_config():
     doc["services"].append(
         {"id": "probe", "grant": ["read-data", "ingest-data", "read-gateway:tank01"]})
     return config_mod.loads(yaml.safe_dump(doc))
+
+
+def test_every_record_the_runtime_writes_keeps_the_runs_in_tick_order(tmp_path):
+    """Syncs, the kpi's ingests and a service's ingest between ticks all keep
+    the store's runs in tick order, so a tick window bisects to its runs,
+    live and in the store a reload of the journal builds."""
+    journal = tmp_path / "journal.ndjson"
+    twin = TwinRuntime(probe_config(), journal_path=journal)
+    try:
+        steps = scenario_mod.load(DEMO_SCENARIO).steps
+        runner = ScenarioRunner(twin)
+        runner.run(scenario_mod.ScenarioScript(steps[:len(steps) // 2]))
+        reply = control(twin, {"op": "ctl.call", "service": "probe",
+                               "request": {"kind": "ingest-processed", "value": 1.0}})[0]
+        assert reply["op"] == "result", reply
+        runner.run(scenario_mod.ScenarioScript(steps[len(steps) // 2:]))
+        assert twin.data.query(Selector(origin_source="service", origin_id="probe"))
+    finally:
+        twin.close()
+    for store in (twin.data, DataManager.reload(journal)):
+        ticks = store._run_ticks
+        assert store._ticks_sorted and None not in ticks and ticks == sorted(ticks)
+        assert store.count() == twin.data.count() == 18
 
 
 class TestServiceCallReplies:
