@@ -242,6 +242,9 @@ class _Session:
         # names are unique across kinds
         self.listening: set[str] = set()
         self._seqs: dict[str, int] = {}
+        # while one of its requests is handled, the lines its pushes write,
+        # which leave with the reply
+        self.held: list[bytes] | None = None
 
     def next_seq(self, element: str) -> int:
         seq = self._seqs.get(element, 0) + 1
@@ -249,10 +252,14 @@ class _Session:
         return seq
 
     def send(self, msg: dict[str, Any]) -> None:
-        """Write one reply or push. Every caller holds ``AssetServer._lock``
-        (``_handle`` for replies, ``_mutate`` for pushes), so two sends to a
+        """Write one push, or hold it while one of this session's requests is
+        handled. Every caller holds ``AssetServer._lock``, so two writes to a
         session never interleave."""
-        self.channel.send_raw(_lax_encode(msg))
+        line = _lax_encode(msg)
+        if self.held is not None:
+            self.held.append(line)
+        else:
+            self.channel.send_raw(line)
 
 
 class AssetServer:
@@ -360,14 +367,19 @@ class AssetServer:
             session = self._sessions.get(channel)
             if session is None:
                 session = self._sessions[channel] = _Session(channel)
+            session.held = held = []
             try:
                 reply = self._dispatch(session, msg)
             except TwinError as exc:
                 code = next((c for c, cls in ERROR_CODES.items() if isinstance(exc, cls)),
                             "PROTOCOL")
                 reply = {"op": "error", "code": code, "message": str(exc)}
+            finally:
+                session.held = None
             reply["id"] = rid
-            session.send(reply)
+            held.append(_lax_encode(reply))
+            # the pushes this request caused and its reply, in one write
+            channel.send_raw(b"".join(held))
 
     def _dispatch(self, session: _Session, msg: dict[str, Any]) -> dict[str, Any]:
         op = msg.get("op")
