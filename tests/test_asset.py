@@ -291,6 +291,70 @@ class TestPushFanOut:
             server.close()
 
 
+class TestOneWritePerRequest:
+    """The pushes a request causes to its own session leave with its reply,
+    in one write; every other push leaves at once."""
+
+    @pytest.fixture
+    def sends(self, monkeypatch):
+        """Every ``LineChannel.send_raw`` as (channel, bytes)."""
+        calls = []
+        send_raw = LineChannel.send_raw
+
+        def recorded(channel, raw):
+            calls.append((channel, raw))
+            send_raw(channel, raw)
+
+        monkeypatch.setattr(LineChannel, "send_raw", recorded)
+        return calls
+
+    @staticmethod
+    def observer(server, element: str) -> LineChannel:
+        channel = LineChannel(socket.create_connection(parse_endpoint(server.endpoint)))
+        reply = channel.request({"op": "observe", "id": 1, "element": element}, timeout=5)
+        assert reply == {"op": "ack", "id": 1, "ts": 0}
+        return channel
+
+    def test_a_write_of_an_observed_property_is_one_send_of_update_then_ack(
+            self, tank_server, sends):
+        writer = self.observer(tank_server, "valve")
+        try:
+            (served,) = tank_server._sessions  # the server's end of the connection
+            del sends[:]
+            writer.send({"op": "write", "id": 2, "element": "valve", "value": 0.5})
+            assert writer.recv(time.monotonic() + 5)["op"] == "update"
+            assert writer.recv(time.monotonic() + 5) == {"op": "ack", "id": 2, "ts": 0}
+            assert [raw for channel, raw in sends if channel is served] == [
+                b'{"element":"valve","op":"update","seq":1,"ts":0,"value":0.5}\n'
+                b'{"id":2,"op":"ack","ts":0}\n']
+        finally:
+            writer.close()
+
+    def test_another_observer_can_read_the_update_before_it_sends_anything(self, tank_server):
+        other = self.observer(tank_server, "valve")
+        writer = LineChannel(socket.create_connection(parse_endpoint(tank_server.endpoint)))
+        try:
+            reply = writer.request({"op": "write", "id": 1, "element": "valve", "value": 0.5},
+                                   timeout=5)
+            assert reply == {"op": "ack", "id": 1, "ts": 0}
+            assert other.recv(time.monotonic() + 5) == {
+                "op": "update", "element": "valve", "value": 0.5, "ts": 0, "seq": 1}
+        finally:
+            writer.close()
+            other.close()
+
+    def test_a_push_from_an_in_process_step_can_be_read_at_once(self):
+        server = start_tank(valve=1.0)
+        try:
+            observer = self.observer(server, "level")
+            server.step()
+            assert observer.recv(time.monotonic() + 5) == {
+                "op": "update", "element": "level", "value": 0.1, "ts": 100, "seq": 1}
+            observer.close()
+        finally:
+            server.close()
+
+
 class TestOneLoopThread:
     def test_a_server_with_three_connections_runs_one_thread(self):
         before = set(threading.enumerate())
