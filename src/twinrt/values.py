@@ -116,6 +116,11 @@ def _refuse_constant(name: str) -> float:
     raise ValueError(f"non-finite number {name!r}")
 
 
+# built once for every wire line and journal entry; a leading BOM, which
+# json.loads names as such, is refused here as an unexpected character
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def _nests_deeper(value: Value) -> bool:
     """Whether ``value`` nests deeper than MAX_DEPTH, walked level by level."""
     level = [value]
@@ -129,7 +134,7 @@ def json_value(text: str) -> Value:
     """Parse one JSON value. Bad JSON, NaN, ±Infinity and nesting deeper than
     MAX_DEPTH raise ValueError."""
     try:
-        value = json.loads(text, parse_constant=_refuse_constant)
+        value = _DECODER.decode(text)
         # a text with no more brackets than the bound cannot nest past it
         deep = text.count("[") + text.count("{") > MAX_DEPTH and _nests_deeper(value)
     except RecursionError:  # the decoder's own limit, far past the bound

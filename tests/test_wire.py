@@ -38,6 +38,8 @@ def test_round_trip():
     b'{"op":"value","value":NaN}\n',
     b'{"op":"value","value":Infinity}\n',
     b'{"op":"value","value":-Infinity}\n',
+    b'{"op":"pong"} {"op":"pong"}\n',  # extra data
+    b'\xef\xbb\xbf{"op":"pong"}\n',    # a leading UTF-8 BOM
 ])
 def test_decode_rejects(line):
     with pytest.raises(ProtocolError):
