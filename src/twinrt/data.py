@@ -529,28 +529,29 @@ class DataManager:
         Every complete (newline-terminated, well-formed) entry is ingested,
         its value checked as a live ingest checks it; a torn trailing entry
         is discarded. Malformation anywhere before the tail raises
-        CorruptJournal.
+        CorruptJournal. The file is read one line at a time.
         """
         path = Path(journal_path)
-        try:
-            blob = path.read_bytes()
-        except OSError as exc:
-            raise StorageFailure(f"cannot read journal {path}: {exc}") from exc
-
-        # everything after the final newline is an unterminated tail: discard
-        lines = blob.split(b"\n")[:-1]
         # a journal written without mandatory metadata reloads as it was written
         manager = cls(enforce_mandatory=False)
         shared: dict = {}
-        last = len(lines) - 1
-        for i, line in enumerate(lines):
-            try:
-                manager._replay(line, shared)
-            except TwinError as exc:
-                if i == last:
-                    break  # trailing torn entry: a crash can also tear the line content
-                raise CorruptJournal(f"journal entry {i + 1} is malformed: {exc}",
-                                     line_no=i + 1) from exc
+        torn: tuple[int, TwinError] | None = None  # the entry that failed last
+        try:
+            with path.open("rb") as journal:
+                for line_no, line in enumerate(journal, 1):
+                    if not line.endswith(b"\n"):
+                        break  # an unterminated tail: discard
+                    if torn is not None:  # a terminated entry follows the malformed one
+                        bad_no, exc = torn
+                        raise CorruptJournal(f"journal entry {bad_no} is malformed: {exc}",
+                                             line_no=bad_no) from exc
+                    try:
+                        manager._replay(line, shared)
+                    except TwinError as exc:
+                        # a crash can also tear the content of the last line
+                        torn = line_no, exc
+        except OSError as exc:
+            raise StorageFailure(f"cannot read journal {path}: {exc}") from exc
         return manager
 
     def _replay(self, line: bytes, shared: dict) -> None:

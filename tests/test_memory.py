@@ -218,6 +218,29 @@ class TestRecordCost:
         assert bytes_per_record(sync) <= 330
 
 
+class TestReloadCost:
+    def test_reload_peaks_less_than_1_mib_above_the_store_it_leaves(self, tmp_path):
+        # a journal of 20 000 sync records is about 4 MiB; read one line at a
+        # time, only the line being replayed is held beside the store
+        n = 20_000
+        path = tmp_path / "journal.ndjson"
+        dm = DataManager(journal_path=path)
+        for tick in range(n):
+            dm.ingest(tick / 7, [origin_actual_system("g0"), timeliness(LIVE), processing(RAW),
+                                 last_update(tick)],
+                      model_link=ModelElementRef("tank", "main", "level"))
+        dm.close()
+        assert path.stat().st_size > 3 << 20
+        tracemalloc.start()
+        try:
+            reloaded = DataManager.reload(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reloaded.count() == n
+        assert peak - retained < 1 << 20
+
+
 class TestConfigurationCost:
     def test_fleet_configuration_and_registry_bytes_per_element(self):
         # each element repeats a kind, a property name and a number, and
