@@ -269,9 +269,15 @@ class AssetServer:
     ``_mutate``, which pushes the changed properties (in name order) and then
     the raised events to the sessions that listen, before the mutating
     request is acknowledged, so a later ping response is a barrier for all
-    prior pushes on the same connection. Every push and reply is a blocking
-    ``sendall`` under that lock: a session that stops reading, once the
-    socket buffers fill, stalls every other session of the asset too.
+    prior pushes on the same connection. The pushes a request causes to its
+    own session leave with its reply, in one write; every other push is
+    written at once. So a push written between two requests of a session (by
+    ``step``, ``force_set`` or another session's request) can still hold
+    back that session's next reply until the peer's delayed ACK, as Nagle's
+    algorithm does with a small write behind an unacknowledged one. Every
+    write is a blocking ``sendall`` under that lock: a session that stops
+    reading, once the socket buffers fill, stalls every other session of the
+    asset too.
     """
 
     def __init__(self, model: AssetModel, listen: str = "tcp://127.0.0.1:0",
