@@ -343,16 +343,15 @@ class TestOneWritePerRequest:
             writer.close()
             other.close()
 
-    def test_a_push_from_an_in_process_step_can_be_read_at_once(self):
-        server = start_tank(valve=1.0)
+    def test_a_push_from_an_in_process_step_can_be_read_at_once(self, tank_server):
+        tank_server.force_set("valve", 1.0)
+        observer = self.observer(tank_server, "level")
         try:
-            observer = self.observer(server, "level")
-            server.step()
+            tank_server.step()
             assert observer.recv(time.monotonic() + 5) == {
                 "op": "update", "element": "level", "value": 0.1, "ts": 100, "seq": 1}
-            observer.close()
         finally:
-            server.close()
+            observer.close()
 
 
 class TestOneLoopThread:
