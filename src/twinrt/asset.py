@@ -11,8 +11,9 @@ Assets never read a clock: dynamics advance only on explicit step commands,
 and the reported timestamp is ``steps_taken * step_ms``. Besides the gateway
 ops, the server answers simulation-control ops (``ctl.step``, ``ctl.set``,
 ``ctl.raise``, ``ctl.state``) used by test harnesses and the scenario runner
-to stand in for the physical world. Each server reads all its connections
-on one thread of its own.
+to stand in for the physical world. No server starts a thread: an asset
+in this process is served by whichever of its clients waits on it, and
+``twin-asset`` serves its asset on its main thread.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ import itertools
 import json
 import random
 import sys
-import threading
 from typing import Any, Callable
 
 from .errors import (
     AssetFault,
-    Disconnected,
     NoSuchElement,
     ProtocolError,
     ReadOnlyViolation,
@@ -242,9 +241,6 @@ class _Session:
         # names are unique across kinds
         self.listening: set[str] = set()
         self._seqs: dict[str, int] = {}
-        # while one of its requests is handled, the lines its pushes write,
-        # which leave with the reply
-        self.held: list[bytes] | None = None
 
     def next_seq(self, element: str) -> int:
         seq = self._seqs.get(element, 0) + 1
@@ -252,32 +248,24 @@ class _Session:
         return seq
 
     def send(self, msg: dict[str, Any]) -> None:
-        """Write one push, or hold it while one of this session's requests is
-        handled. Every caller holds ``AssetServer._lock``, so two writes to a
-        session never interleave."""
-        line = _lax_encode(msg)
-        if self.held is not None:
-            self.held.append(line)
-        else:
-            self.channel.send_raw(line)
+        """Buffer one push or reply, for the server's loop to write."""
+        self.channel.send_raw(_lax_encode(msg))
 
 
 class AssetServer:
-    """Serves one asset model over the wire protocol from one loop thread.
+    """Serves one asset model over the wire protocol, starting no thread.
 
-    All state access happens under one lock. Every mutation goes through
-    ``_mutate``, which pushes the changed properties (in name order) and then
-    the raised events to the sessions that listen, before the mutating
-    request is acknowledged, so a later ping response is a barrier for all
-    prior pushes on the same connection. The pushes a request causes to its
-    own session leave with its reply, in one write; every other push is
-    written at once. So a push written between two requests of a session (by
-    ``step``, ``force_set`` or another session's request) can still hold
-    back that session's next reply until the peer's delayed ACK, as Nagle's
-    algorithm does with a small write behind an unacknowledged one. Every
-    write is a blocking ``sendall`` under that lock: a session that stops
-    reading, once the socket buffers fill, stalls every other session of the
-    asset too.
+    A client in this process that waits on the server runs its loop, so the
+    asset and its in-process clients share one thread. Every mutation goes
+    through ``_mutate``, which pushes the changed properties (in name order)
+    and then the raised events to the sessions that listen, before the
+    mutating request is acknowledged, so a later ping response is a barrier
+    for all prior pushes on the same connection. Pushes and replies go into
+    the session's buffer, which the loop writes at the end of its turn: the
+    pushes an in-process ``step`` or ``force_set`` made since the last turn
+    leave with the next reply, in one write. A session that stops reading
+    holds up no other; once its unsent bytes pass ``wire.MAX_BACKLOG_BYTES``
+    it is dropped.
     """
 
     def __init__(self, model: AssetModel, listen: str = "tcp://127.0.0.1:0",
@@ -287,12 +275,10 @@ class AssetServer:
         self._model = model
         self._step_ms = int(step_ms)
         self._steps = 0
-        self._lock = threading.RLock()
         self._sessions: dict[LineChannel, _Session] = {}
         self._server = LineServer(listen, self._handle, on_close=self._forget)
+        self._server.serve_from_clients()
         self.endpoint = self._server.endpoint
-        self._thread = threading.Thread(target=self._server.serve, daemon=True)
-        self._thread.start()
 
     @property
     def timestamp(self) -> int:
@@ -303,17 +289,14 @@ class AssetServer:
         return self._model
 
     def close(self) -> None:
-        self._server.close()  # its loop closes every session's channel
-        self._thread.join()
-        with self._lock:
-            self._sessions.clear()
+        self._server.close()  # closes every session's channel
+        self._sessions.clear()
 
     # --- direct control for in-process owners (scenario runner, tests) ---
 
     def step(self, count: int = 1) -> None:
-        with self._lock:
-            for _ in range(count):
-                self._mutate(self._advance)
+        for _ in range(count):
+            self._mutate(self._advance)
 
     def _advance(self) -> None:
         self._model.step(self._step_ms / 1000.0)
@@ -326,66 +309,49 @@ class AssetServer:
         self._mutate(lambda: self._model.raise_event(name, payload))
 
     def state(self) -> dict[str, Value]:
-        with self._lock:
-            return self._model.state()
+        return self._model.state()
 
     # --- push fan-out ---
 
     def _mutate(self, change: Callable[[], Value]) -> Value:
         """Apply one change and push what it changed; returns its result."""
-        with self._lock:
-            before = self._model.state()
-            result = change()
-            self._flush(before)
-            return result
+        before = self._model.state()
+        result = change()
+        self._flush(before)
+        return result
 
     def _flush(self, before: dict[str, Value]) -> None:
         after = self._model.state()
         for name in sorted(after):
             if after[name] != before.get(name):
-                for session in list(self._sessions.values()):
+                for session in self._sessions.values():
                     if name in session.listening:
-                        self._push(session, {"op": "update", "element": name,
-                                             "value": after[name], "ts": self.timestamp,
-                                             "seq": session.next_seq(name)})
+                        session.send({"op": "update", "element": name,
+                                      "value": after[name], "ts": self.timestamp,
+                                      "seq": session.next_seq(name)})
         for event_name, payload in self._model.pop_events():
-            for session in list(self._sessions.values()):
+            for session in self._sessions.values():
                 if event_name in session.listening:
-                    self._push(session, {"op": "event", "element": event_name,
-                                         "payload": payload, "ts": self.timestamp})
-
-    def _push(self, session: _Session, msg: dict[str, Any]) -> None:
-        try:
-            session.send(msg)
-        except Disconnected:
-            # the observer is gone; the other sessions still get every push
-            self._sessions.pop(session.channel, None)
+                    session.send({"op": "event", "element": event_name,
+                                  "payload": payload, "ts": self.timestamp})
 
     # --- request handling ---
 
     def _forget(self, channel: LineChannel) -> None:
-        with self._lock:
-            self._sessions.pop(channel, None)
+        self._sessions.pop(channel, None)
 
     def _handle(self, channel: LineChannel, msg: dict[str, Any]) -> None:
-        rid = msg.get("id")
-        with self._lock:
-            session = self._sessions.get(channel)
-            if session is None:
-                session = self._sessions[channel] = _Session(channel)
-            session.held = held = []
-            try:
-                reply = self._dispatch(session, msg)
-            except TwinError as exc:
-                code = next((c for c, cls in ERROR_CODES.items() if isinstance(exc, cls)),
-                            "PROTOCOL")
-                reply = {"op": "error", "code": code, "message": str(exc)}
-            finally:
-                session.held = None
-            reply["id"] = rid
-            held.append(_lax_encode(reply))
-            # the pushes this request caused and its reply, in one write
-            channel.send_raw(b"".join(held))
+        session = self._sessions.get(channel)
+        if session is None:
+            session = self._sessions[channel] = _Session(channel)
+        try:
+            reply = self._dispatch(session, msg)
+        except TwinError as exc:
+            code = next((c for c, cls in ERROR_CODES.items() if isinstance(exc, cls)),
+                        "PROTOCOL")
+            reply = {"op": "error", "code": code, "message": str(exc)}
+        reply["id"] = msg.get("id")
+        session.send(reply)
 
     def _dispatch(self, session: _Session, msg: dict[str, Any]) -> dict[str, Any]:
         op = msg.get("op")
@@ -519,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
     print(f"listening {server.endpoint}", flush=True)
     try:
-        server._thread.join()  # the loop runs until the process is stopped
+        server._server.serve()  # until the process is stopped
     except KeyboardInterrupt:
         pass
     finally:

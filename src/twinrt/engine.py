@@ -2,28 +2,28 @@
 
 One orchestration loop owns every mutation. Pushes are read from a gateway
 only inside its calls: each request routes the pushes that arrive before its
-reply, and the rest wait in the kernel's socket buffers. At tick start the
-engine pings every gateway, which reads everything pushed before the pong,
-and only then drains the streams, so two runs over the same scripted asset
-trace produce identical decision lists, model states, and data journals.
-Every caller steps its assets once per tick, so a tick's pushes stay far
-below what the socket buffers hold. The engine keeps no stream table: the
-handle's is the one record of what the twin listens to. An element's stream
-is opened only when its handle has none, and each tick drains the handles'
-streams in fixed order: gateways by id, then property streams by name, then
-event streams by name.
+reply, and the rest wait in the asset's or the kernel's buffers. At tick
+start the engine pings every gateway, which reads everything pushed before
+the pong, and only then drains the streams, so two runs over the same
+scripted asset trace produce identical decision lists, model states, and
+data journals. Every caller steps its assets once per tick, so a tick's
+pushes stay far below the asset's backlog cap. The engine keeps no stream
+table: the handle's is the one record of what the twin listens to. An
+element's stream is opened only when its handle has none, and each tick
+drains the handles' streams in fixed order: gateways by id, then property
+streams by name, then event streams by name.
 
 For an observed property the newest update drained after the barrier is
 the asset's current value, so a pull takes it from the ledger. It reads the
 property only when no update has been drained yet, or when another has
 arrived since the drain (the echo of a push in the same tick). A property is
 observed for a bidirectional mapping or a change trigger, never only to save
-a pull's read: every observed change is a push. The asset writes the pushes
-a request causes with that request's reply, but a push written between
-requests (an asset step, a forced value, another connection's request)
-makes the next reply on the same connection wait for the twin's delayed ACK
-(Nagle's algorithm, about 40 ms on Linux). Properties nothing observes are
-read on every pull.
+a pull's read: every observed change is a push. A simulated asset sends the
+pushes buffered on a connection with its next reply, but an asset in
+another process that writes a push between requests (a step there, another
+connection's request) makes the next reply on the same connection wait for
+the twin's delayed ACK (Nagle's algorithm, about 40 ms on Linux).
+Properties nothing observes are read on every pull.
 
 Recency for bidirectional mappings is compared in tick space: the engine
 ledgers the tick at which each asset-side change was drained and the tick at

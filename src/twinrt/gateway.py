@@ -216,8 +216,9 @@ class GatewayHandle:
 
     No thread reads the connection on the handle's behalf: each request
     reads its own reply and routes the pushes that arrive before it into
-    the streams. Pushes sent between requests wait in the kernel's socket
-    buffers, so a dead connection is seen by the next request. Once
+    the streams; while it waits, it serves an asset in this process. Pushes
+    sent between requests wait in the asset's buffers or the kernel's, so a
+    dead connection is seen by the next request. Once
     disconnected the handle is dead and must be re-created. A dead handle
     keeps only the message of the fault that killed it: the fault's
     traceback holds frames that hold the handle.

@@ -5,8 +5,9 @@ One message per line: a single UTF-8 JSON object, canonically encoded
 an ``id`` and are answered by exactly one response with the same ``id``;
 messages without an ``id`` are unsolicited pushes. The full grammar lives in
 docs/protocol.md alongside byte-exact golden transcripts.
-A server starts no thread: ``LineServer.serve`` reads every connection
-from one ``selectors`` loop on the caller's thread.
+Nothing here starts a thread: a ``LineServer`` runs one ``selectors`` loop
+on its caller's thread, or on that of a client in this process that waits
+on it, and writes each connection's buffer without blocking.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .errors import ConnectFailed, Disconnected, ProtocolError
 from .values import canonical_json, strict_loads
 
 MAX_LINE_BYTES = 1 << 20  # one message may not exceed 1 MiB
+# a server drops a connection whose unsent bytes pass this, as a dead one
+MAX_BACKLOG_BYTES = 1 << 24
 
 
 def encode_message(msg: dict[str, Any]) -> bytes:
@@ -64,17 +67,25 @@ class LineChannel:
     """Blocking line-oriented channel over a TCP socket.
 
     Sends are serialized by the caller; receives read one complete line at a
-    time. EOF or transport errors surface as Disconnected.
+    time. EOF or transport errors surface as Disconnected. A server's end
+    of a connection buffers what it sends, for its loop to write; a
+    client's end whose server is in this process serves it while it reads.
     """
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._buf = b""
+        self._out: bytearray | None = None  # a server's end: bytes its loop has yet to write
+        self._peer: LineServer | None = None  # a client's end: the server it runs while it waits
 
     def send(self, msg: dict[str, Any]) -> None:
         self.send_raw(encode_message(msg))
 
     def send_raw(self, raw: bytes) -> None:
+        if self._out is not None:
+            if len(self._out) <= MAX_BACKLOG_BYTES:  # past it, the loop drops the connection
+                self._out += raw
+            return
         try:
             self._sock.sendall(raw)
         except OSError as exc:
@@ -99,6 +110,8 @@ class LineChannel:
         return decode_message(line + sep)
 
     def _read(self, deadline: float | None) -> None:
+        if self._peer is not None:
+            self._peer._serve(deadline, self._sock)
         timeout = None if deadline is None else deadline - time.monotonic()
         if timeout is not None and timeout <= 0:
             raise TimeoutError
@@ -156,6 +169,9 @@ class LineChannel:
         self._sock.close()
 
 
+_SERVED_BY_CLIENTS: dict[str, LineServer] = {}  # see LineServer.serve_from_clients
+
+
 def connect_channel(endpoint: str, timeout: float = 5.0) -> LineChannel:
     """Open a client LineChannel to ``endpoint`` (tcp://host:port)."""
     host, port = parse_endpoint(endpoint)
@@ -164,7 +180,9 @@ def connect_channel(endpoint: str, timeout: float = 5.0) -> LineChannel:
     except OSError as exc:
         raise ConnectionError(f"cannot connect to {endpoint}: {exc}") from exc
     sock.settimeout(timeout)
-    return LineChannel(sock)
+    channel = LineChannel(sock)
+    channel._peer = _SERVED_BY_CLIENTS.get(endpoint)
+    return channel
 
 
 def _drop(*_args) -> None:
@@ -175,7 +193,8 @@ class LineServer:
     """A TCP server whose ``serve`` loop hands each complete line to
     ``handler(channel, msg)``, which writes any reply itself. EOF, a malformed
     line, or Disconnected or ProtocolError out of the handler closes that
-    connection alone and calls ``on_close(channel)``. A closed server lets go
+    connection alone and calls ``on_close(channel)``; so does a write that
+    fails, or unsent bytes past MAX_BACKLOG_BYTES. A closed server lets go
     of both, which are often bound methods of the object that owns it."""
 
     def __init__(self, listen: str, handler: Callable[[LineChannel, dict[str, Any]], None],
@@ -191,49 +210,94 @@ class LineServer:
             raise ConnectFailed(f"cannot listen on {listen}: {exc}") from exc
         self.endpoint = format_endpoint(host, self._listener.getsockname()[1])
         self._handler, self._on_close = handler, on_close
-        self._wake_r, self._wake_w = socket.socketpair()  # see close()
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ)
-        self._selector.register(self._wake_r, selectors.EVENT_READ)
-        self._serving = self._closed = False
+        self._conns: dict[LineChannel, int] = {}  # each connection: the events it waits for
+        self._closed = False
+
+    def serve_from_clients(self) -> None:
+        """Until ``close()``, a client in this process that ``connect_channel``
+        opened to this endpoint runs this server's loop while it waits."""
+        _SERVED_BY_CLIENTS[self.endpoint] = self
 
     def serve(self, until: float | None = None) -> None:
         """Serve until ``close()``; with ``until`` (``time.monotonic()``), only
         until that time has passed and no socket is ready."""
-        self._serving = True
+        self._serve(until)
+
+    def _serve(self, until: float | None, client: socket.socket | None = None) -> None:
+        """Serve as ``serve`` does; with ``client``, a socket of this process,
+        only until it is readable. A turn reads every ready socket, then
+        writes every buffer. The first turn polls, so what was buffered
+        before the call leaves with the replies it adds."""
+        if self._closed:
+            return
+        if client is not None:
+            self._selector.register(client, selectors.EVENT_READ)
         try:
+            polled = False
             while not self._closed:
-                ready = self._selector.select(None if until is None else until - time.monotonic())
-                if not ready:
-                    return
-                for key, _ in ready:
+                timeout = None if until is None else max(until - time.monotonic(), 0)
+                ready = self._selector.select(timeout if polled else 0)
+                for key, events in ready:
                     if key.fileobj is self._listener:
                         conn, _addr = self._listener.accept()
-                        self._selector.register(conn, selectors.EVENT_READ,
-                                                LineChannel(conn))
-                    elif key.data is not None:
-                        self._on_readable(key.fileobj, key.data)
+                        channel = LineChannel(conn)
+                        channel._out = bytearray()
+                        self._conns[channel] = selectors.EVENT_READ
+                        self._selector.register(conn, selectors.EVENT_READ, channel)
+                    elif key.data is not None and events & selectors.EVENT_READ:
+                        self._on_readable(key.data)
+                self._write()
+                if (polled and not ready) or any(key.fileobj is client for key, _ in ready):
+                    return
+                polled = True
         finally:
-            self._serving = False  # before reading _closed, which close() sets first
-            if self._closed:
-                self.close()
+            if client is not None and not self._closed:
+                self._selector.unregister(client)
 
-    def _on_readable(self, sock: socket.socket, channel: LineChannel) -> None:
+    def _on_readable(self, channel: LineChannel) -> None:
         try:
             channel._read(None)  # the socket is ready, so this does not block
             while (msg := channel._take()) is not None:
                 self._handler(channel, msg)
         except (Disconnected, ProtocolError):
-            self._selector.unregister(sock)
-            self._on_close(channel)
-            channel.close()
+            self._hang_up(channel)
+
+    def _write(self) -> None:
+        """Write each connection's buffer as far as its socket takes it now;
+        the rest waits for the socket to become writable."""
+        for channel, events in list(self._conns.items()):
+            out = channel._out
+            if out:
+                try:
+                    if len(out) > MAX_BACKLOG_BYTES:
+                        raise ConnectionError("too many unsent bytes")
+                    del out[:channel._sock.send(out, socket.MSG_DONTWAIT)]
+                except BlockingIOError:
+                    pass
+                except OSError:  # the peer is gone, or reads too slowly
+                    self._hang_up(channel)
+                    continue
+            wanted = selectors.EVENT_READ | (selectors.EVENT_WRITE if out else 0)
+            if wanted != events:
+                self._conns[channel] = wanted
+                self._selector.modify(channel._sock, wanted, channel)
+
+    def _hang_up(self, channel: LineChannel) -> None:
+        del self._conns[channel]
+        self._selector.unregister(channel._sock)
+        self._on_close(channel)
+        channel.close()
 
     def close(self) -> None:
-        """Close every socket; a ``serve`` on another thread does so as it returns."""
+        """Close every socket."""
         self._closed = True
-        self._wake_w.close()  # its peer in the selector reads EOF
-        if not self._serving:
-            for key in list((self._selector.get_map() or {}).values()):
-                (key.data or key.fileobj).close()
-            self._selector.close()
-            self._handler = self._on_close = _drop
+        if _SERVED_BY_CLIENTS.get(self.endpoint) is self:
+            del _SERVED_BY_CLIENTS[self.endpoint]
+        for channel in self._conns:
+            channel.close()
+        self._conns.clear()
+        self._listener.close()
+        self._selector.close()
+        self._handler = self._on_close = _drop

@@ -7,9 +7,19 @@ import time
 
 import pytest
 
-from helpers import deep_line, start_tank, tank_descriptor
+from helpers import (
+    build_registry,
+    deep_line,
+    echo_descriptor,
+    start_echo,
+    start_tank,
+    tank_descriptor,
+)
 
+from twinrt import wire
 from twinrt.asset import AssetControl, EchoModel, TankModel, build_model, parse_param
+from twinrt.data import DataManager
+from twinrt.engine import Direction, Engine, Mapping, Schedule, SyncReason
 from twinrt.errors import (
     Disconnected,
     NoSuchElement,
@@ -18,7 +28,7 @@ from twinrt.errors import (
     TwinError,
 )
 from twinrt.gateway import connect
-from twinrt.wire import LineChannel, parse_endpoint
+from twinrt.wire import LineChannel, connect_channel, parse_endpoint
 
 
 def euler_levels(steps: int, dt: float, valve: float, inflow: float = 1.0,
@@ -291,6 +301,25 @@ class TestPushFanOut:
             server.close()
 
 
+@pytest.fixture
+def sends(monkeypatch):
+    """Every ``send`` and ``sendall`` on a socket, as (socket, bytes sent)."""
+    calls = []
+
+    def recording(name):
+        method = getattr(socket.socket, name)
+
+        def recorded(sock, data, *flags):
+            sent = method(sock, data, *flags)  # sendall returns None
+            calls.append((sock, bytes(data if sent is None else data[:sent])))
+            return sent
+        return recorded
+
+    for name in ("send", "sendall"):
+        monkeypatch.setattr(socket.socket, name, recording(name))
+    return calls
+
+
 class TestOneWritePerRequest:
     """The pushes a request causes to its own session leave with its reply,
     in one write; every other push leaves at once."""
@@ -369,6 +398,98 @@ class TestOneLoopThread:
                 control.close()
             server.close()
         assert set(threading.enumerate()) - before == set()  # close() joins the loop
+
+
+class TestOneThread:
+    """An in-process asset runs on the thread of whichever client waits on
+    it; its pushes and replies leave from per-connection buffers."""
+
+    def test_a_step_push_and_the_next_pong_leave_in_one_send(self, sends):
+        server = start_tank(valve=1.0)
+        handle = connect(tank_descriptor(server.endpoint))
+        try:
+            stream = handle.observe_property("level")
+            (served,) = server._sessions  # the server's end of the twin's connection
+            del sends[:]
+            server.step()
+            handle.ping()
+            assert [raw for sock, raw in sends if sock is served._sock] == [
+                b'{"element":"level","op":"update","seq":1,"ts":100,"value":0.1}\n'
+                b'{"id":2,"op":"pong"}\n']
+            assert [s.value for s in stream.drain()] == [0.1]
+        finally:
+            handle.close()
+            server.close()
+
+    def test_an_observer_that_does_not_read_holds_up_no_other_session(self):
+        count = 100_000
+        server = start_tank(valve=1.0, capacity=1e9)
+        observer = connect_channel(server.endpoint)
+        other = connect(tank_descriptor(server.endpoint))
+        took = []
+
+        def step_then_ping():
+            server.step(count)
+            started = time.monotonic()
+            other.ping()
+            took.append(time.monotonic() - started)
+
+        try:
+            assert observer.request({"op": "observe", "id": 1, "element": "level"},
+                                    timeout=5)["op"] == "ack"
+            worker = threading.Thread(target=step_then_ping, daemon=True)
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive(), "the asset blocked on an observer that does not read"
+            assert took and took[0] < 1.0
+            pushes = [observer.recv(time.monotonic() + 10) for _ in range(count)]
+            assert [p["seq"] for p in pushes] == list(range(1, count + 1))
+            assert [p["ts"] for p in pushes] == [100 * (i + 1) for i in range(count)]
+        finally:
+            observer.close()
+            other.close()
+            server.close()
+
+    def test_a_backlog_over_the_cap_drops_only_that_connection(self):
+        server = start_echo()
+        registry = build_registry()
+        engine = Engine(registry, DataManager(resolver=registry.resolve))
+        handle = connect(echo_descriptor(server.endpoint))
+        engine.add_gateway(handle)
+        engine.add_mapping(Mapping("m-gain", "tank", "main", "level", "echo01", "gain",
+                                   Direction.AS_TO_DT, Schedule(every=1)))
+        other = connect_channel(server.endpoint)
+        pad, count, batch = "x" * 10_000, 4_000, 100
+        received = []
+
+        def flood():
+            # the twin reads nothing between its requests; the other session
+            # reads each batch of pushes as it comes
+            for i in range(count):
+                server.force_set("pad", f"{i:05d}{pad}")
+                while len(received) < (i + 1) // batch * batch:
+                    received.append(other.recv(time.monotonic() + 5)["value"][:5])
+
+        try:
+            handle.observe_property("pad")
+            assert other.request({"op": "observe", "id": 1, "element": "pad"},
+                                 timeout=5)["op"] == "ack"
+            worker = threading.Thread(target=flood, daemon=True)
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive(), "the asset blocked on a connection that does not read"
+            assert received == [f"{i:05d}" for i in range(count)]
+            assert len(server._sessions) == 1  # the twin's session is gone
+            decisions = engine.tick(1)
+            assert [(d.mapping_id, d.reason) for d in decisions] == [
+                ("m-gain", SyncReason.SUSPENDED)]
+            with pytest.raises(Disconnected):
+                handle.ping()
+            assert count * len(pad) > 2 * wire.MAX_BACKLOG_BYTES  # past the cap and the kernel's buffers
+        finally:
+            engine.close()
+            other.close()
+            server.close()
 
 
 class TestAssetProcess:

@@ -756,6 +756,33 @@ class TestControlBetweenTicks:
         assert all("threading" not in vars(module)
                    for module in (runtime_mod, wire_mod, data_mod, gateway_mod))
 
+    def test_a_client_that_does_not_read_its_reply_does_not_hold_the_loop(self):
+        import socket
+
+        from twinrt.data import HISTORICAL, last_update, origin_operator, timeliness
+        from twinrt.wire import connect_channel
+
+        runtime = TwinRuntime(config_mod.load(DEMO_CONFIG))
+        props = [origin_operator(), timeliness(HISTORICAL), last_update(0)]
+        for i in range(10_000):  # a reply of about 12 MB
+            runtime.data.ingest(f"{i:05d}" + "x" * 1000, props)
+        endpoint = runtime.start_control("tcp://127.0.0.1:0")
+        silent, other = connect_channel(endpoint), connect_channel(endpoint)
+        silent._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        try:
+            silent.send({"op": "ctl.history", "id": 1})  # its reply is never read
+            worker = threading.Thread(target=runtime.serve_control, daemon=True)
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive(), "serve_control blocked on a client that does not read"
+            other.send({"op": "ctl.status", "id": 2})
+            runtime.serve_control()
+            assert other.recv(time.monotonic() + 5)["id"] == 2
+        finally:
+            silent.close()
+            other.close()
+            runtime.close()
+
     def test_a_status_sent_mid_scenario_is_answered_after_the_next_tick(self, tmp_path):
         from twinrt.wire import connect_channel
 
