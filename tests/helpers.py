@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -122,8 +121,8 @@ def start_scripted_tank(respond: Callable[[dict], dict | list[dict]] = plain_rep
     pushes only what ``respond`` scripts: a list is sent message by message,
     so pushes can precede the reply, and bytes are sent as they are. A test
     can make single replies late, wrong or failing. If ``requests`` is
-    given, it counts the requests after the handshake by op. The server's
-    loop runs on a thread of its own until ``close()``.
+    given, it counts the requests after the handshake by op. No thread runs
+    the server: a client in this process serves it while it waits on it.
     """
     if catalog is None:
         catalog = [decl.to_wire() for decl in TANK_ELEMENTS]
@@ -145,7 +144,7 @@ def start_scripted_tank(respond: Callable[[dict], dict | list[dict]] = plain_rep
                 channel.send(out)
 
     server = LineServer("tcp://127.0.0.1:0", answer)
-    threading.Thread(target=server.serve, daemon=True).start()
+    server.serve_from_clients()
     return server
 
 

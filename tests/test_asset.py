@@ -28,7 +28,7 @@ from twinrt.errors import (
     TwinError,
 )
 from twinrt.gateway import connect
-from twinrt.wire import LineChannel, connect_channel, parse_endpoint
+from twinrt.wire import LineChannel, connect_channel
 
 
 def euler_levels(steps: int, dt: float, valve: float, inflow: float = 1.0,
@@ -215,7 +215,7 @@ class TestStepCount:
     @pytest.mark.parametrize("count", ["x", [1], 1.5, True, 0, -3],
                              ids=["text", "list", "real", "bool", "zero", "negative"])
     def test_a_count_that_is_not_a_positive_integer_is_refused(self, tank_server, count):
-        channel = LineChannel(socket.create_connection(parse_endpoint(tank_server.endpoint)))
+        channel = connect_channel(tank_server.endpoint)
         try:
             reply = channel.request({"op": "ctl.step", "id": 1, "count": count}, timeout=5)
             assert (reply["op"], reply["code"]) == ("error", "PROTOCOL")
@@ -230,7 +230,7 @@ class TestRequestWithoutTextOp:
     @pytest.mark.parametrize("msg", [{"op": 5, "id": 3}, {"op": None, "id": 3}, {"id": 3}],
                              ids=["integer", "null", "missing"])
     def test_it_gets_a_protocol_error_and_the_connection_stays_open(self, tank_server, msg):
-        channel = LineChannel(socket.create_connection(parse_endpoint(tank_server.endpoint)))
+        channel = connect_channel(tank_server.endpoint)
         try:
             reply = channel.request(msg, timeout=5)
             assert (reply["op"], reply["code"], reply["id"]) == ("error", "PROTOCOL", 3)
@@ -241,9 +241,8 @@ class TestRequestWithoutTextOp:
 
 class TestLineNestedTooDeep:
     def test_it_closes_that_session_alone(self, tank_server):
-        endpoint = parse_endpoint(tank_server.endpoint)
-        deep = LineChannel(socket.create_connection(endpoint))
-        other = LineChannel(socket.create_connection(endpoint))
+        deep = connect_channel(tank_server.endpoint)
+        other = connect_channel(tank_server.endpoint)
         try:
             assert other.request({"op": "ping", "id": 1}, timeout=5) == {"op": "pong", "id": 1}
             deep.send_raw(deep_line(3000, b'"id":1,"op":"ping"'))
@@ -258,7 +257,7 @@ class TestLineNestedTooDeep:
 class TestNoCatalogRequest:
     def test_a_list_request_gets_a_protocol_error(self, tank_server):
         # the hello-ack is the one place a catalog crosses the wire
-        channel = LineChannel(socket.create_connection(parse_endpoint(tank_server.endpoint)))
+        channel = connect_channel(tank_server.endpoint)
         try:
             reply = channel.request({"op": "list", "id": 1}, timeout=5)
             assert (reply["op"], reply["code"], reply["id"]) == ("error", "PROTOCOL", 1)
@@ -282,17 +281,16 @@ class TestPushFanOut:
     def test_an_observer_reset_mid_step_drops_only_that_observer(self):
         server = start_tank(valve=1.0)
         try:
-            gone = LineChannel(socket.create_connection(parse_endpoint(server.endpoint)))
+            gone = connect_channel(server.endpoint)
             gone.send({"op": "observe", "id": 1, "element": "level"})
             assert gone.recv()["op"] == "ack"
             handle = connect(tank_descriptor(server.endpoint))
             stream = handle.observe_property("level")
-            # holding the lock keeps the reset session registered until the step
-            with server._lock:
-                gone._sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
-                                      struct.pack("ii", 1, 0))
-                gone.close()  # the peer sees a reset
-                server.step(20)
+            # nothing serves the asset before the step, so the reset session
+            # is still registered when the step pushes to it
+            gone._sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            gone.close()  # the peer sees a reset
+            server.step(20)
             handle.ping()
             assert [s.asset_timestamp for s in stream.drain()] == [100 * (i + 1)
                                                                    for i in range(20)]
@@ -322,24 +320,12 @@ def sends(monkeypatch):
 
 class TestOneWritePerRequest:
     """The pushes a request causes to its own session leave with its reply,
-    in one write; every other push leaves at once."""
-
-    @pytest.fixture
-    def sends(self, monkeypatch):
-        """Every ``LineChannel.send_raw`` as (channel, bytes)."""
-        calls = []
-        send_raw = LineChannel.send_raw
-
-        def recorded(channel, raw):
-            calls.append((channel, raw))
-            send_raw(channel, raw)
-
-        monkeypatch.setattr(LineChannel, "send_raw", recorded)
-        return calls
+    in one write; every other push leaves with the next write to its
+    session."""
 
     @staticmethod
     def observer(server, element: str) -> LineChannel:
-        channel = LineChannel(socket.create_connection(parse_endpoint(server.endpoint)))
+        channel = connect_channel(server.endpoint)
         reply = channel.request({"op": "observe", "id": 1, "element": element}, timeout=5)
         assert reply == {"op": "ack", "id": 1, "ts": 0}
         return channel
@@ -353,7 +339,7 @@ class TestOneWritePerRequest:
             writer.send({"op": "write", "id": 2, "element": "valve", "value": 0.5})
             assert writer.recv(time.monotonic() + 5)["op"] == "update"
             assert writer.recv(time.monotonic() + 5) == {"op": "ack", "id": 2, "ts": 0}
-            assert [raw for channel, raw in sends if channel is served] == [
+            assert [raw for sock, raw in sends if sock is served._sock] == [
                 b'{"element":"valve","op":"update","seq":1,"ts":0,"value":0.5}\n'
                 b'{"id":2,"op":"ack","ts":0}\n']
         finally:
@@ -361,7 +347,7 @@ class TestOneWritePerRequest:
 
     def test_another_observer_can_read_the_update_before_it_sends_anything(self, tank_server):
         other = self.observer(tank_server, "valve")
-        writer = LineChannel(socket.create_connection(parse_endpoint(tank_server.endpoint)))
+        writer = connect_channel(tank_server.endpoint)
         try:
             reply = writer.request({"op": "write", "id": 1, "element": "valve", "value": 0.5},
                                    timeout=5)
@@ -383,21 +369,20 @@ class TestOneWritePerRequest:
             observer.close()
 
 
-class TestOneLoopThread:
-    def test_a_server_with_three_connections_runs_one_thread(self):
+class TestNoThread:
+    def test_a_server_with_three_connections_starts_no_thread(self):
         before = set(threading.enumerate())
         server = start_tank()
         controls = [AssetControl(server.endpoint) for _ in range(3)]
         try:
             for control in controls:
                 control.step()  # each connection has been accepted and served
-            assert len(set(threading.enumerate()) - before) == 1
+            assert set(threading.enumerate()) - before == set()
             assert server.timestamp == 300
         finally:
             for control in controls:
                 control.close()
             server.close()
-        assert set(threading.enumerate()) - before == set()  # close() joins the loop
 
 
 class TestOneThread:

@@ -49,7 +49,7 @@ BUILTIN_METHODS = frozenset(name for kind in BUILTIN_TYPES for name in dir(kind)
 TIES = {
     "AssetModel.read": "src/twinrt/asset.py:AssetServer._dispatch",
     "AssetModel.write": "src/twinrt/asset.py:AssetServer._dispatch",
-    "_Session.send": "src/twinrt/asset.py:AssetServer._push",
+    "_Session.send": "src/twinrt/asset.py:AssetServer._handle",
     "AssetServer.close": "src/twinrt/asset.py:main",
     "AssetControl.close": "src/twinrt/runtime.py:TwinRuntime.close",
     "LineLog.append": "src/twinrt/data.py:DataManager.ingest",

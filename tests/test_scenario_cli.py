@@ -732,14 +732,15 @@ class TestControlSocket:
 
 class TestControlBetweenTicks:
     def test_control_clients_add_no_thread_and_the_runtime_has_no_lock(self, tmp_path):
-        import twinrt.data as data_mod
-        import twinrt.gateway as gateway_mod
-        import twinrt.runtime as runtime_mod
-        import twinrt.wire as wire_mod
+        import ast
+        from pathlib import Path
+
+        import twinrt
         from twinrt.wire import connect_channel
 
-        runtime = TwinRuntime(config_mod.load(DEMO_CONFIG), journal_path=tmp_path / "j.ndjson")
         before = set(threading.enumerate())
+        # the demo hosts its tank in process
+        runtime = TwinRuntime(config_mod.load(DEMO_CONFIG), journal_path=tmp_path / "j.ndjson")
         endpoint = runtime.start_control("tcp://127.0.0.1:0")
         channels = [connect_channel(endpoint) for _ in range(3)]
         try:
@@ -753,8 +754,22 @@ class TestControlBetweenTicks:
                 channel.close()
             runtime.close()
         assert not hasattr(runtime, "lock") and not hasattr(runtime.data, "_lock")
-        assert all("threading" not in vars(module)
-                   for module in (runtime_mod, wire_mod, data_mod, gateway_mod))
+        # no module of the package imports or names a thread or a lock
+        def names(node) -> set:
+            if isinstance(node, ast.Import):
+                return {alias.name for alias in node.names}
+            if isinstance(node, ast.ImportFrom):
+                return {node.module, *(alias.name for alias in node.names)}
+            if isinstance(node, ast.Name):
+                return {node.id}
+            return {node.attr} if isinstance(node, ast.Attribute) else set()
+
+        sources = sorted(Path(twinrt.__file__).parent.glob("*.py"))
+        assert len(sources) > 10
+        for source in sources:
+            for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+                assert not {"threading", "_thread", "Thread", "Lock", "RLock"} & names(node), (
+                    source.name, ast.unparse(node))
 
     def test_a_client_that_does_not_read_its_reply_does_not_hold_the_loop(self):
         import socket

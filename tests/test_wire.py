@@ -96,19 +96,13 @@ def _echo_server(on_close=lambda channel: None):
     return LineServer("tcp://127.0.0.1:0", answer, on_close)
 
 
-def _serve_in_background(server):
-    thread = threading.Thread(target=server.serve, daemon=True)
-    thread.start()
-    return thread
-
-
 @pytest.mark.parametrize("line", [
     b'{"id": 1}\n',            # no op
     b'{"op": 5}\n',            # op not a string
 ])
 def test_request_rejects_a_line_without_text_op(line):
     server = LineServer("tcp://127.0.0.1:0", lambda channel, msg: channel.send_raw(line))
-    thread = _serve_in_background(server)
+    server.serve_from_clients()
     client = connect_channel(server.endpoint)
     try:
         with pytest.raises(ProtocolError):
@@ -117,7 +111,6 @@ def test_request_rejects_a_line_without_text_op(line):
     finally:
         client.close()
         server.close()
-        thread.join(timeout=5)
 
 
 def _read_one_line_of(length: int):
@@ -159,7 +152,7 @@ def test_a_line_of_exactly_the_limit_is_read():
 class TestLineServer:
     def test_a_half_line_does_not_delay_another_connections_reply(self):
         server = _echo_server()
-        thread = _serve_in_background(server)
+        server.serve_from_clients()
         slow = connect_channel(server.endpoint)
         fast = connect_channel(server.endpoint)
         try:
@@ -174,12 +167,11 @@ class TestLineServer:
             slow.close()
             fast.close()
             server.close()
-            thread.join(timeout=5)
 
     def test_a_malformed_line_closes_only_its_own_connection(self):
         closed = []
         server = _echo_server(closed.append)
-        thread = _serve_in_background(server)
+        server.serve_from_clients()
         bad = connect_channel(server.endpoint)
         good = connect_channel(server.endpoint)
         try:
@@ -194,7 +186,6 @@ class TestLineServer:
             bad.close()
             good.close()
             server.close()
-            thread.join(timeout=5)
 
     def test_serve_until_returns_by_its_deadline_without_traffic(self):
         server = _echo_server()
@@ -218,18 +209,16 @@ class TestLineServer:
             client.close()
             server.close()
 
-    def test_close_from_another_thread_ends_serve_and_closes_every_socket(self):
+    def test_close_closes_every_socket(self):
         server = _echo_server()
-        thread = _serve_in_background(server)
+        server.serve_from_clients()
         clients = [connect_channel(server.endpoint) for _ in range(2)]
         try:
             for i, client in enumerate(clients):
                 assert client.request({"op": "ping", "id": i}, timeout=5)["id"] == i
             sockets = [key.fileobj for key in server._selector.get_map().values()]
-            assert len(sockets) == 4  # the listener, the wake-up socket and two connections
+            assert len(sockets) == 3  # the listener and two connections
             server.close()
-            thread.join(timeout=5)
-            assert not thread.is_alive()
             assert all(sock.fileno() == -1 for sock in sockets)
             for client in clients:
                 with pytest.raises(Disconnected):
