@@ -18,12 +18,9 @@ the asset's current value, so a pull takes it from the ledger. It reads the
 property only when no update has been drained yet, or when another has
 arrived since the drain (the echo of a push in the same tick). A property is
 observed for a bidirectional mapping or a change trigger, never only to save
-a pull's read: every observed change is a push. A simulated asset sends the
-pushes buffered on a connection with its next reply, but an asset in
-another process that writes a push between requests (a step there, another
-connection's request) makes the next reply on the same connection wait for
-the twin's delayed ACK (Nagle's algorithm, about 40 ms on Linux).
-Properties nothing observes are read on every pull.
+a pull's read: every observed change is a push, which the asset writes at
+once or with its next reply on that connection. Properties nothing observes
+are read on every pull.
 
 Recency for bidirectional mappings is compared in tick space: the engine
 ledgers the tick at which each asset-side change was drained and the tick at

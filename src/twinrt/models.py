@@ -6,12 +6,13 @@ manager. The only ways a model changes are operator application (built-in
 create/delete/set plus registered custom operators), mode switching, and
 snapshot restore. Operator application is transactional: either the
 transformed model satisfies every integrity rule and is committed, or the
-model is left untouched. A transaction copies only the elements its operator
-touches and re-checks only those; the check fits each of their properties
-and each typed operator argument to its declared type first (5 for a real is
-5.0). Its commit still copies the whole element dict (``_CopyOnAccess.merged``),
-so one ``set_property`` took 17.6, 23.4 and 51.2 µs at 50, 1 000 and 5 000
-elements (Python 3.11, 2 vCPUs); ROADMAP direction 9 removes that copy.
+model is left untouched. A transaction starts from one shallow copy of the
+element dict, copies only the elements its operator touches and re-checks
+only those; the check fits each of their properties and each typed operator
+argument to its declared type first (5 for a real is 5.0). The shallow copy
+still costs O(model): one ``set_property`` took 17.5, 24.2 and 49.8 µs at
+50, 1 000 and 5 000 elements (Python 3.11, 2 vCPUs); ROADMAP direction 9
+replaces it.
 Managers may delegate operator applications to peers along declared
 per-operator rules; a request never visits the same manager twice.
 """
@@ -315,81 +316,58 @@ _OPTIONAL_ARGS = {"create_element": {"properties"}}
 class _CopyOnAccess(MutableMapping):
     """One transaction's view of a committed model's elements.
 
-    An element is copied the first time the effect reads or writes it
-    through ``[]`` or ``get``, so the effect may mutate what it gets; ``in``,
-    ``len`` and iterating over keys copy nothing, while ``values()`` and
-    ``items()`` copy every element they yield. Creates and deletes are
-    recorded; the committed dict is never written to. Keys iterate in
-    committed order followed by creations, as they would in a copied dict.
+    The view starts from one shallow copy of the committed element dict,
+    which the commit installs; the committed dict is never written to. An
+    element is copied the first time the effect reads or writes it through
+    ``[]`` or ``get``, so the effect may mutate what it gets; ``in``, ``len``
+    and iterating over keys copy nothing, while ``values()`` and ``items()``
+    copy every element they yield. Adding or deleting keys while iterating
+    raises, as it does on a dict.
     """
 
     def __init__(self, committed: dict[str, ModelElement]):
-        self._committed = committed
-        self._copies: dict[str, ModelElement] = {}  # committed ids read or replaced
-        self._created: dict[str, ModelElement] = {}  # ids new to the model, in order
-        self._deleted: set[str] = set()  # committed ids removed
-
-    def _live(self, element_id: str) -> bool:
-        return element_id in self._committed and element_id not in self._deleted
+        self.elements = dict(committed)
+        self.touched: set[str] = set()  # committed ids read, replaced or deleted
+        self.created: dict[str, ModelElement] = {}  # ids new to the model, in order
 
     def __contains__(self, element_id) -> bool:
-        return element_id in self._created or self._live(element_id)
+        return element_id in self.elements
 
     def __getitem__(self, element_id: str) -> ModelElement:
-        if element_id in self._created:
-            return self._created[element_id]
-        if not self._live(element_id):
-            raise KeyError(element_id)
-        element = self._copies.get(element_id)
-        if element is None:
-            old = self._committed[element_id]
-            element = self._copies[element_id] = ModelElement(
-                old.element_id, old.kind, dict(sorted(old.properties.items())))
+        element = self.elements[element_id]
+        if element_id not in self.touched and element_id not in self.created:
+            self.touched.add(element_id)
+            element = self.elements[element_id] = ModelElement(
+                element.element_id, element.kind, dict(sorted(element.properties.items())))
         return element
 
     def __setitem__(self, element_id: str, element: ModelElement) -> None:
-        if self._live(element_id):
-            self._copies[element_id] = element
+        if element_id in self.elements and element_id not in self.created:
+            self.touched.add(element_id)
         else:
-            self._created[element_id] = element
+            self.created[element_id] = element
+        self.elements[element_id] = element
 
     def __delitem__(self, element_id: str) -> None:
-        if element_id in self._created:
-            del self._created[element_id]
-        elif self._live(element_id):
-            self._deleted.add(element_id)
-            self._copies.pop(element_id, None)
-        else:
-            raise KeyError(element_id)
+        del self.elements[element_id]
+        if self.created.pop(element_id, None) is None:
+            self.touched.add(element_id)
 
     def __iter__(self) -> Iterator[str]:
-        for element_id in self._committed:
-            if element_id not in self._deleted:
-                yield element_id
-        yield from self._created
+        return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self._committed) - len(self._deleted) + len(self._created)
-
-    def touched(self) -> set[str]:
-        """Every id read, written, created or deleted."""
-        return self._copies.keys() | self._created.keys() | self._deleted
+        return len(self.elements)
 
     def surviving(self) -> list[str]:
         """Touched ids still present, in the order a copy of the whole model
         would list them: committed ids sorted, then creations."""
-        return sorted(self._copies) + list(self._created)
+        committed = (self.touched & self.elements.keys()) - self.created.keys()
+        return sorted(committed) + list(self.created)
 
     def merged(self) -> dict[str, ModelElement]:
         """The committed elements with this transaction applied, in id order."""
-        elements = dict(self._committed)
-        elements.update(self._copies)
-        for element_id in self._deleted:
-            del elements[element_id]
-        if self._created:
-            elements.update(self._created)
-            elements = dict(sorted(elements.items()))
-        return elements
+        return dict(sorted(self.elements.items())) if self.created else self.elements
 
 
 class ModelRegistry:
@@ -568,7 +546,8 @@ class ModelRegistry:
         language = self.language(model.language_id)
         self._validate(candidate, language, owner=self._owner[model_id],
                        element_ids=elements.surviving())
-        changed = _diff_elements(model.elements, candidate.elements, elements.touched())
+        changed = _diff_elements(model.elements, candidate.elements,
+                                 elements.touched | elements.created.keys())
         tick = self.tick_supplier()
         if candidate.supports_last_update:
             candidate.model_properties[LAST_UPDATE_PROPERTY] = ModelProperty(

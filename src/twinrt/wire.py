@@ -169,7 +169,8 @@ class LineChannel:
         self._sock.close()
 
 
-_SERVED_BY_CLIENTS: dict[str, LineServer] = {}  # see LineServer.serve_from_clients
+# each listener's bound (host, port): see LineServer.serve_from_clients
+_SERVED_BY_CLIENTS: dict[tuple[str, int], LineServer] = {}
 
 
 def connect_channel(endpoint: str, timeout: float = 5.0) -> LineChannel:
@@ -179,9 +180,13 @@ def connect_channel(endpoint: str, timeout: float = 5.0) -> LineChannel:
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as exc:
         raise ConnectionError(f"cannot connect to {endpoint}: {exc}") from exc
+    # Nagle would hold a write behind an unacknowledged one for the peer's delayed ACK
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     sock.settimeout(timeout)
     channel = LineChannel(sock)
-    channel._peer = _SERVED_BY_CLIENTS.get(endpoint)
+    peer_host, port = sock.getpeername()[:2]
+    channel._peer = (_SERVED_BY_CLIENTS.get((peer_host, port))
+                     or _SERVED_BY_CLIENTS.get(("0.0.0.0", port)))
     return channel
 
 
@@ -208,7 +213,8 @@ class LineServer:
         except OSError as exc:
             self._listener.close()
             raise ConnectFailed(f"cannot listen on {listen}: {exc}") from exc
-        self.endpoint = format_endpoint(host, self._listener.getsockname()[1])
+        self._address = self._listener.getsockname()
+        self.endpoint = format_endpoint(host, self._address[1])
         self._handler, self._on_close = handler, on_close
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ)
@@ -217,8 +223,9 @@ class LineServer:
 
     def serve_from_clients(self) -> None:
         """Until ``close()``, a client in this process that ``connect_channel``
-        opened to this endpoint runs this server's loop while it waits."""
-        _SERVED_BY_CLIENTS[self.endpoint] = self
+        opened to this server, by any name of its address, runs this
+        server's loop while it waits."""
+        _SERVED_BY_CLIENTS[self._address] = self
 
     def serve(self, until: float | None = None) -> None:
         """Serve until ``close()``; with ``until`` (``time.monotonic()``), only
@@ -242,6 +249,7 @@ class LineServer:
                 for key, events in ready:
                     if key.fileobj is self._listener:
                         conn, _addr = self._listener.accept()
+                        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # see connect_channel
                         channel = LineChannel(conn)
                         channel._out = bytearray()
                         self._conns[channel] = selectors.EVENT_READ
@@ -293,8 +301,8 @@ class LineServer:
     def close(self) -> None:
         """Close every socket."""
         self._closed = True
-        if _SERVED_BY_CLIENTS.get(self.endpoint) is self:
-            del _SERVED_BY_CLIENTS[self.endpoint]
+        if _SERVED_BY_CLIENTS.get(self._address) is self:
+            del _SERVED_BY_CLIENTS[self._address]
         for channel in self._conns:
             channel.close()
         self._conns.clear()

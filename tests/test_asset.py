@@ -516,6 +516,29 @@ class TestAssetProcess:
             proc.terminate()
             proc.communicate(timeout=5)
 
+    def test_a_push_between_two_requests_does_not_hold_up_the_next_reply(self):
+        # without TCP_NODELAY each pong waits behind the unacknowledged push
+        # for the twin's delayed ACK, about 40 ms a round
+        proc, endpoint = self._spawn("--model", "tank", "--param", "valve=0.5")
+        try:
+            handle = connect(tank_descriptor(endpoint))
+            control = AssetControl(endpoint)
+            try:
+                stream = handle.observe_property("level")
+                started = time.monotonic()
+                for _ in range(40):
+                    control.step(1)
+                    handle.ping()
+                elapsed = time.monotonic() - started
+                assert len(stream.drain()) == 40  # each round pushed its level
+            finally:
+                handle.close()
+                control.close()
+        finally:
+            proc.terminate()
+            proc.communicate(timeout=5)
+        assert elapsed < 0.5
+
     def test_bad_param_is_a_usage_error(self):
         for args, fragment in ((["--param", "thrust=9000"], "thrust"),
                                (["--param", "valve=open"], "valve"),

@@ -90,7 +90,9 @@ def _fork(model, args):
 
 def _peek(model, args):
     """Looks without touching: membership, size and keys only."""
-    if len(model.elements) != len(list(model.elements)) or "ghost" in model.elements:
+    ids = list(model.elements)
+    if (len(model.elements) != len(ids) or "ghost" in model.elements
+            or not all(eid in model.elements for eid in ids)):
         raise ArgumentMismatch("view is inconsistent")
 
 

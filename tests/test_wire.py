@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import deep_line
 
+from twinrt.asset import AssetServer, TankModel
 from twinrt.errors import ConnectFailed, Disconnected, ProtocolError
 from twinrt.values import MAX_DEPTH
 from twinrt.wire import (
@@ -226,6 +227,19 @@ class TestLineServer:
         finally:
             for client in clients:
                 client.close()
+
+    @pytest.mark.parametrize("listen, connect", [("127.0.0.1", "localhost"),
+                                                 ("0.0.0.0", "127.0.0.1")])
+    def test_an_in_process_server_is_served_under_another_name_of_its_address(
+            self, listen, connect):
+        server = AssetServer(TankModel(), listen=f"tcp://{listen}:0")
+        _host, port = parse_endpoint(server.endpoint)
+        client = connect_channel(f"tcp://{connect}:{port}")
+        try:
+            assert client.request({"op": "ping", "id": 1}, timeout=1) == {"op": "pong", "id": 1}
+        finally:
+            client.close()
+            server.close()
 
     def test_a_busy_address_is_a_connect_failure_naming_it(self):
         server = _echo_server()
