@@ -193,9 +193,8 @@ def _c5_gateway_capabilities(config: TwinConfiguration, faults: list[TwinError])
     title = "used gateways are read/observed; commanded gateways are writable"
     enabled = [m for m in config.mappings if m.enabled]
     used = sorted({m.gateway_id for m in enabled} & {gw.descriptor.gateway_id for gw in config.gateways})
-    # a gateway is read by an as-to-dt sync's request or through a stream a mapping opens
-    read = {m.gateway_id for m in enabled if m.direction is Direction.AS_TO_DT}
-    read.update(gateway_id for m in enabled for gateway_id, _, _ in m.streams())
+    # a gateway is read through a stream a mapping opens: every pull's, every trigger's
+    read = {gateway_id for m in enabled for gateway_id, _, _ in m.streams()}
     findings = [f"gateway {gateway_id!r} is commanded but never read or observed"
                 for gateway_id in used if gateway_id not in read]
     findings += [str(fault) for fault in faults if isinstance(fault, ReadOnlyTarget)]

@@ -16,11 +16,13 @@ streams by name, then event streams by name.
 For an observed property the newest update drained after the barrier is
 the asset's current value, so a pull takes it from the ledger. It reads the
 property only when no update has been drained yet, or when another has
-arrived since the drain (the echo of a push in the same tick). A property is
-observed for a bidirectional mapping or a change trigger, never only to save
-a pull's read: every observed change is a push, which the asset writes at
-once or with its next reply on that connection. Properties nothing observes
-are read on every pull.
+arrived since the drain (the echo of a push in the same tick). Every mapping
+that pulls observes its property, as does a change trigger, so a pull in the
+steady state costs no round trip. The price is a push for every change of an
+observed property, which the asset writes at once or with its next reply on
+that connection: an as-to-dt mapping scheduled every n ticks takes up to n
+updates per pull where it used to make one read. A property whose ``observe``
+the asset refuses is read on every pull.
 
 Recency for bidirectional mappings is compared in tick space: the engine
 ledgers the tick at which each asset-side change was drained and the tick at
@@ -213,10 +215,11 @@ class Mapping:
 
     def streams(self) -> list[tuple[str, str, str]]:
         """The gateway streams this mapping must hear about, as (gateway,
-        element, handle method): its property when bidirectional, and a
-        gateway trigger's element."""
+        element, handle method): its property unless it only pushes, so a
+        pull takes the drained update instead of reading, and a gateway
+        trigger's element."""
         streams = []
-        if self.direction is Direction.BIDIRECTIONAL:
+        if self.direction is not Direction.DT_TO_AS:
             streams.append((self.gateway_id, self.gateway_property, "observe_property"))
         trigger = self.schedule.trigger
         if trigger is not None and trigger.kind is TriggerKind.GATEWAY_CHANGE:
