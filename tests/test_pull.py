@@ -244,8 +244,25 @@ class TestPullRequests:
         requests = self.run([level_mapping(), _mapping("m-change", "level", "level",
                                                        Direction.AS_TO_DT, None)],
                             refuse_observe)
-        assert requests == Counter(observe=1, ping=3, read=3)
+        # a refused stream stays unopened, so each stream a mapping asks for
+        # is asked once: m-level's pull, m-change's pull and m-change's trigger
+        assert requests == Counter(observe=3, ping=3, read=3)
 
-    def test_property_nothing_observes_is_read_on_every_pull(self):
-        # observing it only to save the read would add a push per change
-        assert self.run([level_mapping()]) == Counter(ping=3, read=3)
+    def test_pulled_property_is_observed_and_read_only_on_a_miss(self):
+        # the first pull finds no update, so it reads; later ones take the
+        # ledger, since the scripted tank never pushes a change
+        assert self.run([level_mapping()]) == Counter(observe=1, ping=3, read=1)
+
+    def test_pull_that_finds_an_update_reads_nothing(self):
+        pushed = False
+
+        def push_before_first_pong(msg):
+            nonlocal pushed
+            if msg["op"] == "ping" and not pushed:
+                pushed = True
+                return [{"op": "update", "element": "level", "value": 2.0, "ts": 0,
+                         "seq": 1}, plain_reply(msg)]
+            return plain_reply(msg)
+
+        assert (self.run([level_mapping()], push_before_first_pong)
+                == Counter(observe=1, ping=3))
