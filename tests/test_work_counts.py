@@ -11,6 +11,9 @@ rule, trigger keys built, service hooks called, and gateway requests by
 gateway and op. So is a tick-window query's: the records whose link it
 tests, over two sizes of history.
 
+The same counts hold the benchmark's actuation shape, the demo twin with
+a valve edit before each tick, to one ping and one write per tick.
+
 A check that cannot fail shows nothing, so each count test is also run
 against a mutant that does the work of the whole configuration or history,
 or reads a property the engine observes, and must fail there.
@@ -28,6 +31,8 @@ from twinrt.engine import Direction, Engine, Mapping, SyncReason, Trigger
 from twinrt.gateway import GatewayHandle
 from twinrt.models import PropertyRule
 from twinrt.runtime import TwinRuntime
+
+from conftest import DEMO_CONFIG
 
 _TANK = """\
   - id: {gateway}
@@ -252,6 +257,41 @@ def observe_only_bidirectional_properties(mapping: Mapping) -> list[tuple[str, s
 def test_the_check_sees_a_read_per_scheduled_pull(monkeypatch):
     monkeypatch.setattr(Mapping, "streams", observe_only_bidirectional_properties)
     assert unexpected_scheduled_work(monkeypatch) != []
+
+
+def commanded_tick_requests(monkeypatch, ticks: int = 8) -> list[Counter]:
+    """The requests to tank01 of each of ``ticks`` ticks of the demo twin,
+    after a first tick, each tick behind an edit of the valve target: the
+    benchmark's actuation shape."""
+    runtime = TwinRuntime(config_mod.load(DEMO_CONFIG))
+    try:
+        def command(value: float) -> None:
+            runtime.model_edit("plant", "set_property", "tank",
+                               {"element": "main", "property": "valve_target",
+                                "value": value})
+            runtime.advance()
+
+        command(0.75)  # first tick: the first pulls may read
+        counts: Counter = Counter()
+        per_tick = []
+        with monkeypatch.context() as patch:
+            count_work(patch, counts)
+            for tick in range(ticks):
+                command(0.25 if tick % 2 == 0 else 0.75)
+                per_tick.append(Counter({key[2]: n for key, n in counts.items()
+                                         if key[:2] == ("request", "tank01")}))
+                counts.clear()
+        assert runtime.asset_state("tank01")["valve"] == 0.75
+        return per_tick
+    finally:
+        runtime.close()
+
+
+def test_a_commanded_tick_pings_and_writes_once(monkeypatch):
+    # the level's change arrives with the barrier's pong, m-valve writes
+    # the edit, and the write's echo, which arrives with its ack, is
+    # drained the next tick, so no pull reads
+    assert commanded_tick_requests(monkeypatch) == [Counter(ping=1, write=1)] * 8
 
 
 def history(records: int, per_tick: int = 4) -> DataManager:
