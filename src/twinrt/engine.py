@@ -657,8 +657,8 @@ class Engine:
             if mapping.direction is Direction.DT_TO_AS:
                 return self._push(mapping, reason)
             return self._sync_bidirectional(mapping, reason)
-        except Disconnected:
-            return self._suspended(mapping, "gateway disconnected")
+        except Disconnected as exc:
+            return self._suspended(mapping, f"gateway disconnected: {exc}")
         except _GATEWAY_FAULTS as exc:
             return self._suspended(mapping, f"gateway error: {exc}")
         except TransformFailure as exc:

@@ -701,6 +701,8 @@ class TestGatewayFaults:
                 raise Disconnected("the asset hangs up")  # closes the connection
             return plain_reply(msg)
 
+        # the detail names the cause the twin saw: its peer closed
+
         server, handle, engine = scripted_engine(hang_up_on_reads)
         try:
             first, second = engine.tick(1), engine.tick(2)  # neither raises
@@ -708,7 +710,7 @@ class TestGatewayFaults:
             engine.close()
             server.close()
         assert [(d.reason, d.detail) for d in first] == [
-            (SyncReason.SUSPENDED, "gateway disconnected")]
+            (SyncReason.SUSPENDED, "gateway disconnected: peer closed the connection")]
         assert [(d.reason, d.detail) for d in second] == [
             (SyncReason.SUSPENDED, "gateway unavailable")]
 
