@@ -21,8 +21,8 @@ that pulls observes its property, as does a change trigger, so a pull in the
 steady state costs no round trip. The price is a push for every change of an
 observed property, which the asset writes at once or with its next reply on
 that connection: an as-to-dt mapping scheduled every n ticks takes up to n
-updates per pull where it used to make one read. A property whose ``observe``
-the asset refuses is read on every pull.
+updates per pull, where a read would be one request. A property whose
+``observe`` the asset refuses is read on every pull.
 
 Recency for bidirectional mappings is compared in tick space: the engine
 ledgers the tick at which each asset-side change was drained and the tick at

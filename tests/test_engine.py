@@ -701,14 +701,13 @@ class TestGatewayFaults:
                 raise Disconnected("the asset hangs up")  # closes the connection
             return plain_reply(msg)
 
-        # the detail names the cause the twin saw: its peer closed
-
         server, handle, engine = scripted_engine(hang_up_on_reads)
         try:
             first, second = engine.tick(1), engine.tick(2)  # neither raises
         finally:
             engine.close()
             server.close()
+        # the detail names the cause the twin saw: its peer closed
         assert [(d.reason, d.detail) for d in first] == [
             (SyncReason.SUSPENDED, "gateway disconnected: peer closed the connection")]
         assert [(d.reason, d.detail) for d in second] == [

@@ -16,7 +16,7 @@ a valve edit before each tick, to one ping and one write per tick.
 
 A check that cannot fail shows nothing, so each count test is also run
 against a mutant that does the work of the whole configuration or history,
-or reads a property the engine observes, and must fail there.
+or reads each pulled property instead of observing it, and must fail there.
 """
 
 from __future__ import annotations
